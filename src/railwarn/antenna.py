@@ -15,11 +15,13 @@ omnidirectional patterns at 6 and 12 dBi, and a 23 dBi two-panel pattern
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import CrossingScene, Placement, link_geometry
+from .units import require_finite
 
 DEFAULT_FLOOR_DBI = -10.0
 
@@ -33,7 +35,10 @@ class AntennaPattern:
     floor_dbi: float = DEFAULT_FLOOR_DBI
 
     def __post_init__(self) -> None:
+        require_finite(peak_gain_dbi=self.peak_gain_dbi, floor_dbi=self.floor_dbi)
         for label, cut in (("azimuth", self.azimuth_cut), ("elevation", self.elevation_cut)):
+            for angle, gain in cut:
+                require_finite(angle_deg=angle, gain_dbi=gain)
             if not cut:
                 raise ValueError(f"{label} cut must not be empty")
             angles = [angle for angle, _ in cut]
@@ -57,6 +62,15 @@ class AntennaPattern:
         clamped = min(max(elevation_deg, angles[0]), angles[-1])
         return float(np.interp(clamped, angles, gains))
 
+    @cached_property
+    def cut_arrays(self) -> tuple:
+        """(azimuth angles, azimuth gains, elevation angles, elevation gains), built once."""
+        return tuple(
+            np.array(column, dtype=float)
+            for cut in (self.azimuth_cut, self.elevation_cut)
+            for column in zip(*cut)
+        )
+
     def azimuth_variation_db(self) -> float:
         gains = [g for _, g in self.azimuth_cut]
         return max(gains) - min(gains)
@@ -70,6 +84,24 @@ def pattern_gain(pattern: AntennaPattern, azimuth_deg: float, elevation_deg: flo
         - pattern.peak_gain_dbi
     )
     return max(combined, pattern.floor_dbi)
+
+
+def pattern_gain_array(
+    pattern: AntennaPattern, azimuth_deg: np.ndarray, elevation_deg: np.ndarray
+) -> np.ndarray:
+    """pattern_gain at every angle pair of two arrays, from the cached cut arrays."""
+    az_angles, az_gains, el_angles, el_gains = pattern.cut_arrays
+    if len(az_angles) == 1:
+        azimuth = az_gains[0]
+    else:
+        azimuth = np.interp(azimuth_deg % 360.0, az_angles, az_gains, period=360.0)
+    if len(el_angles) == 1:
+        elevation = el_gains[0]
+    else:
+        clamped = np.clip(elevation_deg, el_angles[0], el_angles[-1])
+        elevation = np.interp(clamped, el_angles, el_gains)
+    combined = azimuth + elevation - pattern.peak_gain_dbi
+    return np.maximum(np.broadcast_to(combined, np.shape(azimuth_deg)), pattern.floor_dbi)
 
 
 def omni_pattern(peak_gain_dbi: float, name: str | None = None) -> AntennaPattern:

@@ -10,6 +10,7 @@ directory.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .geometry import CrossingScene, Placement
 from .link import LatencyModel, ObstructionSegment, PerProfile, RadioConfig, SyntheticChannel
 from .logio import atomic_write_bytes
 from .protocol import TriggerPolicy
-from .units import mph_to_mps
+from .units import mph_to_mps, require_finite
 
 CONFIG_VERSION = 1
 
@@ -86,6 +87,9 @@ class AnalysisDefaults:
     window_width_m: float = 50.0
     coverage_threshold: int = 5
 
+    def __post_init__(self) -> None:
+        require_finite(window_width_m=self.window_width_m)
+
 
 @dataclass
 class LoadedConfig:
@@ -112,7 +116,15 @@ def _get(section: dict, key: str, default, where: str, kind=None):
 
 def _number(section: dict, key: str, default, where: str):
     value = _get(section, key, default, where, (int, float))
-    return None if value is None else float(value)
+    if value is None:
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key}: must be a finite number, got {value!r}")
+    return number
 
 
 def _load_receivers(entries, where: str) -> tuple:
@@ -369,16 +381,48 @@ def parse_config(data: dict, base_dir: Path) -> LoadedConfig:
     return LoadedConfig(scenario=scenario, analysis=analysis)
 
 
+# Stands in for NaN/Infinity literals while parsing, so the error can name the key.
+_NON_FINITE = object()
+
+
+def _path_to(node, target, path: str = "") -> str | None:
+    """Dotted path of the first occurrence of target in parsed JSON."""
+    if node is target:
+        return path
+    if isinstance(node, dict):
+        children = ((f"{path}.{key}" if path else key, child) for key, child in node.items())
+    elif isinstance(node, list):
+        children = ((f"{path}[{index}]", child) for index, child in enumerate(node))
+    else:
+        return None
+    for child_path, child in children:
+        found = _path_to(child, target, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def load_config(path: str | Path) -> LoadedConfig:
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    literals = []
+
+    def non_finite(literal: str):
+        literals.append(literal)
+        return _NON_FINITE
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: parse error: {exc.msg}") from None
+    if literals:
+        raise ConfigError(
+            f"{_path_to(data, _NON_FINITE) or 'config'}: "
+            f"non-finite number {literals[0]} is not allowed"
+        )
     return parse_config(data, path.parent)
 
 

@@ -6,6 +6,15 @@ packet outcomes from its own random stream, derived only from (seed,
 receiver id), so adding receivers or changing unrelated configuration never
 perturbs existing streams and rerunning a scenario with the same seed is
 bit-for-bit reproducible.
+
+For each receiver, geometry, antenna gain, obstruction excess, path loss
+and the SNR before shadowing are numpy arrays over all ticks (the array
+forms in geometry, antenna and link). One loop over the ticks then makes
+the random draws, in this order per tick: a shadowing normal when sigma >
+0, the decode uniform, and the jitter uniform only on a decode. The warning
+comes from the decodes as arrays (protocol.first_warning); an RSU's relay
+draw follows the last tick's draws. This order is the log format's random
+layout: any engine that keeps it writes byte-identical logs.
 """
 
 import dataclasses
@@ -18,24 +27,27 @@ from itertools import product
 
 import numpy as np
 
-from .antenna import AntennaPattern, builtin_pattern, pattern_gain
-from .geometry import CrossingScene, Placement, link_geometry
+from .antenna import AntennaPattern, builtin_pattern, pattern_gain_array
+from .geometry import CrossingScene, Placement, link_geometry, link_geometry_array  # noqa: F401
 from .link import (
     LatencyModel,
     PerProfile,
     RadioConfig,
     SyntheticChannel,
-    latency_sample,
-    packet_success_probability,
+    mean_snr_db,
+    profile_success_probability,
+    snr_success_probability,
 )
-from .protocol import (
-    ReceiverState,
-    TrainState,
-    TriggerPolicy,
-    generate_bsm,
-    receiver_ingest,
-    rsu_relay,
-)
+from .protocol import TriggerPolicy, first_warning, rsu_relay
+from .units import SPEED_OF_LIGHT_MPS, require_finite
+
+# link_geometry is imported but not called: the benchmark's tracer
+# (bench/tracer.py) patches engine.link_geometry by name, and its tests
+# check that the patch is undone.
+
+# Upper bound on transmit ticks per pass, checked before anything is
+# allocated. The longest pass shipped, tested or benchmarked has 64,001.
+MAX_TICKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,9 @@ class TrainRun:
     end_d_t_m: float = 600.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            speed_mps=self.speed_mps, start_d_t_m=self.start_d_t_m, end_d_t_m=self.end_d_t_m
+        )
         if self.speed_mps <= 0:
             raise ValueError("train speed must be positive")
         if not self.start_d_t_m < 0 < self.end_d_t_m:
@@ -73,6 +88,12 @@ class Scenario:
             raise ValueError("scenario needs at least one receiver")
         self.resolve_pattern(self.radio.tx_antenna)
         self.resolve_pattern(self.radio.rx_antenna)
+        ticks = self.train.duration_s / self.radio.tx_period_s + 1
+        if not ticks <= MAX_TICKS:
+            raise ValueError(
+                f"pass needs {ticks:.0f} transmit ticks, more than the limit of {MAX_TICKS}; "
+                "shorten the pass, raise the train speed or lengthen the transmit period"
+            )
 
     def resolve_pattern(self, name: str) -> AntennaPattern:
         for pattern in self.custom_patterns:
@@ -238,92 +259,36 @@ def _tick_count(duration_s: float, period_s: float) -> int:
 def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     """Simulate one pass; a pure function of (scenario, seed)."""
     effective_seed = scenario.seed if seed is None else seed
+    scene = scenario.scene
     train = scenario.train
     period_s = scenario.radio.tx_period_s
     ticks = _tick_count(train.duration_s, period_s)
-    synthetic = isinstance(scenario.channel, SyntheticChannel)
-    tx_pattern = scenario.resolve_pattern(scenario.radio.tx_antenna)
-    rx_pattern = scenario.resolve_pattern(scenario.radio.rx_antenna)
-
-    times = [k * period_s for k in range(ticks)]
-    positions = [train.start_d_t_m + train.speed_mps * t for t in times]
-    messages = [
-        generate_bsm(
-            TrainState(
-                train_id=1,
-                distance_to_crossing_m=positions[k],
-                speed_mps=train.speed_mps,
-                heading_deg=scenario.scene.track_heading_deg,
-            ),
-            seq=k,
-            clock_s=times[k],
-        )
-        for k in range(ticks)
-    ]
+    patterns = (
+        scenario.resolve_pattern(scenario.radio.tx_antenna),
+        scenario.resolve_pattern(scenario.radio.rx_antenna),
+    )
+    times = np.arange(ticks) * period_s
+    positions = train.start_d_t_m + train.speed_mps * times
+    profile_success = None
+    if isinstance(scenario.channel, PerProfile):
+        profile_success = profile_success_probability(scenario.channel, positions)
+        outside = np.flatnonzero(np.isnan(profile_success))
+        if outside.size:
+            # Raise what the first receiver meets first: each tick checks
+            # its geometry, then the profile.
+            first = int(outside[0])
+            link_geometry_array(positions[: first + 1], scene.receivers[0], scene)
+            scenario.channel.per_at(float(positions[first]))
 
     records: dict = {}
     events: list = []
-    for placement in scenario.scene.receivers:
+    for placement in scene.receivers:
         rng = receiver_stream(effective_seed, placement.id)
-        receiver_records = []
-        decoded = []  # (rx_time_s, tick index)
-        sigma = scenario.channel.shadowing_sigma_db if synthetic else 0.0
-        for k in range(ticks):
-            geo = link_geometry(positions[k], placement, scenario.scene)
-            if synthetic:
-                gain = pattern_gain(
-                    tx_pattern, geo.tx_azimuth_deg, geo.tx_elevation_deg
-                ) + pattern_gain(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
-                shadow = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-            else:
-                gain = 0.0
-                shadow = 0.0
-            p = packet_success_probability(
-                positions[k],
-                gain,
-                scenario.radio,
-                scenario.channel,
-                scenario.scene.obstructions,
-                shadowing_db=shadow,
-                range_m=geo.range_m,
-            )
-            if rng.random() < p:
-                rx_time = times[k] + latency_sample(geo.range_m, scenario.latency, rng, hops=1)
-                receiver_records.append(
-                    PacketRecord(
-                        seq=k,
-                        tx_time_s=times[k],
-                        train_d_t_m=positions[k],
-                        receiver_id=placement.id,
-                        decoded=True,
-                        rx_time_s=rx_time,
-                        # Keep the record identity exact under rounding.
-                        latency_s=rx_time - times[k],
-                    )
-                )
-                decoded.append((rx_time, k))
-            else:
-                receiver_records.append(
-                    PacketRecord(
-                        seq=k,
-                        tx_time_s=times[k],
-                        train_d_t_m=positions[k],
-                        receiver_id=placement.id,
-                        decoded=False,
-                    )
-                )
-        records[placement.id] = receiver_records
-
-        # Deliver decodes in arrival order; jitter may reorder them.
-        state = ReceiverState(receiver_id=placement.id, kind=placement.kind)
-        for rx_time, k in sorted(decoded):
-            event = receiver_ingest(messages[k], rx_time, state, scenario.policy)
-            if event is not None and placement.kind == "RSU":
-                delivery = rsu_relay(event, scenario.latency, rng)
-                event = dataclasses.replace(event, relay_delivery_time_s=delivery)
-                state.event = event
-        if state.event is not None:
-            events.append(state.event)
+        records[placement.id], event = _receiver_pass(
+            scenario, placement, rng, times, positions, patterns, profile_success
+        )
+        if event is not None:
+            events.append(event)
 
     return SimLog(
         digest=scenario_digest(scenario),
@@ -333,10 +298,82 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
         start_d_t_m=train.start_d_t_m,
         end_d_t_m=train.end_d_t_m,
         duration_s=train.duration_s,
-        receivers=scenario.scene.receivers,
+        receivers=scene.receivers,
         records=records,
         events=events,
     )
+
+
+def _receiver_pass(scenario, placement, rng, times, positions, patterns, success) -> tuple:
+    """One receiver's packet records and warning event.
+
+    success holds the per-tick decode probability of an empirical channel
+    and is None for a synthetic one. The tick loop makes the draws in the
+    documented order; everything else works on arrays.
+    """
+    scene, radio, channel, latency = (
+        scenario.scene,
+        scenario.radio,
+        scenario.channel,
+        scenario.latency,
+    )
+    geo = link_geometry_array(positions, placement, scene)
+    sigma = 0.0
+    if success is None:
+        tx_pattern, rx_pattern = patterns
+        gain = pattern_gain_array(
+            tx_pattern, geo.tx_azimuth_deg, geo.tx_elevation_deg
+        ) + pattern_gain_array(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
+        snr_db = mean_snr_db(positions, geo.range_m, gain, radio, channel, scene.obstructions)
+        sigma = channel.shadowing_sigma_db
+        if sigma > 0:
+            threshold = channel.threshold_db(radio.modulation)
+            width = channel.transition_width_db
+        else:
+            success = snr_success_probability(snr_db, radio, channel)
+    # Per tick: the decode probability, or with shadowing the SNR before it.
+    levels = (snr_db if sigma > 0 else success).tolist()
+
+    normal, random, uniform = rng.normal, rng.random, rng.uniform
+    base_ms = latency.processing_base_ms
+    jitter_ms = latency.processing_jitter_ms
+    receiver_id = placement.id
+    records = []
+    decoded_seq = []
+    rx_times = []
+    for k, (tx_time, position, range_m, level) in enumerate(
+        zip(times.tolist(), positions.tolist(), geo.range_m.tolist(), levels)
+    ):
+        if sigma > 0:
+            # Minus the logistic margin; exp overflows past 709, where p is 0.
+            z = (threshold - (level - normal(0.0, sigma))) / width
+            p = 1.0 / (1.0 + math.exp(z)) if z < 709.0 else 0.0
+        else:
+            p = level
+        if random() < p:
+            jitter = uniform(-jitter_ms, jitter_ms) if jitter_ms > 0 else 0.0
+            # latency_sample with hops=1: propagation plus processing.
+            rx_time = tx_time + (range_m / SPEED_OF_LIGHT_MPS + (base_ms + jitter) * 1e-3)
+            records.append(
+                PacketRecord(k, tx_time, position, receiver_id, True, rx_time, rx_time - tx_time)
+            )
+            decoded_seq.append(k)
+            rx_times.append(rx_time)
+        else:
+            records.append(PacketRecord(k, tx_time, position, receiver_id, False))
+
+    event = first_warning(
+        receiver_id,
+        placement.kind,
+        np.array(rx_times),
+        np.array(decoded_seq, dtype=np.int64),
+        positions[decoded_seq],
+        scenario.policy,
+    )
+    if event is not None and placement.kind == "RSU":
+        delivery = rsu_relay(event, latency, rng)
+        event = dataclasses.replace(event, relay_delivery_time_s=delivery)
+    return records, event
 
 
 @dataclass(frozen=True)

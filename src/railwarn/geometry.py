@@ -11,6 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from .units import require_finite
+
 if TYPE_CHECKING:
     from .link import ObstructionSegment
 
@@ -30,6 +34,11 @@ class Placement:
     boresight_deg: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(
+            offset_from_crossing_m=self.offset_from_crossing_m,
+            height_m=self.height_m,
+            boresight_deg=self.boresight_deg,
+        )
         if self.kind not in ("RSU", "OBU"):
             raise ValueError(f"placement kind must be RSU or OBU, got {self.kind!r}")
         if self.height_m <= 0:
@@ -45,6 +54,11 @@ class CrossingScene:
     obstructions: "tuple[ObstructionSegment, ...]" = ()
 
     def __post_init__(self) -> None:
+        require_finite(
+            track_heading_deg=self.track_heading_deg,
+            road_heading_deg=self.road_heading_deg,
+            tx_height_m=self.tx_height_m,
+        )
         if self.tx_height_m <= 0:
             raise ValueError("transmit antenna height must be positive")
         if _parallel(self.track_heading_deg, self.road_heading_deg):
@@ -62,6 +76,8 @@ class CrossingScene:
 
 @dataclass(frozen=True)
 class LinkGeometry:
+    """Link geometry at one train position, or at many as numpy arrays."""
+
     range_m: float
     tx_azimuth_deg: float
     tx_elevation_deg: float
@@ -131,6 +147,47 @@ def link_geometry(
     else:
         rx_boresight = _default_rx_boresight(placement, scene)
     tx_elev = math.degrees(math.atan2(dz, horizontal))
+    return LinkGeometry(
+        range_m=slant,
+        tx_azimuth_deg=wrap_angle_deg(bearing_t2r - scene.track_heading_deg),
+        tx_elevation_deg=tx_elev,
+        rx_azimuth_deg=wrap_angle_deg(bearing_r2t - rx_boresight),
+        rx_elevation_deg=-tx_elev,
+    )
+
+
+def link_geometry_array(
+    train_d_t_m: np.ndarray, placement: Placement, scene: CrossingScene
+) -> LinkGeometry:
+    """link_geometry at every position of an array, as a LinkGeometry of arrays.
+
+    Positions and differences use the same floating-point operations as the
+    scalar form. The horizontal distance goes through math.hypot, because
+    np.hypot differs from it in the last bit on some inputs and the range
+    feeds the logged latency; the slant range is then bit-identical. The
+    angles come from np.arctan2 and may differ in the last bit.
+    """
+    ux, uy = _unit(scene.track_heading_deg)
+    rx = receiver_position(placement, scene)
+    dx = rx[0] - ux * train_d_t_m
+    dy = rx[1] - uy * train_d_t_m
+    dz = rx[2] - scene.tx_height_m
+    horizontal = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    slant = np.sqrt(horizontal * horizontal + dz * dz)
+    if not slant.all():
+        raise DegenerateGeometryError(
+            "transmitter and receiver coincide; check heights and offsets"
+        )
+    default_boresight = _default_rx_boresight(placement, scene)
+    overhead = horizontal == 0.0
+    # Directly above/below: azimuth is arbitrary, elevation is +/-90.
+    bearing_t2r = np.where(overhead, scene.track_heading_deg, np.degrees(np.arctan2(dy, dx)))
+    bearing_r2t = np.where(overhead, default_boresight, np.degrees(np.arctan2(-dy, -dx)))
+    if placement.boresight_deg is not None:
+        rx_boresight = placement.boresight_deg
+    else:
+        rx_boresight = default_boresight
+    tx_elev = np.degrees(np.arctan2(dz, horizontal))
     return LinkGeometry(
         range_m=slant,
         tx_azimuth_deg=wrap_angle_deg(bearing_t2r - scene.track_heading_deg),

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .units import SPEED_OF_LIGHT_MPS
+from .units import SPEED_OF_LIGHT_MPS, require_finite
 
 MODULATIONS = ("QPSK", "16QAM")
 ALLOWED_TX_POWERS_DBM = (11.0, 23.0)
@@ -48,6 +48,11 @@ class RadioConfig:
     rx_antenna: str = "omni6"
 
     def __post_init__(self) -> None:
+        require_finite(
+            center_frequency_hz=self.center_frequency_hz,
+            tx_power_dbm=self.tx_power_dbm,
+            tx_period_ms=self.tx_period_ms,
+        )
         if self.tx_power_dbm not in ALLOWED_TX_POWERS_DBM:
             raise ValueError(
                 f"tx_power_dbm must be one of {ALLOWED_TX_POWERS_DBM}, "
@@ -89,6 +94,7 @@ class PerProfile:
             raise ValueError("out_of_range must be 'zero' or 'error'")
         previous_end = None
         for d_start, d_end, per in self.bins:
+            require_finite(d_start_m=d_start, d_end_m=d_end, per=per)
             if d_start >= d_end:
                 raise ValueError(f"bin [{d_start}, {d_end}) is empty or reversed")
             if not 0.0 <= per <= 1.0:
@@ -134,6 +140,15 @@ class SyntheticChannel:
     transition_width_db: float = 2.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            path_loss_exponent=self.path_loss_exponent,
+            reference_loss_db=self.reference_loss_db,
+            shadowing_sigma_db=self.shadowing_sigma_db,
+            noise_floor_dbm=self.noise_floor_dbm,
+            snr_threshold_qpsk_db=self.snr_threshold_qpsk_db,
+            snr_threshold_16qam_db=self.snr_threshold_16qam_db,
+            transition_width_db=self.transition_width_db,
+        )
         if self.path_loss_exponent < 2.0:
             raise ValueError("path loss exponent below 2 is unphysical here")
         if self.shadowing_sigma_db < 0:
@@ -167,6 +182,13 @@ class ObstructionSegment:
     gap_period_m: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            d_start_m=self.d_start_m,
+            d_end_m=self.d_end_m,
+            excess_loss_db=self.excess_loss_db,
+            gap_width_m=self.gap_width_m,
+            gap_period_m=self.gap_period_m,
+        )
         if self.d_start_m >= self.d_end_m:
             raise ValueError("obstruction segment is empty or reversed")
         if self.excess_loss_db < 0:
@@ -195,8 +217,15 @@ class LatencyModel:
     relay_hops: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(
+            processing_base_ms=self.processing_base_ms,
+            processing_jitter_ms=self.processing_jitter_ms,
+        )
         if self.processing_base_ms < 0 or self.processing_jitter_ms < 0:
             raise ValueError("latency components must be >= 0")
+        if self.processing_jitter_ms > self.processing_base_ms:
+            # base - jitter would be a negative processing time.
+            raise ValueError("processing_jitter_ms must not exceed processing_base_ms")
         if self.relay_hops not in (1, 2):
             raise ValueError("relay_hops must be 1 (direct) or 2 (relayed)")
 
@@ -237,6 +266,55 @@ def packet_success_probability(
     snr_db = radio.tx_power_dbm + combined_gain_dbi - loss - channel.noise_floor_dbm
     margin = (snr_db - channel.threshold_db(radio.modulation)) / channel.transition_width_db
     return 1.0 / (1.0 + math.exp(-margin))
+
+
+def profile_success_probability(profile: PerProfile, train_d_t_m: np.ndarray) -> np.ndarray:
+    """1 - profile.per_at(d) at every position of an array.
+
+    Where per_at would raise (a position outside an "error" profile) the
+    result is NaN, so the caller can raise at the first such position in
+    its own order of checks.
+    """
+    starts, ends, pers = (np.array(column) for column in zip(*profile.bins))
+    index = np.maximum(np.searchsorted(starts, train_d_t_m, side="right") - 1, 0)
+    inside = (starts[index] <= train_d_t_m) & (train_d_t_m < ends[index])
+    outside = 0.0 if profile.out_of_range == "zero" else np.nan
+    return np.where(inside, 1.0 - pers[index], outside)
+
+
+def obstruction_excess_db(train_d_t_m: np.ndarray, obstructions) -> np.ndarray:
+    """Summed ObstructionSegment.excess_at at every position of an array."""
+    total = np.zeros_like(train_d_t_m)
+    for segment in obstructions:
+        blocked = (segment.d_start_m <= train_d_t_m) & (train_d_t_m < segment.d_end_m)
+        if segment.gap_width_m > 0:
+            into_period = (train_d_t_m - segment.d_start_m) % segment.gap_period_m
+            blocked &= into_period < segment.gap_period_m - segment.gap_width_m
+        total += np.where(blocked, segment.excess_loss_db, 0.0)
+    return total
+
+
+def mean_snr_db(
+    train_d_t_m: np.ndarray,
+    range_m: np.ndarray,
+    combined_gain_dbi: np.ndarray,
+    radio: RadioConfig,
+    channel: SyntheticChannel,
+    obstructions=(),
+) -> np.ndarray:
+    """SNR before shadowing at every position; shadowing_db subtracts from it."""
+    loss = channel.reference_loss_db + 10.0 * channel.path_loss_exponent * np.log10(range_m)
+    loss += obstruction_excess_db(train_d_t_m, obstructions)
+    return radio.tx_power_dbm + combined_gain_dbi - loss - channel.noise_floor_dbm
+
+
+def snr_success_probability(
+    snr_db: np.ndarray, radio: RadioConfig, channel: SyntheticChannel
+) -> np.ndarray:
+    """The logistic SNR-to-success curve of packet_success_probability, on arrays."""
+    margin = (snr_db - channel.threshold_db(radio.modulation)) / channel.transition_width_db
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-margin))
 
 
 def latency_sample(

@@ -18,6 +18,11 @@ from .protocol import WarningEvent
 
 LOG_VERSION = 1
 
+# One encoder for every line: the output equals json.dumps(obj,
+# sort_keys=True) byte for byte, without building an encoder per line, and
+# a NaN or infinity raises instead of writing a non-JSON literal.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
 
 def _header_dict(log: SimLog) -> dict:
     return {
@@ -47,10 +52,10 @@ def _header_dict(log: SimLog) -> dict:
 
 def log_lines(log: SimLog):
     """Yield the serialised lines of a log, without trailing newlines."""
-    yield json.dumps(_header_dict(log), sort_keys=True)
+    yield _encode(_header_dict(log))
     for receiver_id in log.receiver_ids():
         for record in log.records[receiver_id]:
-            yield json.dumps(
+            yield _encode(
                 {
                     "type": "packet",
                     "receiver_id": record.receiver_id,
@@ -60,11 +65,10 @@ def log_lines(log: SimLog):
                     "decoded": record.decoded,
                     "rx_time_s": record.rx_time_s,
                     "latency_s": record.latency_s,
-                },
-                sort_keys=True,
+                }
             )
     for event in log.events:
-        yield json.dumps(
+        yield _encode(
             {
                 "type": "event",
                 "receiver_id": event.receiver_id,
@@ -74,8 +78,7 @@ def log_lines(log: SimLog):
                 "train_d_t_at_trigger_m": event.train_d_t_at_trigger_m,
                 "packets_seen": event.packets_seen,
                 "relay_delivery_time_s": event.relay_delivery_time_s,
-            },
-            sort_keys=True,
+            }
         )
 
 

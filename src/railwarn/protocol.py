@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .link import LatencyModel, latency_sample
+from .units import require_finite
 
 BSM_SIZE_BYTES = 99
 _BSM_HEADER = struct.Struct("<IQdfffBQ")
@@ -108,6 +109,7 @@ class TriggerPolicy:
     window_s: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(trigger_distance_m=self.trigger_distance_m, window_s=self.window_s)
         if self.reliability_threshold < 1:
             raise ValueError("reliability threshold must be >= 1")
         if self.trigger_distance_m <= 0:
@@ -180,6 +182,45 @@ def receiver_ingest(
         packets_seen=len(distinct),
     )
     return state.event
+
+
+def first_warning(
+    receiver_id: str,
+    kind: str,
+    rx_time_s: np.ndarray,
+    seq: np.ndarray,
+    position_m: np.ndarray,
+    policy: TriggerPolicy,
+) -> WarningEvent | None:
+    """The event of receiver_ingest fed every decode, computed on arrays.
+
+    Decode i arrived at rx_time_s[i] carrying sequence number seq[i] (each
+    delivered once) and reported position position_m[i]. Arrivals are taken
+    in (rx_time_s, seq) order; the packets seen at each arrival are a
+    running count, less those older than window_s when a window is set.
+    """
+    order = np.lexsort((seq, rx_time_s))
+    rx_time_s = rx_time_s[order]
+    position_m = position_m[order]
+    seen = np.arange(1, len(order) + 1)
+    if policy.window_s is not None:
+        seen -= np.searchsorted(rx_time_s, rx_time_s - policy.window_s, side="left")
+    ready = (
+        (position_m <= 0)
+        & (-position_m <= policy.trigger_distance_m)
+        & (seen >= policy.reliability_threshold)
+    )
+    if not ready.any():
+        return None
+    first = int(ready.argmax())
+    return WarningEvent(
+        receiver_id=receiver_id,
+        source=kind,
+        mode="indirect" if kind == "RSU" else "direct",
+        trigger_time_s=float(rx_time_s[first]),
+        train_d_t_at_trigger_m=float(position_m[first]),
+        packets_seen=int(seen[first]),
+    )
 
 
 def rsu_relay(

@@ -5,8 +5,22 @@ the approach side), times in seconds, speeds in m/s, powers in dBm, gains in
 dBi. Miles per hour appear only at user-facing boundaries.
 """
 
+import math
+
 MPH_TO_MPS = 0.44704
 SPEED_OF_LIGHT_MPS = 299_792_458.0
+
+
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first value that is NaN or infinite.
+
+    None passes, so optional settings can be checked as they are. Every
+    comparison with NaN is false, so a NaN that reaches a range check or a
+    gate would pass it silently; the config dataclasses call this first.
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def mph_to_mps(speed_mph: float) -> float:

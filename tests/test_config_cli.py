@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import math
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +13,10 @@ from railwarn.config import (
     load_scenario,
     write_scenario,
 )
-from railwarn.engine import run_pass
-from railwarn.link import PerProfile, SyntheticChannel
+from railwarn.engine import MAX_TICKS, TrainRun, run_pass
+from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
 from railwarn.logio import log_bytes, read_field_log, read_log, write_log
+from railwarn.protocol import TriggerPolicy
 from railwarn.units import parse_speed
 
 
@@ -341,3 +346,95 @@ class TestCli:
         capture.write_text("\n".join(rows) + "\n")
         assert main(["coverage", str(capture), "--field-csv", "--threshold", "5"]) == 0
         assert "warning range 200 m" in capsys.readouterr().out
+
+
+SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"
+
+
+def suburban_with(tmp_path, section, key, value):
+    data = json.loads(SUBURBAN.read_text())
+    data[section][key] = value
+    if section == "train" and key == "speed_mps":
+        del data["train"]["speed_mph"]
+    return write_config(tmp_path, data)
+
+
+NON_FINITE_KEYS = [
+    ("policy", "trigger_distance_m"),
+    ("channel", "path_loss_exponent"),
+    ("train", "speed_mps"),
+    ("radio", "tx_period_ms"),
+]
+
+
+class TestNonFiniteInput:
+    """NaN and infinities fail every comparison, so they must never reach a gate."""
+
+    @pytest.mark.parametrize("section, key", NON_FINITE_KEYS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_literal_rejected_with_key(self, tmp_path, capsys, section, key, value):
+        # json.dumps writes NaN / Infinity / -Infinity literals.
+        config = suburban_with(tmp_path, section, key, value)
+        assert main(["simulate", str(config), "-o", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert f"{section}.{key}" in err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("section, key", NON_FINITE_KEYS)
+    def test_overflowing_number_rejected_with_key(self, tmp_path, capsys, section, key):
+        config = suburban_with(tmp_path, section, key, 1.0)
+        config.write_text(config.read_text().replace(f'"{key}": 1.0', f'"{key}": 1e999'))
+        assert main(["simulate", str(config), "-o", str(tmp_path / "x.jsonl")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: TriggerPolicy(trigger_distance_m=math.nan), "trigger_distance_m"),
+            (lambda: SyntheticChannel(path_loss_exponent=math.nan), "path_loss_exponent"),
+            (lambda: TrainRun(speed_mps=math.nan), "speed_mps"),
+            (lambda: RadioConfig(tx_period_ms=math.inf), "tx_period_ms"),
+        ],
+    )
+    def test_dataclasses_reject_non_finite(self, build, key):
+        with pytest.raises(ValueError, match=key):
+            build()
+
+    def test_nested_literal_path(self, tmp_path, capsys):
+        data = json.loads(SUBURBAN.read_text())
+        data["scene"]["receivers"][1]["height_m"] = math.nan
+        assert main(["simulate", str(write_config(tmp_path, data))]) == 2
+        assert "scene.receivers[1].height_m" in capsys.readouterr().err
+
+    def test_jitter_above_base_rejected(self, tmp_path, capsys):
+        config = suburban_with(tmp_path, "latency", "processing_jitter_ms", 5.0)
+        assert main(["simulate", str(config)]) == 2
+        assert "processing_jitter_ms" in capsys.readouterr().err
+
+
+class TestTickBudget:
+    def test_oversized_pass_fails_before_allocating(self, tmp_path, capsys):
+        config = suburban_with(tmp_path, "train", "start_d_t_m", -1e9)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", str(config), "-o", str(tmp_path / "x.jsonl")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        # (350 + 1e9) m at 10 mph, one tick per 50 ms, plus the tick at t = 0.
+        ticks = (350.0 + 1e9) / (10 * 0.44704) / 0.05 + 1
+        assert f"pass needs {ticks:.0f} transmit ticks" in capsys.readouterr().err
+        assert peak < 5_000_000
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_limit_sits_between_tested_passes_and_runaways(self):
+        assert 64_001 * 10 <= MAX_TICKS
+        period_s = RadioConfig().tx_period_s
+        train = TrainRun(speed_mps=1.0, start_d_t_m=-500.0, end_d_t_m=500.0)
+        scenario = load_scenario(SUBURBAN)
+        slow = dataclasses.replace(train, speed_mps=1000.0 / (MAX_TICKS * period_s))
+        with pytest.raises(ValueError, match="transmit ticks"):
+            dataclasses.replace(scenario, train=slow)
+        dataclasses.replace(scenario, train=train)
