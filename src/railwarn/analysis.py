@@ -10,7 +10,6 @@ the crossing; approach-side bins have negative centers.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +31,7 @@ class PerBin:
     transmitted: int
     received: int
     per: float
+    index: int  # the bin is [index * w, (index + 1) * w)
 
 
 @dataclass(frozen=True)
@@ -59,26 +59,30 @@ def bin_per(
     if window_width_m <= 0:
         raise ValueError("window width must be positive")
     rid = _single_receiver_id(log, receiver_id)
-    records = log.records[rid]
-    if not records:
+    packets = log.records[rid]
+    if not len(packets):
         raise ValueError("empty log")
-    counts: dict = {}
-    for record in records:
-        index = math.floor(record.train_d_t_m / window_width_m)
-        tx, rx = counts.get(index, (0, 0))
-        counts[index] = (tx + 1, rx + (1 if record.decoded else 0))
-    bins = []
-    for index in sorted(counts):
-        tx, rx = counts[index]
-        bins.append(
-            PerBin(
-                d_center_m=(index + 0.5) * window_width_m,
-                transmitted=tx,
-                received=rx,
-                per=(tx - rx) / tx,
-            )
+    # Only the occupied windows get a bin, however far apart they lie.
+    indices, inverse = np.unique(
+        np.floor(packets.train_d_t_m / window_width_m), return_inverse=True
+    )
+    if not np.isfinite(indices).all():
+        raise ValueError("a train position has no finite window index")
+    transmitted = np.bincount(inverse, minlength=len(indices))
+    received = np.bincount(inverse[packets.decoded], minlength=len(indices))
+    bins = tuple(
+        PerBin(
+            d_center_m=(index + 0.5) * window_width_m,
+            transmitted=tx,
+            received=rx,
+            per=(tx - rx) / tx,
+            index=index,
         )
-    return PerSeries(receiver_id=rid, window_width_m=window_width_m, bins=tuple(bins))
+        for index, tx, rx in zip(
+            map(int, indices.tolist()), transmitted.tolist(), received.tolist()
+        )
+    )
+    return PerSeries(receiver_id=rid, window_width_m=window_width_m, bins=bins)
 
 
 def received_counts(
@@ -107,14 +111,6 @@ class CoverageReport:
     per_receiver: "dict | None" = None
 
 
-def _series_to_indexed(series: PerSeries) -> tuple[dict, float]:
-    width = series.window_width_m
-    indexed = {}
-    for b in series.bins:
-        indexed[round(b.d_center_m / width - 0.5)] = b.received
-    return indexed, width
-
-
 def extract_dwarn(
     series,
     threshold: int,
@@ -128,7 +124,8 @@ def extract_dwarn(
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if isinstance(series, PerSeries):
-        indexed, width = _series_to_indexed(series)
+        width = series.window_width_m
+        indexed = {b.index: b.received for b in series.bins}
     else:
         if window_width_m is None or window_width_m <= 0:
             raise ValueError("window_width_m is required for a bare counts list")
@@ -188,18 +185,15 @@ def latency_stats(
     log: SimLog, receiver_id: str | None = None, period_s: float | None = None
 ) -> LatencyStats:
     """Latency summary over decoded packets only."""
-    if receiver_id is None:
-        latencies = [
-            r.latency_s for recs in log.records.values() for r in recs if r.decoded
-        ]
-    else:
-        latencies = [r.latency_s for r in log.records[receiver_id] if r.decoded]
-    if not latencies:
+    receivers = log.records.values() if receiver_id is None else [log.records[receiver_id]]
+    values = np.concatenate(
+        [np.empty(0), *(packets.latency_s[packets.decoded] for packets in receivers)]
+    )
+    if not len(values):
         raise ValueError("no decoded packets in log")
     period = log.tx_period_s if period_s is None else period_s
-    values = np.array(latencies)
     return LatencyStats(
-        count=len(latencies),
+        count=len(values),
         mean_s=float(values.mean()),
         p50_s=float(np.percentile(values, 50)),
         p95_s=float(np.percentile(values, 95)),

@@ -15,7 +15,7 @@ omnidirectional patterns at 6 and 12 dBi, and a 23 dBi two-panel pattern
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +64,18 @@ class AntennaPattern:
 
     @cached_property
     def cut_arrays(self) -> tuple:
-        """(azimuth angles, azimuth gains, elevation angles, elevation gains), built once."""
-        return tuple(
+        """(azimuth angles, azimuth gains, elevation angles, elevation gains), built once.
+
+        The arrays are read-only, because a built-in pattern object is shared.
+        """
+        arrays = tuple(
             np.array(column, dtype=float)
             for cut in (self.azimuth_cut, self.elevation_cut)
             for column in zip(*cut)
         )
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     def azimuth_variation_db(self) -> float:
         gains = [g for _, g in self.azimuth_cut]
@@ -155,7 +161,9 @@ _BUILTIN_FACTORIES = {
 }
 
 
+@cache
 def builtin_pattern(name: str) -> AntennaPattern:
+    """The built-in pattern of that name, built once and shared."""
     try:
         return _BUILTIN_FACTORIES[name]()
     except KeyError:

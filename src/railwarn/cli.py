@@ -13,8 +13,8 @@ from pathlib import Path
 from . import analysis as an
 from . import logio
 from .config import ConfigError, load_config
-from .engine import run_pass, run_sweep
-from .units import parse_speed
+from .engine import SweepPointError, run_pass, run_sweep
+from .units import parse_speed, require_finite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,7 +98,7 @@ def _cmd_simulate(args) -> int:
     log.coverage_threshold = cfg.analysis.coverage_threshold
     output = args.output or (Path(args.config).stem + ".log.jsonl")
     logio.write_log(log, output)
-    decoded = sum(1 for recs in log.records.values() for r in recs if r.decoded)
+    decoded = log.decoded_count()
     print(
         f"wrote {output}: {log.packet_count()} packet records, "
         f"{decoded} decoded, {len(log.events)} warning event(s), "
@@ -158,6 +158,15 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_safeness(args) -> int:
+    train_speed = parse_speed(args.train_speed)
+    vehicle_speeds = _split(args.vehicle_speeds, float)
+    flags = [("--dwarn", args.dwarn), ("--train-speed", train_speed), ("--tr", args.tr)]
+    flags += [("--ts", args.ts)] + [("--vehicle-speeds", speed) for speed in vehicle_speeds]
+    try:
+        for flag, value in flags:
+            require_finite(**{flag: value})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.coverage_from:
         log = logio.read_log(args.coverage_from)
         window = args.window if args.window is not None else log.analysis_window_m
@@ -165,11 +174,10 @@ def _cmd_safeness(args) -> int:
         warning_range = an.coverage_report(log, window, threshold).warning_range_m
     else:
         warning_range = args.dwarn
-    train_speed = parse_speed(args.train_speed)
     report = an.safeness_report(
         warning_range,
         train_speed,
-        vehicle_speeds_mph=_split(args.vehicle_speeds, float),
+        vehicle_speeds_mph=vehicle_speeds,
         roads=_split(args.roads),
         reaction_s=args.tr,
         system_delay_s=args.ts,
@@ -205,15 +213,18 @@ def _cmd_sweep(args) -> int:
     mods = _split(args.modulations)
     antennas = _split(args.antennas)
     seeds = _split(args.seeds, int)
-    results = run_sweep(
-        cfg.scenario,
-        speeds_mps=speeds,
-        powers_dbm=powers,
-        modulations=mods,
-        antennas=antennas,
-        seeds=seeds,
-        max_workers=args.workers,
-    )
+    try:
+        results = run_sweep(
+            cfg.scenario,
+            speeds_mps=speeds,
+            powers_dbm=powers,
+            modulations=mods,
+            antennas=antennas,
+            seeds=seeds,
+            max_workers=args.workers,
+        )
+    except SweepPointError as exc:
+        raise ConfigError(str(exc)) from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
@@ -227,7 +238,7 @@ def _cmd_sweep(args) -> int:
             f"_{point.modulation}_{point.tx_antenna}_s{point.seed}.log.jsonl"
         )
         logio.write_log(log, out_dir / name)
-        decoded = sum(1 for recs in log.records.values() for r in recs if r.decoded)
+        decoded = log.decoded_count()
         coverage = an.coverage_report(
             log, cfg.analysis.window_width_m, cfg.analysis.coverage_threshold
         )

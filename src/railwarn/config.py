@@ -441,4 +441,4 @@ def write_scenario(
         "window_width_m": defaults.window_width_m,
         "coverage_threshold": defaults.coverage_threshold,
     }
-    atomic_write_bytes(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
+    atomic_write_bytes(path, [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode()])

@@ -120,9 +120,107 @@ class PacketRecord:
                 raise ValueError("rx_time_s must be >= tx_time_s")
 
 
+class PacketColumns:
+    """One receiver's packets as numpy columns, one row per packet.
+
+    seq is uint64; tx_time_s and train_d_t_m are float64; decoded is bool;
+    rx_time_s and latency_s are float64 and NaN where the packet was not
+    decoded. Iterating or indexing yields PacketRecord rows, and equality is
+    exact with NaN equal to NaN.
+    """
+
+    __slots__ = (
+        "receiver_id",
+        "seq",
+        "tx_time_s",
+        "train_d_t_m",
+        "decoded",
+        "rx_time_s",
+        "latency_s",
+    )
+
+    def __init__(self, receiver_id, seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s):
+        self.receiver_id = receiver_id
+        self.seq = np.asarray(seq, dtype=np.uint64)
+        self.tx_time_s = np.asarray(tx_time_s, dtype=np.float64)
+        self.train_d_t_m = np.asarray(train_d_t_m, dtype=np.float64)
+        self.decoded = np.asarray(decoded, dtype=bool)
+        self.rx_time_s = np.asarray(rx_time_s, dtype=np.float64)
+        self.latency_s = np.asarray(latency_s, dtype=np.float64)
+        columns = self.columns()
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError("packet columns must have equal lengths")
+        # Receivers of one pass share the time and position arrays.
+        for column in columns:
+            column.flags.writeable = False
+
+    def columns(self) -> tuple:
+        """(seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s)."""
+        return tuple(getattr(self, name) for name in self.__slots__[1:])
+
+    @classmethod
+    def from_records(cls, records, receiver_id: str) -> "PacketColumns":
+        """Columns from PacketRecord rows of one receiver."""
+        records = list(records)
+        for record in records:
+            if record.receiver_id != receiver_id:
+                raise ValueError(
+                    f"record of receiver {record.receiver_id!r} filed under {receiver_id!r}"
+                )
+            if not record.decoded and (record.rx_time_s, record.latency_s) != (None, None):
+                raise ValueError("undecoded records carry no rx_time_s or latency_s")
+            if record.seq < 0 or record.seq >= 2**64:
+                raise ValueError(f"seq must be in [0, 2**64), got {record.seq}")
+        nan = math.nan
+        return cls(
+            receiver_id,
+            [r.seq for r in records],
+            [r.tx_time_s for r in records],
+            [r.train_d_t_m for r in records],
+            [r.decoded for r in records],
+            [nan if r.rx_time_s is None else r.rx_time_s for r in records],
+            [nan if r.latency_s is None else r.latency_s for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, index: int) -> PacketRecord:
+        decoded = bool(self.decoded[index])
+        return PacketRecord(
+            seq=int(self.seq[index]),
+            tx_time_s=float(self.tx_time_s[index]),
+            train_d_t_m=float(self.train_d_t_m[index]),
+            receiver_id=self.receiver_id,
+            decoded=decoded,
+            rx_time_s=float(self.rx_time_s[index]) if decoded else None,
+            latency_s=float(self.latency_s[index]) if decoded else None,
+        )
+
+    def __iter__(self):
+        return (self[index] for index in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PacketColumns):
+            return NotImplemented
+        return self.receiver_id == other.receiver_id and all(
+            np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
+            for mine, theirs in zip(self.columns(), other.columns())
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PacketColumns({self.receiver_id!r}, {len(self)} packets)"
+
+
 @dataclass
 class SimLog:
-    """Complete record of one pass: every packet for every receiver."""
+    """Complete record of one pass: every packet for every receiver.
+
+    records maps each receiver id to its PacketColumns; lists of
+    PacketRecord are turned into columns on construction.
+    """
 
     digest: str
     seed: int
@@ -132,15 +230,26 @@ class SimLog:
     end_d_t_m: float
     duration_s: float
     receivers: tuple[Placement, ...]
-    records: dict  # receiver_id -> list[PacketRecord]
+    records: dict  # receiver_id -> PacketColumns
     events: list  # list[WarningEvent]
     analysis_window_m: float = 50.0
     coverage_threshold: int = 5
+
+    def __post_init__(self) -> None:
+        self.records = {
+            rid: packets
+            if isinstance(packets, PacketColumns)
+            else PacketColumns.from_records(packets, rid)
+            for rid, packets in self.records.items()
+        }
 
     def packet_count(self, receiver_id: str | None = None) -> int:
         if receiver_id is not None:
             return len(self.records[receiver_id])
         return sum(len(recs) for recs in self.records.values())
+
+    def decoded_count(self) -> int:
+        return sum(int(packets.decoded.sum()) for packets in self.records.values())
 
     def receiver_ids(self) -> list:
         return [p.id for p in self.receivers]
@@ -305,7 +414,7 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
 
 
 def _receiver_pass(scenario, placement, rng, times, positions, patterns, success) -> tuple:
-    """One receiver's packet records and warning event.
+    """One receiver's packet columns and warning event.
 
     success holds the per-tick decode probability of an empirical channel
     and is None for a synthetic one. The tick loop makes the draws in the
@@ -337,12 +446,10 @@ def _receiver_pass(scenario, placement, rng, times, positions, patterns, success
     normal, random, uniform = rng.normal, rng.random, rng.uniform
     base_ms = latency.processing_base_ms
     jitter_ms = latency.processing_jitter_ms
-    receiver_id = placement.id
-    records = []
     decoded_seq = []
     rx_times = []
-    for k, (tx_time, position, range_m, level) in enumerate(
-        zip(times.tolist(), positions.tolist(), geo.range_m.tolist(), levels)
+    for k, (tx_time, range_m, level) in enumerate(
+        zip(times.tolist(), geo.range_m.tolist(), levels)
     ):
         if sigma > 0:
             # Minus the logistic margin; exp overflows past 709, where p is 0.
@@ -354,18 +461,26 @@ def _receiver_pass(scenario, placement, rng, times, positions, patterns, success
             jitter = uniform(-jitter_ms, jitter_ms) if jitter_ms > 0 else 0.0
             # latency_sample with hops=1: propagation plus processing.
             rx_time = tx_time + (range_m / SPEED_OF_LIGHT_MPS + (base_ms + jitter) * 1e-3)
-            records.append(
-                PacketRecord(k, tx_time, position, receiver_id, True, rx_time, rx_time - tx_time)
-            )
             decoded_seq.append(k)
             rx_times.append(rx_time)
-        else:
-            records.append(PacketRecord(k, tx_time, position, receiver_id, False))
 
+    decoded = np.zeros(len(times), dtype=bool)
+    decoded[decoded_seq] = True
+    rx_time_s = np.full(len(times), np.nan)
+    rx_time_s[decoded_seq] = rx_times
+    packets = PacketColumns(
+        placement.id,
+        np.arange(len(times), dtype=np.uint64),
+        times,
+        positions,
+        decoded,
+        rx_time_s,
+        rx_time_s - times,
+    )
     event = first_warning(
-        receiver_id,
+        placement.id,
         placement.kind,
-        np.array(rx_times),
+        rx_time_s[decoded],
         np.array(decoded_seq, dtype=np.int64),
         positions[decoded_seq],
         scenario.policy,
@@ -373,7 +488,7 @@ def _receiver_pass(scenario, placement, rng, times, positions, patterns, success
     if event is not None and placement.kind == "RSU":
         delivery = rsu_relay(event, latency, rng)
         event = dataclasses.replace(event, relay_delivery_time_s=delivery)
-    return records, event
+    return packets, event
 
 
 @dataclass(frozen=True)
@@ -405,9 +520,13 @@ def _scenario_for_point(base: Scenario, point: SweepPoint) -> Scenario:
     )
 
 
+class SweepPointError(ValueError):
+    """A sweep grid point whose scenario does not validate."""
+
+
 def _run_point(args: tuple) -> SweepResult:
-    base, point = args
-    return SweepResult(point=point, log=run_pass(_scenario_for_point(base, point)))
+    point, scenario = args
+    return SweepResult(point=point, log=run_pass(scenario))
 
 
 def run_sweep(
@@ -422,7 +541,9 @@ def run_sweep(
     """Run the cartesian grid of configurations around a base scenario.
 
     Each point is an independent pass whose outcome depends only on its own
-    configuration and seed, never on grid order or parallel schedule.
+    configuration and seed, never on grid order or parallel schedule. Every
+    point's scenario is built before any pass runs; a point that does not
+    validate raises SweepPointError naming it.
     """
     speeds = list(speeds_mps) if speeds_mps else [base.train.speed_mps]
     powers = list(powers_dbm) if powers_dbm else [base.radio.tx_power_dbm]
@@ -431,11 +552,19 @@ def run_sweep(
     seed_list = list(seeds) if seeds else [base.seed]
     if not (speeds and powers and mods and ants and seed_list):
         raise ValueError("sweep grid must be non-empty")
-    points = [
-        SweepPoint(s, p, m, a, sd)
-        for s, p, m, a, sd in product(speeds, powers, mods, ants, seed_list)
-    ]
+    jobs = []
+    for values in product(speeds, powers, mods, ants, seed_list):
+        point = SweepPoint(*values)
+        try:
+            jobs.append((point, _scenario_for_point(base, point)))
+        except (ValueError, KeyError) as exc:
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            raise SweepPointError(
+                f"sweep point speed_mps={point.speed_mps!r}, tx_power_dbm={point.tx_power_dbm!r}, "
+                f"modulation={point.modulation!r}, tx_antenna={point.tx_antenna!r}, "
+                f"seed={point.seed!r}: {message}"
+            ) from None
     if max_workers is not None and max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_point, [(base, pt) for pt in points]))
-    return [_run_point((base, pt)) for pt in points]
+            return list(pool.map(_run_point, jobs))
+    return [_run_point(job) for job in jobs]

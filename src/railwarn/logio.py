@@ -4,15 +4,26 @@ A log file is one JSON object per line. The first line is a header with the
 scenario digest and pass metadata; the remaining lines are packet records
 (grouped by receiver, ordered by sequence number) followed by warning
 events. Keys are sorted so identical logs are byte-identical.
+
+Packets move between files and PacketColumns in chunks. The writer formats
+packet lines from column values with one template per receiver and decoded
+state, giving the bytes json.dumps(..., sort_keys=True) gives. The reader
+matches the writer's exact packet line with one pattern and converts its
+numbers with float() and int(), as json does; any other line goes through
+json with the full checks.
 """
 
 import csv
 import hashlib
 import json
+import math
 import os
+import re
 from pathlib import Path
 
-from .engine import PacketRecord, SimLog
+import numpy as np
+
+from .engine import PacketColumns, SimLog
 from .geometry import Placement
 from .protocol import WarningEvent
 
@@ -22,6 +33,33 @@ LOG_VERSION = 1
 # sort_keys=True) byte for byte, without building an encoder per line, and
 # a NaN or infinity raises instead of writing a non-JSON literal.
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+# Packet rows formatted per batch on write; about this many bytes of lines
+# parsed per batch on read.
+WRITE_BATCH_ROWS = 4096
+READ_BATCH_BYTES = 1 << 18
+
+PACKET_KEYS = ("receiver_id", "seq", "tx_time_s", "train_d_t_m", "decoded", "rx_time_s", "latency_s")
+EVENT_KEYS = (
+    "receiver_id",
+    "source",
+    "mode",
+    "trigger_time_s",
+    "train_d_t_at_trigger_m",
+    "packets_seen",
+    "relay_delivery_time_s",
+)
+HEADER_KEYS = (
+    "digest",
+    "seed",
+    "train_speed_mps",
+    "tx_period_s",
+    "start_d_t_m",
+    "end_d_t_m",
+    "duration_s",
+    "receivers",
+)
+RECEIVER_KEYS = ("id", "kind", "offset_from_crossing_m", "height_m", "boresight_deg")
 
 
 def _header_dict(log: SimLog) -> dict:
@@ -37,125 +75,314 @@ def _header_dict(log: SimLog) -> dict:
         "duration_s": log.duration_s,
         "analysis_window_m": log.analysis_window_m,
         "coverage_threshold": log.coverage_threshold,
-        "receivers": [
-            {
-                "id": p.id,
-                "kind": p.kind,
-                "offset_from_crossing_m": p.offset_from_crossing_m,
-                "height_m": p.height_m,
-                "boresight_deg": p.boresight_deg,
-            }
-            for p in log.receivers
-        ],
+        "receivers": [{key: getattr(p, key) for key in RECEIVER_KEYS} for p in log.receivers],
     }
+
+
+def _require_json_floats(packets: PacketColumns) -> None:
+    """Raise json's ValueError if a value the writer would print is not finite."""
+    decoded = packets.decoded
+    for values in (
+        packets.tx_time_s,
+        packets.train_d_t_m,
+        packets.rx_time_s[decoded],
+        packets.latency_s[decoded],
+    ):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            value = float(values[bad][0])
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _packet_batches(packets: PacketColumns):
+    """Lists of packet lines, WRITE_BATCH_ROWS rows at a time.
+
+    The templates hold the keys in sorted order, as json.dumps(...,
+    sort_keys=True) writes them; %r of a float is float.__repr__, which is
+    what json writes for a float.
+    """
+    _require_json_floats(packets)
+    receiver = _encode(packets.receiver_id).replace("%", "%%")
+    decoded_line = (
+        '{"decoded": true, "latency_s": %r, "receiver_id": ' + receiver + ', "rx_time_s": %r, '
+        '"seq": %d, "train_d_t_m": %r, "tx_time_s": %r, "type": "packet"}'
+    )
+    lost_line = (
+        '{"decoded": false, "latency_s": null, "receiver_id": ' + receiver + ', "rx_time_s": null, '
+        '"seq": %d, "train_d_t_m": %r, "tx_time_s": %r, "type": "packet"}'
+    )
+    columns = packets.columns()
+    for start in range(0, len(packets), WRITE_BATCH_ROWS):
+        rows = zip(*(column[start : start + WRITE_BATCH_ROWS].tolist() for column in columns))
+        yield [
+            decoded_line % (latency, rx, seq, position, tx)
+            if decoded
+            else lost_line % (seq, position, tx)
+            for seq, tx, position, decoded, rx, latency in rows
+        ]
+
+
+def _line_batches(log: SimLog):
+    """The serialised lines of a log in lists, without trailing newlines."""
+    yield [_encode(_header_dict(log))]
+    for receiver_id in log.receiver_ids():
+        yield from _packet_batches(log.records[receiver_id])
+    yield [
+        _encode({"type": "event", **{key: getattr(event, key) for key in EVENT_KEYS}})
+        for event in log.events
+    ]
+
+
+def _text_batches(log: SimLog):
+    for lines in _line_batches(log):
+        if lines:
+            yield "\n".join(lines) + "\n"
 
 
 def log_lines(log: SimLog):
     """Yield the serialised lines of a log, without trailing newlines."""
-    yield _encode(_header_dict(log))
-    for receiver_id in log.receiver_ids():
-        for record in log.records[receiver_id]:
-            yield _encode(
-                {
-                    "type": "packet",
-                    "receiver_id": record.receiver_id,
-                    "seq": record.seq,
-                    "tx_time_s": record.tx_time_s,
-                    "train_d_t_m": record.train_d_t_m,
-                    "decoded": record.decoded,
-                    "rx_time_s": record.rx_time_s,
-                    "latency_s": record.latency_s,
-                }
-            )
-    for event in log.events:
-        yield _encode(
-            {
-                "type": "event",
-                "receiver_id": event.receiver_id,
-                "source": event.source,
-                "mode": event.mode,
-                "trigger_time_s": event.trigger_time_s,
-                "train_d_t_at_trigger_m": event.train_d_t_at_trigger_m,
-                "packets_seen": event.packets_seen,
-                "relay_delivery_time_s": event.relay_delivery_time_s,
-            }
-        )
+    for lines in _line_batches(log):
+        yield from lines
 
 
 def log_bytes(log: SimLog) -> bytes:
-    return ("\n".join(log_lines(log)) + "\n").encode()
+    return "".join(_text_batches(log)).encode()
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path: str | Path, chunks) -> None:
+    """Write an iterable of bytes via a temp file in the same directory, then
+    rename; a failed write leaves no file behind."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_log(log: SimLog, path: str | Path) -> None:
-    atomic_write_bytes(path, log_bytes(log))
+    """Stream the log to disk in batches, never holding the whole text."""
+    atomic_write_bytes(path, (text.encode() for text in _text_batches(log)))
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+
+
+def _packet_pattern(encoded_ids) -> re.Pattern:
+    """The writer's packet line, for receivers with these JSON-encoded ids.
+
+    Groups: "true" or "" (decoded), latency_s, receiver_id, rx_time_s, seq,
+    train_d_t_m, tx_time_s. latency_s and rx_time_s are numbers on a
+    decoded line and "" on an undecoded one, where the line holds null.
+    Numbers follow the JSON grammar, so NaN and Infinity never match.
+    """
+    ids = "|".join(re.escape(encoded) for encoded in encoded_ids)
+    return re.compile(
+        r'^\{"decoded": (?:(true)|false), "latency_s": (?(1)(' + _NUMBER + r')|null), '
+        r'"receiver_id": (' + ids + r'), "rx_time_s": (?(1)(' + _NUMBER + r')|null), '
+        r'"seq": (0|[1-9][0-9]*), "train_d_t_m": (' + _NUMBER + r'), '
+        r'"tx_time_s": (' + _NUMBER + r'), "type": "packet"\}$',
+        re.MULTILINE,
+    )
+
+
+def _rows_to_columns(path, rows: list, receivers: dict, lines) -> tuple:
+    """Column arrays of rows in the packet pattern's groups, plus their line numbers."""
+    decoded, latency, receiver, rx, seq, position, tx = zip(*rows)
+    lines = np.asarray(lines)
+    seq = list(map(int, seq))
+    if min(seq) < 0 or max(seq) >= 2**64:
+        line, value = next((n, v) for n, v in zip(lines, seq) if not 0 <= v < 2**64)
+        raise ValueError(f"{path}:{line}: seq must be in [0, 2**64), got {value}")
+    decoded = np.fromiter(map(bool, decoded), bool, len(rows))
+    rx_column = np.full(len(rows), math.nan)
+    rx_column[decoded] = list(map(float, filter(None, rx)))
+    latency_column = np.full(len(rows), math.nan)
+    latency_column[decoded] = list(map(float, filter(None, latency)))
+    return (
+        np.array(list(map(receivers.__getitem__, receiver)), dtype=np.intp),
+        np.array(seq, dtype=np.uint64),
+        np.array(list(map(float, tx))),
+        np.array(list(map(float, position))),
+        decoded,
+        rx_column,
+        latency_column,
+        lines,
+    )
+
+
+def _require(obj: dict, keys, what: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r}")
+
+
+def _number_text(obj: dict, key: str) -> str:
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return repr(value)
+
+
+def _json_row(obj: dict, receivers: dict) -> tuple:
+    """A parsed packet line as the groups the packet pattern captures."""
+    _require(obj, PACKET_KEYS, "packet line")
+    receiver_id, seq, decoded = obj["receiver_id"], obj["seq"], obj["decoded"]
+    encoded = _encode(receiver_id) if isinstance(receiver_id, str) else None
+    if encoded not in receivers:
+        raise ValueError(f"receiver {receiver_id!r} is not in the header")
+    if type(seq) is not int:
+        raise ValueError(f"seq must be an integer, got {seq!r}")
+    if type(decoded) is not bool:
+        raise ValueError(f"decoded must be true or false, got {decoded!r}")
+    times = (obj["rx_time_s"], obj["latency_s"])
+    if decoded and None in times:
+        raise ValueError("decoded records need rx_time_s and latency_s")
+    if not decoded and times != (None, None):
+        raise ValueError("undecoded records carry no rx_time_s or latency_s")
+    return (
+        "true" if decoded else "",
+        _number_text(obj, "latency_s") if decoded else "",
+        encoded,
+        _number_text(obj, "rx_time_s") if decoded else "",
+        str(seq),
+        _number_text(obj, "train_d_t_m"),
+        _number_text(obj, "tx_time_s"),
+    )
+
+
+def _header_placements(obj: dict) -> tuple:
+    """The receivers of a header line, checked."""
+    _require(obj, HEADER_KEYS, "header")
+    if not isinstance(obj["receivers"], list):
+        raise ValueError("header receivers must be a list")
+    placements = []
+    for rec in obj["receivers"]:
+        if not isinstance(rec, dict):
+            raise ValueError("header receivers must be objects")
+        _require(rec, RECEIVER_KEYS, "header receiver")
+        if not isinstance(rec["id"], str):
+            raise ValueError(f"receiver id must be a string, got {rec['id']!r}")
+        placements.append(Placement(**{key: rec[key] for key in RECEIVER_KEYS}))
+    ids = [p.id for p in placements]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"header lists a receiver id twice: {ids}")
+    return tuple(placements)
+
+
+def _first_fault(columns: tuple, placements: tuple) -> "tuple[int, str] | None":
+    """(line, message) of the first packet line that breaks a rule."""
+    receiver, seq, tx, position, decoded, rx, latency, lines = columns
+    rules = [
+        (
+            ~np.isfinite(tx) | ~np.isfinite(position) | np.isinf(rx) | np.isinf(latency),
+            "packet values must be finite",
+        ),
+        (decoded & (rx < tx), "rx_time_s must be >= tx_time_s"),
+    ]
+    for index, placement in enumerate(placements):
+        rows = np.flatnonzero(receiver == index)
+        steps = rows[1:][seq[rows[1:]] <= seq[rows[:-1]]]
+        rejected = np.zeros(len(lines), dtype=bool)
+        rejected[steps] = True
+        rules.append((rejected, f"seq of receiver {placement.id!r} must increase"))
+    faults = [(int(lines[mask][0]), message) for mask, message in rules if mask.any()]
+    return min(faults, key=lambda fault: fault[0], default=None)
+
+
+def _batches_of_lines(handle):
+    # The first line alone, so that the header's packet pattern serves the rest.
+    yield handle.readlines(1)
+    yield from iter(lambda: handle.readlines(READ_BATCH_BYTES), [])
 
 
 def read_log(path: str | Path) -> SimLog:
+    """Read a JSON-lines log; a line that breaks the format raises ValueError
+    naming path:line."""
     header = None
-    records: dict = {}
+    placements: tuple = ()
+    receivers: dict = {}  # JSON-encoded receiver id -> index in the header
+    pattern = None
+    parts: list = []  # column arrays of packet lines, in file order
     events: list = []
+    line_number = 0
     with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: invalid JSON: {exc}") from None
-            kind = obj.get("type")
-            if kind == "header":
-                header = obj
-                for rec in obj["receivers"]:
-                    records[rec["id"]] = []
-            elif kind == "packet":
-                if header is None:
-                    raise ValueError(f"{path}:{line_number}: packet before header")
-                records.setdefault(obj["receiver_id"], []).append(
-                    PacketRecord(
-                        seq=obj["seq"],
-                        tx_time_s=obj["tx_time_s"],
-                        train_d_t_m=obj["train_d_t_m"],
-                        receiver_id=obj["receiver_id"],
-                        decoded=obj["decoded"],
-                        rx_time_s=obj["rx_time_s"],
-                        latency_s=obj["latency_s"],
+        for lines in _batches_of_lines(handle):
+            first_line = line_number + 1
+            line_number += len(lines)
+            if pattern is not None:
+                rows = pattern.findall("".join(lines))
+                if len(rows) == len(lines):
+                    parts.append(
+                        _rows_to_columns(path, rows, receivers, range(first_line, line_number + 1))
                     )
-                )
-            elif kind == "event":
-                events.append(
-                    WarningEvent(
-                        receiver_id=obj["receiver_id"],
-                        source=obj["source"],
-                        mode=obj["mode"],
-                        trigger_time_s=obj["trigger_time_s"],
-                        train_d_t_at_trigger_m=obj["train_d_t_at_trigger_m"],
-                        packets_seen=obj["packets_seen"],
-                        relay_delivery_time_s=obj["relay_delivery_time_s"],
-                    )
-                )
-            else:
-                raise ValueError(f"{path}:{line_number}: unknown line type {kind!r}")
+                    continue
+            rows, row_lines = [], []
+            for number, line in enumerate(lines, start=first_line):
+                try:
+                    match = pattern.fullmatch(line.rstrip("\n")) if pattern else None
+                    if match:
+                        rows.append(match.groups())
+                        row_lines.append(number)
+                        continue
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        obj = _decode(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"invalid JSON: {exc}") from None
+                    kind = obj.get("type") if isinstance(obj, dict) else None
+                    if kind == "packet":
+                        if header is None:
+                            raise ValueError("packet before header")
+                        rows.append(_json_row(obj, receivers))
+                        row_lines.append(number)
+                    elif kind == "header":
+                        if header is not None:
+                            raise ValueError("second header line")
+                        header, placements = obj, _header_placements(obj)
+                        receivers = {_encode(p.id): i for i, p in enumerate(placements)}
+                        pattern = _packet_pattern(receivers)
+                    elif kind == "event":
+                        _require(obj, EVENT_KEYS, "event line")
+                        events.append(WarningEvent(**{key: obj[key] for key in EVENT_KEYS}))
+                    else:
+                        raise ValueError(f"unknown line type {kind!r}")
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+            if rows:
+                parts.append(_rows_to_columns(path, rows, receivers, row_lines))
     if header is None:
         raise ValueError(f"{path}: missing header line")
-    receivers = tuple(
-        Placement(
-            id=rec["id"],
-            kind=rec["kind"],
-            offset_from_crossing_m=rec["offset_from_crossing_m"],
-            height_m=rec["height_m"],
-            boresight_deg=rec["boresight_deg"],
+    return _assemble(path, header, placements, parts, events)
+
+
+def _assemble(path, header: dict, placements: tuple, parts: list, events: list) -> SimLog:
+    if parts:
+        columns = tuple(np.concatenate(column) for column in zip(*parts))
+    else:
+        columns = tuple(
+            np.empty(0, dtype) for dtype in (np.intp, np.uint64, float, float, bool, float, float, int)
         )
-        for rec in header["receivers"]
-    )
+    fault = _first_fault(columns, placements)
+    if fault is not None:
+        raise ValueError(f"{path}:{fault[0]}: {fault[1]}")
+    receiver = columns[0]
+    records = {}
+    for index, placement in enumerate(placements):
+        rows = receiver == index
+        records[placement.id] = PacketColumns(placement.id, *(c[rows] for c in columns[1:7]))
     return SimLog(
         digest=header["digest"],
         seed=header["seed"],
@@ -164,12 +391,15 @@ def read_log(path: str | Path) -> SimLog:
         start_d_t_m=header["start_d_t_m"],
         end_d_t_m=header["end_d_t_m"],
         duration_s=header["duration_s"],
-        receivers=receivers,
+        receivers=placements,
         records=records,
         events=events,
         analysis_window_m=header.get("analysis_window_m", 50.0),
         coverage_threshold=header.get("coverage_threshold", 5),
     )
+
+
+FIELD_COLUMNS = ("seq", "tx_time_s", "train_d_t_m", "decoded", "rx_time_s")
 
 
 def read_field_log(
@@ -182,56 +412,66 @@ def read_field_log(
 
     Expected columns: seq, tx_time_s, train_d_t_m, decoded, rx_time_s.
     decoded accepts 0/1/true/false; rx_time_s may be blank for undecoded
-    rows. The result runs through the same analysis pipeline as simulated
-    logs; pass metadata that a capture cannot know is left unset.
+    rows. Rows are put in seq order (a stable sort). The result runs
+    through the same analysis pipeline as simulated logs; pass metadata
+    that a capture cannot know is left unset.
     """
     path = Path(path)
-    records = []
+    seq, tx, position, decoded, rx, row_numbers = [], [], [], [], [], []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"seq", "tx_time_s", "train_d_t_m", "decoded", "rx_time_s"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"field log CSV must have columns {sorted(required)}")
+        reader = csv.reader(handle)
+        fieldnames = next(reader, None)
+        if fieldnames is None or not set(FIELD_COLUMNS).issubset(fieldnames):
+            raise ValueError(f"field log CSV must have columns {sorted(FIELD_COLUMNS)}")
+        where = [fieldnames.index(name) for name in FIELD_COLUMNS]
+        width = max(where) + 1
         for row_number, row in enumerate(reader, start=2):
-            decoded = row["decoded"].strip().lower() in ("1", "true", "yes")
-            tx_time = float(row["tx_time_s"])
-            rx_raw = (row["rx_time_s"] or "").strip()
-            if decoded:
-                if not rx_raw:
-                    raise ValueError(f"{path}:{row_number}: decoded row missing rx_time_s")
-                rx_time = float(rx_raw)
-                latency = rx_time - tx_time
-            else:
-                rx_time = None
-                latency = None
-            records.append(
-                PacketRecord(
-                    seq=int(row["seq"]),
-                    tx_time_s=tx_time,
-                    train_d_t_m=float(row["train_d_t_m"]),
-                    receiver_id=receiver_id,
-                    decoded=decoded,
-                    rx_time_s=rx_time,
-                    latency_s=latency,
-                )
-            )
-    if not records:
+            if not row:
+                continue
+            row += [""] * (width - len(row))
+            seq_text, tx_text, position_text, decoded_text, rx_text = (row[i] for i in where)
+            row_decoded = decoded_text.strip().lower() in ("1", "true", "yes")
+            rx_text = rx_text.strip()
+            if row_decoded and not rx_text:
+                raise ValueError(f"{path}:{row_number}: decoded row missing rx_time_s")
+            try:
+                row_seq = int(seq_text)
+                seq.append(row_seq)
+                tx.append(float(tx_text))
+                position.append(float(position_text))
+                rx.append(float(rx_text) if row_decoded else math.nan)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{row_number}: {exc}") from None
+            if not 0 <= row_seq < 2**64:
+                raise ValueError(f"{path}:{row_number}: seq must be in [0, 2**64), got {row_seq}")
+            decoded.append(row_decoded)
+            row_numbers.append(row_number)
+    if not seq:
         raise ValueError("empty log")
-    records.sort(key=lambda r: r.seq)
-    positions = [r.train_d_t_m for r in records]
-    times = [r.tx_time_s for r in records]
+    seq = np.array(seq, dtype=np.uint64)
+    order = np.argsort(seq, kind="stable")
+    seq, tx, position, decoded, rx, row_numbers = (
+        np.asarray(column)[order] for column in (seq, tx, position, decoded, rx, row_numbers)
+    )
+    for mask, message in (
+        (~np.isfinite(tx) | ~np.isfinite(position) | np.isinf(rx), "values must be finite"),
+        (decoded & (rx < tx), "rx_time_s must be >= tx_time_s"),
+    ):
+        if mask.any():
+            raise ValueError(f"{path}:{int(row_numbers[mask].min())}: {message}")
+    packets = PacketColumns(receiver_id, seq, tx, position, decoded, rx, rx - tx)
     digest = "field-" + hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     return SimLog(
         digest=digest,
         seed=0,
         train_speed_mps=None,
         tx_period_s=tx_period_s,
-        start_d_t_m=min(positions),
-        end_d_t_m=max(positions),
-        duration_s=max(times) - min(times),
+        start_d_t_m=float(position.min()),
+        end_d_t_m=float(position.max()),
+        duration_s=float(tx.max() - tx.min()),
         receivers=(
             Placement(id=receiver_id, kind=kind, offset_from_crossing_m=0.0, height_m=1.0),
         ),
-        records={receiver_id: records},
+        records={receiver_id: packets},
         events=[],
     )

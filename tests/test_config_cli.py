@@ -438,3 +438,42 @@ class TestTickBudget:
         with pytest.raises(ValueError, match="transmit ticks"):
             dataclasses.replace(scenario, train=slow)
         dataclasses.replace(scenario, train=train)
+
+
+class TestSafenessFlags:
+    """Non-finite safeness inputs exit 2 and name the flag."""
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--dwarn", ["--dwarn", "nan", "--train-speed", "10mph"]),
+            ("--train-speed", ["--dwarn", "300", "--train-speed", "nanmph"]),
+            ("--tr", ["--dwarn", "300", "--train-speed", "10mph", "--tr", "inf"]),
+            ("--ts", ["--dwarn", "300", "--train-speed", "10mph", "--ts=-inf"]),
+            (
+                "--vehicle-speeds",
+                ["--dwarn", "300", "--train-speed", "10mph", "--vehicle-speeds", "25,nan"],
+            ),
+        ],
+    )
+    def test_non_finite_flag_rejected(self, capsys, flag, argv):
+        assert main(["safeness", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config: {flag} must be finite")
+        assert "protection" not in captured.out
+
+
+class TestSweepPoints:
+    """Every grid point is built and checked before any pass runs."""
+
+    @pytest.mark.parametrize(
+        "speeds, message", [("10mph,nan", "must be finite"), ("10mph,0.001", "transmit ticks")]
+    )
+    def test_bad_point_is_a_config_error(self, tmp_path, capsys, speeds, message):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", str(SUBURBAN), "--speeds", speeds, "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: sweep point speed_mps=")
+        assert message in err
+        assert not out_dir.exists()

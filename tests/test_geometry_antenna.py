@@ -214,3 +214,13 @@ class TestEffectiveGainProfile:
             effective_gain_profile(
                 scene, omni_pattern(12), omni_pattern(6), RSU, []
             )
+
+
+class TestBuiltinPatternCache:
+    def test_repeated_name_returns_the_same_object(self):
+        assert builtin_pattern("bidir23") is builtin_pattern("bidir23")
+
+    def test_cut_arrays_are_read_only(self):
+        for array in builtin_pattern("bidir23").cut_arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0.0

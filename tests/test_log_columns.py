@@ -1,0 +1,347 @@
+"""Packet columns, the chunked log writer and reader, and array binning.
+
+Each fast path is checked against a simple form: the reader against json
+on re-spaced lines, the writer against its own output read back, bin_per
+against a per-packet dictionary count.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from railwarn.analysis import bin_per, extract_dwarn
+from railwarn.cli import main
+from railwarn.engine import PacketColumns, PacketRecord, SimLog
+from railwarn.geometry import Placement
+from railwarn.logio import log_bytes, read_field_log, read_log, write_log
+from railwarn.protocol import WarningEvent
+
+RSU = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
+
+# Finite floats of every shape, with the edges named: signed zeros,
+# subnormals and the largest doubles.
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+finite = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+# Receiver ids that need JSON escapes (quote, backslash, control, non-ASCII)
+# and one that holds the writer's template character.
+receiver_ids = st.text(
+    alphabet=st.sampled_from(list('ab"\\%\n\u00e9\u2603\U0001f682')), min_size=1, max_size=6
+)
+
+
+def make_log(records: dict, receivers=None, events=()) -> SimLog:
+    receivers = receivers or tuple(
+        Placement(id=rid, kind="OBU", offset_from_crossing_m=1.0, height_m=1.5) for rid in records
+    )
+    return SimLog(
+        digest="d" * 64,
+        seed=3,
+        train_speed_mps=4.4704,
+        tx_period_s=0.05,
+        start_d_t_m=-350.0,
+        end_d_t_m=350.0,
+        duration_s=156.59,
+        receivers=receivers,
+        records=records,
+        events=list(events),
+    )
+
+
+@st.composite
+def receiver_packets(draw, receiver_id):
+    seqs = sorted(draw(st.sets(st.integers(0, 2**63), max_size=12)))
+    packets = []
+    for seq in seqs:
+        decoded = draw(st.booleans())
+        tx_time, rx_time = sorted((draw(finite), draw(finite)))
+        if not decoded:
+            rx_time = None
+        packets.append(
+            PacketRecord(
+                seq=seq,
+                tx_time_s=tx_time,
+                train_d_t_m=draw(finite),
+                receiver_id=receiver_id,
+                decoded=decoded,
+                rx_time_s=rx_time,
+                latency_s=draw(finite) if decoded else None,
+            )
+        )
+    return packets
+
+
+@st.composite
+def logs(draw):
+    ids = draw(st.lists(receiver_ids, min_size=1, max_size=3, unique=True))
+    records = {rid: draw(receiver_packets(rid)) for rid in ids}
+    events = [
+        WarningEvent(rid, "OBU", "direct", draw(finite), draw(finite), draw(st.integers(1, 99)))
+        for rid in draw(st.lists(st.sampled_from(ids), max_size=2))
+    ]
+    return make_log(records, events=events)
+
+
+def respace(line: str) -> str:
+    """The same JSON object with other spacing, which only json parses."""
+    return " " + line.replace('": ', '":', 1)
+
+
+@given(log=logs(), respaced=st.sets(st.integers(1, 40)))
+def test_round_trip_byte_for_byte(tmp_path_factory, log, respaced):
+    path = tmp_path_factory.mktemp("logs") / "pass.log.jsonl"
+    write_log(log, path)
+    data = path.read_bytes()
+    assert data == log_bytes(log)
+    assert log_bytes(read_log(path)) == data
+    loaded = read_log(path)
+    assert loaded.records == log.records
+    assert loaded.events == log.events
+
+    lines = data.decode().split("\n")
+    path.write_text(
+        "\n".join(
+            respace(line) if n in respaced and '"packet"' in line else line
+            for n, line in enumerate(lines)
+        )
+    )
+    assert log_bytes(read_log(path)) == data
+
+
+@given(log=logs())
+def test_iteration_rebuilds_the_records(log):
+    rebuilt = make_log(
+        {rid: list(packets) for rid, packets in log.records.items()},
+        receivers=log.receivers,
+        events=log.events,
+    )
+    assert rebuilt.records == log.records
+    assert log_bytes(rebuilt) == log_bytes(log)
+
+
+def oracle_bins(positions, decoded, width):
+    counts = {}
+    for position, hit in zip(positions, decoded):
+        index = math.floor(position / width)
+        tx, rx = counts.get(index, (0, 0))
+        counts[index] = (tx + 1, rx + hit)
+    return [((i + 0.5) * width, tx, rx, i) for i, (tx, rx) in sorted(counts.items())]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(-1e6, 1e6, allow_nan=False), st.booleans()), min_size=1, max_size=300
+    ),
+    width=st.floats(0.5, 1000.0),
+)
+def test_bin_per_counts_every_packet_once(rows, width):
+    positions = [position for position, _ in rows]
+    decoded = [hit for _, hit in rows]
+    packets = PacketColumns(
+        "rsu0",
+        np.arange(len(rows)),
+        np.zeros(len(rows)),
+        positions,
+        decoded,
+        np.where(decoded, 0.004, np.nan),
+        np.where(decoded, 0.004, np.nan),
+    )
+    series = bin_per(make_log({"rsu0": packets}, receivers=(RSU,)), width)
+    assert sum(b.transmitted for b in series.bins) == len(rows)
+    assert sum(b.received for b in series.bins) == sum(decoded)
+    assert [(b.d_center_m, b.transmitted, b.received, b.index) for b in series.bins] == (
+        oracle_bins(positions, decoded, width)
+    )
+
+
+@given(
+    counts=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    thresholds=st.tuples(st.integers(1, 13), st.integers(1, 13)),
+)
+def test_warning_range_never_grows_with_threshold(counts, thresholds):
+    low, high = sorted(thresholds)
+    series = [(-(i + 0.5) * 50.0, received) for i, received in enumerate(counts)]
+    assert (
+        extract_dwarn(series, high, 50.0).warning_range_m
+        <= extract_dwarn(series, low, 50.0).warning_range_m
+    )
+
+
+class TestPacketColumns:
+    def test_nan_columns_compare_equal_and_rows_come_back(self):
+        records = [
+            PacketRecord(0, 0.0, -10.0, "rsu0", False),
+            PacketRecord(1, 0.05, -9.5, "rsu0", True, 0.054, 0.004),
+        ]
+        columns = PacketColumns.from_records(records, "rsu0")
+        assert len(columns) == 2
+        assert columns == PacketColumns.from_records(list(records), "rsu0")
+        assert list(columns) == records
+        assert columns[1] == records[1] and columns[0].decoded is False
+        other = PacketColumns.from_records(records[:1], "rsu0")
+        assert (columns == other) is False
+
+    def test_columns_are_read_only(self):
+        columns = PacketColumns.from_records([PacketRecord(0, 0.0, -1.0, "a", False)], "a")
+        with pytest.raises(ValueError):
+            columns.train_d_t_m[0] = 5.0
+
+    def test_records_filed_under_another_receiver_rejected(self):
+        with pytest.raises(ValueError, match="filed under"):
+            make_log({"a": [PacketRecord(0, 0.0, -1.0, "b", False)]})
+
+    def test_undecoded_record_with_rx_time_rejected(self):
+        with pytest.raises(ValueError, match="undecoded"):
+            PacketColumns.from_records([PacketRecord(0, 0.0, -1.0, "a", False, 0.1)], "a")
+
+    def test_integer_written_for_a_float_reads_back_as_float(self, tmp_path):
+        log = make_log({"rsu0": [PacketRecord(0, 1.0, -2.0, "rsu0", False)]}, receivers=(RSU,))
+        path = tmp_path / "pass.log.jsonl"
+        write_log(log, path)
+        path.write_text(path.read_text().replace('"tx_time_s": 1.0', '"tx_time_s": 1'))
+        assert read_log(path).records["rsu0"][0].tx_time_s == 1.0
+        assert b'"tx_time_s": 1.0' in log_bytes(read_log(path))
+
+
+def written_log(tmp_path, packets=3):
+    records = [
+        PacketRecord(k, k * 0.05, -10.0 + k, "rsu0", k % 2 == 0, k * 0.05 + 0.004, 0.004)
+        if k % 2 == 0
+        else PacketRecord(k, k * 0.05, -10.0 + k, "rsu0", False)
+        for k in range(packets)
+    ]
+    path = tmp_path / "pass.log.jsonl"
+    write_log(make_log({"rsu0": records}, receivers=(RSU,)), path)
+    return path, path.read_text().splitlines()
+
+
+def rewrite(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestReaderRejects:
+    def test_receiver_missing_from_header(self, tmp_path):
+        path, lines = written_log(tmp_path)
+        lines[2] = lines[2].replace('"rsu0"', '"ghost"')
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:3: receiver 'ghost' is not in"):
+            read_log(path)
+
+    @pytest.mark.parametrize("seq", ["0", "1"])
+    def test_repeated_or_decreasing_seq(self, tmp_path, seq):
+        path, lines = written_log(tmp_path)
+        lines[3] = lines[3].replace('"seq": 2', f'"seq": {seq}')
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:4: seq of receiver 'rsu0'"):
+            read_log(path)
+
+    def test_missing_key(self, tmp_path):
+        path, lines = written_log(tmp_path)
+        obj = json.loads(lines[1])
+        del obj["seq"]
+        lines[1] = json.dumps(obj, sort_keys=True)
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:2: packet line has no 'seq'"):
+            read_log(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal(self, tmp_path, literal):
+        path, lines = written_log(tmp_path)
+        lines[2] = lines[2].replace('"train_d_t_m": -9.0', f'"train_d_t_m": {literal}')
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:3: non-finite number"):
+            read_log(path)
+
+    def test_overflowing_number(self, tmp_path):
+        path, lines = written_log(tmp_path)
+        lines[2] = lines[2].replace('"train_d_t_m": -9.0', '"train_d_t_m": -9e999')
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:3: packet values must be finite"):
+            read_log(path)
+
+    def test_decoded_without_rx_time(self, tmp_path):
+        path, lines = written_log(tmp_path)
+        lines[1] = lines[1].replace('"rx_time_s": 0.004', '"rx_time_s": null')
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r":2: decoded records need rx_time_s"):
+            read_log(path)
+
+    def test_rx_before_tx(self, tmp_path):
+        path, lines = written_log(tmp_path)
+        lines[3] = lines[3].replace('"rx_time_s": 0.10400000000000001', '"rx_time_s": 0.01')
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r":4: rx_time_s must be >= tx_time_s"):
+            read_log(path)
+
+    def test_cli_reports_runtime_error_with_line(self, tmp_path, capsys):
+        path, lines = written_log(tmp_path)
+        lines[2] = lines[2].replace('"rsu0"', '"ghost"')
+        rewrite(path, lines)
+        assert main(["coverage", str(path)]) == 3
+        assert "pass.log.jsonl:3:" in capsys.readouterr().err
+
+
+class TestWriter:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        bad = make_log({"rsu0": [PacketRecord(0, 0.0, math.inf, "rsu0", False)]}, receivers=(RSU,))
+        path = tmp_path / "pass.log.jsonl"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_log(bad, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_decoded_non_finite_latency_raises(self):
+        bad = make_log(
+            {"rsu0": [PacketRecord(0, 0.0, -1.0, "rsu0", True, 0.1, math.nan)]}, receivers=(RSU,)
+        )
+        with pytest.raises(ValueError, match="JSON compliant"):
+            log_bytes(bad)
+
+
+class TestFieldCsv:
+    def test_rows_sorted_stably_by_seq(self, tmp_path):
+        path = tmp_path / "capture.csv"
+        path.write_text(
+            "rx_time_s,decoded,seq,train_d_t_m,tx_time_s\n"
+            "0.104,1,2,-119.0,0.10\n"
+            ",0,0,-120.0,0.0\n"
+            ",0,1,-119.5,0.05\n"
+        )
+        packets = read_field_log(path).records["field"]
+        assert packets.seq.tolist() == [0, 1, 2]
+        assert packets.decoded.tolist() == [False, False, True]
+        assert packets[2].latency_s == pytest.approx(0.004)
+
+    def test_rx_before_tx_names_the_row(self, tmp_path):
+        path = tmp_path / "capture.csv"
+        path.write_text(
+            "seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n0,0.0,-120.0,0,\n1,0.05,-119.5,1,0.01\n"
+        )
+        with pytest.raises(ValueError, match=r"capture\.csv:3: rx_time_s must be >= tx_time_s"):
+            read_field_log(path)
+
+    def test_bad_number_names_the_row(self, tmp_path):
+        path = tmp_path / "capture.csv"
+        path.write_text("seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n0,zero,-120.0,0,\n")
+        with pytest.raises(ValueError, match=r"capture\.csv:2:"):
+            read_field_log(path)
+
+
+@pytest.mark.parametrize("seq", ["-1", "18446744073709551616"])
+def test_seq_outside_uint64_names_the_line(tmp_path, seq):
+    path, lines = written_log(tmp_path)
+    lines[2] = lines[2].replace('"seq": 1', f'"seq": {seq}')
+    rewrite(path, lines)
+    with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:3: seq must be in \[0, 2\*\*64\), got {seq}"):
+        read_log(path)
+
+
+@pytest.mark.parametrize("number", ["+1.0", "01.0", ".5", "1.", "1e", "0x10"])
+def test_numbers_outside_the_json_grammar_rejected(tmp_path, number):
+    path, lines = written_log(tmp_path)
+    lines[2] = lines[2].replace('"tx_time_s": 0.05', f'"tx_time_s": {number}')
+    rewrite(path, lines)
+    with pytest.raises(ValueError, match=r"pass\.log\.jsonl:3: invalid JSON"):
+        read_log(path)
