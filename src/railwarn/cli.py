@@ -13,7 +13,7 @@ from pathlib import Path
 from . import analysis as an
 from . import logio
 from .config import ConfigError, load_config
-from .engine import SweepPointError, run_pass, run_sweep
+from .engine import SweepPointError, check_seed, run_pass, run_sweep
 from .units import parse_speed, require_finite
 
 EXIT_OK = 0
@@ -85,6 +85,40 @@ def _split(text: str | None, conv=str) -> list | None:
     return [conv(item) for item in text.split(",") if item.strip()]
 
 
+def _check_flags(*checks) -> None:
+    """Raise ConfigError naming the first flag that fails its check.
+
+    Each check is (flag, value, low, strict): an unset value (None) passes;
+    a set one must be finite and, unless low is None, at least low, or above
+    it when strict.
+    """
+    for flag, value, low, strict in checks:
+        if value is None:
+            continue
+        try:
+            require_finite(**{flag: value})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if low is not None and (value < low or (strict and value == low)):
+            raise ConfigError(f"{flag} must be {'>' if strict else '>='} {low:g}, got {value!r}")
+
+
+def _parse_flag(flag: str, parse, text: str):
+    """parse(text), with a parse failure raised as a ConfigError naming the flag."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: cannot parse {text!r}: {exc}") from None
+
+
+def _window_checks(args) -> list:
+    """The checks of the optional bin-width and coverage-threshold flags."""
+    return [
+        ("--window", args.window, 0.0, True),
+        ("--threshold", getattr(args, "threshold", None), 1, False),
+    ]
+
+
 def _read_any_log(path: str, field_csv: bool):
     if field_csv:
         return logio.read_field_log(path)
@@ -92,6 +126,11 @@ def _read_any_log(path: str, field_csv: bool):
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed is not None:
+        try:
+            check_seed(args.seed, "--seed")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     cfg = load_config(args.config)
     log = run_pass(cfg.scenario, seed=args.seed)
     log.analysis_window_m = cfg.analysis.window_width_m
@@ -108,6 +147,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    _check_flags(*_window_checks(args))
     log = _read_any_log(args.log, args.field_csv)
     window = args.window if args.window is not None else log.analysis_window_m
     out_dir = Path(args.out_dir)
@@ -135,6 +175,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    _check_flags(*_window_checks(args))
     log = _read_any_log(args.log, args.field_csv)
     window = args.window if args.window is not None else log.analysis_window_m
     threshold = args.threshold if args.threshold is not None else log.coverage_threshold
@@ -158,15 +199,18 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_safeness(args) -> int:
-    train_speed = parse_speed(args.train_speed)
-    vehicle_speeds = _split(args.vehicle_speeds, float)
-    flags = [("--dwarn", args.dwarn), ("--train-speed", train_speed), ("--tr", args.tr)]
-    flags += [("--ts", args.ts)] + [("--vehicle-speeds", speed) for speed in vehicle_speeds]
-    try:
-        for flag, value in flags:
-            require_finite(**{flag: value})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    train_speed = _parse_flag("--train-speed", parse_speed, args.train_speed)
+    vehicle_speeds = _parse_flag(
+        "--vehicle-speeds", lambda text: _split(text, float), args.vehicle_speeds
+    )
+    _check_flags(
+        ("--dwarn", args.dwarn, 0.0, False),
+        ("--train-speed", train_speed, 0.0, True),
+        ("--tr", args.tr, 0.0, False),
+        ("--ts", args.ts, 0.0, False),
+        *[("--vehicle-speeds", speed, None, False) for speed in vehicle_speeds],
+        *_window_checks(args),
+    )
     if args.coverage_from:
         log = logio.read_log(args.coverage_from)
         window = args.window if args.window is not None else log.analysis_window_m

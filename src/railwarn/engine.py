@@ -2,26 +2,27 @@
 
 A pass advances the train at constant speed from its start to its end
 distance, transmitting one message per radio period. Each receiver draws
-packet outcomes from its own random stream, derived only from (seed,
-receiver id), so adding receivers or changing unrelated configuration never
-perturbs existing streams and rerunning a scenario with the same seed is
-bit-for-bit reproducible.
+packet outcomes from its own random streams, derived only from (seed,
+receiver id, purpose), so adding receivers or changing unrelated
+configuration never perturbs existing streams and rerunning a scenario with
+the same seed is bit-for-bit reproducible.
 
 For each receiver, geometry, antenna gain, obstruction excess, path loss
 and the SNR before shadowing are numpy arrays over all ticks (the array
-forms in geometry, antenna and link). One loop over the ticks then makes
-the random draws, in this order per tick: a shadowing normal when sigma >
-0, the decode uniform, and the jitter uniform only on a decode. The warning
-comes from the decodes as arrays (protocol.first_warning); an RSU's relay
-draw follows the last tick's draws. This order is the log format's random
-layout: any engine that keeps it writes byte-identical logs.
+forms in geometry, antenna and link). The random draws are blocks of one
+value per tick, each from its own keyed Philox stream (receiver_stream):
+shadowing normals when sigma > 0, decode uniforms, and processing jitter
+uniforms when the jitter is > 0, drawn for every tick whether or not it
+decodes. An RSU's relay delay is one draw from a fourth stream. This layout
+is the log format's random layout (logio.LOG_VERSION 2): any engine that
+keeps it writes byte-identical logs. The warning comes from the decodes as
+arrays (protocol.first_warning).
 """
 
 import dataclasses
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -84,6 +85,7 @@ class Scenario:
     custom_patterns: tuple[AntennaPattern, ...] = ()
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if not self.scene.receivers:
             raise ValueError("scenario needs at least one receiver")
         self.resolve_pattern(self.radio.tx_antenna)
@@ -255,10 +257,24 @@ class SimLog:
         return [p.id for p in self.receivers]
 
 
-def receiver_stream(seed: int, receiver_id: str) -> np.random.Generator:
-    """Random stream for one (seed, receiver) pair, stable across runs."""
+# The keyed random streams of one receiver, by purpose; the index is the
+# third word of the stream's seed.
+STREAM_PURPOSES = {"shadowing": 0, "decode": 1, "jitter": 2, "relay": 3}
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """Raise ValueError naming `name` unless seed is a non-negative int."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
+def receiver_stream(seed: int, receiver_id: str, purpose: str) -> np.random.Generator:
+    """Random stream for one (seed, receiver, purpose), stable across runs."""
+    if purpose not in STREAM_PURPOSES:
+        raise ValueError(f"purpose must be one of {sorted(STREAM_PURPOSES)}, got {purpose!r}")
     rid = int.from_bytes(hashlib.sha256(receiver_id.encode()).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence([seed, rid]))
+    key = np.random.SeedSequence([seed, rid, STREAM_PURPOSES[purpose]])
+    return np.random.Generator(np.random.Philox(key))
 
 
 def _pattern_dict(pattern: AntennaPattern) -> dict:
@@ -368,6 +384,7 @@ def _tick_count(duration_s: float, period_s: float) -> int:
 def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     """Simulate one pass; a pure function of (scenario, seed)."""
     effective_seed = scenario.seed if seed is None else seed
+    check_seed(effective_seed)
     scene = scenario.scene
     train = scenario.train
     period_s = scenario.radio.tx_period_s
@@ -392,9 +409,8 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     records: dict = {}
     events: list = []
     for placement in scene.receivers:
-        rng = receiver_stream(effective_seed, placement.id)
         records[placement.id], event = _receiver_pass(
-            scenario, placement, rng, times, positions, patterns, profile_success
+            scenario, placement, effective_seed, times, positions, patterns, profile_success
         )
         if event is not None:
             events.append(event)
@@ -413,12 +429,12 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     )
 
 
-def _receiver_pass(scenario, placement, rng, times, positions, patterns, success) -> tuple:
+def _receiver_pass(scenario, placement, seed, times, positions, patterns, success) -> tuple:
     """One receiver's packet columns and warning event.
 
     success holds the per-tick decode probability of an empirical channel
-    and is None for a synthetic one. The tick loop makes the draws in the
-    documented order; everything else works on arrays.
+    and is None for a synthetic one. Each draw is one block over all ticks
+    from the receiver's stream for its purpose.
     """
     scene, radio, channel, latency = (
         scenario.scene,
@@ -426,8 +442,8 @@ def _receiver_pass(scenario, placement, rng, times, positions, patterns, success
         scenario.channel,
         scenario.latency,
     )
+    ticks = len(times)
     geo = link_geometry_array(positions, placement, scene)
-    sigma = 0.0
     if success is None:
         tx_pattern, rx_pattern = patterns
         gain = pattern_gain_array(
@@ -436,41 +452,22 @@ def _receiver_pass(scenario, placement, rng, times, positions, patterns, success
         snr_db = mean_snr_db(positions, geo.range_m, gain, radio, channel, scene.obstructions)
         sigma = channel.shadowing_sigma_db
         if sigma > 0:
-            threshold = channel.threshold_db(radio.modulation)
-            width = channel.transition_width_db
-        else:
-            success = snr_success_probability(snr_db, radio, channel)
-    # Per tick: the decode probability, or with shadowing the SNR before it.
-    levels = (snr_db if sigma > 0 else success).tolist()
+            shadow = receiver_stream(seed, placement.id, "shadowing").normal(0.0, sigma, ticks)
+            snr_db = snr_db - shadow
+        success = snr_success_probability(snr_db, radio, channel)
+    decoded = receiver_stream(seed, placement.id, "decode").random(ticks) < success
 
-    normal, random, uniform = rng.normal, rng.random, rng.uniform
-    base_ms = latency.processing_base_ms
+    processing_ms = latency.processing_base_ms
     jitter_ms = latency.processing_jitter_ms
-    decoded_seq = []
-    rx_times = []
-    for k, (tx_time, range_m, level) in enumerate(
-        zip(times.tolist(), geo.range_m.tolist(), levels)
-    ):
-        if sigma > 0:
-            # Minus the logistic margin; exp overflows past 709, where p is 0.
-            z = (threshold - (level - normal(0.0, sigma))) / width
-            p = 1.0 / (1.0 + math.exp(z)) if z < 709.0 else 0.0
-        else:
-            p = level
-        if random() < p:
-            jitter = uniform(-jitter_ms, jitter_ms) if jitter_ms > 0 else 0.0
-            # latency_sample with hops=1: propagation plus processing.
-            rx_time = tx_time + (range_m / SPEED_OF_LIGHT_MPS + (base_ms + jitter) * 1e-3)
-            decoded_seq.append(k)
-            rx_times.append(rx_time)
-
-    decoded = np.zeros(len(times), dtype=bool)
-    decoded[decoded_seq] = True
-    rx_time_s = np.full(len(times), np.nan)
-    rx_time_s[decoded_seq] = rx_times
+    if jitter_ms > 0:
+        jitter = receiver_stream(seed, placement.id, "jitter").uniform(-jitter_ms, jitter_ms, ticks)
+        processing_ms = processing_ms + jitter
+    # latency_sample with hops=1: propagation plus processing.
+    arrival = times + (geo.range_m / SPEED_OF_LIGHT_MPS + processing_ms * 1e-3)
+    rx_time_s = np.where(decoded, arrival, np.nan)
     packets = PacketColumns(
         placement.id,
-        np.arange(len(times), dtype=np.uint64),
+        np.arange(ticks, dtype=np.uint64),
         times,
         positions,
         decoded,
@@ -481,13 +478,13 @@ def _receiver_pass(scenario, placement, rng, times, positions, patterns, success
         placement.id,
         placement.kind,
         rx_time_s[decoded],
-        np.array(decoded_seq, dtype=np.int64),
-        positions[decoded_seq],
+        np.flatnonzero(decoded),
+        positions[decoded],
         scenario.policy,
     )
     if event is not None and placement.kind == "RSU":
-        delivery = rsu_relay(event, latency, rng)
-        event = dataclasses.replace(event, relay_delivery_time_s=delivery)
+        relay = receiver_stream(seed, placement.id, "relay")
+        event = dataclasses.replace(event, relay_delivery_time_s=rsu_relay(event, latency, relay))
     return packets, event
 
 
@@ -565,6 +562,9 @@ def run_sweep(
                 f"seed={point.seed!r}: {message}"
             ) from None
     if max_workers is not None and max_workers > 1:
+        # Imported here: loading multiprocessing costs every other command.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(_run_point, jobs))
     return [_run_point(job) for job in jobs]

@@ -27,7 +27,11 @@ from .engine import PacketColumns, SimLog
 from .geometry import Placement
 from .protocol import WarningEvent
 
-LOG_VERSION = 1
+# Version 2 logs come from the keyed block streams (engine.receiver_stream);
+# version 1 logs came from one stream per receiver drawn tick by tick. Their
+# lines have the same layout, so both read.
+LOG_VERSION = 2
+READABLE_LOG_VERSIONS = (1, 2)
 
 # One encoder for every line: the output equals json.dumps(obj,
 # sort_keys=True) byte for byte, without building an encoder per line, and
@@ -263,6 +267,11 @@ def _json_row(obj: dict, receivers: dict) -> tuple:
 
 def _header_placements(obj: dict) -> tuple:
     """The receivers of a header line, checked."""
+    version = obj.get("version")
+    if isinstance(version, bool) or version not in READABLE_LOG_VERSIONS:
+        raise ValueError(
+            f"unsupported log version {version!r}; this reader reads {list(READABLE_LOG_VERSIONS)}"
+        )
     _require(obj, HEADER_KEYS, "header")
     if not isinstance(obj["receivers"], list):
         raise ValueError("header receivers must be a list")

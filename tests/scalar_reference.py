@@ -3,7 +3,10 @@
 This is the simulator's original loop: per tick it calls the scalar layer
 functions (link_geometry, pattern_gain, packet_success_probability,
 latency_sample) and feeds every decode to receiver_ingest in arrival order.
-run_pass must produce byte-identical logs, and raise the same errors.
+Its draws are scalar calls on the keyed streams: per tick one shadowing
+normal (sigma > 0), one decode uniform and one jitter uniform (jitter > 0,
+drawn on every tick, decoded or not), then the relay draw. run_pass must
+produce byte-identical logs, and raise the same errors.
 """
 
 import dataclasses
@@ -57,7 +60,11 @@ def reference_run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     records: dict = {}
     events: list = []
     for placement in scenario.scene.receivers:
-        rng = receiver_stream(effective_seed, placement.id)
+        streams = {
+            purpose: receiver_stream(effective_seed, placement.id, purpose)
+            for purpose in ("shadowing", "decode", "jitter", "relay")
+        }
+        jitter_ms = scenario.latency.processing_jitter_ms
         receiver_records = []
         decoded = []  # (rx_time_s, tick index)
         sigma = scenario.channel.shadowing_sigma_db if synthetic else 0.0
@@ -67,7 +74,7 @@ def reference_run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
                 gain = pattern_gain(
                     tx_pattern, geo.tx_azimuth_deg, geo.tx_elevation_deg
                 ) + pattern_gain(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
-                shadow = rng.normal(0.0, sigma) if sigma > 0 else 0.0
+                shadow = streams["shadowing"].normal(0.0, sigma) if sigma > 0 else 0.0
             else:
                 gain = 0.0
                 shadow = 0.0
@@ -80,8 +87,10 @@ def reference_run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
                 shadowing_db=shadow,
                 range_m=geo.range_m,
             )
-            if rng.random() < p:
-                rx_time = times[k] + latency_sample(geo.range_m, scenario.latency, rng, hops=1)
+            if streams["decode"].random() < p:
+                rx_time = times[k] + latency_sample(
+                    geo.range_m, scenario.latency, streams["jitter"], hops=1
+                )
                 receiver_records.append(
                     PacketRecord(
                         seq=k,
@@ -96,6 +105,9 @@ def reference_run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
                 )
                 decoded.append((rx_time, k))
             else:
+                if jitter_ms > 0:
+                    # The jitter stream advances on every tick.
+                    streams["jitter"].uniform(-jitter_ms, jitter_ms)
                 receiver_records.append(
                     PacketRecord(
                         seq=k,
@@ -112,7 +124,7 @@ def reference_run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
         for rx_time, k in sorted(decoded):
             event = receiver_ingest(messages[k], rx_time, state, scenario.policy)
             if event is not None and placement.kind == "RSU":
-                delivery = rsu_relay(event, scenario.latency, rng)
+                delivery = rsu_relay(event, scenario.latency, streams["relay"])
                 event = dataclasses.replace(event, relay_delivery_time_s=delivery)
                 state.event = event
         if state.event is not None:

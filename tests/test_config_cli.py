@@ -477,3 +477,85 @@ class TestSweepPoints:
         assert err.startswith("error: config: sweep point speed_mps=")
         assert message in err
         assert not out_dir.exists()
+
+
+class TestNegativeSeeds:
+    """A seed that is not a non-negative int is a config error naming where it came from."""
+
+    def test_simulate_seed_flag(self, tmp_path, capsys):
+        log_path = tmp_path / "pass.jsonl"
+        code = main(["simulate", str(SUBURBAN), "--seed", "-1", "-o", str(log_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: --seed must be a non-negative integer, got -1")
+        assert not log_path.exists()
+
+    def test_sweep_seed_point(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", str(SUBURBAN), "--seeds", "1,-1", "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: sweep point speed_mps=")
+        assert "seed=-1: seed must be a non-negative integer" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_scenario_and_run_pass_reject(self, seed):
+        scenario = load_scenario(SUBURBAN)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            dataclasses.replace(scenario, seed=seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_pass(scenario, seed=seed)
+
+
+class TestNumericFlags:
+    """Out-of-range numeric flags exit 2 naming the flag, before any log is read.
+
+    The log path does not exist, so reading it first would exit 3.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--window", "0"], "--window must be > 0, got 0.0"),
+            (["analyze", "--window", "-20"], "--window must be > 0, got -20.0"),
+            (["analyze", "--window", "nan"], "--window must be finite, got nan"),
+            (["coverage", "--window", "0"], "--window must be > 0, got 0.0"),
+            (["coverage", "--threshold", "0"], "--threshold must be >= 1, got 0"),
+            (
+                ["safeness", "--dwarn", "-5", "--train-speed", "10mph"],
+                "--dwarn must be >= 0, got -5.0",
+            ),
+            (
+                ["safeness", "--dwarn", "300", "--train-speed", "abc"],
+                "--train-speed: cannot parse 'abc'",
+            ),
+            (
+                ["safeness", "--dwarn", "300", "--train-speed", "0"],
+                "--train-speed must be > 0, got 0.0",
+            ),
+            (
+                ["safeness", "--dwarn", "300", "--train-speed", "10mph", "--tr", "-1"],
+                "--tr must be >= 0, got -1.0",
+            ),
+            (
+                ["safeness", "--coverage-from", "LOG", "--train-speed", "10mph", "--window", "0"],
+                "--window must be > 0, got 0.0",
+            ),
+        ],
+    )
+    def test_flag_rejected(self, tmp_path, capsys, argv, message):
+        missing = str(tmp_path / "missing.jsonl")
+        argv = [missing if arg == "LOG" else arg for arg in argv]
+        if argv[0] in ("analyze", "coverage"):
+            argv.insert(1, missing)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config: {message}")
+        assert captured.out == ""
+
+    def test_valid_flags_still_run(self, tmp_path, capsys):
+        log_path = tmp_path / "pass.jsonl"
+        assert main(["simulate", str(SUBURBAN), "-o", str(log_path)]) == 0
+        assert main(["coverage", str(log_path), "--window", "25", "--threshold", "1"]) == 0
+        assert main(["safeness", "--dwarn", "0", "--train-speed", "10mph", "--ts", "0"]) == 0

@@ -1,9 +1,15 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import railwarn
 from railwarn.engine import (
     Scenario,
     TrainRun,
@@ -170,14 +176,39 @@ class TestRunPass:
 
 class TestReceiverStream:
     def test_stable_per_receiver(self):
-        a = receiver_stream(42, "rsu0").random(5)
-        b = receiver_stream(42, "rsu0").random(5)
+        a = receiver_stream(42, "rsu0", "decode").random(5)
+        b = receiver_stream(42, "rsu0", "decode").random(5)
         assert np.array_equal(a, b)
 
     def test_distinct_receivers_distinct_streams(self):
-        a = receiver_stream(42, "rsu0").random(5)
-        b = receiver_stream(42, "obu0").random(5)
+        a = receiver_stream(42, "rsu0", "decode").random(5)
+        b = receiver_stream(42, "obu0", "decode").random(5)
         assert not np.array_equal(a, b)
+
+    def test_distinct_purposes_distinct_streams(self):
+        draws = [
+            receiver_stream(42, "rsu0", purpose).random(5)
+            for purpose in ("shadowing", "decode", "jitter", "relay")
+        ]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1 :]:
+                assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "purpose, index", [("shadowing", 0), ("decode", 1), ("jitter", 2), ("relay", 3)]
+    )
+    def test_key_layout(self, purpose, index):
+        # The key is part of the log format (LOG_VERSION 2): sha256-derived
+        # receiver id and the purpose index, fed to SeedSequence and Philox.
+        rid = int.from_bytes(hashlib.sha256(b"rsu0").digest()[:8], "big")
+        expected = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence([42, rid, index]))
+        ).random(5)
+        assert np.array_equal(receiver_stream(42, "rsu0", purpose).random(5), expected)
+
+    def test_unknown_purpose_rejected(self):
+        with pytest.raises(ValueError, match="purpose"):
+            receiver_stream(42, "rsu0", "latency")
 
 
 class TestRunSweep:
@@ -227,6 +258,20 @@ class TestRunSweep:
         results = run_sweep(scenario, seeds=[1, 2, 1])
         assert log_bytes(results[0].log) == log_bytes(results[2].log)
         assert log_bytes(results[0].log) != log_bytes(results[1].log)
+
+    def test_import_does_not_load_multiprocessing(self):
+        # The process pool is imported only for a sweep with more than one worker.
+        src = str(Path(railwarn.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, railwarn; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        )
+        env = dict(os.environ, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestDigest:

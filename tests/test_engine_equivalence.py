@@ -3,8 +3,9 @@
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scalar_reference import reference_run_pass
 
@@ -229,3 +230,44 @@ def test_hopeless_link_decodes_nothing_where_the_loop_overflowed(sigma):
     with pytest.raises(OverflowError):
         reference_run_pass(scenario)
     assert not any(record.decoded for record in run_pass(scenario).records["rsu0"])
+
+
+# Properties of the keyed stream layout: each receiver's draws come from its
+# own streams, one block per purpose over all ticks.
+
+
+def run_or_reject(scenario: Scenario, seed: int):
+    """run_pass, with scenarios whose pass raises left out of the property."""
+    try:
+        return run_pass(scenario, seed)
+    except ValueError:
+        reject()
+
+
+@given(
+    scenario=scenarios(),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["RSU", "OBU"]),
+    offset=st.floats(-80.0, 80.0),
+)
+def test_added_receiver_leaves_other_receivers_unchanged(scenario, seed, kind, offset):
+    base = run_or_reject(scenario, seed)
+    extra = Placement(id="extra", kind=kind, offset_from_crossing_m=offset, height_m=1.7)
+    scene = dataclasses.replace(scenario.scene, receivers=(extra, *scenario.scene.receivers))
+    extended = run_pass(dataclasses.replace(scenario, scene=scene), seed)
+    for receiver_id, packets in base.records.items():
+        assert extended.records[receiver_id] == packets
+    assert [e for e in extended.events if e.receiver_id != "extra"] == base.events
+
+
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_tx_power_leaves_latency_of_common_decodes_unchanged(scenario, seed):
+    first = run_or_reject(scenario, seed)
+    power = {11.0: 23.0, 23.0: 11.0}[scenario.radio.tx_power_dbm]
+    radio = dataclasses.replace(scenario.radio, tx_power_dbm=power)
+    second = run_pass(dataclasses.replace(scenario, radio=radio), seed)
+    for receiver_id, packets in first.records.items():
+        other = second.records[receiver_id]
+        both = packets.decoded & other.decoded
+        assert np.array_equal(packets.latency_s[both], other.latency_s[both])
+        assert np.array_equal(packets.rx_time_s[both], other.rx_time_s[both])

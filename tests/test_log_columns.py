@@ -17,7 +17,7 @@ from railwarn.analysis import bin_per, extract_dwarn
 from railwarn.cli import main
 from railwarn.engine import PacketColumns, PacketRecord, SimLog
 from railwarn.geometry import Placement
-from railwarn.logio import log_bytes, read_field_log, read_log, write_log
+from railwarn.logio import LOG_VERSION, log_bytes, read_field_log, read_log, write_log
 from railwarn.protocol import WarningEvent
 
 RSU = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
@@ -345,3 +345,34 @@ def test_numbers_outside_the_json_grammar_rejected(tmp_path, number):
     rewrite(path, lines)
     with pytest.raises(ValueError, match=r"pass\.log\.jsonl:3: invalid JSON"):
         read_log(path)
+
+
+class TestLogVersion:
+    def test_writer_writes_version_2(self, tmp_path):
+        path, lines = written_log(tmp_path)
+        assert json.loads(lines[0])["version"] == LOG_VERSION == 2
+
+    def test_version_1_reads_as_version_2(self, tmp_path):
+        path, lines = written_log(tmp_path)
+        expected = read_log(path)
+        lines[0] = lines[0].replace('"version": 2', '"version": 1')
+        rewrite(path, lines)
+        log = read_log(path)
+        assert log.records == expected.records and log.events == expected.events
+
+    @pytest.mark.parametrize("version", ["0", "3", "true", '"2"', "null"])
+    def test_other_versions_rejected_at_the_header(self, tmp_path, version):
+        path, lines = written_log(tmp_path)
+        lines[0] = lines[0].replace('"version": 2', f'"version": {version}')
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:1: unsupported log version"):
+            read_log(path)
+
+    def test_missing_version_rejected(self, tmp_path):
+        path, lines = written_log(tmp_path)
+        header = json.loads(lines[0])
+        del header["version"]
+        lines[0] = json.dumps(header, sort_keys=True)
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:1: unsupported log version None"):
+            read_log(path)
