@@ -19,14 +19,12 @@ from .analysis import (
     coverage_report,
     extract_dwarn,
     latency_stats,
-    received_counts,
     safeness_report,
 )
 from .antenna import (
     AntennaPattern,
     bidirectional_pattern,
     builtin_pattern,
-    effective_gain_profile,
     omni_pattern,
     pattern_from_csv,
     pattern_gain,
@@ -37,12 +35,9 @@ from .config import (
     LoadedConfig,
     load_config,
     load_scenario,
-    write_scenario,
 )
 from .engine import (
-    PacketRecord,
     Scenario,
-    SimLog,
     SweepPoint,
     SweepResult,
     TrainRun,
@@ -69,7 +64,7 @@ from .link import (
     packet_success_probability,
     path_loss_db,
 )
-from .logio import read_field_log, read_log, write_log
+from .logio import PacketColumns, PacketRecord, SimLog, read_field_log, read_log, write_log
 from .protocol import (
     BsmMessage,
     ReceiverState,
@@ -85,8 +80,6 @@ from .safety import (
     SafenessCategory,
     SafenessCurve,
     SafenessResult,
-    TimingBudget,
-    TrainKinematics,
     VehicleBrakingTable,
     braking_time,
     minimum_required_range,
@@ -96,6 +89,6 @@ from .safety import (
     time_to_avoid_collision,
     time_to_crossing,
 )
-from .units import mph_to_mps, mps_to_mph, parse_speed
+from .units import mph_to_mps, parse_speed
 
 __version__ = "0.1.0"

@@ -10,12 +10,13 @@ the crossing; approach-side bins have negative centers.
 """
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .engine import SimLog
+from .logio import SimLog
 from .safety import (
     DEFAULT_REACTION_S,
     DEFAULT_SYSTEM_DELAY_S,
@@ -85,14 +86,6 @@ def bin_per(
     return PerSeries(receiver_id=rid, window_width_m=window_width_m, bins=bins)
 
 
-def received_counts(
-    log: SimLog, window_width_m: float = 50.0, receiver_id: str | None = None
-) -> list:
-    """Absolute decoded counts per window, the reliability view of a pass."""
-    series = bin_per(log, window_width_m, receiver_id)
-    return [(b.d_center_m, b.received) for b in series.bins]
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     """Reliable warning coverage extracted from binned counts.
@@ -111,29 +104,16 @@ class CoverageReport:
     per_receiver: "dict | None" = None
 
 
-def extract_dwarn(
-    series,
-    threshold: int,
-    window_width_m: float | None = None,
-) -> CoverageReport:
-    """Coverage range from a PerSeries or a list of (d_center, received).
+def extract_dwarn(series: PerSeries, threshold: int) -> CoverageReport:
+    """Coverage range from the binned counts of one receiver.
 
     Walks approach-side bins outward from the crossing; the contiguous
     range ends at the first bin that misses the threshold (or has no data).
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    if isinstance(series, PerSeries):
-        width = series.window_width_m
-        indexed = {b.index: b.received for b in series.bins}
-    else:
-        if window_width_m is None or window_width_m <= 0:
-            raise ValueError("window_width_m is required for a bare counts list")
-        width = window_width_m
-        indexed = {
-            round(center / width - 0.5): received for center, received in series
-        }
-    approach = {i: r for i, r in indexed.items() if i < 0}
+    width = series.window_width_m
+    approach = {b.index: b.received for b in series.bins if b.index < 0}
     if not approach:
         raise ValueError("series has no approach-side bins")
     qualifying = [i for i, r in approach.items() if r >= threshold]
@@ -315,33 +295,8 @@ def write_counts_csv(series_list, path: str | Path) -> None:
 
 
 def write_latency_csv(stats_by_receiver: dict, path: str | Path) -> None:
-    rows = [
-        [
-            rid,
-            s.count,
-            s.mean_s,
-            s.p50_s,
-            s.p95_s,
-            s.max_s,
-            s.fraction_below_5ms,
-            s.fraction_below_period,
-        ]
-        for rid, s in stats_by_receiver.items()
-    ]
-    _write_csv(
-        path,
-        [
-            "receiver_id",
-            "count",
-            "mean_s",
-            "p50_s",
-            "p95_s",
-            "max_s",
-            "fraction_below_5ms",
-            "fraction_below_period",
-        ],
-        rows,
-    )
+    rows = [[rid, *dataclasses.astuple(s)] for rid, s in stats_by_receiver.items()]
+    _write_csv(path, ["receiver_id", *(f.name for f in dataclasses.fields(LatencyStats))], rows)
 
 
 def write_coverage_csv(report: CoverageReport, path: str | Path) -> None:
@@ -380,33 +335,8 @@ def write_coverage_csv(report: CoverageReport, path: str | Path) -> None:
 
 
 def write_safeness_csv(report: SafenessReport, path: str | Path) -> None:
-    rows = [
-        [
-            row.vehicle_speed_mph,
-            row.road,
-            row.braking_s,
-            row.time_to_avoid_collision_s,
-            row.protection_s,
-            row.zero_cross_distance_m,
-            row.one_cross_distance_m,
-            row.system_failed,
-        ]
-        for row in report.rows
-    ]
-    _write_csv(
-        path,
-        [
-            "vehicle_speed_mph",
-            "road",
-            "braking_s",
-            "time_to_avoid_collision_s",
-            "protection_s",
-            "zero_cross_distance_m",
-            "one_cross_distance_m",
-            "system_failed",
-        ],
-        rows,
-    )
+    rows = [dataclasses.astuple(row) for row in report.rows]
+    _write_csv(path, [f.name for f in dataclasses.fields(SafenessRow)], rows)
 
 
 def write_curves_csv(report: SafenessReport, path: str | Path) -> None:

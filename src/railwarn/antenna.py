@@ -1,4 +1,4 @@
-"""Antenna patterns and effective link gain along a train pass.
+"""Antenna patterns: principal-plane cuts and the gain they give at any angle.
 
 Patterns are stored as principal-plane cuts (azimuth and elevation) of
 absolute gain in dBi. The full pattern is reconstructed with the separable
@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CrossingScene, Placement, link_geometry
 from .units import require_finite
 
 DEFAULT_FLOOR_DBI = -10.0
@@ -76,10 +75,6 @@ class AntennaPattern:
         for array in arrays:
             array.flags.writeable = False
         return arrays
-
-    def azimuth_variation_db(self) -> float:
-        gains = [g for _, g in self.azimuth_cut]
-        return max(gains) - min(gains)
 
 
 def pattern_gain(pattern: AntennaPattern, azimuth_deg: float, elevation_deg: float) -> float:
@@ -172,10 +167,6 @@ def builtin_pattern(name: str) -> AntennaPattern:
         ) from None
 
 
-def builtin_pattern_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTIN_FACTORIES))
-
-
 def _read_cut_csv(path: str | Path) -> tuple[tuple[float, float], ...]:
     cut = []
     with open(path, newline="") as handle:
@@ -207,23 +198,3 @@ def pattern_from_csv(
         floor_dbi=floor_dbi,
     )
 
-
-def effective_gain_profile(
-    scene: CrossingScene,
-    tx_pattern: AntennaPattern,
-    rx_pattern: AntennaPattern,
-    placement: Placement,
-    distances_m,
-) -> list[tuple[float, float]]:
-    """Combined tx+rx gain versus train distance, assuming a clear path."""
-    distances = list(distances_m)
-    if not distances:
-        raise ValueError("distance sweep must be non-empty")
-    profile = []
-    for distance in distances:
-        geo = link_geometry(distance, placement, scene)
-        gain = pattern_gain(
-            tx_pattern, geo.tx_azimuth_deg, geo.tx_elevation_deg
-        ) + pattern_gain(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
-        profile.append((distance, gain))
-    return profile

@@ -251,19 +251,18 @@ def _cmd_safeness(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    speeds = _parse_flag("--speeds", lambda text: _split(text, parse_speed), args.speeds)
+    powers = _parse_flag("--powers", lambda text: _split(text, float), args.powers)
+    seeds = _parse_flag("--seeds", lambda text: _split(text, int), args.seeds)
+    _check_flags(("--workers", args.workers, 1, False))
     cfg = load_config(args.config)
-    speeds = _split(args.speeds, parse_speed)
-    powers = _split(args.powers, float)
-    mods = _split(args.modulations)
-    antennas = _split(args.antennas)
-    seeds = _split(args.seeds, int)
     try:
         results = run_sweep(
             cfg.scenario,
             speeds_mps=speeds,
             powers_dbm=powers,
-            modulations=mods,
-            antennas=antennas,
+            modulations=_split(args.modulations),
+            antennas=_split(args.antennas),
             seeds=seeds,
             max_workers=args.workers,
         )

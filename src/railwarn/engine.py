@@ -23,13 +23,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .antenna import AntennaPattern, builtin_pattern, pattern_gain_array
-from .geometry import CrossingScene, Placement, link_geometry, link_geometry_array  # noqa: F401
+from .geometry import CrossingScene, link_geometry, link_geometry_array  # noqa: F401
 from .link import (
     LatencyModel,
     PerProfile,
@@ -39,12 +40,16 @@ from .link import (
     profile_success_probability,
     snr_success_probability,
 )
+from .logio import PacketColumns, SimLog
 from .protocol import TriggerPolicy, first_warning, rsu_relay
 from .units import SPEED_OF_LIGHT_MPS, require_finite
 
 # link_geometry is imported but not called: the benchmark's tracer
 # (bench/tracer.py) patches engine.link_geometry by name, and its tests
 # check that the patch is undone.
+
+# The version field of a scenario config; scenario_to_dict writes it.
+CONFIG_VERSION = 1
 
 # Upper bound on transmit ticks per pass, checked before anything is
 # allocated. The longest pass shipped, tested or benchmarked has 64,001.
@@ -104,159 +109,6 @@ class Scenario:
         return builtin_pattern(name)
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    seq: int
-    tx_time_s: float
-    train_d_t_m: float
-    receiver_id: str
-    decoded: bool
-    rx_time_s: float | None = None
-    latency_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.decoded:
-            if self.rx_time_s is None or self.latency_s is None:
-                raise ValueError("decoded records need rx_time_s and latency_s")
-            if self.rx_time_s < self.tx_time_s:
-                raise ValueError("rx_time_s must be >= tx_time_s")
-
-
-class PacketColumns:
-    """One receiver's packets as numpy columns, one row per packet.
-
-    seq is uint64; tx_time_s and train_d_t_m are float64; decoded is bool;
-    rx_time_s and latency_s are float64 and NaN where the packet was not
-    decoded. Iterating or indexing yields PacketRecord rows, and equality is
-    exact with NaN equal to NaN.
-    """
-
-    __slots__ = (
-        "receiver_id",
-        "seq",
-        "tx_time_s",
-        "train_d_t_m",
-        "decoded",
-        "rx_time_s",
-        "latency_s",
-    )
-
-    def __init__(self, receiver_id, seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s):
-        self.receiver_id = receiver_id
-        self.seq = np.asarray(seq, dtype=np.uint64)
-        self.tx_time_s = np.asarray(tx_time_s, dtype=np.float64)
-        self.train_d_t_m = np.asarray(train_d_t_m, dtype=np.float64)
-        self.decoded = np.asarray(decoded, dtype=bool)
-        self.rx_time_s = np.asarray(rx_time_s, dtype=np.float64)
-        self.latency_s = np.asarray(latency_s, dtype=np.float64)
-        columns = self.columns()
-        if len({len(column) for column in columns}) != 1:
-            raise ValueError("packet columns must have equal lengths")
-        # Receivers of one pass share the time and position arrays.
-        for column in columns:
-            column.flags.writeable = False
-
-    def columns(self) -> tuple:
-        """(seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s)."""
-        return tuple(getattr(self, name) for name in self.__slots__[1:])
-
-    @classmethod
-    def from_records(cls, records, receiver_id: str) -> "PacketColumns":
-        """Columns from PacketRecord rows of one receiver."""
-        records = list(records)
-        for record in records:
-            if record.receiver_id != receiver_id:
-                raise ValueError(
-                    f"record of receiver {record.receiver_id!r} filed under {receiver_id!r}"
-                )
-            if not record.decoded and (record.rx_time_s, record.latency_s) != (None, None):
-                raise ValueError("undecoded records carry no rx_time_s or latency_s")
-            if record.seq < 0 or record.seq >= 2**64:
-                raise ValueError(f"seq must be in [0, 2**64), got {record.seq}")
-        nan = math.nan
-        return cls(
-            receiver_id,
-            [r.seq for r in records],
-            [r.tx_time_s for r in records],
-            [r.train_d_t_m for r in records],
-            [r.decoded for r in records],
-            [nan if r.rx_time_s is None else r.rx_time_s for r in records],
-            [nan if r.latency_s is None else r.latency_s for r in records],
-        )
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def __getitem__(self, index: int) -> PacketRecord:
-        decoded = bool(self.decoded[index])
-        return PacketRecord(
-            seq=int(self.seq[index]),
-            tx_time_s=float(self.tx_time_s[index]),
-            train_d_t_m=float(self.train_d_t_m[index]),
-            receiver_id=self.receiver_id,
-            decoded=decoded,
-            rx_time_s=float(self.rx_time_s[index]) if decoded else None,
-            latency_s=float(self.latency_s[index]) if decoded else None,
-        )
-
-    def __iter__(self):
-        return (self[index] for index in range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PacketColumns):
-            return NotImplemented
-        return self.receiver_id == other.receiver_id and all(
-            np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
-            for mine, theirs in zip(self.columns(), other.columns())
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"PacketColumns({self.receiver_id!r}, {len(self)} packets)"
-
-
-@dataclass
-class SimLog:
-    """Complete record of one pass: every packet for every receiver.
-
-    records maps each receiver id to its PacketColumns; lists of
-    PacketRecord are turned into columns on construction.
-    """
-
-    digest: str
-    seed: int
-    train_speed_mps: float | None
-    tx_period_s: float
-    start_d_t_m: float
-    end_d_t_m: float
-    duration_s: float
-    receivers: tuple[Placement, ...]
-    records: dict  # receiver_id -> PacketColumns
-    events: list  # list[WarningEvent]
-    analysis_window_m: float = 50.0
-    coverage_threshold: int = 5
-
-    def __post_init__(self) -> None:
-        self.records = {
-            rid: packets
-            if isinstance(packets, PacketColumns)
-            else PacketColumns.from_records(packets, rid)
-            for rid, packets in self.records.items()
-        }
-
-    def packet_count(self, receiver_id: str | None = None) -> int:
-        if receiver_id is not None:
-            return len(self.records[receiver_id])
-        return sum(len(recs) for recs in self.records.values())
-
-    def decoded_count(self) -> int:
-        return sum(int(packets.decoded.sum()) for packets in self.records.values())
-
-    def receiver_ids(self) -> list:
-        return [p.id for p in self.receivers]
-
-
 # The keyed random streams of one receiver, by purpose; the index is the
 # third word of the stream's seed.
 STREAM_PURPOSES = {"shadowing": 0, "decode": 1, "jitter": 2, "relay": 3}
@@ -277,95 +129,36 @@ def receiver_stream(seed: int, receiver_id: str, purpose: str) -> np.random.Gene
     return np.random.Generator(np.random.Philox(key))
 
 
-def _pattern_dict(pattern: AntennaPattern) -> dict:
-    return {
-        "name": pattern.name,
-        "azimuth": [[a, g] for a, g in pattern.azimuth_cut],
-        "elevation": [[a, g] for a, g in pattern.elevation_cut],
-        "peak_gain_dbi": pattern.peak_gain_dbi,
-        "floor_dbi": pattern.floor_dbi,
-    }
+def _plain(value):
+    """A dataclass as a dict of its fields, and tuples as lists, all the way down."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical plain-dict form of a scenario (config file layout)."""
-    scene = scenario.scene
-    if isinstance(scenario.channel, PerProfile):
-        channel = {
-            "mode": "empirical",
-            "bins": [[s, e, p] for s, e, p in scenario.channel.bins],
-            "out_of_range": scenario.channel.out_of_range,
-        }
-    else:
-        ch = scenario.channel
-        channel = {
-            "mode": "synthetic",
-            "path_loss_exponent": ch.path_loss_exponent,
-            "reference_loss_db": ch.reference_loss_db,
-            "shadowing_sigma_db": ch.shadowing_sigma_db,
-            "noise_floor_dbm": ch.noise_floor_dbm,
-            "snr_threshold_qpsk_db": ch.snr_threshold_qpsk_db,
-            "snr_threshold_16qam_db": ch.snr_threshold_16qam_db,
-            "transition_width_db": ch.transition_width_db,
-        }
-    result = {
-        "version": 1,
-        "seed": scenario.seed,
-        "scene": {
-            "track_heading_deg": scene.track_heading_deg,
-            "road_heading_deg": scene.road_heading_deg,
-            "tx_height_m": scene.tx_height_m,
-            "receivers": [
-                {
-                    "id": p.id,
-                    "kind": p.kind,
-                    "offset_from_crossing_m": p.offset_from_crossing_m,
-                    "height_m": p.height_m,
-                    "boresight_deg": p.boresight_deg,
-                }
-                for p in scene.receivers
-            ],
-            "obstructions": [
-                {
-                    "d_start_m": o.d_start_m,
-                    "d_end_m": o.d_end_m,
-                    "excess_loss_db": o.excess_loss_db,
-                    "gap_width_m": o.gap_width_m,
-                    "gap_period_m": o.gap_period_m,
-                }
-                for o in scene.obstructions
-            ],
-        },
-        "radio": {
-            "center_frequency_hz": scenario.radio.center_frequency_hz,
-            "channel_number": scenario.radio.channel_number,
-            "tx_power_dbm": scenario.radio.tx_power_dbm,
-            "modulation": scenario.radio.modulation,
-            "packet_size_bytes": scenario.radio.packet_size_bytes,
-            "tx_period_ms": scenario.radio.tx_period_ms,
-            "tx_antenna": scenario.radio.tx_antenna,
-            "rx_antenna": scenario.radio.rx_antenna,
-        },
-        "channel": channel,
-        "latency": {
-            "processing_base_ms": scenario.latency.processing_base_ms,
-            "processing_jitter_ms": scenario.latency.processing_jitter_ms,
-            "relay_hops": scenario.latency.relay_hops,
-        },
-        "train": {
-            "speed_mps": scenario.train.speed_mps,
-            "start_d_t_m": scenario.train.start_d_t_m,
-            "end_d_t_m": scenario.train.end_d_t_m,
-        },
-        "policy": {
-            "reliability_threshold": scenario.policy.reliability_threshold,
-            "trigger_distance_m": scenario.policy.trigger_distance_m,
-            "window_s": scenario.policy.window_s,
-        },
-    }
+    """Canonical plain-dict form of a scenario (config file layout).
+
+    Each section holds its dataclass's fields under their own names, which
+    are the config keys; the channel adds its mode, and custom antennas are
+    inline tables keyed by name.
+    """
+    result = _plain(scenario)
+    del result["custom_patterns"]
+    result["version"] = CONFIG_VERSION
+    mode = "empirical" if isinstance(scenario.channel, PerProfile) else "synthetic"
+    result["channel"]["mode"] = mode
     if scenario.custom_patterns:
         result["antennas"] = {
-            p.name: _pattern_dict(p) for p in scenario.custom_patterns
+            pattern.name: {
+                "azimuth": _plain(pattern.azimuth_cut),
+                "elevation": _plain(pattern.elevation_cut),
+                "peak_gain_dbi": pattern.peak_gain_dbi,
+                "floor_dbi": pattern.floor_dbi,
+            }
+            for pattern in scenario.custom_patterns
         }
     return result
 
@@ -462,7 +255,7 @@ def _receiver_pass(scenario, placement, seed, times, positions, patterns, succes
     if jitter_ms > 0:
         jitter = receiver_stream(seed, placement.id, "jitter").uniform(-jitter_ms, jitter_ms, ticks)
         processing_ms = processing_ms + jitter
-    # latency_sample with hops=1: propagation plus processing.
+    # latency_sample: propagation plus processing over one hop.
     arrival = times + (geo.range_m / SPEED_OF_LIGHT_MPS + processing_ms * 1e-3)
     rx_time_s = np.where(decoded, arrival, np.nan)
     packets = PacketColumns(
@@ -561,10 +354,13 @@ def run_sweep(
                 f"modulation={point.modulation!r}, tx_antenna={point.tx_antenna!r}, "
                 f"seed={point.seed!r}: {message}"
             ) from None
-    if max_workers is not None and max_workers > 1:
+    # A fork-started pool starts all its workers at the first submit, so
+    # it gets no more of them than there are points or processors.
+    workers = min(max_workers or 1, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: loading multiprocessing costs every other command.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_point, jobs))
     return [_run_point(job) for job in jobs]

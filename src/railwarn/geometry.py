@@ -67,12 +67,6 @@ class CrossingScene:
         if len(ids) != len(set(ids)):
             raise ValueError("receiver ids must be unique")
 
-    def receiver(self, receiver_id: str) -> Placement:
-        for placement in self.receivers:
-            if placement.id == receiver_id:
-                return placement
-        raise KeyError(receiver_id)
-
 
 @dataclass(frozen=True)
 class LinkGeometry:

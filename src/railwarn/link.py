@@ -36,13 +36,15 @@ def friis_reference_loss_db(frequency_hz: float) -> float:
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """Transmit-side radio and framing configuration."""
+    """Transmit-side radio and framing configuration.
+
+    Every message is protocol.BSM_SIZE_BYTES long; the size is not a setting.
+    """
 
     center_frequency_hz: float = 5.87e9
     channel_number: int = 174
     tx_power_dbm: float = 23.0
     modulation: str = "QPSK"
-    packet_size_bytes: int = 99
     tx_period_ms: float = 50.0
     tx_antenna: str = "omni12"
     rx_antenna: str = "omni6"
@@ -62,8 +64,6 @@ class RadioConfig:
             raise ValueError(
                 f"modulation must be one of {MODULATIONS}, got {self.modulation!r}"
             )
-        if self.packet_size_bytes <= 0:
-            raise ValueError("packet size must be positive")
         if self.tx_period_ms <= 0:
             raise ValueError("transmit period must be positive")
         if self.center_frequency_hz <= 0:
@@ -214,7 +214,6 @@ class LatencyModel:
 
     processing_base_ms: float = 4.0
     processing_jitter_ms: float = 1.0
-    relay_hops: int = 1
 
     def __post_init__(self) -> None:
         require_finite(
@@ -226,8 +225,6 @@ class LatencyModel:
         if self.processing_jitter_ms > self.processing_base_ms:
             # base - jitter would be a negative processing time.
             raise ValueError("processing_jitter_ms must not exceed processing_base_ms")
-        if self.relay_hops not in (1, 2):
-            raise ValueError("relay_hops must be 1 (direct) or 2 (relayed)")
 
 
 def path_loss_db(range_m: float, channel: SyntheticChannel) -> float:
@@ -321,7 +318,7 @@ def latency_sample(
     range_m: float,
     model: LatencyModel,
     rng: np.random.Generator,
-    hops: int | None = None,
+    hops: int = 1,
 ) -> float:
     """One latency draw in seconds over the given link distance.
 
@@ -331,8 +328,6 @@ def latency_sample(
     """
     if range_m < 0:
         raise ValueError("range must be >= 0")
-    if hops is None:
-        hops = model.relay_hops
     propagation_s = hops * range_m / SPEED_OF_LIGHT_MPS
     jitter_ms = 0.0
     if model.processing_jitter_ms > 0:

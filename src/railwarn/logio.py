@@ -1,9 +1,11 @@
-"""Packet-log serialisation: JSON-lines logs and field-capture CSV ingest.
+"""The pass log: its types, JSON-lines files and field-capture CSV ingest.
 
-A log file is one JSON object per line. The first line is a header with the
-scenario digest and pass metadata; the remaining lines are packet records
-(grouped by receiver, ordered by sequence number) followed by warning
-events. Keys are sorted so identical logs are byte-identical.
+SimLog holds one pass, each receiver's packets as PacketColumns; the
+engine writes it and the analysis reads it. A log file is one JSON object
+per line. The first line is a header with the scenario digest and pass
+metadata; the remaining lines are packet records (grouped by receiver,
+ordered by sequence number) followed by warning events. Keys are sorted so
+identical logs are byte-identical.
 
 Packets move between files and PacketColumns in chunks. The writer formats
 packet lines from column values with one template per receiver and decoded
@@ -14,16 +16,17 @@ json with the full checks.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .engine import PacketColumns, SimLog
 from .geometry import Placement
 from .protocol import WarningEvent
 
@@ -32,6 +35,160 @@ from .protocol import WarningEvent
 # lines have the same layout, so both read.
 LOG_VERSION = 2
 READABLE_LOG_VERSIONS = (1, 2)
+
+
+@dataclass(frozen=True)
+class PacketRecord:
+    seq: int
+    tx_time_s: float
+    train_d_t_m: float
+    receiver_id: str
+    decoded: bool
+    rx_time_s: float | None = None
+    latency_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.decoded:
+            if self.rx_time_s is None or self.latency_s is None:
+                raise ValueError("decoded records need rx_time_s and latency_s")
+            if self.rx_time_s < self.tx_time_s:
+                raise ValueError("rx_time_s must be >= tx_time_s")
+
+
+class PacketColumns:
+    """One receiver's packets as numpy columns, one row per packet.
+
+    seq is uint64; tx_time_s and train_d_t_m are float64; decoded is bool;
+    rx_time_s and latency_s are float64 and NaN where the packet was not
+    decoded. Iterating or indexing yields PacketRecord rows, and equality is
+    exact with NaN equal to NaN.
+    """
+
+    __slots__ = (
+        "receiver_id",
+        "seq",
+        "tx_time_s",
+        "train_d_t_m",
+        "decoded",
+        "rx_time_s",
+        "latency_s",
+    )
+
+    def __init__(self, receiver_id, seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s):
+        self.receiver_id = receiver_id
+        self.seq = np.asarray(seq, dtype=np.uint64)
+        self.tx_time_s = np.asarray(tx_time_s, dtype=np.float64)
+        self.train_d_t_m = np.asarray(train_d_t_m, dtype=np.float64)
+        self.decoded = np.asarray(decoded, dtype=bool)
+        self.rx_time_s = np.asarray(rx_time_s, dtype=np.float64)
+        self.latency_s = np.asarray(latency_s, dtype=np.float64)
+        columns = self.columns()
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError("packet columns must have equal lengths")
+        # Receivers of one pass share the time and position arrays.
+        for column in columns:
+            column.flags.writeable = False
+
+    def columns(self) -> tuple:
+        """(seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s)."""
+        return tuple(getattr(self, name) for name in self.__slots__[1:])
+
+    @classmethod
+    def from_records(cls, records, receiver_id: str) -> "PacketColumns":
+        """Columns from PacketRecord rows of one receiver."""
+        records = list(records)
+        for record in records:
+            if record.receiver_id != receiver_id:
+                raise ValueError(
+                    f"record of receiver {record.receiver_id!r} filed under {receiver_id!r}"
+                )
+            if not record.decoded and (record.rx_time_s, record.latency_s) != (None, None):
+                raise ValueError("undecoded records carry no rx_time_s or latency_s")
+            if record.seq < 0 or record.seq >= 2**64:
+                raise ValueError(f"seq must be in [0, 2**64), got {record.seq}")
+        nan = math.nan
+        return cls(
+            receiver_id,
+            [r.seq for r in records],
+            [r.tx_time_s for r in records],
+            [r.train_d_t_m for r in records],
+            [r.decoded for r in records],
+            [nan if r.rx_time_s is None else r.rx_time_s for r in records],
+            [nan if r.latency_s is None else r.latency_s for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, index: int) -> PacketRecord:
+        decoded = bool(self.decoded[index])
+        return PacketRecord(
+            seq=int(self.seq[index]),
+            tx_time_s=float(self.tx_time_s[index]),
+            train_d_t_m=float(self.train_d_t_m[index]),
+            receiver_id=self.receiver_id,
+            decoded=decoded,
+            rx_time_s=float(self.rx_time_s[index]) if decoded else None,
+            latency_s=float(self.latency_s[index]) if decoded else None,
+        )
+
+    def __iter__(self):
+        return (self[index] for index in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PacketColumns):
+            return NotImplemented
+        return self.receiver_id == other.receiver_id and all(
+            np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
+            for mine, theirs in zip(self.columns(), other.columns())
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PacketColumns({self.receiver_id!r}, {len(self)} packets)"
+
+
+@dataclass
+class SimLog:
+    """Complete record of one pass: every packet for every receiver.
+
+    records maps each receiver id to its PacketColumns; lists of
+    PacketRecord are turned into columns on construction.
+    """
+
+    digest: str
+    seed: int
+    train_speed_mps: float | None
+    tx_period_s: float
+    start_d_t_m: float
+    end_d_t_m: float
+    duration_s: float
+    receivers: tuple[Placement, ...]
+    records: dict  # receiver_id -> PacketColumns
+    events: list  # list[WarningEvent]
+    analysis_window_m: float = 50.0
+    coverage_threshold: int = 5
+
+    def __post_init__(self) -> None:
+        self.records = {
+            rid: packets
+            if isinstance(packets, PacketColumns)
+            else PacketColumns.from_records(packets, rid)
+            for rid, packets in self.records.items()
+        }
+
+    def packet_count(self, receiver_id: str | None = None) -> int:
+        if receiver_id is not None:
+            return len(self.records[receiver_id])
+        return sum(len(recs) for recs in self.records.values())
+
+    def decoded_count(self) -> int:
+        return sum(int(packets.decoded.sum()) for packets in self.records.values())
+
+    def receiver_ids(self) -> list:
+        return [p.id for p in self.receivers]
+
 
 # One encoder for every line: the output equals json.dumps(obj,
 # sort_keys=True) byte for byte, without building an encoder per line, and
@@ -43,43 +200,26 @@ _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 WRITE_BATCH_ROWS = 4096
 READ_BATCH_BYTES = 1 << 18
 
-PACKET_KEYS = ("receiver_id", "seq", "tx_time_s", "train_d_t_m", "decoded", "rx_time_s", "latency_s")
-EVENT_KEYS = (
-    "receiver_id",
-    "source",
-    "mode",
-    "trigger_time_s",
-    "train_d_t_at_trigger_m",
-    "packets_seen",
-    "relay_delivery_time_s",
+# The keys of packet, event and header lines are the field names of the
+# types they hold. Header lines carry every SimLog field but the packets
+# and events; those with a default may be absent from older logs.
+PACKET_KEYS = tuple(field.name for field in dataclasses.fields(PacketRecord))
+EVENT_KEYS = tuple(field.name for field in dataclasses.fields(WarningEvent))
+RECEIVER_KEYS = tuple(field.name for field in dataclasses.fields(Placement))
+_HEADER_FIELDS = tuple(
+    field for field in dataclasses.fields(SimLog) if field.name not in ("records", "events")
 )
-HEADER_KEYS = (
-    "digest",
-    "seed",
-    "train_speed_mps",
-    "tx_period_s",
-    "start_d_t_m",
-    "end_d_t_m",
-    "duration_s",
-    "receivers",
+HEADER_KEYS = tuple(
+    field.name for field in _HEADER_FIELDS if field.default is dataclasses.MISSING
 )
-RECEIVER_KEYS = ("id", "kind", "offset_from_crossing_m", "height_m", "boresight_deg")
 
 
 def _header_dict(log: SimLog) -> dict:
     return {
         "type": "header",
         "version": LOG_VERSION,
-        "digest": log.digest,
-        "seed": log.seed,
-        "train_speed_mps": log.train_speed_mps,
-        "tx_period_s": log.tx_period_s,
-        "start_d_t_m": log.start_d_t_m,
-        "end_d_t_m": log.end_d_t_m,
-        "duration_s": log.duration_s,
-        "analysis_window_m": log.analysis_window_m,
-        "coverage_threshold": log.coverage_threshold,
-        "receivers": [{key: getattr(p, key) for key in RECEIVER_KEYS} for p in log.receivers],
+        **{field.name: getattr(log, field.name) for field in _HEADER_FIELDS},
+        "receivers": [dataclasses.asdict(placement) for placement in log.receivers],
     }
 
 
@@ -126,51 +266,33 @@ def _packet_batches(packets: PacketColumns):
         ]
 
 
-def _line_batches(log: SimLog):
-    """The serialised lines of a log in lists, without trailing newlines."""
-    yield [_encode(_header_dict(log))]
-    for receiver_id in log.receiver_ids():
-        yield from _packet_batches(log.records[receiver_id])
-    yield [
-        _encode({"type": "event", **{key: getattr(event, key) for key in EVENT_KEYS}})
-        for event in log.events
-    ]
-
-
 def _text_batches(log: SimLog):
-    for lines in _line_batches(log):
-        if lines:
+    """The serialised log in pieces of whole lines."""
+    yield _encode(_header_dict(log)) + "\n"
+    for receiver_id in log.receiver_ids():
+        for lines in _packet_batches(log.records[receiver_id]):
             yield "\n".join(lines) + "\n"
-
-
-def log_lines(log: SimLog):
-    """Yield the serialised lines of a log, without trailing newlines."""
-    for lines in _line_batches(log):
-        yield from lines
+    for event in log.events:
+        yield _encode({"type": "event", **dataclasses.asdict(event)}) + "\n"
 
 
 def log_bytes(log: SimLog) -> bytes:
     return "".join(_text_batches(log)).encode()
 
 
-def atomic_write_bytes(path: str | Path, chunks) -> None:
-    """Write an iterable of bytes via a temp file in the same directory, then
-    rename; a failed write leaves no file behind."""
+def write_log(log: SimLog, path: str | Path) -> None:
+    """Stream the log in batches to a temp file in the same directory, then
+    rename it; the whole text is never held, and a failed write leaves no file."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
         with open(tmp, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            for text in _text_batches(log):
+                handle.write(text.encode())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def write_log(log: SimLog, path: str | Path) -> None:
-    """Stream the log to disk in batches, never holding the whole text."""
-    atomic_write_bytes(path, (text.encode() for text in _text_batches(log)))
 
 
 def _reject_constant(name: str):
@@ -392,20 +514,9 @@ def _assemble(path, header: dict, placements: tuple, parts: list, events: list) 
     for index, placement in enumerate(placements):
         rows = receiver == index
         records[placement.id] = PacketColumns(placement.id, *(c[rows] for c in columns[1:7]))
-    return SimLog(
-        digest=header["digest"],
-        seed=header["seed"],
-        train_speed_mps=header["train_speed_mps"],
-        tx_period_s=header["tx_period_s"],
-        start_d_t_m=header["start_d_t_m"],
-        end_d_t_m=header["end_d_t_m"],
-        duration_s=header["duration_s"],
-        receivers=placements,
-        records=records,
-        events=events,
-        analysis_window_m=header.get("analysis_window_m", 50.0),
-        coverage_threshold=header.get("coverage_threshold", 5),
-    )
+    values = {field.name: header.get(field.name, field.default) for field in _HEADER_FIELDS}
+    values.update(receivers=placements, records=records, events=events)
+    return SimLog(**values)
 
 
 FIELD_COLUMNS = ("seq", "tx_time_s", "train_d_t_m", "decoded", "rx_time_s")

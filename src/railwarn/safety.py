@@ -129,88 +129,6 @@ DEFAULT_BRAKING_TABLE = VehicleBrakingTable(
 )
 
 
-@dataclass(frozen=True)
-class TrainKinematics:
-    """Instantaneous train position and speed on the track axis.
-
-    Distance is signed: negative while approaching, 0 at the crossing.
-    Warning analysis only uses the approach side; positions past the
-    crossing map to an approach distance of 0.
-    """
-
-    distance_to_crossing_m: float
-    speed_mps: float
-
-    def __post_init__(self) -> None:
-        if self.speed_mps <= 0:
-            raise ValueError("train speed must be positive")
-
-    @property
-    def approach_distance_m(self) -> float:
-        return max(0.0, -self.distance_to_crossing_m)
-
-    def time_to_crossing_s(self) -> float:
-        return time_to_crossing(self.approach_distance_m, self.speed_mps)
-
-
-@dataclass(frozen=True)
-class TimingBudget:
-    """The additive decomposition of the time available to avoid a collision.
-
-    reaction_s + system_delay_s + braking_s + protection_s equals
-    time_to_avoid_collision_s exactly; constructors derive the dependent
-    field so the identity holds by construction.
-    """
-
-    reaction_s: float
-    system_delay_s: float
-    braking_s: float
-    time_to_avoid_collision_s: float
-    protection_s: float
-
-    def __post_init__(self) -> None:
-        if min(self.reaction_s, self.system_delay_s, self.braking_s) < 0:
-            raise ValueError("reaction, system delay and braking times must be >= 0")
-        total = self.reaction_s + self.system_delay_s + self.braking_s + self.protection_s
-        if total != self.time_to_avoid_collision_s:
-            raise ValueError("budget components do not sum to the total")
-
-    @property
-    def stop_budget_s(self) -> float:
-        """Minimum time needed to react and stop (excludes protection)."""
-        return self.reaction_s + self.system_delay_s + self.braking_s
-
-    @property
-    def system_failed(self) -> bool:
-        return self.protection_s <= 0
-
-    @classmethod
-    def from_components(
-        cls,
-        reaction_s: float,
-        system_delay_s: float,
-        braking_s: float,
-        protection_s: float,
-    ) -> "TimingBudget":
-        total = reaction_s + system_delay_s + braking_s + protection_s
-        return cls(reaction_s, system_delay_s, braking_s, total, protection_s)
-
-    @classmethod
-    def from_time_to_avoid(
-        cls,
-        time_to_avoid_collision_s: float,
-        reaction_s: float,
-        system_delay_s: float,
-        braking_s: float,
-    ) -> "TimingBudget":
-        protection = protection_time(
-            time_to_avoid_collision_s, reaction_s, system_delay_s, braking_s
-        )
-        # Re-derive the total from the parts; may differ from the argument by
-        # one rounding step but keeps the sum identity exact.
-        return cls.from_components(reaction_s, system_delay_s, braking_s, protection)
-
-
 class SafenessCategory(str, Enum):
     NOT_SAFE = "not_safe"
     SAFE_BUT_CLOSE = "safe_but_close"
@@ -396,18 +314,16 @@ def safeness_curve(
         if max(distances) < warning_range_m:
             raise ValueError("distance sweep must extend to the warning range")
     total_budget = time_to_avoid_collision(warning_range_m, train_speed_mps)
-    levels = []
-    failed = False
-    for distance in distances:
-        result = safeness_level(
+    levels = tuple(
+        safeness_level(
             time_to_crossing(distance, train_speed_mps),
             total_budget,
             reaction_s,
             system_delay_s,
             braking_s,
-        )
-        levels.append(result.level)
-        failed = result.system_failed
+        ).level
+        for distance in distances
+    )
     stop_budget = reaction_s + system_delay_s + braking_s
     return SafenessCurve(
         train_speed_mps=train_speed_mps,
@@ -418,9 +334,10 @@ def safeness_curve(
         system_delay_s=system_delay_s,
         braking_s=braking_s,
         distances_m=distances,
-        levels=tuple(levels),
+        levels=levels,
         zero_cross_distance_m=train_speed_mps * stop_budget,
         one_cross_distance_m=warning_range_m,
         protection_s=total_budget - stop_budget,
-        system_failed=failed,
+        # safeness_level's failure test, which holds at every distance alike.
+        system_failed=total_budget - stop_budget <= 0,
     )

@@ -27,10 +27,6 @@ def mph_to_mps(speed_mph: float) -> float:
     return speed_mph * MPH_TO_MPS
 
 
-def mps_to_mph(speed_mps: float) -> float:
-    return speed_mps / MPH_TO_MPS
-
-
 def parse_speed(text: str) -> float:
     """Parse '10mph', '4.47 mps', '4.47 m/s' or a bare number (m/s) into m/s."""
     cleaned = text.strip().lower().replace(" ", "")

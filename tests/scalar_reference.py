@@ -12,16 +12,10 @@ produce byte-identical logs, and raise the same errors.
 import dataclasses
 
 from railwarn.antenna import pattern_gain
-from railwarn.engine import (
-    PacketRecord,
-    Scenario,
-    SimLog,
-    _tick_count,
-    receiver_stream,
-    scenario_digest,
-)
+from railwarn.engine import Scenario, _tick_count, receiver_stream, scenario_digest
 from railwarn.geometry import link_geometry
 from railwarn.link import SyntheticChannel, latency_sample, packet_success_probability
+from railwarn.logio import PacketRecord, SimLog
 from railwarn.protocol import (
     ReceiverState,
     TrainState,

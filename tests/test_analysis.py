@@ -9,10 +9,10 @@ from railwarn.analysis import (
     coverage_report,
     extract_dwarn,
     latency_stats,
-    received_counts,
     safeness_report,
 )
-from railwarn.engine import PacketRecord, Scenario, SimLog, TrainRun, run_pass
+from railwarn.engine import Scenario, TrainRun, run_pass
+from railwarn.logio import PacketRecord, SimLog
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import LatencyModel, PerProfile, RadioConfig
 from railwarn.protocol import TriggerPolicy
@@ -131,13 +131,6 @@ class TestBinPer:
         assert bin_per(log, 50.0, "rsu0").bins[0].received == 1
         assert bin_per(log, 50.0, "obu0").bins[0].received == 0
 
-    def test_received_counts_projection(self):
-        rows = [(-60.0 + 1.2 * j, j % 2 == 0) for j in range(100)]
-        log = synthetic_log({"rsu0": rows})
-        series = bin_per(log, 50.0)
-        counts = received_counts(log, 50.0)
-        assert counts == [(b.d_center_m, b.received) for b in series.bins]
-
 
 class TestExtractDwarn:
     def test_open_profile_full_coverage(self):
@@ -191,13 +184,6 @@ class TestExtractDwarn:
             coarse = extract_dwarn(bin_per(log, 50.0), threshold=5).warning_range_m
             fine = extract_dwarn(bin_per(log, 25.0), threshold=5).warning_range_m
             assert fine <= coarse + 50.0
-
-    def test_counts_list_input(self):
-        counts = [(-25.0, 50), (-75.0, 50), (-125.0, 2)]
-        report = extract_dwarn(counts, threshold=5, window_width_m=50.0)
-        assert report.warning_range_m == 100.0
-        with pytest.raises(ValueError, match="window_width_m"):
-            extract_dwarn(counts, threshold=5)
 
     def test_coverage_report_aggregates_worst_receiver(self):
         rows_good = [(-500.0 + 1.0 * j, True) for j in range(520)]

@@ -1,19 +1,16 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from railwarn.cli import main
-from railwarn.config import (
-    AnalysisDefaults,
-    ConfigError,
-    load_scenario,
-    write_scenario,
-)
-from railwarn.engine import MAX_TICKS, TrainRun, run_pass
+from railwarn.config import ConfigError, load_scenario
+from railwarn.engine import MAX_TICKS, TrainRun, run_pass, run_sweep, scenario_to_dict
 from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
 from railwarn.logio import log_bytes, read_field_log, read_log, write_log
 from railwarn.protocol import TriggerPolicy
@@ -34,7 +31,6 @@ class TestConfigLoading:
         scenario = load_scenario(write_config(tmp_path, MINIMAL))
         assert scenario.radio.center_frequency_hz == 5.87e9
         assert scenario.radio.channel_number == 174
-        assert scenario.radio.packet_size_bytes == 99
         assert scenario.radio.tx_period_ms == 50.0
         assert scenario.radio.tx_power_dbm == 23.0
         assert scenario.radio.modulation == "QPSK"
@@ -151,8 +147,7 @@ class TestRoundTrips:
             },
         }
         scenario = load_scenario(write_config(tmp_path, source))
-        out = tmp_path / "rewritten.json"
-        write_scenario(scenario, out)
+        out = write_config(tmp_path, scenario_to_dict(scenario), "rewritten.json")
         assert load_scenario(out) == scenario
 
     def test_synthetic_round_trip(self, tmp_path):
@@ -161,8 +156,7 @@ class TestRoundTrips:
             "channel": {"mode": "synthetic", "path_loss_exponent": 2.9, "shadowing_sigma_db": 3},
         }
         scenario = load_scenario(write_config(tmp_path, source))
-        out = tmp_path / "rewritten.json"
-        write_scenario(scenario, out, AnalysisDefaults(window_width_m=20.0))
+        out = write_config(tmp_path, scenario_to_dict(scenario), "rewritten.json")
         assert load_scenario(out) == scenario
 
     def test_log_round_trip_bit_exact(self, tmp_path):
@@ -477,6 +471,70 @@ class TestSweepPoints:
         assert err.startswith("error: config: sweep point speed_mps=")
         assert message in err
         assert not out_dir.exists()
+
+
+class TestSweepFlags:
+    """A sweep flag that does not parse or is out of range exits 2 naming it."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seeds", "1.5", "--seeds: cannot parse '1.5'"),
+            ("--seeds", "x", "--seeds: cannot parse 'x'"),
+            ("--speeds", "abc", "--speeds: cannot parse 'abc'"),
+            ("--powers", "abc", "--powers: cannot parse 'abc'"),
+            ("--workers", "0", "--workers must be >= 1, got 0"),
+            ("--workers", "-3", "--workers must be >= 1, got -3"),
+        ],
+    )
+    def test_flag_rejected(self, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", str(SUBURBAN), flag, value, "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config: {message}")
+        assert not out_dir.exists()
+
+
+class TestSweepPool:
+    """The pool gets no more workers than there are points or processors."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Runs the points in this process and records the workers asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    @pytest.mark.parametrize(
+        "workers, seeds, cpus, started",
+        [
+            (16, [0], 8, []),
+            (16, [0, 1, 2], 8, [3]),
+            (16, [0, 1, 2], 2, [2]),
+            (2, [0, 1, 2], 8, [2]),
+        ],
+    )
+    def test_workers_bounded(self, monkeypatch, pools, workers, seeds, cpus, started):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        scenario = load_scenario(SUBURBAN)
+        results = run_sweep(scenario, seeds=seeds, max_workers=workers)
+        assert pools == started
+        assert [result.point.seed for result in results] == seeds
 
 
 class TestNegativeSeeds:

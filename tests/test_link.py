@@ -14,6 +14,7 @@ from railwarn.link import (
     packet_success_probability,
     path_loss_db,
 )
+from railwarn.protocol import BSM_SIZE_BYTES
 from railwarn.units import SPEED_OF_LIGHT_MPS
 
 RADIO = RadioConfig()
@@ -23,7 +24,7 @@ class TestRadioConfig:
     def test_defaults_match_standard_setup(self):
         assert RADIO.center_frequency_hz == 5.87e9
         assert RADIO.channel_number == 174
-        assert RADIO.packet_size_bytes == 99
+        assert BSM_SIZE_BYTES == 99
         assert RADIO.tx_period_ms == 50.0
         assert RADIO.tx_period_s == 0.05
 
@@ -174,26 +175,26 @@ class TestPacketSuccess:
 class TestLatency:
     def test_propagation_plus_base_oracle(self):
         rng = np.random.default_rng(1)
-        model = LatencyModel(processing_base_ms=4.0, processing_jitter_ms=0.0, relay_hops=1)
+        model = LatencyModel(processing_base_ms=4.0, processing_jitter_ms=0.0)
         expected = 200.0 / SPEED_OF_LIGHT_MPS + 4e-3
         assert latency_sample(200.0, model, rng) == pytest.approx(expected, rel=1e-12)
         assert latency_sample(200.0, model, rng) == pytest.approx(4.000667e-3, abs=1e-9)
 
     def test_zero_everything(self):
         rng = np.random.default_rng(1)
-        model = LatencyModel(processing_base_ms=0.0, processing_jitter_ms=0.0, relay_hops=1)
+        model = LatencyModel(processing_base_ms=0.0, processing_jitter_ms=0.0)
         assert latency_sample(0.0, model, rng) == 0.0
 
     def test_jitter_band(self):
         rng = np.random.default_rng(7)
-        model = LatencyModel(processing_base_ms=4.0, processing_jitter_ms=1.0, relay_hops=1)
+        model = LatencyModel(processing_base_ms=4.0, processing_jitter_ms=1.0)
         samples = [latency_sample(100.0, model, rng) for _ in range(1000)]
         assert all(3e-3 <= s <= 5e-3 + 1e-6 for s in samples)
 
     def test_two_hop_total(self):
         rng = np.random.default_rng(1)
-        model = LatencyModel(processing_base_ms=4.0, processing_jitter_ms=0.0, relay_hops=2)
-        total = latency_sample(0.0, model, rng)
+        model = LatencyModel(processing_base_ms=4.0, processing_jitter_ms=0.0)
+        total = latency_sample(0.0, model, rng, hops=2)
         assert total == pytest.approx(8e-3, rel=1e-12)
         assert total < 3.5  # negligible next to driver reaction time
 
@@ -205,7 +206,7 @@ class TestLatency:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LatencyModel(relay_hops=3)
+            LatencyModel(processing_base_ms=1.0, processing_jitter_ms=2.0)
         with pytest.raises(ValueError):
             LatencyModel(processing_base_ms=-1.0)
         with pytest.raises(ValueError):

@@ -13,11 +13,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from railwarn.analysis import bin_per, extract_dwarn
+from railwarn.analysis import PerBin, PerSeries, bin_per, extract_dwarn
 from railwarn.cli import main
-from railwarn.engine import PacketColumns, PacketRecord, SimLog
 from railwarn.geometry import Placement
-from railwarn.logio import LOG_VERSION, log_bytes, read_field_log, read_log, write_log
+from railwarn.logio import (
+    LOG_VERSION,
+    PacketColumns,
+    PacketRecord,
+    SimLog,
+    log_bytes,
+    read_field_log,
+    read_log,
+    write_log,
+)
 from railwarn.protocol import WarningEvent
 
 RSU = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
@@ -163,11 +171,12 @@ def test_bin_per_counts_every_packet_once(rows, width):
 )
 def test_warning_range_never_grows_with_threshold(counts, thresholds):
     low, high = sorted(thresholds)
-    series = [(-(i + 0.5) * 50.0, received) for i, received in enumerate(counts)]
-    assert (
-        extract_dwarn(series, high, 50.0).warning_range_m
-        <= extract_dwarn(series, low, 50.0).warning_range_m
+    bins = tuple(
+        PerBin(-(i + 0.5) * 50.0, 12, received, (12 - received) / 12, -(i + 1))
+        for i, received in enumerate(counts)
     )
+    series = PerSeries("rsu0", 50.0, bins)
+    assert extract_dwarn(series, high).warning_range_m <= extract_dwarn(series, low).warning_range_m
 
 
 class TestPacketColumns:

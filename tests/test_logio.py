@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from railwarn.engine import PacketRecord, SimLog
 from railwarn.geometry import Placement
-from railwarn.logio import log_bytes, log_lines
+from railwarn.logio import PacketRecord, SimLog, log_bytes
 from railwarn.protocol import WarningEvent
 
 RECEIVER = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
@@ -51,7 +50,7 @@ def records(draw):
 def test_lines_equal_json_dumps_sorted(packets, trigger, seen):
     event = WarningEvent("rsu0", "RSU", "indirect", trigger, -120.5, seen, trigger + 0.004)
     log = make_log(packets, [event])
-    lines = list(log_lines(log))
+    lines = log_bytes(log).decode().splitlines()
     assert lines[1:-1] == [
         json.dumps(
             {

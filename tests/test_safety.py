@@ -6,8 +6,6 @@ import pytest
 from railwarn.safety import (
     DEFAULT_BRAKING_TABLE,
     SafenessCategory,
-    TimingBudget,
-    TrainKinematics,
     VehicleBrakingTable,
     braking_time,
     minimum_required_range,
@@ -111,15 +109,6 @@ class TestTimeToCrossing:
         with pytest.raises(ValueError):
             time_to_crossing(-1.0, 3.0)
 
-    def test_kinematics_wrapper(self):
-        train = TrainKinematics(distance_to_crossing_m=-500.0, speed_mps=mph_to_mps(20))
-        assert train.approach_distance_m == 500.0
-        assert train.time_to_crossing_s() == pytest.approx(55.92, abs=0.01)
-        passed = TrainKinematics(distance_to_crossing_m=10.0, speed_mps=5.0)
-        assert passed.approach_distance_m == 0.0
-        with pytest.raises(ValueError):
-            TrainKinematics(distance_to_crossing_m=-10.0, speed_mps=0.0)
-
 
 class TestTimeToAvoidCollision:
     def test_50mph_500m(self):
@@ -147,6 +136,8 @@ class TestProtectionTime:
 
     def test_negative_result_is_meaningful(self):
         assert protection_time(5.0, 3.5, 0.005, 2.3) == pytest.approx(-0.805, abs=1e-9)
+        with pytest.raises(ValueError):
+            protection_time(5.0, -1.0, 0.0, 2.0)
 
     def test_budget_identity_property(self):
         rng = np.random.default_rng(2024)
@@ -163,22 +154,6 @@ class TestProtectionTime:
             for v in (2.0, 4.0, 8.0, 16.0)
         ]
         assert values == sorted(values, reverse=True)
-
-
-class TestTimingBudget:
-    def test_identity_by_construction(self):
-        budget = TimingBudget.from_time_to_avoid(44.74, 3.5, 0.005, 2.3)
-        total = budget.reaction_s + budget.system_delay_s + budget.braking_s + budget.protection_s
-        assert total == budget.time_to_avoid_collision_s
-        assert not budget.system_failed
-
-    def test_failure_flag(self):
-        budget = TimingBudget.from_time_to_avoid(5.0, 3.5, 0.005, 2.3)
-        assert budget.system_failed
-
-    def test_negative_components_rejected(self):
-        with pytest.raises(ValueError):
-            TimingBudget.from_components(-1.0, 0.0, 2.0, 3.0)
 
 
 class TestSafenessLevel:

@@ -1,0 +1,247 @@
+"""The config schema is the dataclass fields: loading, canonical form, digest, layering.
+
+The config loader reads each section into its dataclass, and
+scenario_to_dict writes the same fields back, so the canonical form of any
+scenario loads back to that scenario. Malformed shapes exit 2 naming the
+key, and knobs the engine never read are unknown keys.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from railwarn.antenna import AntennaPattern
+from railwarn.cli import main
+from railwarn.config import load_scenario, parse_config
+from railwarn.engine import Scenario, TrainRun, scenario_digest, scenario_to_dict
+from railwarn.geometry import CrossingScene, Placement
+from railwarn.link import (
+    LatencyModel,
+    ObstructionSegment,
+    PerProfile,
+    RadioConfig,
+    SyntheticChannel,
+)
+from railwarn.protocol import TriggerPolicy
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+SUBURBAN = CONFIGS / "suburban_rsu_10mph.json"
+
+
+def config_with(tmp_path, edit) -> Path:
+    data = json.loads(SUBURBAN.read_text())
+    edit(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def set_key(path: str, value):
+    """An edit that sets one dotted key of a config."""
+
+    def edit(data):
+        *parents, key = path.split(".")
+        node = data
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value
+
+    return edit
+
+
+def empirical(**channel):
+    return set_key("channel", {"mode": "empirical", **channel})
+
+
+def antenna(**entry):
+    def edit(data):
+        data["antennas"] = {"mine": entry}
+        data["radio"]["tx_antenna"] = "mine"
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (set_key("scene.obstructions", 5), "scene.obstructions"),
+        (set_key("scene.receivers", 5), "scene.receivers"),
+        (set_key("scene.receivers", [5]), "scene.receivers[0]"),
+        (empirical(bins=5), "channel.bins"),
+        (empirical(bins=[5]), "channel.bins"),
+        (empirical(bins=[[-10, 10]]), "channel.bins"),
+        (empirical(bins=[[-10, 10, [0]]]), "channel.bins[0]"),
+        (empirical(per_table=5), "channel.per_table"),
+        (antenna(azimuth=5, elevation=[[0, 1]]), "antennas.mine.azimuth"),
+        (antenna(azimuth=[[0, "1"]], elevation=[[0, 1]]), "antennas.mine.azimuth[0]"),
+        (antenna(azimuth_csv=5, elevation_csv="el.csv"), "antennas.mine.azimuth_csv"),
+        (set_key("antennas", 5), "antennas"),
+        (set_key("version", True), "version"),
+        (set_key("radio.tx_power_dbm", True), "radio.tx_power_dbm"),
+        (set_key("policy.reliability_threshold", 5.5), "policy.reliability_threshold"),
+        (set_key("radio.modulation", None), "radio.modulation"),
+    ],
+)
+def test_malformed_shape_exits_2_naming_the_key(tmp_path, capsys, edit, key):
+    log_path = tmp_path / "x.jsonl"
+    assert main(["simulate", str(config_with(tmp_path, edit)), "-o", str(log_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {key}")
+    assert err.count("\n") == 1
+    assert not log_path.exists()
+
+
+@pytest.mark.parametrize("key", ["latency.relay_hops", "radio.packet_size_bytes"])
+def test_knobs_the_engine_ignored_are_unknown(tmp_path, capsys, key):
+    config = config_with(tmp_path, set_key(key, 1))
+    assert main(["simulate", str(config), "-o", str(tmp_path / "x.jsonl")]) == 2
+    section, name = key.split(".")
+    assert capsys.readouterr().err == f"error: config: {section}: unknown key(s) ['{name}']\n"
+
+
+def test_shipped_config_digests():
+    # sha256 of the canonical JSON, which holds every field of the scenario.
+    assert scenario_digest(load_scenario(CONFIGS / "open_track_20mph.json")) == (
+        "78e5031c271e8238585cd5a31bd7df004290b82e7a53821d60281e49915142f0"
+    )
+    assert scenario_digest(load_scenario(SUBURBAN)) == (
+        "172f89e7456beaa0bb1cf267a1701b41a4e779132488ab849fa9062297bf85b7"
+    )
+
+
+def imported_names(tree):
+    """Every module, and every name imported from one, as dotted paths."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ["analysis.py", "logio.py"])
+def test_log_and_analysis_do_not_import_the_engine(module):
+    tree = ast.parse((ROOT / "src" / "railwarn" / module).read_text())
+    assert [name for name in imported_names(tree) if "engine" in name.split(".")] == []
+
+
+def floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+names = st.text(alphabet="abcxyz019_", min_size=1, max_size=6)
+
+
+@st.composite
+def placements(draw):
+    return Placement(
+        id=draw(names),
+        kind=draw(st.sampled_from(["RSU", "OBU"])),
+        offset_from_crossing_m=draw(floats(-200, 200)),
+        height_m=draw(floats(0.5, 10)),
+        boresight_deg=draw(st.none() | floats(-360, 360)),
+    )
+
+
+@st.composite
+def obstructions(draw):
+    start = draw(floats(-1000, 900))
+    gapped = draw(st.booleans())
+    width = draw(floats(0.5, 10)) if gapped else 0.0
+    return ObstructionSegment(
+        d_start_m=start,
+        d_end_m=start + draw(floats(1, 500)),
+        excess_loss_db=draw(floats(0, 40)),
+        gap_width_m=width,
+        gap_period_m=width + draw(floats(0.5, 30)) if gapped else 0.0,
+    )
+
+
+@st.composite
+def synthetic_channels(draw):
+    qpsk = draw(floats(0, 12))
+    return SyntheticChannel(
+        path_loss_exponent=draw(floats(2, 4)),
+        reference_loss_db=draw(floats(20, 60)),
+        shadowing_sigma_db=draw(floats(0, 6)),
+        noise_floor_dbm=draw(floats(-110, -80)),
+        snr_threshold_qpsk_db=qpsk,
+        snr_threshold_16qam_db=qpsk + draw(floats(0.5, 10)),
+        transition_width_db=draw(floats(0.5, 4)),
+    )
+
+
+@st.composite
+def per_profiles(draw):
+    edges = draw(st.lists(floats(-1000, 1000), min_size=2, max_size=6, unique=True))
+    edges.sort()
+    bins = tuple((low, high, draw(floats(0, 1))) for low, high in zip(edges, edges[1:]))
+    return PerProfile(bins=bins, out_of_range=draw(st.sampled_from(["zero", "error"])))
+
+
+@st.composite
+def patterns(draw, name):
+    def cut(low, high):
+        angles = sorted(draw(st.lists(floats(low, high), min_size=1, max_size=5, unique=True)))
+        return tuple((angle, draw(floats(-20, 20))) for angle in angles)
+
+    azimuth, elevation = cut(0, 359), cut(-90, 90)
+    peak = max(gain for _, gain in azimuth + elevation) + draw(floats(0, 3))
+    return AntennaPattern(name, azimuth, elevation, peak, draw(floats(-30, 0)))
+
+
+@st.composite
+def scenarios(draw):
+    # In name order, as the loader gives them.
+    custom = tuple(draw(patterns(name)) for name in sorted(draw(st.sets(names, max_size=2))))
+    antennas = st.sampled_from(["omni6", "omni12", "bidir23", *(p.name for p in custom)])
+    track = draw(floats(-180, 180))
+    base = draw(floats(1, 20))
+    return Scenario(
+        scene=CrossingScene(
+            track_heading_deg=track,
+            road_heading_deg=track + draw(floats(10, 170)),
+            tx_height_m=draw(floats(0.5, 10)),
+            receivers=tuple(
+                draw(st.lists(placements(), min_size=1, max_size=3, unique_by=lambda p: p.id))
+            ),
+            obstructions=tuple(draw(st.lists(obstructions(), max_size=2))),
+        ),
+        radio=RadioConfig(
+            center_frequency_hz=draw(floats(1e9, 6e9)),
+            channel_number=draw(st.integers(0, 200)),
+            tx_power_dbm=draw(st.sampled_from([11.0, 23.0])),
+            modulation=draw(st.sampled_from(["QPSK", "16QAM"])),
+            tx_period_ms=draw(floats(10, 200)),
+            tx_antenna=draw(antennas),
+            rx_antenna=draw(antennas),
+        ),
+        channel=draw(synthetic_channels() | per_profiles()),
+        latency=LatencyModel(processing_base_ms=base, processing_jitter_ms=draw(floats(0, base))),
+        train=TrainRun(
+            speed_mps=draw(floats(1, 50)),
+            start_d_t_m=draw(floats(-1000, -1)),
+            end_d_t_m=draw(floats(1, 1000)),
+        ),
+        policy=TriggerPolicy(
+            reliability_threshold=draw(st.integers(1, 20)),
+            trigger_distance_m=draw(floats(1, 1000)),
+            window_s=draw(st.none() | floats(0.01, 10)),
+        ),
+        seed=draw(st.integers(0, 2**63)),
+        custom_patterns=custom,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios())
+def test_canonical_form_loads_back(scenario):
+    data = scenario_to_dict(scenario)
+    assert parse_config(data, Path(".")).scenario == scenario
+    assert all("name" not in entry for entry in data.get("antennas", {}).values())
