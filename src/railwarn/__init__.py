@@ -61,20 +61,9 @@ from .link import (
     SyntheticChannel,
     friis_reference_loss_db,
     latency_sample,
-    packet_success_probability,
-    path_loss_db,
 )
-from .logio import PacketColumns, PacketRecord, SimLog, read_field_log, read_log, write_log
-from .protocol import (
-    BsmMessage,
-    ReceiverState,
-    TrainState,
-    TriggerPolicy,
-    WarningEvent,
-    generate_bsm,
-    receiver_ingest,
-    rsu_relay,
-)
+from .logio import PacketColumns, SimLog, read_field_log, read_log, write_log
+from .protocol import TriggerPolicy, WarningEvent, rsu_relay
 from .safety import (
     DEFAULT_BRAKING_TABLE,
     SafenessCategory,

@@ -13,14 +13,13 @@ omnidirectional patterns at 6 and 12 dBi, and a 23 dBi two-panel pattern
 10 degrees half-power beamwidth in both planes.
 """
 
-import csv
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .units import require_finite
+from .units import read_numeric_table, require_finite
 
 DEFAULT_FLOOR_DBI = -10.0
 
@@ -46,21 +45,6 @@ class AntennaPattern:
             if any(gain > self.peak_gain_dbi + 1e-9 for _, gain in cut):
                 raise ValueError(f"{label} cut exceeds the peak gain")
 
-    def azimuth_gain_dbi(self, azimuth_deg: float) -> float:
-        angles = np.array([a for a, _ in self.azimuth_cut])
-        gains = np.array([g for _, g in self.azimuth_cut])
-        if len(angles) == 1:
-            return float(gains[0])
-        return float(np.interp(azimuth_deg % 360.0, angles, gains, period=360.0))
-
-    def elevation_gain_dbi(self, elevation_deg: float) -> float:
-        angles = np.array([a for a, _ in self.elevation_cut])
-        gains = np.array([g for _, g in self.elevation_cut])
-        if len(angles) == 1:
-            return float(gains[0])
-        clamped = min(max(elevation_deg, angles[0]), angles[-1])
-        return float(np.interp(clamped, angles, gains))
-
     @cached_property
     def cut_arrays(self) -> tuple:
         """(azimuth angles, azimuth gains, elevation angles, elevation gains), built once.
@@ -77,20 +61,11 @@ class AntennaPattern:
         return arrays
 
 
-def pattern_gain(pattern: AntennaPattern, azimuth_deg: float, elevation_deg: float) -> float:
-    """Separable-cut gain estimate in dBi, clamped at the pattern floor."""
-    combined = (
-        pattern.azimuth_gain_dbi(azimuth_deg)
-        + pattern.elevation_gain_dbi(elevation_deg)
-        - pattern.peak_gain_dbi
-    )
-    return max(combined, pattern.floor_dbi)
-
-
-def pattern_gain_array(
+def pattern_gain(
     pattern: AntennaPattern, azimuth_deg: np.ndarray, elevation_deg: np.ndarray
 ) -> np.ndarray:
-    """pattern_gain at every angle pair of two arrays, from the cached cut arrays."""
+    """Separable-cut gain in dBi at every angle pair of two arrays, clamped at
+    the pattern floor; computed from the cached cut arrays."""
     az_angles, az_gains, el_angles, el_gains = pattern.cut_arrays
     if len(az_angles) == 1:
         azimuth = az_gains[0]
@@ -168,14 +143,7 @@ def builtin_pattern(name: str) -> AntennaPattern:
 
 
 def _read_cut_csv(path: str | Path) -> tuple[tuple[float, float], ...]:
-    cut = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"angle_deg", "gain_dbi"}.issubset(reader.fieldnames):
-            raise ValueError(f"antenna cut CSV {path} must have columns angle_deg,gain_dbi")
-        for record in reader:
-            cut.append((float(record["angle_deg"]), float(record["gain_dbi"])))
-    return tuple(cut)
+    return tuple(read_numeric_table(path, ("angle_deg", "gain_dbi"), "antenna cut"))
 
 
 def pattern_from_csv(

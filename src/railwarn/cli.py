@@ -14,6 +14,7 @@ from . import analysis as an
 from . import logio
 from .config import ConfigError, load_config
 from .engine import SweepPointError, check_seed, run_pass, run_sweep
+from .safety import DEFAULT_BRAKING_TABLE, ROADS
 from .units import parse_speed, require_finite
 
 EXIT_OK = 0
@@ -211,6 +212,17 @@ def _cmd_safeness(args) -> int:
         *[("--vehicle-speeds", speed, None, False) for speed in vehicle_speeds],
         *_window_checks(args),
     )
+    roads = _split(args.roads)
+    for road in roads:
+        if road not in ROADS:
+            raise ConfigError(f"--roads must be among {', '.join(ROADS)}, got {road!r}")
+    table = DEFAULT_BRAKING_TABLE
+    for speed in vehicle_speeds:
+        if not table.min_speed_mph <= speed <= table.max_speed_mph:
+            raise ConfigError(
+                f"--vehicle-speeds must be within the braking table's "
+                f"{table.min_speed_mph:g}-{table.max_speed_mph:g} mph, got {speed:g}"
+            )
     if args.coverage_from:
         log = logio.read_log(args.coverage_from)
         window = args.window if args.window is not None else log.analysis_window_m
@@ -222,7 +234,7 @@ def _cmd_safeness(args) -> int:
         warning_range,
         train_speed,
         vehicle_speeds_mph=vehicle_speeds,
-        roads=_split(args.roads),
+        roads=roads,
         reaction_s=args.tr,
         system_delay_s=args.ts,
     )

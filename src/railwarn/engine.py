@@ -7,9 +7,11 @@ receiver id, purpose), so adding receivers or changing unrelated
 configuration never perturbs existing streams and rerunning a scenario with
 the same seed is bit-for-bit reproducible.
 
-For each receiver, geometry, antenna gain, obstruction excess, path loss
-and the SNR before shadowing are numpy arrays over all ticks (the array
-forms in geometry, antenna and link). The random draws are blocks of one
+For each receiver, geometry (geometry.link_geometry), antenna gain
+(antenna.pattern_gain), obstruction excess, path loss and the SNR before
+shadowing (link.mean_snr_db) are numpy arrays over all ticks. The engine
+calls each layer through its name in this module, so a caller can wrap one
+layer's function to count or time it. The random draws are blocks of one
 value per tick, each from its own keyed Philox stream (receiver_stream):
 shadowing normals when sigma > 0, decode uniforms, and processing jitter
 uniforms when the jitter is > 0, drawn for every tick whether or not it
@@ -29,8 +31,8 @@ from itertools import product
 
 import numpy as np
 
-from .antenna import AntennaPattern, builtin_pattern, pattern_gain_array
-from .geometry import CrossingScene, link_geometry, link_geometry_array  # noqa: F401
+from .antenna import AntennaPattern, builtin_pattern, pattern_gain
+from .geometry import CrossingScene, link_geometry
 from .link import (
     LatencyModel,
     PerProfile,
@@ -43,10 +45,6 @@ from .link import (
 from .logio import PacketColumns, SimLog
 from .protocol import TriggerPolicy, first_warning, rsu_relay
 from .units import SPEED_OF_LIGHT_MPS, require_finite
-
-# link_geometry is imported but not called: the benchmark's tracer
-# (bench/tracer.py) patches engine.link_geometry by name, and its tests
-# check that the patch is undone.
 
 # The version field of a scenario config; scenario_to_dict writes it.
 CONFIG_VERSION = 1
@@ -196,7 +194,7 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
             # Raise what the first receiver meets first: each tick checks
             # its geometry, then the profile.
             first = int(outside[0])
-            link_geometry_array(positions[: first + 1], scene.receivers[0], scene)
+            link_geometry(positions[: first + 1], scene.receivers[0], scene)
             scenario.channel.per_at(float(positions[first]))
 
     records: dict = {}
@@ -236,12 +234,12 @@ def _receiver_pass(scenario, placement, seed, times, positions, patterns, succes
         scenario.latency,
     )
     ticks = len(times)
-    geo = link_geometry_array(positions, placement, scene)
+    geo = link_geometry(positions, placement, scene)
     if success is None:
         tx_pattern, rx_pattern = patterns
-        gain = pattern_gain_array(
+        gain = pattern_gain(
             tx_pattern, geo.tx_azimuth_deg, geo.tx_elevation_deg
-        ) + pattern_gain_array(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
+        ) + pattern_gain(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
         snr_db = mean_snr_db(positions, geo.range_m, gain, radio, channel, scene.obstructions)
         sigma = channel.shadowing_sigma_db
         if sigma > 0:

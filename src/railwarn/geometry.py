@@ -70,13 +70,13 @@ class CrossingScene:
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Link geometry at one train position, or at many as numpy arrays."""
+    """Link geometry at many train positions: one numpy array per quantity."""
 
-    range_m: float
-    tx_azimuth_deg: float
-    tx_elevation_deg: float
-    rx_azimuth_deg: float
-    rx_elevation_deg: float
+    range_m: np.ndarray
+    tx_azimuth_deg: np.ndarray
+    tx_elevation_deg: np.ndarray
+    rx_azimuth_deg: np.ndarray
+    rx_elevation_deg: np.ndarray
 
 
 def _parallel(heading_a: float, heading_b: float) -> bool:
@@ -95,11 +95,6 @@ def wrap_angle_deg(angle: float) -> float:
     return (angle + 180.0) % 360.0 - 180.0
 
 
-def train_position(train_d_t_m: float, scene: CrossingScene) -> tuple[float, float, float]:
-    ux, uy = _unit(scene.track_heading_deg)
-    return ux * train_d_t_m, uy * train_d_t_m, scene.tx_height_m
-
-
 def receiver_position(placement: Placement, scene: CrossingScene) -> tuple[float, float, float]:
     ux, uy = _unit(scene.road_heading_deg)
     return (
@@ -110,56 +105,22 @@ def receiver_position(placement: Placement, scene: CrossingScene) -> tuple[float
 
 
 def link_geometry(
-    train_d_t_m: float, placement: Placement, scene: CrossingScene
+    train_d_t_m: np.ndarray, placement: Placement, scene: CrossingScene
 ) -> LinkGeometry:
-    """Slant range and antenna-frame angles for one train position.
+    """Slant range and antenna-frame angles at every train position of an array.
 
     The transmit boresight points along the track in the direction of
     travel (increasing signed distance). The receive boresight is the
     placement's boresight heading, defaulting to pointing at the crossing.
     Azimuths are relative to those boresights, elevations relative to the
     horizontal plane.
-    """
-    tx = train_position(train_d_t_m, scene)
-    rx = receiver_position(placement, scene)
-    dx, dy, dz = rx[0] - tx[0], rx[1] - tx[1], rx[2] - tx[2]
-    horizontal = math.hypot(dx, dy)
-    slant = math.sqrt(horizontal * horizontal + dz * dz)
-    if slant == 0.0:
-        raise DegenerateGeometryError(
-            "transmitter and receiver coincide; check heights and offsets"
-        )
-    if horizontal == 0.0:
-        # Directly above/below: azimuth is arbitrary, elevation is +/-90.
-        bearing_t2r = scene.track_heading_deg
-        bearing_r2t = _default_rx_boresight(placement, scene)
-    else:
-        bearing_t2r = math.degrees(math.atan2(dy, dx))
-        bearing_r2t = math.degrees(math.atan2(-dy, -dx))
-    if placement.boresight_deg is not None:
-        rx_boresight = placement.boresight_deg
-    else:
-        rx_boresight = _default_rx_boresight(placement, scene)
-    tx_elev = math.degrees(math.atan2(dz, horizontal))
-    return LinkGeometry(
-        range_m=slant,
-        tx_azimuth_deg=wrap_angle_deg(bearing_t2r - scene.track_heading_deg),
-        tx_elevation_deg=tx_elev,
-        rx_azimuth_deg=wrap_angle_deg(bearing_r2t - rx_boresight),
-        rx_elevation_deg=-tx_elev,
-    )
-
-
-def link_geometry_array(
-    train_d_t_m: np.ndarray, placement: Placement, scene: CrossingScene
-) -> LinkGeometry:
-    """link_geometry at every position of an array, as a LinkGeometry of arrays.
 
     Positions and differences use the same floating-point operations as the
-    scalar form. The horizontal distance goes through math.hypot, because
-    np.hypot differs from it in the last bit on some inputs and the range
-    feeds the logged latency; the slant range is then bit-identical. The
-    angles come from np.arctan2 and may differ in the last bit.
+    per-position scalar reference (tests/scalar_reference.py). The
+    horizontal distance goes through math.hypot, because np.hypot differs
+    from it in the last bit on some inputs and the range feeds the logged
+    latency; the slant range is then bit-identical. The angles come from
+    np.arctan2 and may differ in the last bit.
     """
     ux, uy = _unit(scene.track_heading_deg)
     rx = receiver_position(placement, scene)

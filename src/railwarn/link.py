@@ -1,6 +1,7 @@
 """Per-packet link model: success probability and latency.
 
-Two interchangeable packet-success sources sit behind one call:
+Two interchangeable packet-success sources, each computed on arrays of
+train positions:
 
 * an empirical profile of packet error rate binned by train distance, as
   produced by field measurement campaigns (antenna gains and obstructions
@@ -14,14 +15,13 @@ width) are conventional defaults, not measured values; override them when
 calibrating against real hardware.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .units import SPEED_OF_LIGHT_MPS, require_finite
+from .units import SPEED_OF_LIGHT_MPS, read_numeric_table, require_finite
 
 MODULATIONS = ("QPSK", "16QAM")
 ALLOWED_TX_POWERS_DBM = (11.0, 23.0)
@@ -114,16 +114,7 @@ class PerProfile:
     @classmethod
     def from_csv(cls, path: str | Path, out_of_range: str = "zero") -> "PerProfile":
         """Load a profile from CSV with header d_start_m,d_end_m,per."""
-        bins = []
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"d_start_m", "d_end_m", "per"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError(f"PER profile CSV must have columns {sorted(required)}")
-            for record in reader:
-                bins.append(
-                    (float(record["d_start_m"]), float(record["d_end_m"]), float(record["per"]))
-                )
+        bins = read_numeric_table(path, ("d_start_m", "d_end_m", "per"), "PER profile")
         return cls(bins=tuple(bins), out_of_range=out_of_range)
 
 
@@ -198,15 +189,6 @@ class ObstructionSegment:
         if self.gap_width_m > 0 and self.gap_period_m <= self.gap_width_m:
             raise ValueError("gap period must exceed the gap width")
 
-    def excess_at(self, train_d_t_m: float) -> float:
-        if not self.d_start_m <= train_d_t_m < self.d_end_m:
-            return 0.0
-        if self.gap_width_m > 0:
-            into_period = (train_d_t_m - self.d_start_m) % self.gap_period_m
-            if into_period >= self.gap_period_m - self.gap_width_m:
-                return 0.0
-        return self.excess_loss_db
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -227,44 +209,6 @@ class LatencyModel:
             raise ValueError("processing_jitter_ms must not exceed processing_base_ms")
 
 
-def path_loss_db(range_m: float, channel: SyntheticChannel) -> float:
-    """Deterministic log-distance loss; shadowing is drawn by the caller."""
-    if range_m <= 0:
-        raise ValueError("range must be positive")
-    return channel.reference_loss_db + 10.0 * channel.path_loss_exponent * math.log10(range_m)
-
-
-def packet_success_probability(
-    train_d_t_m: float,
-    combined_gain_dbi: float,
-    radio: RadioConfig,
-    channel,
-    obstructions=(),
-    shadowing_db: float = 0.0,
-    range_m: float | None = None,
-) -> float:
-    """Probability that one packet decodes at this train position.
-
-    With a PerProfile the answer is 1 - per for the bin containing the
-    position; gains, obstructions and shadowing are ignored because the
-    measurements already embody them. With a SyntheticChannel the mean SNR
-    (tx power + gains - path loss - shadowing - obstruction excess - noise
-    floor) feeds the logistic success curve. range_m defaults to the
-    unsigned train distance when no slant range is supplied.
-    """
-    if isinstance(channel, PerProfile):
-        return 1.0 - channel.per_at(train_d_t_m)
-    if not isinstance(channel, SyntheticChannel):
-        raise TypeError("channel must be a PerProfile or SyntheticChannel")
-    if range_m is None:
-        range_m = abs(train_d_t_m)
-    loss = path_loss_db(range_m, channel) + shadowing_db
-    loss += sum(segment.excess_at(train_d_t_m) for segment in obstructions)
-    snr_db = radio.tx_power_dbm + combined_gain_dbi - loss - channel.noise_floor_dbm
-    margin = (snr_db - channel.threshold_db(radio.modulation)) / channel.transition_width_db
-    return 1.0 / (1.0 + math.exp(-margin))
-
-
 def profile_success_probability(profile: PerProfile, train_d_t_m: np.ndarray) -> np.ndarray:
     """1 - profile.per_at(d) at every position of an array.
 
@@ -280,7 +224,7 @@ def profile_success_probability(profile: PerProfile, train_d_t_m: np.ndarray) ->
 
 
 def obstruction_excess_db(train_d_t_m: np.ndarray, obstructions) -> np.ndarray:
-    """Summed ObstructionSegment.excess_at at every position of an array."""
+    """Summed excess loss of the obstruction segments at every position of an array."""
     total = np.zeros_like(train_d_t_m)
     for segment in obstructions:
         blocked = (segment.d_start_m <= train_d_t_m) & (train_d_t_m < segment.d_end_m)
@@ -299,7 +243,7 @@ def mean_snr_db(
     channel: SyntheticChannel,
     obstructions=(),
 ) -> np.ndarray:
-    """SNR before shadowing at every position; shadowing_db subtracts from it."""
+    """SNR before shadowing at every position; a shadowing draw in dB subtracts from it."""
     loss = channel.reference_loss_db + 10.0 * channel.path_loss_exponent * np.log10(range_m)
     loss += obstruction_excess_db(train_d_t_m, obstructions)
     return radio.tx_power_dbm + combined_gain_dbi - loss - channel.noise_floor_dbm
@@ -308,7 +252,8 @@ def mean_snr_db(
 def snr_success_probability(
     snr_db: np.ndarray, radio: RadioConfig, channel: SyntheticChannel
 ) -> np.ndarray:
-    """The logistic SNR-to-success curve of packet_success_probability, on arrays."""
+    """Decode probability at every SNR: a logistic curve centred on the
+    modulation's threshold, of the channel's transition width."""
     margin = (snr_db - channel.threshold_db(radio.modulation)) / channel.transition_width_db
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-margin))

@@ -37,31 +37,13 @@ LOG_VERSION = 2
 READABLE_LOG_VERSIONS = (1, 2)
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    seq: int
-    tx_time_s: float
-    train_d_t_m: float
-    receiver_id: str
-    decoded: bool
-    rx_time_s: float | None = None
-    latency_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.decoded:
-            if self.rx_time_s is None or self.latency_s is None:
-                raise ValueError("decoded records need rx_time_s and latency_s")
-            if self.rx_time_s < self.tx_time_s:
-                raise ValueError("rx_time_s must be >= tx_time_s")
-
-
 class PacketColumns:
     """One receiver's packets as numpy columns, one row per packet.
 
     seq is uint64; tx_time_s and train_d_t_m are float64; decoded is bool;
     rx_time_s and latency_s are float64 and NaN where the packet was not
-    decoded. Iterating or indexing yields PacketRecord rows, and equality is
-    exact with NaN equal to NaN.
+    decoded. Equality is exact with NaN equal to NaN. The slots are the keys
+    of a packet line in the log file.
     """
 
     __slots__ = (
@@ -93,47 +75,8 @@ class PacketColumns:
         """(seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s)."""
         return tuple(getattr(self, name) for name in self.__slots__[1:])
 
-    @classmethod
-    def from_records(cls, records, receiver_id: str) -> "PacketColumns":
-        """Columns from PacketRecord rows of one receiver."""
-        records = list(records)
-        for record in records:
-            if record.receiver_id != receiver_id:
-                raise ValueError(
-                    f"record of receiver {record.receiver_id!r} filed under {receiver_id!r}"
-                )
-            if not record.decoded and (record.rx_time_s, record.latency_s) != (None, None):
-                raise ValueError("undecoded records carry no rx_time_s or latency_s")
-            if record.seq < 0 or record.seq >= 2**64:
-                raise ValueError(f"seq must be in [0, 2**64), got {record.seq}")
-        nan = math.nan
-        return cls(
-            receiver_id,
-            [r.seq for r in records],
-            [r.tx_time_s for r in records],
-            [r.train_d_t_m for r in records],
-            [r.decoded for r in records],
-            [nan if r.rx_time_s is None else r.rx_time_s for r in records],
-            [nan if r.latency_s is None else r.latency_s for r in records],
-        )
-
     def __len__(self) -> int:
         return len(self.seq)
-
-    def __getitem__(self, index: int) -> PacketRecord:
-        decoded = bool(self.decoded[index])
-        return PacketRecord(
-            seq=int(self.seq[index]),
-            tx_time_s=float(self.tx_time_s[index]),
-            train_d_t_m=float(self.train_d_t_m[index]),
-            receiver_id=self.receiver_id,
-            decoded=decoded,
-            rx_time_s=float(self.rx_time_s[index]) if decoded else None,
-            latency_s=float(self.latency_s[index]) if decoded else None,
-        )
-
-    def __iter__(self):
-        return (self[index] for index in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PacketColumns):
@@ -153,8 +96,7 @@ class PacketColumns:
 class SimLog:
     """Complete record of one pass: every packet for every receiver.
 
-    records maps each receiver id to its PacketColumns; lists of
-    PacketRecord are turned into columns on construction.
+    records maps each receiver id to its PacketColumns.
     """
 
     digest: str
@@ -169,14 +111,6 @@ class SimLog:
     events: list  # list[WarningEvent]
     analysis_window_m: float = 50.0
     coverage_threshold: int = 5
-
-    def __post_init__(self) -> None:
-        self.records = {
-            rid: packets
-            if isinstance(packets, PacketColumns)
-            else PacketColumns.from_records(packets, rid)
-            for rid, packets in self.records.items()
-        }
 
     def packet_count(self, receiver_id: str | None = None) -> int:
         if receiver_id is not None:
@@ -200,10 +134,10 @@ _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 WRITE_BATCH_ROWS = 4096
 READ_BATCH_BYTES = 1 << 18
 
-# The keys of packet, event and header lines are the field names of the
-# types they hold. Header lines carry every SimLog field but the packets
+# The keys of packet, event and header lines are the slot or field names of
+# the types they hold. Header lines carry every SimLog field but the packets
 # and events; those with a default may be absent from older logs.
-PACKET_KEYS = tuple(field.name for field in dataclasses.fields(PacketRecord))
+PACKET_KEYS = PacketColumns.__slots__
 EVENT_KEYS = tuple(field.name for field in dataclasses.fields(WarningEvent))
 RECEIVER_KEYS = tuple(field.name for field in dataclasses.fields(Placement))
 _HEADER_FIELDS = tuple(

@@ -1,4 +1,4 @@
-"""Broadcast warning protocol: messages, receiver trigger logic, relay.
+"""Broadcast warning protocol: receiver trigger logic and the RSU relay hop.
 
 The train broadcasts a fixed-size basic safety message every transmit
 period. Receivers accumulate decoded messages and raise a single warning
@@ -7,92 +7,15 @@ on the approach side and enough distinct packets have arrived, so that one
 stray decode cannot trigger an alarm.
 """
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .link import LatencyModel, latency_sample
 from .units import require_finite
 
+# Every broadcast safety message is this long; the size is not a setting.
 BSM_SIZE_BYTES = 99
-_BSM_HEADER = struct.Struct("<IQdfffBQ")
-_BSM_PADDING = BSM_SIZE_BYTES - _BSM_HEADER.size
-
-
-@dataclass(frozen=True)
-class BsmMessage:
-    """One broadcast safety message.
-
-    Serialises to exactly 99 bytes: count u32, train id u64, signed track
-    position f64, speed f32, heading f32, acceleration f32, brake u8,
-    timestamp u64 (microseconds), zero padding. The f32 fields lose
-    precision accordingly on a round trip.
-    """
-
-    message_count: int
-    train_id: int
-    gps_position_m: float
-    speed_mps: float
-    heading_deg: float
-    acceleration_mps2: float
-    brake_status: bool
-    tx_timestamp_us: int
-
-    def encode(self) -> bytes:
-        packed = _BSM_HEADER.pack(
-            self.message_count,
-            self.train_id,
-            self.gps_position_m,
-            self.speed_mps,
-            self.heading_deg,
-            self.acceleration_mps2,
-            1 if self.brake_status else 0,
-            self.tx_timestamp_us,
-        )
-        return packed + b"\x00" * _BSM_PADDING
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BsmMessage":
-        if len(data) != BSM_SIZE_BYTES:
-            raise ValueError(f"BSM must be {BSM_SIZE_BYTES} bytes, got {len(data)}")
-        count, train_id, position, speed, heading, accel, brake, timestamp = (
-            _BSM_HEADER.unpack(data[: _BSM_HEADER.size])
-        )
-        return cls(
-            message_count=count,
-            train_id=train_id,
-            gps_position_m=position,
-            speed_mps=speed,
-            heading_deg=heading,
-            acceleration_mps2=accel,
-            brake_status=bool(brake),
-            tx_timestamp_us=timestamp,
-        )
-
-
-@dataclass(frozen=True)
-class TrainState:
-    train_id: int
-    distance_to_crossing_m: float
-    speed_mps: float
-    heading_deg: float
-    acceleration_mps2: float = 0.0
-    brake_engaged: bool = False
-
-
-def generate_bsm(state: TrainState, seq: int, clock_s: float) -> BsmMessage:
-    """Populate a message from the instantaneous train state."""
-    return BsmMessage(
-        message_count=seq,
-        train_id=state.train_id,
-        gps_position_m=state.distance_to_crossing_m,
-        speed_mps=state.speed_mps,
-        heading_deg=state.heading_deg,
-        acceleration_mps2=state.acceleration_mps2,
-        brake_status=state.brake_engaged,
-        tx_timestamp_us=round(clock_s * 1e6),
-    )
 
 
 @dataclass(frozen=True)
@@ -129,61 +52,6 @@ class WarningEvent:
     relay_delivery_time_s: float | None = None
 
 
-@dataclass
-class ReceiverState:
-    """Per-pass mutable decode history for one receiver."""
-
-    receiver_id: str
-    kind: str  # "RSU" | "OBU"
-    received: list = field(default_factory=list)  # (rx_time_s, seq)
-    highest_seq: int = -1
-    reorder_count: int = 0
-    event: WarningEvent | None = None
-
-
-def receiver_ingest(
-    message: BsmMessage,
-    rx_time_s: float,
-    state: ReceiverState,
-    policy: TriggerPolicy,
-) -> WarningEvent | None:
-    """Feed one decoded message to a receiver; maybe return its warning.
-
-    Messages are accepted in any order (latency jitter can reorder);
-    out-of-order arrivals are counted, not dropped. At most one warning is
-    emitted per pass, the first time the train is reported on the approach
-    side within the trigger distance while the distinct-packet count meets
-    the reliability threshold.
-    """
-    if message.message_count < state.highest_seq:
-        state.reorder_count += 1
-    else:
-        state.highest_seq = message.message_count
-    state.received.append((rx_time_s, message.message_count))
-    if state.event is not None:
-        return None
-    position = message.gps_position_m
-    if position > 0 or -position > policy.trigger_distance_m:
-        return None
-    if policy.window_s is None:
-        distinct = {seq for _, seq in state.received}
-    else:
-        horizon = rx_time_s - policy.window_s
-        distinct = {seq for t, seq in state.received if t >= horizon}
-    if len(distinct) < policy.reliability_threshold:
-        return None
-    mode = "indirect" if state.kind == "RSU" else "direct"
-    state.event = WarningEvent(
-        receiver_id=state.receiver_id,
-        source=state.kind,
-        mode=mode,
-        trigger_time_s=rx_time_s,
-        train_d_t_at_trigger_m=position,
-        packets_seen=len(distinct),
-    )
-    return state.event
-
-
 def first_warning(
     receiver_id: str,
     kind: str,
@@ -192,12 +60,16 @@ def first_warning(
     position_m: np.ndarray,
     policy: TriggerPolicy,
 ) -> WarningEvent | None:
-    """The event of receiver_ingest fed every decode, computed on arrays.
+    """The one warning a receiver raises from its decodes in a pass, or None.
 
     Decode i arrived at rx_time_s[i] carrying sequence number seq[i] (each
     delivered once) and reported position position_m[i]. Arrivals are taken
-    in (rx_time_s, seq) order; the packets seen at each arrival are a
-    running count, less those older than window_s when a window is set.
+    in (rx_time_s, seq) order, so jitter may reorder them; the packets seen
+    at each arrival are a running count, less those older than window_s when
+    a window is set. The warning is raised at the first arrival that reports
+    the train on the approach side within the trigger distance while the
+    packets seen meet the reliability threshold; packets decoded farther out
+    count toward that threshold.
     """
     order = np.lexsort((seq, rx_time_s))
     rx_time_s = rx_time_s[order]

@@ -22,11 +22,14 @@ match the published figures; everything else in the package converts with
 the exact mph factor.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
+
+from .units import read_numeric_table
 
 DEFAULT_REACTION_S = 3.5
 DEFAULT_SYSTEM_DELAY_S = 0.005
@@ -98,23 +101,8 @@ class VehicleBrakingTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "VehicleBrakingTable":
         """Load a table from CSV with header speed_mph,speed_mps,db_dry_m,db_wet_m."""
-        rows = []
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"speed_mph", "speed_mps", "db_dry_m", "db_wet_m"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError(
-                    f"braking table CSV must have columns {sorted(required)}"
-                )
-            for record in reader:
-                rows.append(
-                    BrakingRow(
-                        speed_mph=float(record["speed_mph"]),
-                        speed_mps=float(record["speed_mps"]),
-                        dry_m=float(record["db_dry_m"]),
-                        wet_m=float(record["db_wet_m"]),
-                    )
-                )
+        columns = ("speed_mph", "speed_mps", "db_dry_m", "db_wet_m")
+        rows = [BrakingRow(*row) for row in read_numeric_table(path, columns, "braking table")]
         return cls(rows=tuple(rows))
 
 
@@ -313,18 +301,16 @@ def safeness_curve(
             raise ValueError("distance sweep must be non-negative")
         if max(distances) < warning_range_m:
             raise ValueError("distance sweep must extend to the warning range")
+    if min(reaction_s, system_delay_s, braking_s) < 0:
+        raise ValueError("reaction, system delay and braking times must be >= 0")
     total_budget = time_to_avoid_collision(warning_range_m, train_speed_mps)
-    levels = tuple(
-        safeness_level(
-            time_to_crossing(distance, train_speed_mps),
-            total_budget,
-            reaction_s,
-            system_delay_s,
-            braking_s,
-        ).level
-        for distance in distances
-    )
     stop_budget = reaction_s + system_delay_s + braking_s
+    margin = total_budget - stop_budget
+    # safeness_level at every distance, with the same float operations.
+    if margin == 0:
+        levels = (math.nan,) * len(distances)
+    else:
+        levels = tuple(((np.array(distances) / train_speed_mps - stop_budget) / margin).tolist())
     return SafenessCurve(
         train_speed_mps=train_speed_mps,
         vehicle_speed_mph=vehicle_speed_mph,
@@ -337,7 +323,7 @@ def safeness_curve(
         levels=levels,
         zero_cross_distance_m=train_speed_mps * stop_budget,
         one_cross_distance_m=warning_range_m,
-        protection_s=total_budget - stop_budget,
+        protection_s=margin,
         # safeness_level's failure test, which holds at every distance alike.
-        system_failed=total_budget - stop_budget <= 0,
+        system_failed=margin <= 0,
     )

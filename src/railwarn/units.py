@@ -5,6 +5,7 @@ the approach side), times in seconds, speeds in m/s, powers in dBm, gains in
 dBi. Miles per hour appear only at user-facing boundaries.
 """
 
+import csv
 import math
 
 MPH_TO_MPS = 0.44704
@@ -21,6 +22,36 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def read_numeric_table(path, columns: tuple, what: str) -> list:
+    """The rows of a CSV file with a header line, as tuples of floats in the
+    order of columns; other columns are ignored.
+
+    A value that is missing, blank, not a number or not finite raises
+    ValueError naming path:line and the column.
+    """
+    rows = []
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+            raise ValueError(f"{what} CSV {path} must have columns {','.join(columns)}")
+        for record in reader:
+            row = []
+            for column in columns:
+                text = record[column]  # None where the row is too short
+                try:
+                    value = float(text)
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    got = "no value" if text is None else repr(text)
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: {column} must be a finite number, got {got}"
+                    )
+                row.append(value)
+            rows.append(tuple(row))
+    return rows
 
 
 def mph_to_mps(speed_mph: float) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scalar_reference import PacketRecord, columns_from_records
 
 from railwarn.analysis import (
     CoverageReport,
@@ -12,7 +13,7 @@ from railwarn.analysis import (
     safeness_report,
 )
 from railwarn.engine import Scenario, TrainRun, run_pass
-from railwarn.logio import PacketRecord, SimLog
+from railwarn.logio import SimLog
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import LatencyModel, PerProfile, RadioConfig
 from railwarn.protocol import TriggerPolicy
@@ -44,6 +45,7 @@ def synthetic_log(decodes_by_position, receivers=(RSU,), latency_s=0.004):
             )
         records[placement.id] = rows
     any_rows = next(iter(records.values()))
+    records = {rid: columns_from_records(rows, rid) for rid, rows in records.items()}
     return SimLog(
         digest="test",
         seed=0,
@@ -118,7 +120,7 @@ class TestBinPer:
 
     def test_empty_log_rejected(self):
         log = synthetic_log({"rsu0": [(-10.0, True)]})
-        log.records["rsu0"] = []
+        log.records["rsu0"] = columns_from_records([], "rsu0")
         with pytest.raises(ValueError, match="empty"):
             bin_per(log, 50.0)
 
@@ -231,7 +233,7 @@ class TestLatencyStats:
             end_d_t_m=0.0,
             duration_s=25.0,
             receivers=(RSU,),
-            records={"rsu0": records},
+            records={"rsu0": columns_from_records(records, "rsu0")},
             events=[],
         )
         stats = latency_stats(log)

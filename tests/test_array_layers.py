@@ -1,4 +1,4 @@
-"""Each array form of a layer against its scalar reference.
+"""Each array form of a layer against its scalar reference (scalar_reference).
 
 The slant range feeds the logged latency, so it must match bit for bit.
 Angles, gains and probabilities may differ in the last bits (numpy's
@@ -8,17 +8,12 @@ arctan2, log10 and exp against math's); they must agree within TOLERANCE.
 import math
 
 import numpy as np
+import scalar_reference as ref
 from hypothesis import given
 from hypothesis import strategies as st
 
-from railwarn.antenna import AntennaPattern, builtin_pattern, pattern_gain, pattern_gain_array
-from railwarn.geometry import (
-    CrossingScene,
-    Placement,
-    link_geometry,
-    link_geometry_array,
-    wrap_angle_deg,
-)
+from railwarn.antenna import AntennaPattern, builtin_pattern, pattern_gain
+from railwarn.geometry import CrossingScene, Placement, link_geometry, wrap_angle_deg
 from railwarn.link import (
     ObstructionSegment,
     PerProfile,
@@ -26,18 +21,10 @@ from railwarn.link import (
     SyntheticChannel,
     mean_snr_db,
     obstruction_excess_db,
-    packet_success_probability,
     profile_success_probability,
     snr_success_probability,
 )
-from railwarn.protocol import (
-    ReceiverState,
-    TrainState,
-    TriggerPolicy,
-    first_warning,
-    generate_bsm,
-    receiver_ingest,
-)
+from railwarn.protocol import TriggerPolicy, first_warning
 
 TOLERANCE = dict(rtol=1e-12, atol=1e-12)
 
@@ -73,8 +60,8 @@ def test_link_geometry_array_matches_scalar(scene, train_d_t_m):
     # A dense grid finds the inputs where np.hypot and math.hypot differ;
     # d = 0 is the overhead case at offset 0.
     train_d_t_m = np.concatenate([train_d_t_m, np.linspace(-700.0, 700.0, 401), [0.0]])
-    arrays = link_geometry_array(train_d_t_m, placement, scene)
-    scalars = [link_geometry(d, placement, scene) for d in train_d_t_m.tolist()]
+    arrays = link_geometry(train_d_t_m, placement, scene)
+    scalars = [ref.link_geometry(d, placement, scene) for d in train_d_t_m.tolist()]
     assert arrays.range_m.tolist() == [g.range_m for g in scalars]
     for field in ("tx_azimuth_deg", "rx_azimuth_deg"):
         assert_same_angles(getattr(arrays, field), [getattr(g, field) for g in scalars])
@@ -100,8 +87,8 @@ SPARSE = AntennaPattern(
 )
 def test_pattern_gain_array_matches_scalar(pattern, angles):
     azimuth, elevation = (np.array(column) for column in zip(*angles))
-    expected = [pattern_gain(pattern, a, e) for a, e in angles]
-    np.testing.assert_allclose(pattern_gain_array(pattern, azimuth, elevation), expected, **TOLERANCE)
+    expected = [ref.pattern_gain(pattern, a, e) for a, e in angles]
+    np.testing.assert_allclose(pattern_gain(pattern, azimuth, elevation), expected, **TOLERANCE)
 
 
 @st.composite
@@ -146,7 +133,7 @@ obstruction_lists = st.lists(
 
 @given(obstructions=obstruction_lists, train_d_t_m=positions)
 def test_obstruction_excess_matches_scalar(obstructions, train_d_t_m):
-    expected = [sum(o.excess_at(d) for o in obstructions) for d in train_d_t_m.tolist()]
+    expected = [sum(ref.excess_at(o, d) for o in obstructions) for d in train_d_t_m.tolist()]
     assert obstruction_excess_db(train_d_t_m, obstructions).tolist() == expected
 
 
@@ -167,7 +154,7 @@ def test_synthetic_probability_matches_scalar(
     gains = np.full_like(train_d_t_m, gain)
     snr = mean_snr_db(train_d_t_m, range_m, gains, radio, channel, obstructions)
     expected = [
-        packet_success_probability(d, gain, radio, channel, obstructions, range_m=r)
+        ref.packet_success_probability(d, gain, radio, channel, obstructions, range_m=r)
         for d, r in zip(train_d_t_m.tolist(), range_m.tolist())
     ]
     np.testing.assert_allclose(snr_success_probability(snr, radio, channel), expected, **TOLERANCE)
@@ -198,13 +185,8 @@ def test_first_warning_matches_receiver_ingest(decodes, kind, threshold, distanc
     policy = TriggerPolicy(
         reliability_threshold=threshold, trigger_distance_m=distance, window_s=window
     )
-    state = ReceiverState(receiver_id="rx", kind=kind)
+    state = ref.ReceiverState(receiver_id="rx", kind=kind)
     for t, k in sorted(zip(rx_time_s.tolist(), seq.tolist())):
-        train = TrainState(
-            train_id=1,
-            distance_to_crossing_m=float(position_m[seq.tolist().index(k)]),
-            speed_mps=5.0,
-            heading_deg=0.0,
-        )
-        receiver_ingest(generate_bsm(train, seq=k, clock_s=0.0), t, state, policy)
+        position = float(position_m[seq.tolist().index(k)])
+        ref.receiver_ingest(k, position, t, state, policy)
     assert first_warning("rx", kind, rx_time_s, seq, position_m, policy) == state.event

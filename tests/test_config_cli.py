@@ -3,10 +3,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from scalar_reference import packet_rows
 
 from railwarn.cli import main
 from railwarn.config import ConfigError, load_scenario
@@ -14,6 +16,7 @@ from railwarn.engine import MAX_TICKS, TrainRun, run_pass, run_sweep, scenario_t
 from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
 from railwarn.logio import log_bytes, read_field_log, read_log, write_log
 from railwarn.protocol import TriggerPolicy
+from railwarn.safety import VehicleBrakingTable
 from railwarn.units import parse_speed
 
 
@@ -179,7 +182,7 @@ class TestRoundTrips:
             "2,0.10,-119.0,true,0.1045\n"
         )
         log = read_field_log(path)
-        records = log.records["field"]
+        records = packet_rows(log.records["field"])
         assert len(records) == 3
         assert records[0].latency_s == pytest.approx(0.004)
         assert records[1].decoded is False
@@ -600,6 +603,17 @@ class TestNumericFlags:
                 ["safeness", "--coverage-from", "LOG", "--train-speed", "10mph", "--window", "0"],
                 "--window must be > 0, got 0.0",
             ),
+            (
+                ["safeness", "--coverage-from", "LOG", "--train-speed", "10mph", "--roads", "dry,mud"],
+                "--roads must be among dry, wet, got 'mud'",
+            ),
+            (
+                [
+                    "safeness", "--coverage-from", "LOG", "--train-speed", "10mph",
+                    "--vehicle-speeds", "25,70",
+                ],
+                "--vehicle-speeds must be within the braking table's 25-65 mph, got 70",
+            ),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, message):
@@ -617,3 +631,66 @@ class TestNumericFlags:
         assert main(["simulate", str(SUBURBAN), "-o", str(log_path)]) == 0
         assert main(["coverage", str(log_path), "--window", "25", "--threshold", "1"]) == 0
         assert main(["safeness", "--dwarn", "0", "--train-speed", "10mph", "--ts", "0"]) == 0
+
+
+class TestNumericTables:
+    """A CSV table row with a missing, blank, non-numeric or non-finite value
+    names path:line and the column; through a config it exits 2."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("-500,500", "per must be a finite number, got no value"),
+            ("-500,,0.0", "d_end_m must be a finite number, got ''"),
+            ("-500,500,x", "per must be a finite number, got 'x'"),
+            ("-500,500,nan", "per must be a finite number, got 'nan'"),
+        ],
+    )
+    def test_per_table(self, tmp_path, capsys, row, message):
+        (tmp_path / "per.csv").write_text(f"d_start_m,d_end_m,per\n-600,-500,0.0\n{row}\n")
+        config = {**MINIMAL, "channel": {"mode": "empirical", "per_table": "per.csv"}}
+        output = tmp_path / "pass.log.jsonl"
+        assert main(["simulate", str(write_config(tmp_path, config)), "-o", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: channel.per_table: ")
+        assert f"per.csv:3: {message}" in err
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("90", "gain_dbi must be a finite number, got no value"),
+            ("90,", "gain_dbi must be a finite number, got ''"),
+            ("ninety,3", "angle_deg must be a finite number, got 'ninety'"),
+            ("90,inf", "gain_dbi must be a finite number, got 'inf'"),
+        ],
+    )
+    def test_antenna_cut(self, tmp_path, capsys, row, message):
+        (tmp_path / "az.csv").write_text(f"angle_deg,gain_dbi\n0,9\n{row}\n")
+        (tmp_path / "el.csv").write_text("angle_deg,gain_dbi\n0,9\n")
+        config = {
+            **MINIMAL,
+            "radio": {"rx_antenna": "aimed"},
+            "antennas": {"aimed": {"azimuth_csv": "az.csv", "elevation_csv": "el.csv"}},
+        }
+        output = tmp_path / "pass.log.jsonl"
+        assert main(["simulate", str(write_config(tmp_path, config)), "-o", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: antennas.aimed: ")
+        assert f"az.csv:3: {message}" in err
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("10,4.47,10.0", "db_wet_m must be a finite number, got no value"),
+            ("10,,10.0,20.0", "speed_mps must be a finite number, got ''"),
+            ("10,4.47,x,20.0", "db_dry_m must be a finite number, got 'x'"),
+            ("10,4.47,10.0,nan", "db_wet_m must be a finite number, got 'nan'"),
+        ],
+    )
+    def test_braking_table(self, tmp_path, row, message):
+        path = tmp_path / "table.csv"
+        path.write_text(f"speed_mph,speed_mps,db_dry_m,db_wet_m\n5,2.2,4.0,8.0\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"table.csv:3: {message}")):
+            VehicleBrakingTable.from_csv(path)

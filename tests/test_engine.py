@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scalar_reference import packet_rows
 
 import railwarn
+from railwarn import engine
 from railwarn.engine import (
     Scenario,
     TrainRun,
@@ -20,7 +23,7 @@ from railwarn.engine import (
 )
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import LatencyModel, PerProfile, RadioConfig, SyntheticChannel
-from railwarn.logio import log_bytes
+from railwarn.logio import PACKET_KEYS, log_bytes
 from railwarn.protocol import TriggerPolicy
 from railwarn.units import mph_to_mps
 
@@ -45,7 +48,7 @@ def make_scenario(**overrides) -> Scenario:
 
 def window_counts(log, receiver_id, width):
     counts = {}
-    for record in log.records[receiver_id]:
+    for record in packet_rows(log.records[receiver_id]):
         index = math.floor(record.train_d_t_m / width)
         counts[index] = counts.get(index, 0) + 1
     return counts
@@ -66,7 +69,7 @@ class TestRunPass:
 
     def test_perfect_link_decodes_everything(self):
         log = run_pass(make_scenario())
-        records = log.records["rsu0"]
+        records = packet_rows(log.records["rsu0"])
         assert all(r.decoded for r in records)
         assert all(r.rx_time_s >= r.tx_time_s for r in records)
         assert all(r.latency_s == r.rx_time_s - r.tx_time_s for r in records)
@@ -128,7 +131,7 @@ class TestRunPass:
             train=TrainRun(speed_mps=2.0, start_d_t_m=-200.0, end_d_t_m=200.0),
         )
         log = run_pass(scenario)
-        records = log.records["rsu0"]
+        records = packet_rows(log.records["rsu0"])
         transmitted = len(records)
         decoded = sum(1 for r in records if r.decoded)
         # 99% binomial interval around the expected decode count.
@@ -156,7 +159,7 @@ class TestRunPass:
         scenario = make_scenario(channel=PerProfile(bins=((-700.0, 700.0, 1.0),)))
         log = run_pass(scenario)
         assert log.events == []
-        assert all(not r.decoded for r in log.records["rsu0"])
+        assert all(not r.decoded for r in packet_rows(log.records["rsu0"]))
 
     def test_empirical_mode_ignores_antenna_selection(self):
         base = make_scenario()
@@ -280,3 +283,29 @@ class TestDigest:
         assert scenario_digest(scenario) == scenario_digest(make_scenario())
         changed = dataclasses.replace(scenario, seed=99)
         assert scenario_digest(changed) != scenario_digest(scenario)
+
+
+class TestLayerCalls:
+    """The engine calls its layers through module names that a caller can wrap."""
+
+    def test_geometry_and_antenna_calls_are_patchable(self, monkeypatch):
+        calls = {"link_geometry": 0, "pattern_gain": 0}
+        for name in calls:
+            original = getattr(engine, name)
+
+            def counting(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(engine, name, counting)
+        scenario = make_scenario(
+            channel=SyntheticChannel(), scene=CrossingScene(receivers=(RSU, OBU))
+        )
+        run_pass(scenario)
+        assert calls == {"link_geometry": 2, "pattern_gain": 4}
+
+    def test_packet_line_keys_are_the_column_names(self):
+        lines = log_bytes(run_pass(make_scenario())).decode().splitlines()
+        packet = json.loads(lines[1])
+        assert packet["type"] == "packet"
+        assert set(packet) == set(PACKET_KEYS) | {"type"}

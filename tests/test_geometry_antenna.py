@@ -2,21 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
-from railwarn.antenna import (
-    AntennaPattern,
-    builtin_pattern,
-    pattern_from_csv,
-    pattern_gain,
-    pattern_gain_array,
-)
-from railwarn.geometry import (
-    CrossingScene,
-    DegenerateGeometryError,
-    Placement,
-    link_geometry,
-    link_geometry_array,
-)
+from railwarn.antenna import AntennaPattern, builtin_pattern, pattern_from_csv, pattern_gain
+from railwarn.geometry import CrossingScene, DegenerateGeometryError, Placement, link_geometry
 
 
 def scene_with(placement: Placement, **kwargs) -> CrossingScene:
@@ -25,10 +14,10 @@ def scene_with(placement: Placement, **kwargs) -> CrossingScene:
 
 def gain_profile(scene, tx_pattern, rx_pattern, placement, distances) -> list:
     """Combined tx + rx gain at each train distance, assuming a clear path."""
-    geo = link_geometry_array(np.asarray(distances, dtype=float), placement, scene)
-    gain = pattern_gain_array(
+    geo = link_geometry(np.asarray(distances, dtype=float), placement, scene)
+    gain = pattern_gain(
         tx_pattern, geo.tx_azimuth_deg, geo.tx_elevation_deg
-    ) + pattern_gain_array(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
+    ) + pattern_gain(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
     return gain.tolist()
 
 
@@ -40,11 +29,11 @@ class TestLinkGeometry:
     def test_range_at_crossing_hand_oracle(self):
         # Train at the crossing (height 4), receiver 5 m away (height 3):
         # slant = sqrt(5^2 + 1^2).
-        geo = link_geometry(0.0, RSU, scene_with(RSU, tx_height_m=4.0))
+        geo = ref.link_geometry(0.0, RSU, scene_with(RSU, tx_height_m=4.0))
         assert geo.range_m == pytest.approx(math.sqrt(26.0), rel=1e-12)
 
     def test_tx_azimuth_hand_oracle(self):
-        geo = link_geometry(-500.0, OBU42, scene_with(OBU42))
+        geo = ref.link_geometry(-500.0, OBU42, scene_with(OBU42))
         expected = math.degrees(math.atan2(42.0, 500.0))
         assert geo.tx_azimuth_deg == pytest.approx(expected, abs=1e-9)
         assert geo.tx_azimuth_deg == pytest.approx(4.80, abs=0.01)
@@ -53,25 +42,25 @@ class TestLinkGeometry:
         on_track = Placement(id="x", kind="RSU", offset_from_crossing_m=0.0, height_m=3.0)
         scene = scene_with(on_track)
         for d in (-500.0, -100.0, -1.0):
-            geo = link_geometry(d, on_track, scene)
+            geo = ref.link_geometry(d, on_track, scene)
             assert geo.tx_azimuth_deg == pytest.approx(0.0, abs=1e-9)
 
     def test_elevation_signs(self):
-        geo = link_geometry(-100.0, RSU, scene_with(RSU, tx_height_m=4.0))
+        geo = ref.link_geometry(-100.0, RSU, scene_with(RSU, tx_height_m=4.0))
         # Receiver is lower than the transmitter: downward from the train.
         assert geo.tx_elevation_deg < 0
         assert geo.rx_elevation_deg == pytest.approx(-geo.tx_elevation_deg, abs=1e-12)
 
     def test_range_monotonic_in_distance(self):
         scene = scene_with(OBU42)
-        ranges = [link_geometry(-d, OBU42, scene).range_m for d in (10, 50, 100, 300, 700)]
+        ranges = [ref.link_geometry(-d, OBU42, scene).range_m for d in (10, 50, 100, 300, 700)]
         assert ranges == sorted(ranges)
 
     def test_degenerate_positions_raise(self):
         coincident = Placement(id="x", kind="RSU", offset_from_crossing_m=0.0, height_m=4.0)
         scene = scene_with(coincident, tx_height_m=4.0)
         with pytest.raises(DegenerateGeometryError):
-            link_geometry(0.0, coincident, scene)
+            ref.link_geometry(0.0, coincident, scene)
 
     def test_scene_validation(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -86,7 +75,7 @@ class TestLinkGeometry:
             id="x", kind="OBU", offset_from_crossing_m=42.0, height_m=1.7, boresight_deg=180.0
         )
         scene = scene_with(aimed)
-        geo = link_geometry(-500.0, aimed, scene)
+        geo = ref.link_geometry(-500.0, aimed, scene)
         # Line of sight from receiver to train is nearly along -x (180 deg).
         assert abs(geo.rx_azimuth_deg) < 10.0
 
@@ -95,38 +84,38 @@ class TestPatterns:
     def test_omni_is_flat(self):
         omni = builtin_pattern("omni12")
         for az, el in ((0, 0), (90, 10), (200, -30), (359, 5)):
-            assert pattern_gain(omni, az, el) == 12.0
+            assert ref.pattern_gain(omni, az, el) == 12.0
         gains = [gain for _, gain in omni.azimuth_cut]
         assert max(gains) - min(gains) <= 1.0
 
     def test_bidirectional_boresights(self):
         bidir = builtin_pattern("bidir23")
-        assert pattern_gain(bidir, 0.0, 0.0) == 23.0
-        assert pattern_gain(bidir, 180.0, 0.0) == 23.0
+        assert ref.pattern_gain(bidir, 0.0, 0.0) == 23.0
+        assert ref.pattern_gain(bidir, 180.0, 0.0) == 23.0
 
     def test_bidirectional_half_beamwidth_is_3db(self):
         bidir = builtin_pattern("bidir23")
-        assert pattern_gain(bidir, 5.0, 0.0) == pytest.approx(20.0, abs=0.01)
-        assert pattern_gain(bidir, 0.0, 5.0) == pytest.approx(20.0, abs=0.01)
-        assert pattern_gain(bidir, 175.0, 0.0) == pytest.approx(20.0, abs=0.01)
+        assert ref.pattern_gain(bidir, 5.0, 0.0) == pytest.approx(20.0, abs=0.01)
+        assert ref.pattern_gain(bidir, 0.0, 5.0) == pytest.approx(20.0, abs=0.01)
+        assert ref.pattern_gain(bidir, 175.0, 0.0) == pytest.approx(20.0, abs=0.01)
 
     def test_bidirectional_far_sidelobe_hits_floor(self):
         bidir = builtin_pattern("bidir23")
-        gain = pattern_gain(bidir, 40.0, 0.0)
+        gain = ref.pattern_gain(bidir, 40.0, 0.0)
         assert gain == bidir.floor_dbi
         assert bidir.peak_gain_dbi - gain >= 20.0
 
     def test_azimuth_wraparound(self):
         bidir = builtin_pattern("bidir23")
-        assert pattern_gain(bidir, -5.0, 0.0) == pytest.approx(
-            pattern_gain(bidir, 355.0, 0.0), abs=1e-9
+        assert ref.pattern_gain(bidir, -5.0, 0.0) == pytest.approx(
+            ref.pattern_gain(bidir, 355.0, 0.0), abs=1e-9
         )
 
     def test_separable_combination(self):
         bidir = builtin_pattern("bidir23")
-        az_only = pattern_gain(bidir, 5.0, 0.0)
-        el_only = pattern_gain(bidir, 0.0, 5.0)
-        both = pattern_gain(bidir, 5.0, 5.0)
+        az_only = ref.pattern_gain(bidir, 5.0, 0.0)
+        el_only = ref.pattern_gain(bidir, 0.0, 5.0)
+        both = ref.pattern_gain(bidir, 5.0, 5.0)
         assert both == pytest.approx(az_only + el_only - 23.0, abs=0.05)
 
     def test_validation(self):
@@ -158,8 +147,8 @@ class TestPatterns:
         el.write_text("angle_deg,gain_dbi\n-90,-5\n0,10\n90,-5\n")
         pattern = pattern_from_csv("custom", az, el)
         assert pattern.peak_gain_dbi == 10.0
-        assert pattern_gain(pattern, 0.0, 0.0) == 10.0
-        assert pattern_gain(pattern, 45.0, 0.0) == pytest.approx(7.0)
+        assert ref.pattern_gain(pattern, 0.0, 0.0) == 10.0
+        assert ref.pattern_gain(pattern, 45.0, 0.0) == pytest.approx(7.0)
 
 
 class TestEffectiveGainProfile:

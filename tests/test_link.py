@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scalar_reference import excess_at, packet_success_probability, path_loss_db
 
 from railwarn.link import (
     LatencyModel,
@@ -11,8 +12,6 @@ from railwarn.link import (
     SyntheticChannel,
     friis_reference_loss_db,
     latency_sample,
-    packet_success_probability,
-    path_loss_db,
 )
 from railwarn.protocol import BSM_SIZE_BYTES
 from railwarn.units import SPEED_OF_LIGHT_MPS
@@ -151,9 +150,9 @@ class TestPacketSuccess:
             gap_period_m=12.0,
         )
         # The last 2 m of each 12 m stretch is a clear line of sight.
-        assert gap.excess_at(-389.0) == 0.0
-        assert gap.excess_at(-395.0) == 40.0
-        assert gap.excess_at(-100.0) == 0.0  # outside the segment
+        assert excess_at(gap, -389.0) == 0.0
+        assert excess_at(gap, -395.0) == 40.0
+        assert excess_at(gap, -100.0) == 0.0  # outside the segment
 
     def test_obstruction_validation(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scalar_reference import PacketRecord, columns_from_records, packet_rows
 
 from railwarn.analysis import PerBin, PerSeries, bin_per, extract_dwarn
 from railwarn.cli import main
@@ -19,7 +20,6 @@ from railwarn.geometry import Placement
 from railwarn.logio import (
     LOG_VERSION,
     PacketColumns,
-    PacketRecord,
     SimLog,
     log_bytes,
     read_field_log,
@@ -42,6 +42,7 @@ receiver_ids = st.text(
 
 
 def make_log(records: dict, receivers=None, events=()) -> SimLog:
+    """A log of records, which maps each receiver id to its PacketColumns or PacketRecord rows."""
     receivers = receivers or tuple(
         Placement(id=rid, kind="OBU", offset_from_crossing_m=1.0, height_m=1.5) for rid in records
     )
@@ -54,7 +55,10 @@ def make_log(records: dict, receivers=None, events=()) -> SimLog:
         end_d_t_m=350.0,
         duration_s=156.59,
         receivers=receivers,
-        records=records,
+        records={
+            rid: rows if isinstance(rows, PacketColumns) else columns_from_records(rows, rid)
+            for rid, rows in records.items()
+        },
         events=list(events),
     )
 
@@ -122,7 +126,7 @@ def test_round_trip_byte_for_byte(tmp_path_factory, log, respaced):
 @given(log=logs())
 def test_iteration_rebuilds_the_records(log):
     rebuilt = make_log(
-        {rid: list(packets) for rid, packets in log.records.items()},
+        {rid: packet_rows(packets) for rid, packets in log.records.items()},
         receivers=log.receivers,
         events=log.events,
     )
@@ -185,16 +189,16 @@ class TestPacketColumns:
             PacketRecord(0, 0.0, -10.0, "rsu0", False),
             PacketRecord(1, 0.05, -9.5, "rsu0", True, 0.054, 0.004),
         ]
-        columns = PacketColumns.from_records(records, "rsu0")
+        columns = columns_from_records(records, "rsu0")
         assert len(columns) == 2
-        assert columns == PacketColumns.from_records(list(records), "rsu0")
-        assert list(columns) == records
-        assert columns[1] == records[1] and columns[0].decoded is False
-        other = PacketColumns.from_records(records[:1], "rsu0")
+        assert columns == columns_from_records(list(records), "rsu0")
+        assert packet_rows(columns) == records
+        assert packet_rows(columns)[1] == records[1] and packet_rows(columns)[0].decoded is False
+        other = columns_from_records(records[:1], "rsu0")
         assert (columns == other) is False
 
     def test_columns_are_read_only(self):
-        columns = PacketColumns.from_records([PacketRecord(0, 0.0, -1.0, "a", False)], "a")
+        columns = columns_from_records([PacketRecord(0, 0.0, -1.0, "a", False)], "a")
         with pytest.raises(ValueError):
             columns.train_d_t_m[0] = 5.0
 
@@ -204,14 +208,14 @@ class TestPacketColumns:
 
     def test_undecoded_record_with_rx_time_rejected(self):
         with pytest.raises(ValueError, match="undecoded"):
-            PacketColumns.from_records([PacketRecord(0, 0.0, -1.0, "a", False, 0.1)], "a")
+            columns_from_records([PacketRecord(0, 0.0, -1.0, "a", False, 0.1)], "a")
 
     def test_integer_written_for_a_float_reads_back_as_float(self, tmp_path):
         log = make_log({"rsu0": [PacketRecord(0, 1.0, -2.0, "rsu0", False)]}, receivers=(RSU,))
         path = tmp_path / "pass.log.jsonl"
         write_log(log, path)
         path.write_text(path.read_text().replace('"tx_time_s": 1.0', '"tx_time_s": 1'))
-        assert read_log(path).records["rsu0"][0].tx_time_s == 1.0
+        assert packet_rows(read_log(path).records["rsu0"])[0].tx_time_s == 1.0
         assert b'"tx_time_s": 1.0' in log_bytes(read_log(path))
 
 
@@ -321,7 +325,7 @@ class TestFieldCsv:
         packets = read_field_log(path).records["field"]
         assert packets.seq.tolist() == [0, 1, 2]
         assert packets.decoded.tolist() == [False, False, True]
-        assert packets[2].latency_s == pytest.approx(0.004)
+        assert packet_rows(packets)[2].latency_s == pytest.approx(0.004)
 
     def test_rx_before_tx_names_the_row(self, tmp_path):
         path = tmp_path / "capture.csv"

@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scalar_reference import PacketRecord, columns_from_records
 
 from railwarn.geometry import Placement
-from railwarn.logio import PacketRecord, SimLog, log_bytes
+from railwarn.logio import SimLog, log_bytes
 from railwarn.protocol import WarningEvent
 
 RECEIVER = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
@@ -25,7 +26,7 @@ def make_log(records, events=()) -> SimLog:
         end_d_t_m=350.0,
         duration_s=156.59,
         receivers=(RECEIVER,),
-        records={"rsu0": list(records)},
+        records={"rsu0": columns_from_records(records, "rsu0")},
         events=list(events),
     )
 

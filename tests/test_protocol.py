@@ -2,73 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scalar_reference import ReceiverState, receiver_ingest
 
 from railwarn.link import LatencyModel
-from railwarn.protocol import (
-    BSM_SIZE_BYTES,
-    BsmMessage,
-    ReceiverState,
-    TrainState,
-    TriggerPolicy,
-    WarningEvent,
-    generate_bsm,
-    receiver_ingest,
-    rsu_relay,
-)
+from railwarn.protocol import TriggerPolicy, WarningEvent, rsu_relay
 from railwarn.units import mph_to_mps
 
 
-def make_message(seq: int, position: float, speed: float = 4.4704) -> BsmMessage:
-    return generate_bsm(
-        TrainState(train_id=1, distance_to_crossing_m=position, speed_mps=speed, heading_deg=0.0),
-        seq=seq,
-        clock_s=seq * 0.05,
-    )
-
-
-class TestBsmCodec:
-    def test_wire_size_is_99_bytes(self):
-        assert len(make_message(0, -500.0).encode()) == BSM_SIZE_BYTES == 99
-
-    def test_round_trip_with_f32_quantisation(self):
-        msg = BsmMessage(
-            message_count=17,
-            train_id=0xDEADBEEF,
-            gps_position_m=-312.25,
-            speed_mps=8.9408,
-            heading_deg=123.5,
-            acceleration_mps2=-0.25,
-            brake_status=True,
-            tx_timestamp_us=850_000,
-        )
-        decoded = BsmMessage.decode(msg.encode())
-        assert decoded.message_count == msg.message_count
-        assert decoded.train_id == msg.train_id
-        assert decoded.gps_position_m == msg.gps_position_m  # f64, exact
-        assert decoded.speed_mps == float(np.float32(msg.speed_mps))
-        assert decoded.heading_deg == float(np.float32(msg.heading_deg))
-        assert decoded.acceleration_mps2 == float(np.float32(msg.acceleration_mps2))
-        assert decoded.brake_status is True
-        assert decoded.tx_timestamp_us == msg.tx_timestamp_us
-
-    def test_decode_rejects_wrong_size(self):
-        with pytest.raises(ValueError, match="99"):
-            BsmMessage.decode(b"\x00" * 40)
-
-
 class TestGenerateBsm:
-    def test_field_copy(self):
-        msg = make_message(0, -500.0, mph_to_mps(10))
-        assert msg.gps_position_m == -500.0
-        assert msg.speed_mps == pytest.approx(4.4704)
-        assert msg.message_count == 0
-        assert msg.brake_status is False
-
-    def test_consecutive_schedule(self):
-        first = make_message(0, -500.0)
-        second = make_message(1, -499.8)
-        assert (first.message_count, second.message_count) == (0, 1)
-        assert second.tx_timestamp_us - first.tx_timestamp_us == 50_000
+    """The transmit schedule: one message per period from t = 0."""
 
     def test_message_count_over_a_pass(self):
         # Schedule oracle: ticks every 50 ms at 20 mph from -500 m; the tick
@@ -92,8 +34,7 @@ class TestReceiverIngest:
         policy = TriggerPolicy(reliability_threshold=5, trigger_distance_m=200.0)
         events = []
         for seq in range(5):
-            msg = make_message(seq, -195.0 + seq)
-            events.append(receiver_ingest(msg, 0.05 * seq, state, policy))
+            events.append(receiver_ingest(seq, -195.0 + seq, 0.05 * seq, state, policy))
         assert events[:4] == [None] * 4
         event = events[4]
         assert isinstance(event, WarningEvent)
@@ -106,15 +47,15 @@ class TestReceiverIngest:
         state = ReceiverState(receiver_id="obu0", kind="OBU")
         policy = TriggerPolicy(reliability_threshold=5, trigger_distance_m=200.0)
         for seq in range(3):
-            assert receiver_ingest(make_message(seq, -100.0), 0.05 * seq, state, policy) is None
+            assert receiver_ingest(seq, -100.0, 0.05 * seq, state, policy) is None
         assert state.event is None
 
     def test_receding_train_never_triggers(self):
         state = ReceiverState(receiver_id="obu0", kind="OBU")
         policy = TriggerPolicy(reliability_threshold=1, trigger_distance_m=500.0)
         for seq in range(20):
-            msg = make_message(seq, 5.0 + seq)  # past the crossing, moving away
-            assert receiver_ingest(msg, 0.05 * seq, state, policy) is None
+            # Past the crossing, moving away.
+            assert receiver_ingest(seq, 5.0 + seq, 0.05 * seq, state, policy) is None
 
     def test_far_packets_count_toward_reliability(self):
         # Packets decoded outside the trigger distance still build history;
@@ -122,18 +63,18 @@ class TestReceiverIngest:
         state = ReceiverState(receiver_id="rsu0", kind="RSU")
         policy = TriggerPolicy(reliability_threshold=5, trigger_distance_m=100.0)
         for seq in range(5):
-            assert receiver_ingest(make_message(seq, -400.0 + seq), seq * 0.05, state, policy) is None
-        event = receiver_ingest(make_message(90, -90.0), 4.5, state, policy)
+            assert receiver_ingest(seq, -400.0 + seq, seq * 0.05, state, policy) is None
+        event = receiver_ingest(90, -90.0, 4.5, state, policy)
         assert event is not None
         assert event.packets_seen == 6
 
     def test_single_event_per_pass(self):
         state = ReceiverState(receiver_id="rsu0", kind="RSU")
         policy = TriggerPolicy(reliability_threshold=1, trigger_distance_m=200.0)
-        first = receiver_ingest(make_message(0, -150.0), 0.0, state, policy)
+        first = receiver_ingest(0, -150.0, 0.0, state, policy)
         assert first is not None
         for seq in range(1, 10):
-            assert receiver_ingest(make_message(seq, -150.0 + seq), 0.05 * seq, state, policy) is None
+            assert receiver_ingest(seq, -150.0 + seq, 0.05 * seq, state, policy) is None
         assert state.event is first
 
     def test_perfect_link_k1_first_packet_inside_trigger(self):
@@ -145,7 +86,7 @@ class TestReceiverIngest:
             position = -500.0 + speed * 0.05 * seq
             if position > 200.0:
                 break
-            got = receiver_ingest(make_message(seq, position, speed), seq * 0.05, state, policy)
+            got = receiver_ingest(seq, position, seq * 0.05, state, policy)
             event = event or got
         # First scheduled packet at or inside 200 m on the approach side.
         first_inside = next(
@@ -157,21 +98,21 @@ class TestReceiverIngest:
     def test_reordering_accepted_and_counted(self):
         state = ReceiverState(receiver_id="rsu0", kind="RSU")
         policy = TriggerPolicy(reliability_threshold=3, trigger_distance_m=500.0)
-        receiver_ingest(make_message(5, -400.0), 0.30, state, policy)
-        receiver_ingest(make_message(3, -410.0), 0.31, state, policy)  # late arrival
-        event = receiver_ingest(make_message(6, -395.0), 0.35, state, policy)
+        receiver_ingest(5, -400.0, 0.30, state, policy)
+        receiver_ingest(3, -410.0, 0.31, state, policy)  # late arrival
+        event = receiver_ingest(6, -395.0, 0.35, state, policy)
         assert state.reorder_count == 1
         assert event is not None and event.packets_seen == 3
 
     def test_window_expires_old_packets(self):
         state = ReceiverState(receiver_id="rsu0", kind="RSU")
         policy = TriggerPolicy(reliability_threshold=3, trigger_distance_m=500.0, window_s=1.0)
-        receiver_ingest(make_message(0, -450.0), 0.0, state, policy)
-        receiver_ingest(make_message(1, -449.0), 0.1, state, policy)
+        receiver_ingest(0, -450.0, 0.0, state, policy)
+        receiver_ingest(1, -449.0, 0.1, state, policy)
         # Two in-window packets plus one stale one: no trigger.
-        assert receiver_ingest(make_message(40, -400.0), 2.0, state, policy) is None
-        assert receiver_ingest(make_message(41, -399.0), 2.05, state, policy) is None
-        event = receiver_ingest(make_message(42, -398.0), 2.10, state, policy)
+        assert receiver_ingest(40, -400.0, 2.0, state, policy) is None
+        assert receiver_ingest(41, -399.0, 2.05, state, policy) is None
+        event = receiver_ingest(42, -398.0, 2.10, state, policy)
         assert event is not None and event.packets_seen == 3
 
     def test_trigger_time_non_decreasing_in_threshold(self):
@@ -186,7 +127,7 @@ class TestReceiverIngest:
             policy = TriggerPolicy(reliability_threshold=threshold, trigger_distance_m=250.0)
             trigger = math.inf
             for rx_time, seq, position in arrivals:
-                event = receiver_ingest(make_message(seq, position), rx_time, state, policy)
+                event = receiver_ingest(seq, position, rx_time, state, policy)
                 if event is not None:
                     trigger = event.trigger_time_s
                     break

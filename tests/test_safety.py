@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from railwarn.safety import (
     DEFAULT_BRAKING_TABLE,
+    ROADS,
     SafenessCategory,
     VehicleBrakingTable,
     braking_time,
@@ -292,3 +295,40 @@ class TestSafenessCurve:
         curve = safeness_curve(mph_to_mps(35), 20.0, 65, "wet")
         assert curve.system_failed
         assert curve.protection_s < 0
+
+    @pytest.mark.parametrize("component", ["reaction_s", "system_delay_s"])
+    def test_negative_component_rejected(self, component):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            safeness_curve(5.0, 200.0, 25, "dry", **{component: -0.5})
+
+
+@st.composite
+def curve_inputs(draw):
+    """safeness_curve arguments; about half have a protection margin of exactly 0."""
+    reaction = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    delay = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    vehicle = draw(st.floats(25.0, 65.0))
+    road = draw(st.sampled_from(ROADS))
+    if draw(st.booleans()):
+        # A power-of-two speed makes range / speed == stop budget exactly.
+        speed = 2.0 ** draw(st.integers(-3, 5))
+        warning = (reaction + delay + braking_time(vehicle, road)) * speed
+    else:
+        speed = draw(st.floats(0.1, 60.0))
+        warning = draw(st.floats(0.0, 2000.0))
+    sweep = st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=20)
+    distances = draw(st.one_of(st.none(), sweep.map(lambda d: [*d, warning])))
+    return speed, warning, vehicle, road, reaction, delay, distances
+
+
+@given(inputs=curve_inputs())
+def test_curve_levels_equal_safeness_level(inputs):
+    speed, warning, vehicle, road, reaction, delay, distances = inputs
+    curve = safeness_curve(speed, warning, vehicle, road, reaction, delay, distances)
+    budget = time_to_avoid_collision(warning, speed)
+    expected = [
+        safeness_level(time_to_crossing(d, speed), budget, reaction, delay, curve.braking_s)
+        for d in curve.distances_m
+    ]
+    assert list(map(repr, curve.levels)) == [repr(result.level) for result in expected]
+    assert all(result.system_failed == curve.system_failed for result in expected)
