@@ -29,13 +29,7 @@ from .antenna import (
     pattern_from_csv,
     pattern_gain,
 )
-from .config import (
-    AnalysisDefaults,
-    ConfigError,
-    LoadedConfig,
-    load_config,
-    load_scenario,
-)
+from .config import ConfigError, LoadedConfig, load_config, load_scenario
 from .engine import (
     Scenario,
     SweepPoint,
@@ -62,7 +56,7 @@ from .link import (
     friis_reference_loss_db,
     latency_sample,
 )
-from .logio import PacketColumns, SimLog, read_field_log, read_log, write_log
+from .logio import AnalysisDefaults, PacketColumns, SimLog, read_field_log, read_log, write_log
 from .protocol import TriggerPolicy, WarningEvent, rsu_relay
 from .safety import (
     DEFAULT_BRAKING_TABLE,

@@ -20,6 +20,8 @@ from .logio import SimLog
 from .safety import (
     DEFAULT_REACTION_S,
     DEFAULT_SYSTEM_DELAY_S,
+    DEFAULT_VEHICLE_SPEEDS_MPH,
+    ROADS,
     VehicleBrakingTable,
     safeness_curve,
     time_to_avoid_collision,
@@ -54,9 +56,14 @@ def _single_receiver_id(log: SimLog, receiver_id: str | None) -> str:
 
 
 def bin_per(
-    log: SimLog, window_width_m: float = 50.0, receiver_id: str | None = None
+    log: SimLog, window_width_m: float | None = None, receiver_id: str | None = None
 ) -> PerSeries:
-    """Packet error rate per distance window for one receiver."""
+    """Packet error rate per distance window for one receiver.
+
+    The window width defaults to the log's own (SimLog.analysis_window_m).
+    """
+    if window_width_m is None:
+        window_width_m = log.analysis_window_m
     if window_width_m <= 0:
         raise ValueError("window width must be positive")
     rid = _single_receiver_id(log, receiver_id)
@@ -93,11 +100,13 @@ class CoverageReport:
     warning_range_m uses the contiguity rule: every approach bin inside the
     range meets the threshold. farthest_qualifying_m is the outer edge of
     the farthest approach bin that meets the threshold anywhere, which can
-    exceed the contiguous range when coverage has holes.
+    exceed the contiguous range when coverage has holes. threshold_used and
+    window_width_m are the settings it was read at.
     """
 
     warning_range_m: float
     threshold_used: int
+    window_width_m: float
     contiguous: bool
     farthest_qualifying_m: float
     warning_failure: bool
@@ -125,6 +134,7 @@ def extract_dwarn(series: PerSeries, threshold: int) -> CoverageReport:
     return CoverageReport(
         warning_range_m=contiguous_range,
         threshold_used=threshold,
+        window_width_m=width,
         contiguous=bool(qualifying) and farthest == contiguous_range,
         farthest_qualifying_m=farthest,
         warning_failure=not qualifying,
@@ -132,22 +142,20 @@ def extract_dwarn(series: PerSeries, threshold: int) -> CoverageReport:
 
 
 def coverage_report(
-    log: SimLog, window_width_m: float = 50.0, threshold: int = 5
+    log: SimLog, window_width_m: float | None = None, threshold: int | None = None
 ) -> CoverageReport:
-    """Per-receiver coverage plus a conservative aggregate (worst receiver)."""
+    """Per-receiver coverage plus a conservative aggregate (worst receiver).
+
+    The window width and threshold default to the log's own settings.
+    """
+    if threshold is None:
+        threshold = log.coverage_threshold
     per_receiver = {
         rid: extract_dwarn(bin_per(log, window_width_m, rid), threshold)
         for rid in log.records
     }
     worst = min(per_receiver.values(), key=lambda r: r.warning_range_m)
-    return CoverageReport(
-        warning_range_m=worst.warning_range_m,
-        threshold_used=threshold,
-        contiguous=worst.contiguous,
-        farthest_qualifying_m=worst.farthest_qualifying_m,
-        warning_failure=worst.warning_failure,
-        per_receiver=per_receiver,
-    )
+    return dataclasses.replace(worst, per_receiver=per_receiver)
 
 
 @dataclass(frozen=True)
@@ -214,8 +222,8 @@ class SafenessReport:
 def safeness_report(
     coverage,
     train_speed_mps: float,
-    vehicle_speeds_mph=(25.0, 35.0, 45.0, 55.0, 65.0),
-    roads=("dry", "wet"),
+    vehicle_speeds_mph=DEFAULT_VEHICLE_SPEEDS_MPH,
+    roads=ROADS,
     reaction_s: float = DEFAULT_REACTION_S,
     system_delay_s: float = DEFAULT_SYSTEM_DELAY_S,
     table: VehicleBrakingTable | None = None,

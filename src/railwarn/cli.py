@@ -11,10 +11,9 @@ import sys
 from pathlib import Path
 
 from . import analysis as an
-from . import logio
+from . import logio, safety
 from .config import ConfigError, load_config
 from .engine import SweepPointError, check_seed, run_pass, run_sweep
-from .safety import DEFAULT_BRAKING_TABLE, ROADS
 from .units import parse_speed, require_finite
 
 EXIT_OK = 0
@@ -59,10 +58,14 @@ def _build_parser() -> _Parser:
     group.add_argument("--dwarn", type=float, help="warning range in meters")
     group.add_argument("--coverage-from", help="log file to extract the range from")
     p_safe.add_argument("--train-speed", required=True, help="e.g. 10mph or 4.47 (m/s)")
-    p_safe.add_argument("--vehicle-speeds", default="25,35,45,55,65", help="mph list")
-    p_safe.add_argument("--roads", default="dry,wet")
-    p_safe.add_argument("--tr", type=float, default=3.5, help="driver reaction time, s")
-    p_safe.add_argument("--ts", type=float, default=0.005, help="system delay, s")
+    p_safe.add_argument("--vehicle-speeds", help="mph list (default: the braking table's)")
+    p_safe.add_argument("--roads", help="comma list (default: every road)")
+    p_safe.add_argument(
+        "--tr", type=float, default=safety.DEFAULT_REACTION_S, help="driver reaction time, s"
+    )
+    p_safe.add_argument(
+        "--ts", type=float, default=safety.DEFAULT_SYSTEM_DELAY_S, help="system delay, s"
+    )
     p_safe.add_argument("--window", type=float, default=None)
     p_safe.add_argument("--threshold", type=int, default=None)
     p_safe.add_argument("--out", help="protection-time table CSV")
@@ -80,10 +83,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _split(text: str | None, conv=str) -> list | None:
+def _list_flag(flag: str, text: str | None, conv=str, default=None):
+    """The comma list a flag gives, or default when it is unset; one that does
+    not parse or has no items raises a ConfigError naming the flag."""
     if text is None:
-        return None
-    return [conv(item) for item in text.split(",") if item.strip()]
+        return default
+    items = _parse_flag(
+        flag, lambda text: [conv(item) for item in text.split(",") if item.strip()], text
+    )
+    if not items:
+        raise ConfigError(f"{flag} must list at least one value, got {text!r}")
+    return items
 
 
 def _check_flags(*checks) -> None:
@@ -132,10 +142,7 @@ def _cmd_simulate(args) -> int:
             check_seed(args.seed, "--seed")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    cfg = load_config(args.config)
-    log = run_pass(cfg.scenario, seed=args.seed)
-    log.analysis_window_m = cfg.analysis.window_width_m
-    log.coverage_threshold = cfg.analysis.coverage_threshold
+    log = run_pass(load_config(args.config).scenario, seed=args.seed)
     output = args.output or (Path(args.config).stem + ".log.jsonl")
     logio.write_log(log, output)
     decoded = log.decoded_count()
@@ -150,10 +157,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     _check_flags(*_window_checks(args))
     log = _read_any_log(args.log, args.field_csv)
-    window = args.window if args.window is not None else log.analysis_window_m
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = [an.bin_per(log, window, rid) for rid in log.receiver_ids()]
+    series = [an.bin_per(log, args.window, rid) for rid in log.receiver_ids()]
     an.write_per_csv(series, out_dir / "per.csv")
     an.write_counts_csv(series, out_dir / "counts.csv")
     stats = {}
@@ -165,7 +171,8 @@ def _cmd_analyze(args) -> int:
     an.write_latency_csv(stats, out_dir / "latency.csv")
     for s in series:
         worst = max(b.per for b in s.bins)
-        print(f"{s.receiver_id}: {len(s.bins)} bins of {window:g} m, worst per {worst:.3f}")
+        width = s.window_width_m
+        print(f"{s.receiver_id}: {len(s.bins)} bins of {width:g} m, worst per {worst:.3f}")
     for rid, s in stats.items():
         print(
             f"{rid}: latency mean {s.mean_s * 1e3:.3f} ms, p95 {s.p95_s * 1e3:.3f} ms, "
@@ -178,9 +185,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_coverage(args) -> int:
     _check_flags(*_window_checks(args))
     log = _read_any_log(args.log, args.field_csv)
-    window = args.window if args.window is not None else log.analysis_window_m
-    threshold = args.threshold if args.threshold is not None else log.coverage_threshold
-    report = an.coverage_report(log, window, threshold)
+    report = an.coverage_report(log, args.window, args.threshold)
     for rid, sub in sorted((report.per_receiver or {}).items()):
         print(
             f"{rid}: warning range {sub.warning_range_m:g} m, "
@@ -189,7 +194,7 @@ def _cmd_coverage(args) -> int:
         )
     print(
         f"aggregate: warning range {report.warning_range_m:g} m "
-        f"(threshold {threshold} per {window:g} m bin)"
+        f"(threshold {report.threshold_used} per {report.window_width_m:g} m bin)"
     )
     if report.warning_failure:
         print("warning-failure: no bin met the threshold")
@@ -201,9 +206,10 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_safeness(args) -> int:
     train_speed = _parse_flag("--train-speed", parse_speed, args.train_speed)
-    vehicle_speeds = _parse_flag(
-        "--vehicle-speeds", lambda text: _split(text, float), args.vehicle_speeds
+    vehicle_speeds = _list_flag(
+        "--vehicle-speeds", args.vehicle_speeds, float, safety.DEFAULT_VEHICLE_SPEEDS_MPH
     )
+    roads = _list_flag("--roads", args.roads, default=safety.ROADS)
     _check_flags(
         ("--dwarn", args.dwarn, 0.0, False),
         ("--train-speed", train_speed, 0.0, True),
@@ -212,11 +218,10 @@ def _cmd_safeness(args) -> int:
         *[("--vehicle-speeds", speed, None, False) for speed in vehicle_speeds],
         *_window_checks(args),
     )
-    roads = _split(args.roads)
     for road in roads:
-        if road not in ROADS:
-            raise ConfigError(f"--roads must be among {', '.join(ROADS)}, got {road!r}")
-    table = DEFAULT_BRAKING_TABLE
+        if road not in safety.ROADS:
+            raise ConfigError(f"--roads must be among {', '.join(safety.ROADS)}, got {road!r}")
+    table = safety.DEFAULT_BRAKING_TABLE
     for speed in vehicle_speeds:
         if not table.min_speed_mph <= speed <= table.max_speed_mph:
             raise ConfigError(
@@ -225,9 +230,7 @@ def _cmd_safeness(args) -> int:
             )
     if args.coverage_from:
         log = logio.read_log(args.coverage_from)
-        window = args.window if args.window is not None else log.analysis_window_m
-        threshold = args.threshold if args.threshold is not None else log.coverage_threshold
-        warning_range = an.coverage_report(log, window, threshold).warning_range_m
+        warning_range = an.coverage_report(log, args.window, args.threshold).warning_range_m
     else:
         warning_range = args.dwarn
     report = an.safeness_report(
@@ -263,21 +266,17 @@ def _cmd_safeness(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    speeds = _parse_flag("--speeds", lambda text: _split(text, parse_speed), args.speeds)
-    powers = _parse_flag("--powers", lambda text: _split(text, float), args.powers)
-    seeds = _parse_flag("--seeds", lambda text: _split(text, int), args.seeds)
+    grid = dict(
+        speeds_mps=_list_flag("--speeds", args.speeds, parse_speed),
+        powers_dbm=_list_flag("--powers", args.powers, float),
+        modulations=_list_flag("--modulations", args.modulations),
+        antennas=_list_flag("--antennas", args.antennas),
+        seeds=_list_flag("--seeds", args.seeds, int),
+    )
     _check_flags(("--workers", args.workers, 1, False))
-    cfg = load_config(args.config)
+    scenario = load_config(args.config).scenario
     try:
-        results = run_sweep(
-            cfg.scenario,
-            speeds_mps=speeds,
-            powers_dbm=powers,
-            modulations=_split(args.modulations),
-            antennas=_split(args.antennas),
-            seeds=seeds,
-            max_workers=args.workers,
-        )
+        results = run_sweep(scenario, **grid, max_workers=args.workers)
     except SweepPointError as exc:
         raise ConfigError(str(exc)) from None
     out_dir = Path(args.out_dir)
@@ -286,17 +285,13 @@ def _cmd_sweep(args) -> int:
     for index, result in enumerate(results):
         point = result.point
         log = result.log
-        log.analysis_window_m = cfg.analysis.window_width_m
-        log.coverage_threshold = cfg.analysis.coverage_threshold
         name = (
             f"point{index:03d}_v{point.speed_mps:g}_p{point.tx_power_dbm:g}"
             f"_{point.modulation}_{point.tx_antenna}_s{point.seed}.log.jsonl"
         )
         logio.write_log(log, out_dir / name)
         decoded = log.decoded_count()
-        coverage = an.coverage_report(
-            log, cfg.analysis.window_width_m, cfg.analysis.coverage_threshold
-        )
+        coverage = an.coverage_report(log)
         summary_rows.append(
             [
                 name,

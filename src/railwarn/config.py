@@ -5,14 +5,16 @@ section's keys are the field names of its dataclass (scene CrossingScene,
 with Placement receivers and ObstructionSegment obstructions; radio
 RadioConfig; channel SyntheticChannel, or PerProfile in empirical mode;
 latency LatencyModel; train TrainRun; policy TriggerPolicy; analysis
-AnalysisDefaults). An omitted key takes the field default, and a value must
-match the field's annotation; null is allowed only for X | None. Keys that
-are not fields: train.speed_mph, channel.mode, per_table and bins, and the
-antenna tables and paths. Defaults that are not field defaults: a
-receiver's id, offset and kind-dependent height, and the free-space
-reference loss for the carrier. Only train.speed_mps (or speed_mph) is
-required. Unknown keys are rejected so typos fail loudly. Relative file
-paths resolve against the config file's directory.
+AnalysisDefaults). Every section becomes a field of the Scenario, so the
+analysis settings reach each log's header through run_pass. An omitted key
+takes the field default, and a value must match the field's annotation;
+null is allowed only for X | None. Keys that are not fields:
+train.speed_mph, channel.mode, per_table and bins, and the antenna tables
+and paths. Defaults that are not field defaults: a receiver's id, offset
+and kind-dependent height, and the free-space reference loss for the
+carrier. Only train.speed_mps (or speed_mph) is required. Unknown keys are
+rejected so typos fail loudly. Relative file paths resolve against the
+config file's directory.
 """
 
 import dataclasses
@@ -32,8 +34,9 @@ from .link import (
     SyntheticChannel,
     friis_reference_loss_db,
 )
+from .logio import AnalysisDefaults
 from .protocol import TriggerPolicy
-from .units import mph_to_mps, require_finite
+from .units import mph_to_mps
 
 _SECTIONS = ("scene", "radio", "channel", "latency", "train", "policy", "analysis")
 _TOP_KEYS = {"version", "seed", "antennas", *_SECTIONS}
@@ -44,23 +47,9 @@ class ConfigError(Exception):
     """Schema or value problem in a scenario config; message names the key."""
 
 
-@dataclass(frozen=True)
-class AnalysisDefaults:
-    window_width_m: float = 50.0
-    coverage_threshold: int = 5
-
-    def __post_init__(self) -> None:
-        require_finite(window_width_m=self.window_width_m)
-        if self.window_width_m <= 0:
-            raise ValueError("window_width_m must be positive")
-        if self.coverage_threshold < 1:
-            raise ValueError("coverage_threshold must be >= 1")
-
-
 @dataclass
 class LoadedConfig:
     scenario: Scenario
-    analysis: AnalysisDefaults
 
 
 def _object(value, where: str) -> dict:
@@ -268,13 +257,13 @@ def parse_config(data: dict, base_dir: Path) -> LoadedConfig:
         train=_load_train(sections["train"]),
         policy=_build(TriggerPolicy, sections["policy"], "policy"),
         custom_patterns=_load_antennas(data.get("antennas", {}), base_dir),
+        analysis=_build(AnalysisDefaults, sections["analysis"], "analysis"),
     )
-    analysis = _build(AnalysisDefaults, sections["analysis"], "analysis")
     try:
         scenario = Scenario(seed=data.get("seed", 0), **parts)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from None
-    return LoadedConfig(scenario=scenario, analysis=analysis)
+    return LoadedConfig(scenario=scenario)
 
 
 # Stands in for NaN/Infinity literals while parsing, so the error can name the key.

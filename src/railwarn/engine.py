@@ -14,11 +14,12 @@ calls each layer through its name in this module, so a caller can wrap one
 layer's function to count or time it. The random draws are blocks of one
 value per tick, each from its own keyed Philox stream (receiver_stream):
 shadowing normals when sigma > 0, decode uniforms, and processing jitter
-uniforms when the jitter is > 0, drawn for every tick whether or not it
-decodes. An RSU's relay delay is one draw from a fourth stream. This layout
-is the log format's random layout (logio.LOG_VERSION 2): any engine that
-keeps it writes byte-identical logs. The warning comes from the decodes as
-arrays (protocol.first_warning).
+uniforms when the jitter is > 0 (link.latency_sample), drawn for every
+tick whether or not it decodes. An RSU's relay delay is one draw from a
+fourth stream. This layout is the log format's random layout
+(logio.LOG_VERSION 2): any engine that keeps it writes byte-identical logs.
+The warning comes from the decodes as arrays (protocol.first_warning).
+The log's header carries the scenario's analysis settings (Scenario.analysis).
 """
 
 import dataclasses
@@ -38,13 +39,14 @@ from .link import (
     PerProfile,
     RadioConfig,
     SyntheticChannel,
+    latency_sample,
     mean_snr_db,
     profile_success_probability,
     snr_success_probability,
 )
-from .logio import PacketColumns, SimLog
+from .logio import AnalysisDefaults, PacketColumns, SimLog
 from .protocol import TriggerPolicy, first_warning, rsu_relay
-from .units import SPEED_OF_LIGHT_MPS, require_finite
+from .units import require_finite
 
 # The version field of a scenario config; scenario_to_dict writes it.
 CONFIG_VERSION = 1
@@ -86,6 +88,7 @@ class Scenario:
     policy: TriggerPolicy
     seed: int = 0
     custom_patterns: tuple[AntennaPattern, ...] = ()
+    analysis: AnalysisDefaults = AnalysisDefaults()
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
@@ -162,7 +165,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
+    """sha256 of the canonical form without analysis: the inputs that fix the packets."""
+    inputs = {key: v for key, v in scenario_to_dict(scenario).items() if key != "analysis"}
+    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -217,6 +222,8 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
         receivers=scene.receivers,
         records=records,
         events=events,
+        analysis_window_m=scenario.analysis.window_width_m,
+        coverage_threshold=scenario.analysis.coverage_threshold,
     )
 
 
@@ -247,14 +254,8 @@ def _receiver_pass(scenario, placement, seed, times, positions, patterns, succes
             snr_db = snr_db - shadow
         success = snr_success_probability(snr_db, radio, channel)
     decoded = receiver_stream(seed, placement.id, "decode").random(ticks) < success
-
-    processing_ms = latency.processing_base_ms
-    jitter_ms = latency.processing_jitter_ms
-    if jitter_ms > 0:
-        jitter = receiver_stream(seed, placement.id, "jitter").uniform(-jitter_ms, jitter_ms, ticks)
-        processing_ms = processing_ms + jitter
-    # latency_sample: propagation plus processing over one hop.
-    arrival = times + (geo.range_m / SPEED_OF_LIGHT_MPS + processing_ms * 1e-3)
+    jitter = receiver_stream(seed, placement.id, "jitter")
+    arrival = times + latency_sample(geo.range_m, latency, jitter)
     rx_time_s = np.where(decoded, arrival, np.nan)
     packets = PacketColumns(
         placement.id,
@@ -328,16 +329,17 @@ def run_sweep(
 ) -> list:
     """Run the cartesian grid of configurations around a base scenario.
 
-    Each point is an independent pass whose outcome depends only on its own
-    configuration and seed, never on grid order or parallel schedule. Every
-    point's scenario is built before any pass runs; a point that does not
-    validate raises SweepPointError naming it.
+    An axis left as None keeps the base scenario's value; an empty one
+    raises ValueError. Each point is an independent pass whose outcome
+    depends only on its own configuration and seed, never on grid order or
+    parallel schedule. Every point's scenario is built before any pass runs;
+    a point that does not validate raises SweepPointError naming it.
     """
-    speeds = list(speeds_mps) if speeds_mps else [base.train.speed_mps]
-    powers = list(powers_dbm) if powers_dbm else [base.radio.tx_power_dbm]
-    mods = list(modulations) if modulations else [base.radio.modulation]
-    ants = list(antennas) if antennas else [base.radio.tx_antenna]
-    seed_list = list(seeds) if seeds else [base.seed]
+    speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
+    powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
+    mods = [base.radio.modulation] if modulations is None else list(modulations)
+    ants = [base.radio.tx_antenna] if antennas is None else list(antennas)
+    seed_list = [base.seed] if seeds is None else list(seeds)
     if not (speeds and powers and mods and ants and seed_list):
         raise ValueError("sweep grid must be non-empty")
     jobs = []

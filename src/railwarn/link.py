@@ -260,21 +260,23 @@ def snr_success_probability(
 
 
 def latency_sample(
-    range_m: float,
+    range_m,
     model: LatencyModel,
     rng: np.random.Generator,
     hops: int = 1,
-) -> float:
-    """One latency draw in seconds over the given link distance.
+):
+    """Latency draws in seconds over the given link distances, one per range.
 
     Propagation contributes hops * range / c; processing contributes
     hops * (base + uniform jitter). Propagation is sub-microsecond at the
-    ranges of interest and processing dominates.
+    ranges of interest and processing dominates. The jitter, when > 0, is one
+    block of the ranges' shape from rng. A scalar range gives a float.
     """
-    if range_m < 0:
+    range_m = np.asarray(range_m, dtype=np.float64)
+    if (range_m < 0).any():
         raise ValueError("range must be >= 0")
     propagation_s = hops * range_m / SPEED_OF_LIGHT_MPS
-    jitter_ms = 0.0
-    if model.processing_jitter_ms > 0:
-        jitter_ms = rng.uniform(-model.processing_jitter_ms, model.processing_jitter_ms)
-    return propagation_s + hops * (model.processing_base_ms + jitter_ms) * 1e-3
+    spread = model.processing_jitter_ms
+    jitter_ms = rng.uniform(-spread, spread, range_m.shape) if spread > 0 else 0.0
+    latency_s = propagation_s + hops * (model.processing_base_ms + jitter_ms) * 1e-3
+    return float(latency_s) if latency_s.ndim == 0 else latency_s

@@ -1,11 +1,13 @@
 """The pass log: its types, JSON-lines files and field-capture CSV ingest.
 
 SimLog holds one pass, each receiver's packets as PacketColumns; the
-engine writes it and the analysis reads it. A log file is one JSON object
-per line. The first line is a header with the scenario digest and pass
-metadata; the remaining lines are packet records (grouped by receiver,
-ordered by sequence number) followed by warning events. Keys are sorted so
-identical logs are byte-identical.
+engine writes it and the analysis reads it. It is frozen: a log is complete
+when the engine returns it. A log file is one JSON object per line. The
+first line is a header with the scenario digest, pass metadata and the
+analysis settings (AnalysisDefaults) the scenario gave; the remaining lines
+are packet records (grouped by receiver, ordered by sequence number)
+followed by warning events. Keys are sorted so identical logs are
+byte-identical.
 
 Packets move between files and PacketColumns in chunks. The writer formats
 packet lines from column values with one template per receiver and decoded
@@ -29,6 +31,7 @@ import numpy as np
 
 from .geometry import Placement
 from .protocol import WarningEvent
+from .units import require_finite
 
 # Version 2 logs come from the keyed block streams (engine.receiver_stream);
 # version 1 logs came from one stream per receiver drawn tick by tick. Their
@@ -92,11 +95,27 @@ class PacketColumns:
         return f"PacketColumns({self.receiver_id!r}, {len(self)} packets)"
 
 
-@dataclass
+@dataclass(frozen=True)
+class AnalysisDefaults:
+    """The distance-bin width and packets-per-bin threshold a pass's coverage is read at."""
+
+    window_width_m: float = 50.0
+    coverage_threshold: int = 5
+
+    def __post_init__(self) -> None:
+        require_finite(window_width_m=self.window_width_m)
+        if self.window_width_m <= 0:
+            raise ValueError("window_width_m must be positive")
+        if self.coverage_threshold < 1:
+            raise ValueError("coverage_threshold must be >= 1")
+
+
+@dataclass(frozen=True)
 class SimLog:
     """Complete record of one pass: every packet for every receiver.
 
-    records maps each receiver id to its PacketColumns.
+    records maps each receiver id to its PacketColumns. The analysis settings
+    are the scenario's; a header without them reads as AnalysisDefaults().
     """
 
     digest: str
@@ -109,8 +128,8 @@ class SimLog:
     receivers: tuple[Placement, ...]
     records: dict  # receiver_id -> PacketColumns
     events: list  # list[WarningEvent]
-    analysis_window_m: float = 50.0
-    coverage_threshold: int = 5
+    analysis_window_m: float = AnalysisDefaults.window_width_m
+    coverage_threshold: int = AnalysisDefaults.coverage_threshold
 
     def packet_count(self, receiver_id: str | None = None) -> int:
         if receiver_id is not None:

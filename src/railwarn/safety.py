@@ -116,6 +116,9 @@ DEFAULT_BRAKING_TABLE = VehicleBrakingTable(
     )
 )
 
+# The vehicle grid of a safeness report unless one is given: the tabulated speeds.
+DEFAULT_VEHICLE_SPEEDS_MPH = tuple(row.speed_mph for row in DEFAULT_BRAKING_TABLE.rows)
+
 
 class SafenessCategory(str, Enum):
     NOT_SAFE = "not_safe"

@@ -383,4 +383,6 @@ def reference_run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
         receivers=scenario.scene.receivers,
         records=records,
         events=events,
+        analysis_window_m=scenario.analysis.window_width_m,
+        coverage_threshold=scenario.analysis.coverage_threshold,
     )

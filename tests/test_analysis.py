@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -196,6 +197,16 @@ class TestExtractDwarn:
         assert report.per_receiver["obu0"].warning_range_m == 200.0
         assert report.warning_range_m == 200.0
 
+    def test_coverage_report_defaults_to_the_log_settings(self):
+        rows = [(-500.0 + 1.0 * j, j % 4 != 0) for j in range(520)]
+        log = dataclasses.replace(
+            synthetic_log({"rsu0": rows}), analysis_window_m=20.0, coverage_threshold=12
+        )
+        report = coverage_report(log)
+        assert (report.window_width_m, report.threshold_used) == (20.0, 12)
+        assert report == coverage_report(log, 20.0, 12)
+        assert bin_per(log) == bin_per(log, 20.0)
+
 
 class TestLatencyStats:
     def test_constant_model(self):
@@ -286,6 +297,7 @@ class TestSafenessReport:
         coverage = CoverageReport(
             warning_range_m=200.0,
             threshold_used=5,
+            window_width_m=50.0,
             contiguous=True,
             farthest_qualifying_m=200.0,
             warning_failure=False,

@@ -488,6 +488,11 @@ class TestSweepFlags:
             ("--powers", "abc", "--powers: cannot parse 'abc'"),
             ("--workers", "0", "--workers must be >= 1, got 0"),
             ("--workers", "-3", "--workers must be >= 1, got -3"),
+            ("--speeds", ",", "--speeds must list at least one value, got ','"),
+            ("--powers", "", "--powers must list at least one value, got ''"),
+            ("--modulations", ",", "--modulations must list at least one value"),
+            ("--antennas", " ", "--antennas must list at least one value"),
+            ("--seeds", ",,", "--seeds must list at least one value"),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, flag, value, message):
@@ -614,6 +619,14 @@ class TestNumericFlags:
                 ],
                 "--vehicle-speeds must be within the braking table's 25-65 mph, got 70",
             ),
+            (
+                ["safeness", "--coverage-from", "LOG", "--train-speed", "10mph", "--roads", ""],
+                "--roads must list at least one value, got ''",
+            ),
+            (
+                ["safeness", "--dwarn", "300", "--train-speed", "10mph", "--vehicle-speeds", ","],
+                "--vehicle-speeds must list at least one value, got ','",
+            ),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, message):
@@ -694,3 +707,22 @@ class TestNumericTables:
         path.write_text(f"speed_mph,speed_mps,db_dry_m,db_wet_m\n5,2.2,4.0,8.0\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"table.csv:3: {message}")):
             VehicleBrakingTable.from_csv(path)
+
+
+class TestLibraryMatchesCli:
+    """A log carries its scenario's analysis settings whoever writes it."""
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    @pytest.mark.parametrize("name", ["open_track_20mph.json", "suburban_rsu_10mph.json"])
+    def test_same_log_bytes(self, tmp_path, name, seed):
+        config = SUBURBAN.parent / name
+        log_path = tmp_path / "cli.log.jsonl"
+        argv = ["simulate", str(config), "-o", str(log_path)]
+        assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+        assert log_path.read_bytes() == log_bytes(run_pass(load_scenario(config), seed))
+
+    def test_coverage_of_a_library_log_reads_its_own_window(self, tmp_path, capsys):
+        log_path = tmp_path / "library.log.jsonl"
+        write_log(run_pass(load_scenario(SUBURBAN)), log_path)
+        assert main(["coverage", str(log_path)]) == 0
+        assert "aggregate: warning range 360 m (threshold 5 per 20 m bin)" in capsys.readouterr().out

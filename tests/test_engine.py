@@ -23,6 +23,7 @@ from railwarn.engine import (
 )
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import LatencyModel, PerProfile, RadioConfig, SyntheticChannel
+from railwarn.link import latency_sample as link_latency_sample
 from railwarn.logio import PACKET_KEYS, log_bytes
 from railwarn.protocol import TriggerPolicy
 from railwarn.units import mph_to_mps
@@ -262,6 +263,12 @@ class TestRunSweep:
         assert log_bytes(results[0].log) == log_bytes(results[2].log)
         assert log_bytes(results[0].log) != log_bytes(results[1].log)
 
+    @pytest.mark.parametrize("axis", ["speeds_mps", "powers_dbm", "modulations", "antennas", "seeds"])
+    def test_empty_axis_rejected(self, axis):
+        # Only None keeps the base value; an empty axis is an empty grid.
+        with pytest.raises(ValueError, match="sweep grid must be non-empty"):
+            run_sweep(make_scenario(), **{axis: []})
+
     def test_import_does_not_load_multiprocessing(self):
         # The process pool is imported only for a sweep with more than one worker.
         src = str(Path(railwarn.__file__).resolve().parent.parent)
@@ -303,6 +310,21 @@ class TestLayerCalls:
         )
         run_pass(scenario)
         assert calls == {"link_geometry": 2, "pattern_gain": 4}
+
+    def test_latency_calls_are_patchable(self, monkeypatch):
+        calls = []
+
+        def counting(range_m, model, rng, hops=1):
+            calls.append(np.shape(range_m))
+            return link_latency_sample(range_m, model, rng, hops)
+
+        monkeypatch.setattr(engine, "latency_sample", counting)
+        scenario = make_scenario(
+            channel=SyntheticChannel(), scene=CrossingScene(receivers=(RSU, OBU))
+        )
+        log = run_pass(scenario)
+        # One call per receiver, over all of its ticks.
+        assert calls == [(log.packet_count("rsu0"),), (log.packet_count("obu0"),)]
 
     def test_packet_line_keys_are_the_column_names(self):
         lines = log_bytes(run_pass(make_scenario())).decode().splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scalar_reference import PacketRecord, columns_from_records
 
 from railwarn.geometry import Placement
-from railwarn.logio import SimLog, log_bytes
+from railwarn.logio import AnalysisDefaults, SimLog, log_bytes, read_log
 from railwarn.protocol import WarningEvent
 
 RECEIVER = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
@@ -77,3 +78,23 @@ def test_non_finite_value_raises(value):
     record = PacketRecord(seq=0, tx_time_s=0.0, train_d_t_m=value, receiver_id="rsu0", decoded=False)
     with pytest.raises(ValueError, match="JSON compliant"):
         log_bytes(make_log([record]))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("analysis_window_m", 20.0), ("coverage_threshold", 3), ("events", [])]
+)
+def test_a_log_is_never_edited(field, value):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(make_log([]), field, value)
+
+
+def test_header_without_analysis_settings_reads_the_defaults(tmp_path):
+    path = tmp_path / "old.log.jsonl"
+    header = json.loads(log_bytes(make_log([])).decode())
+    del header["analysis_window_m"], header["coverage_threshold"]
+    path.write_text(json.dumps(header) + "\n")
+    log = read_log(path)
+    assert (log.analysis_window_m, log.coverage_threshold) == (
+        AnalysisDefaults.window_width_m,
+        AnalysisDefaults.coverage_threshold,
+    )

@@ -7,6 +7,7 @@ key, and knobs the engine never read are unknown keys.
 """
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from railwarn.link import (
     RadioConfig,
     SyntheticChannel,
 )
+from railwarn.logio import AnalysisDefaults
 from railwarn.protocol import TriggerPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,13 +107,21 @@ def test_knobs_the_engine_ignored_are_unknown(tmp_path, capsys, key):
 
 
 def test_shipped_config_digests():
-    # sha256 of the canonical JSON, which holds every field of the scenario.
+    # sha256 of the canonical JSON, which holds every field of the scenario
+    # but the analysis settings.
     assert scenario_digest(load_scenario(CONFIGS / "open_track_20mph.json")) == (
         "78e5031c271e8238585cd5a31bd7df004290b82e7a53821d60281e49915142f0"
     )
     assert scenario_digest(load_scenario(SUBURBAN)) == (
         "172f89e7456beaa0bb1cf267a1701b41a4e779132488ab849fa9062297bf85b7"
     )
+
+
+def test_digest_excludes_the_analysis_settings():
+    scenario = load_scenario(SUBURBAN)
+    other = dataclasses.replace(scenario, analysis=AnalysisDefaults(7.5, 2))
+    assert scenario_to_dict(other)["analysis"] != scenario_to_dict(scenario)["analysis"]
+    assert scenario_digest(other) == scenario_digest(scenario)
 
 
 def imported_names(tree):
@@ -236,6 +246,9 @@ def scenarios(draw):
         ),
         seed=draw(st.integers(0, 2**63)),
         custom_patterns=custom,
+        analysis=AnalysisDefaults(
+            window_width_m=draw(floats(0.1, 500)), coverage_threshold=draw(st.integers(1, 50))
+        ),
     )
 
 
