@@ -3,17 +3,21 @@
 Subcommands: simulate, analyze, coverage, safeness, sweep. Exit codes:
 0 success, 1 usage, 2 config/schema problem, 3 runtime failure. Errors
 print a single machine-parsable line to stderr:  error: <category>: <msg>
+Each value flag is parsed and range-checked as argparse reads it, so a bad
+value exits 2 naming the flag before a command runs; a missing argument or
+an unknown command or flag exits 1.
 """
 
 import argparse
 import csv
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import analysis as an
 from . import logio, safety
 from .config import ConfigError, load_config
-from .engine import SweepPointError, check_seed, run_pass, run_sweep
+from .engine import SweepPoint, SweepPointError, check_seed, run_pass, run_sweep
 from .units import parse_speed, require_finite
 
 EXIT_OK = 0
@@ -31,103 +35,155 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Value(argparse.Action):
+    """A value flag, parsed and checked where argparse meets it.
+
+    parse turns the text into a value; with many, the text is a comma list
+    of at least one item and each item is parsed. check(value, flag), if
+    given, raises ValueError for a value out of range. Any failure is a
+    ConfigError naming the flag, raised before a command runs.
+    """
+
+    def __init__(self, option_strings, dest, parse=float, check=None, many=False, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.parse, self.check, self.many = parse, check, many
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        flag = option_string
+        items = [item for item in text.split(",") if item.strip()] if self.many else [text]
+        if not items:
+            raise ConfigError(f"{flag} must list at least one value, got {text!r}")
+        values = []
+        for item in items:
+            try:
+                value = self.parse(item)
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: cannot parse {item!r}: {exc}") from None
+            try:
+                if self.check:
+                    self.check(value, flag)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            values.append(value)
+        setattr(namespace, self.dest, values if self.many else values[0])
+
+
+def _at_least(low, strict=False):
+    """A check that a value is finite and at least low, or above it when strict."""
+
+    def check(value, flag):
+        require_finite(**{flag: value})
+        if value < low or (strict and value == low):
+            raise ValueError(f"{flag} must be {'>' if strict else '>='} {low:g}, got {value!r}")
+
+    return check
+
+
+def _braking_speed(value, flag):
+    table = safety.DEFAULT_BRAKING_TABLE
+    require_finite(**{flag: value})
+    if not table.min_speed_mph <= value <= table.max_speed_mph:
+        raise ValueError(
+            f"{flag} must be within the braking table's "
+            f"{table.min_speed_mph:g}-{table.max_speed_mph:g} mph, got {value:g}"
+        )
+
+
+def _road(value, flag):
+    if value not in safety.ROADS:
+        raise ValueError(f"{flag} must be among {', '.join(safety.ROADS)}, got {value!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="railwarn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    non_negative, positive = _at_least(0.0), _at_least(0.0, strict=True)
+    window = dict(action=_Value, check=positive, help="bin width in meters")
+    threshold = dict(action=_Value, parse=int, check=_at_least(1), help="required packets per bin")
 
     p_sim = sub.add_parser("simulate", help="run one pass from a scenario config")
     p_sim.add_argument("config")
     p_sim.add_argument("-o", "--output", help="log path (default: <config stem>.log.jsonl)")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_sim.add_argument(
+        "--seed", action=_Value, parse=int, check=check_seed, help="override the config seed"
+    )
 
     p_an = sub.add_parser("analyze", help="PER, counts and latency tables from a log")
     p_an.add_argument("log")
-    p_an.add_argument("--window", type=float, default=None, help="bin width in meters")
+    p_an.add_argument("--window", **window)
     p_an.add_argument("--out-dir", default=".", help="directory for the CSV outputs")
     p_an.add_argument("--field-csv", action="store_true", help="log is a field-capture CSV")
 
     p_cov = sub.add_parser("coverage", help="warning coverage range from a log")
     p_cov.add_argument("log")
-    p_cov.add_argument("--window", type=float, default=None)
-    p_cov.add_argument("--threshold", type=int, default=None, help="required packets per bin")
+    p_cov.add_argument("--window", **window)
+    p_cov.add_argument("--threshold", **threshold)
     p_cov.add_argument("--out", help="optional CSV output path")
     p_cov.add_argument("--field-csv", action="store_true")
 
     p_safe = sub.add_parser("safeness", help="protection time and safeness curves")
     group = p_safe.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dwarn", type=float, help="warning range in meters")
+    group.add_argument("--dwarn", action=_Value, check=non_negative, help="warning range in meters")
     group.add_argument("--coverage-from", help="log file to extract the range from")
-    p_safe.add_argument("--train-speed", required=True, help="e.g. 10mph or 4.47 (m/s)")
-    p_safe.add_argument("--vehicle-speeds", help="mph list (default: the braking table's)")
-    p_safe.add_argument("--roads", help="comma list (default: every road)")
     p_safe.add_argument(
-        "--tr", type=float, default=safety.DEFAULT_REACTION_S, help="driver reaction time, s"
+        "--train-speed",
+        action=_Value,
+        parse=parse_speed,
+        check=positive,
+        required=True,
+        help="e.g. 10mph or 4.47 (m/s)",
     )
     p_safe.add_argument(
-        "--ts", type=float, default=safety.DEFAULT_SYSTEM_DELAY_S, help="system delay, s"
+        "--vehicle-speeds",
+        action=_Value,
+        default=safety.DEFAULT_VEHICLE_SPEEDS_MPH,
+        check=_braking_speed,
+        many=True,
+        help="mph list (default: the braking table's)",
     )
-    p_safe.add_argument("--window", type=float, default=None)
-    p_safe.add_argument("--threshold", type=int, default=None)
+    p_safe.add_argument(
+        "--roads",
+        action=_Value,
+        default=safety.ROADS,
+        parse=str,
+        check=_road,
+        many=True,
+        help="comma list (default: every road)",
+    )
+    p_safe.add_argument(
+        "--tr",
+        action=_Value,
+        default=safety.DEFAULT_REACTION_S,
+        check=non_negative,
+        help="driver reaction time, s",
+    )
+    p_safe.add_argument(
+        "--ts",
+        action=_Value,
+        default=safety.DEFAULT_SYSTEM_DELAY_S,
+        check=non_negative,
+        help="system delay, s",
+    )
+    p_safe.add_argument("--window", **window)
+    p_safe.add_argument("--threshold", **threshold)
     p_safe.add_argument("--out", help="protection-time table CSV")
     p_safe.add_argument("--curves-out", help="safeness curve CSV")
 
     p_sweep = sub.add_parser("sweep", help="grid of passes around a base config")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--speeds", help="comma list, e.g. 20mph,50mph,79mph")
-    p_sweep.add_argument("--powers", help="comma list of dBm values")
-    p_sweep.add_argument("--modulations", help="comma list, e.g. QPSK,16QAM")
-    p_sweep.add_argument("--antennas", help="comma list of transmit antenna names")
-    p_sweep.add_argument("--seeds", help="comma list of integer seeds")
-    p_sweep.add_argument("--out-dir", default="sweep", help="directory for per-point logs")
-    p_sweep.add_argument("--workers", type=int, default=None)
-    return parser
-
-
-def _list_flag(flag: str, text: str | None, conv=str, default=None):
-    """The comma list a flag gives, or default when it is unset; one that does
-    not parse or has no items raises a ConfigError naming the flag."""
-    if text is None:
-        return default
-    items = _parse_flag(
-        flag, lambda text: [conv(item) for item in text.split(",") if item.strip()], text
+    items = dict(action=_Value, many=True)
+    p_sweep.add_argument(
+        "--speeds", **items, parse=parse_speed, help="comma list, e.g. 20mph,50mph,79mph"
     )
-    if not items:
-        raise ConfigError(f"{flag} must list at least one value, got {text!r}")
-    return items
-
-
-def _check_flags(*checks) -> None:
-    """Raise ConfigError naming the first flag that fails its check.
-
-    Each check is (flag, value, low, strict): an unset value (None) passes;
-    a set one must be finite and, unless low is None, at least low, or above
-    it when strict.
-    """
-    for flag, value, low, strict in checks:
-        if value is None:
-            continue
-        try:
-            require_finite(**{flag: value})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if low is not None and (value < low or (strict and value == low)):
-            raise ConfigError(f"{flag} must be {'>' if strict else '>='} {low:g}, got {value!r}")
-
-
-def _parse_flag(flag: str, parse, text: str):
-    """parse(text), with a parse failure raised as a ConfigError naming the flag."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: cannot parse {text!r}: {exc}") from None
-
-
-def _window_checks(args) -> list:
-    """The checks of the optional bin-width and coverage-threshold flags."""
-    return [
-        ("--window", args.window, 0.0, True),
-        ("--threshold", getattr(args, "threshold", None), 1, False),
-    ]
+    p_sweep.add_argument("--powers", **items, help="comma list of dBm values")
+    p_sweep.add_argument("--modulations", **items, parse=str, help="comma list, e.g. QPSK,16QAM")
+    p_sweep.add_argument(
+        "--antennas", **items, parse=str, help="comma list of transmit antenna names"
+    )
+    p_sweep.add_argument("--seeds", **items, parse=int, help="comma list of integer seeds")
+    p_sweep.add_argument("--out-dir", default="sweep", help="directory for per-point logs")
+    p_sweep.add_argument("--workers", action=_Value, parse=int, check=_at_least(1))
+    return parser
 
 
 def _read_any_log(path: str, field_csv: bool):
@@ -137,11 +193,6 @@ def _read_any_log(path: str, field_csv: bool):
 
 
 def _cmd_simulate(args) -> int:
-    if args.seed is not None:
-        try:
-            check_seed(args.seed, "--seed")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     log = run_pass(load_config(args.config).scenario, seed=args.seed)
     output = args.output or (Path(args.config).stem + ".log.jsonl")
     logio.write_log(log, output)
@@ -155,7 +206,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _check_flags(*_window_checks(args))
     log = _read_any_log(args.log, args.field_csv)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,7 +233,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    _check_flags(*_window_checks(args))
     log = _read_any_log(args.log, args.field_csv)
     report = an.coverage_report(log, args.window, args.threshold)
     for rid, sub in sorted((report.per_receiver or {}).items()):
@@ -205,29 +254,6 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_safeness(args) -> int:
-    train_speed = _parse_flag("--train-speed", parse_speed, args.train_speed)
-    vehicle_speeds = _list_flag(
-        "--vehicle-speeds", args.vehicle_speeds, float, safety.DEFAULT_VEHICLE_SPEEDS_MPH
-    )
-    roads = _list_flag("--roads", args.roads, default=safety.ROADS)
-    _check_flags(
-        ("--dwarn", args.dwarn, 0.0, False),
-        ("--train-speed", train_speed, 0.0, True),
-        ("--tr", args.tr, 0.0, False),
-        ("--ts", args.ts, 0.0, False),
-        *[("--vehicle-speeds", speed, None, False) for speed in vehicle_speeds],
-        *_window_checks(args),
-    )
-    for road in roads:
-        if road not in safety.ROADS:
-            raise ConfigError(f"--roads must be among {', '.join(safety.ROADS)}, got {road!r}")
-    table = safety.DEFAULT_BRAKING_TABLE
-    for speed in vehicle_speeds:
-        if not table.min_speed_mph <= speed <= table.max_speed_mph:
-            raise ConfigError(
-                f"--vehicle-speeds must be within the braking table's "
-                f"{table.min_speed_mph:g}-{table.max_speed_mph:g} mph, got {speed:g}"
-            )
     if args.coverage_from:
         log = logio.read_log(args.coverage_from)
         warning_range = an.coverage_report(log, args.window, args.threshold).warning_range_m
@@ -235,14 +261,14 @@ def _cmd_safeness(args) -> int:
         warning_range = args.dwarn
     report = an.safeness_report(
         warning_range,
-        train_speed,
-        vehicle_speeds_mph=vehicle_speeds,
-        roads=roads,
+        args.train_speed,
+        vehicle_speeds_mph=args.vehicle_speeds,
+        roads=args.roads,
         reaction_s=args.tr,
         system_delay_s=args.ts,
     )
     print(
-        f"warning range {warning_range:g} m, train speed {train_speed:.4f} m/s, "
+        f"warning range {warning_range:g} m, train speed {args.train_speed:.4f} m/s, "
         f"reaction {args.tr:g} s, system delay {args.ts:g} s"
     )
     for row in report.rows:
@@ -266,64 +292,37 @@ def _cmd_safeness(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grid = dict(
-        speeds_mps=_list_flag("--speeds", args.speeds, parse_speed),
-        powers_dbm=_list_flag("--powers", args.powers, float),
-        modulations=_list_flag("--modulations", args.modulations),
-        antennas=_list_flag("--antennas", args.antennas),
-        seeds=_list_flag("--seeds", args.seeds, int),
-    )
-    _check_flags(("--workers", args.workers, 1, False))
     scenario = load_config(args.config).scenario
     try:
-        results = run_sweep(scenario, **grid, max_workers=args.workers)
+        results = run_sweep(
+            scenario,
+            speeds_mps=args.speeds,
+            powers_dbm=args.powers,
+            modulations=args.modulations,
+            antennas=args.antennas,
+            seeds=args.seeds,
+            max_workers=args.workers,
+        )
     except SweepPointError as exc:
         raise ConfigError(str(exc)) from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
+    rows = []
     for index, result in enumerate(results):
-        point = result.point
-        log = result.log
+        point, log = result.point, result.log
         name = (
             f"point{index:03d}_v{point.speed_mps:g}_p{point.tx_power_dbm:g}"
             f"_{point.modulation}_{point.tx_antenna}_s{point.seed}.log.jsonl"
         )
         logio.write_log(log, out_dir / name)
-        decoded = log.decoded_count()
-        coverage = an.coverage_report(log)
-        summary_rows.append(
-            [
-                name,
-                point.speed_mps,
-                point.tx_power_dbm,
-                point.modulation,
-                point.tx_antenna,
-                point.seed,
-                log.packet_count(),
-                decoded,
-                len(log.events),
-                coverage.warning_range_m,
-            ]
-        )
+        counts = [log.packet_count(), log.decoded_count(), len(log.events)]
+        rows.append([name, *astuple(point), *counts, an.coverage_report(log).warning_range_m])
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "log",
-                "speed_mps",
-                "tx_power_dbm",
-                "modulation",
-                "tx_antenna",
-                "seed",
-                "packets",
-                "decoded",
-                "events",
-                "warning_range_m",
-            ]
-        )
-        writer.writerows(summary_rows)
+        point_keys = [field.name for field in fields(SweepPoint)]
+        writer.writerow(["log", *point_keys, "packets", "decoded", "events", "warning_range_m"])
+        writer.writerows(rows)
     print(f"wrote {len(results)} logs and {summary_path}")
     return EXIT_OK
 
@@ -338,20 +337,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

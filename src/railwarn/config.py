@@ -7,19 +7,19 @@ RadioConfig; channel SyntheticChannel, or PerProfile in empirical mode;
 latency LatencyModel; train TrainRun; policy TriggerPolicy; analysis
 AnalysisDefaults). Every section becomes a field of the Scenario, so the
 analysis settings reach each log's header through run_pass. An omitted key
-takes the field default, and a value must match the field's annotation;
-null is allowed only for X | None. Keys that are not fields:
-train.speed_mph, channel.mode, per_table and bins, and the antenna tables
-and paths. Defaults that are not field defaults: a receiver's id, offset
-and kind-dependent height, and the free-space reference loss for the
-carrier. Only train.speed_mps (or speed_mph) is required. Unknown keys are
-rejected so typos fail loudly. Relative file paths resolve against the
-config file's directory.
+takes the field default, and a value must match the field's annotation
+(units.check_field); null is allowed only for X | None, and a number must
+be finite, so NaN and Infinity literals fail naming the key. Keys that are
+not fields: train.speed_mph, channel.mode, per_table or bins, and the
+antenna tables or paths (one form each, never both). Defaults that are not
+field defaults: a receiver's id, offset and kind-dependent height, and the
+free-space reference loss for the carrier. Only train.speed_mps (or
+speed_mph) is required. Unknown keys are rejected so typos fail loudly.
+Relative file paths resolve against the config file's directory.
 """
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .link import (
 )
 from .logio import AnalysisDefaults
 from .protocol import TriggerPolicy
-from .units import mph_to_mps
+from .units import check_field, mph_to_mps
 
 _SECTIONS = ("scene", "radio", "channel", "latency", "train", "policy", "analysis")
 _TOP_KEYS = {"version", "seed", "antennas", *_SECTIONS}
@@ -70,41 +70,12 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _get(section: dict, key: str, default, where: str, kind: type):
-    """section[key], or default when absent, if it is null or a kind (a bool is no int)."""
-    value = section.get(key, default)
-    if value is None or (isinstance(value, kind) and not isinstance(value, bool)):
-        return value
-    raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-
-
-def _float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected int/float, got {type(value).__name__}")
+def _checked(value, annotation, where: str):
+    """value checked against a field annotation (units.check_field), or a ConfigError."""
     try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
-    return number
-
-
-def _number(section: dict, key: str, default, where: str):
-    value = section.get(key, default)
-    return None if value is None else _float(value, f"{where}.{key}")
-
-
-def _value(section: dict, key: str, annotation, where: str):
-    """section[key] checked against a field annotation: float, int, str or X | None."""
-    kinds = getattr(annotation, "__args__", (annotation,))
-    if float in kinds:
-        value = _number(section, key, None, where)
-    else:
-        value = _get(section, key, None, where, kinds[0])
-    if value is None and type(None) not in kinds:
-        raise ConfigError(f"{where}.{key}: expected {kinds[0].__name__}, got null")
-    return value
+        return check_field(value, annotation, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _table(section: dict, key: str, width: int, where: str) -> tuple:
@@ -115,8 +86,8 @@ def _table(section: dict, key: str, width: int, where: str) -> tuple:
     ):
         raise ConfigError(f"{where}.{key}: expected a list of rows of {width} numbers")
     return tuple(
-        tuple(_float(value, f"{where}.{key}[{index}]") for value in row)
-        for index, row in enumerate(rows)
+        tuple(_checked(value, float, f"{where}.{key}[{i}][{j}]") for j, value in enumerate(row))
+        for i, row in enumerate(rows)
     )
 
 
@@ -132,7 +103,7 @@ def _build(cls, section, where: str, extra=(), **given):
     values = dict(given)
     for field in fields:
         if field.name in section and field.name not in given:
-            values[field.name] = _value(section, field.name, field.type, where)
+            values[field.name] = _checked(section[field.name], field.type, f"{where}.{field.name}")
     missing = [
         field.name
         for field in fields
@@ -151,7 +122,7 @@ def _load_receivers(entries, where: str) -> tuple:
     for index, entry in enumerate(_list(entries, where)):
         here = f"{where}[{index}]"
         _object(entry, here)
-        kind = _value(entry, "kind", str, here) if "kind" in entry else "OBU"
+        kind = _checked(entry.get("kind", "OBU"), str, f"{here}.kind")
         defaults = {
             "id": f"{kind.lower()}{index}",
             "kind": kind,
@@ -178,8 +149,10 @@ def _load_scene(section: dict) -> CrossingScene:
 
 
 def _load_train(section: dict) -> TrainRun:
-    speed_mps = _number(section, "speed_mps", None, "train")
-    speed_mph = _number(section, "speed_mph", None, "train")
+    speed_mps, speed_mph = (
+        _checked(section.get(key), float | None, f"train.{key}")
+        for key in ("speed_mps", "speed_mph")
+    )
     if speed_mps is None and speed_mph is None:
         raise ConfigError("train: one of speed_mps or speed_mph is required")
     if speed_mps is not None and speed_mph is not None:
@@ -190,18 +163,22 @@ def _load_train(section: dict) -> TrainRun:
 
 
 def _load_channel(section: dict, base_dir: Path, radio: RadioConfig):
-    mode = _get(section, "mode", "synthetic", "channel", str)
+    mode = _checked(section.get("mode", "synthetic"), str, "channel.mode")
     if mode == "synthetic":
-        reference = _number(section, "reference_loss_db", None, "channel")
+        reference = _checked(
+            section.get("reference_loss_db"), float | None, "channel.reference_loss_db"
+        )
         if reference is None:
             reference = friis_reference_loss_db(radio.center_frequency_hz)
         return _build(SyntheticChannel, section, "channel", ("mode",), reference_loss_db=reference)
     if mode != "empirical":
         raise ConfigError(f"channel.mode: must be 'empirical' or 'synthetic', got {mode!r}")
+    if "bins" in section and "per_table" in section:
+        raise ConfigError("channel: give per_table or inline bins, not both")
     if "bins" in section:
         bins = _table(section, "bins", 3, "channel")
     elif "per_table" in section:
-        path = base_dir / _value(section, "per_table", str, "channel")
+        path = base_dir / _checked(section["per_table"], str, "channel.per_table")
         try:
             bins = PerProfile.from_csv(path).bins
         except (OSError, ValueError) as exc:
@@ -216,14 +193,16 @@ def _load_antennas(section, base_dir: Path) -> tuple:
     for name, entry in sorted(_object(section, "antennas").items()):
         here = f"antennas.{name}"
         _check_keys(_object(entry, here), _ANTENNA_KEYS, here)
-        peak = _number(entry, "peak_gain_dbi", None, here)
-        floor = _number(entry, "floor_dbi", DEFAULT_FLOOR_DBI, here)
+        peak = _checked(entry.get("peak_gain_dbi"), float | None, f"{here}.peak_gain_dbi")
+        floor = _checked(entry.get("floor_dbi", DEFAULT_FLOOR_DBI), float, f"{here}.floor_dbi")
         try:
             if "azimuth_csv" in entry or "elevation_csv" in entry:
                 if not ("azimuth_csv" in entry and "elevation_csv" in entry):
                     raise ConfigError(f"{here}: both azimuth_csv and elevation_csv are required")
+                if "azimuth" in entry or "elevation" in entry:
+                    raise ConfigError(f"{here}: give cut CSV paths or inline tables, not both")
                 azimuth_csv, elevation_csv = (
-                    base_dir / _value(entry, key, str, here)
+                    base_dir / _checked(entry[key], str, f"{here}.{key}")
                     for key in ("azimuth_csv", "elevation_csv")
                 )
                 patterns.append(pattern_from_csv(name, azimuth_csv, elevation_csv, peak, floor))
@@ -266,48 +245,16 @@ def parse_config(data: dict, base_dir: Path) -> LoadedConfig:
     return LoadedConfig(scenario=scenario)
 
 
-# Stands in for NaN/Infinity literals while parsing, so the error can name the key.
-_NON_FINITE = object()
-
-
-def _path_to(node, target, path: str = "") -> str | None:
-    """Dotted path of the first occurrence of target in parsed JSON."""
-    if node is target:
-        return path
-    if isinstance(node, dict):
-        children = ((f"{path}.{key}" if path else key, child) for key, child in node.items())
-    elif isinstance(node, list):
-        children = ((f"{path}[{index}]", child) for index, child in enumerate(node))
-    else:
-        return None
-    for child_path, child in children:
-        found = _path_to(child, target, child_path)
-        if found is not None:
-            return found
-    return None
-
-
 def load_config(path: str | Path) -> LoadedConfig:
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    literals = []
-
-    def non_finite(literal: str):
-        literals.append(literal)
-        return _NON_FINITE
-
     try:
-        data = json.loads(text, parse_constant=non_finite)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: parse error: {exc.msg}") from None
-    if literals:
-        raise ConfigError(
-            f"{_path_to(data, _NON_FINITE) or 'config'}: "
-            f"non-finite number {literals[0]} is not allowed"
-        )
     return parse_config(data, path.parent)
 
 

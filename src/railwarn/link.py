@@ -42,7 +42,6 @@ class RadioConfig:
     """
 
     center_frequency_hz: float = 5.87e9
-    channel_number: int = 174
     tx_power_dbm: float = 23.0
     modulation: str = "QPSK"
     tx_period_ms: float = 50.0

@@ -7,7 +7,9 @@ first line is a header with the scenario digest, pass metadata and the
 analysis settings (AnalysisDefaults) the scenario gave; the remaining lines
 are packet records (grouped by receiver, ordered by sequence number)
 followed by warning events. Keys are sorted so identical logs are
-byte-identical.
+byte-identical. Each header field, receivers' included, is checked against
+its SimLog or Placement annotation where the header is read; the analysis
+settings must make an AnalysisDefaults and tx_period_s be positive.
 
 Packets move between files and PacketColumns in chunks. The writer formats
 packet lines from column values with one template per receiver and decoded
@@ -31,7 +33,7 @@ import numpy as np
 
 from .geometry import Placement
 from .protocol import WarningEvent
-from .units import require_finite
+from .units import check_field, require_finite
 
 # Version 2 logs come from the keyed block streams (engine.receiver_stream);
 # version 1 logs came from one stream per receiver drawn tick by tick. Their
@@ -158,7 +160,8 @@ READ_BATCH_BYTES = 1 << 18
 # and events; those with a default may be absent from older logs.
 PACKET_KEYS = PacketColumns.__slots__
 EVENT_KEYS = tuple(field.name for field in dataclasses.fields(WarningEvent))
-RECEIVER_KEYS = tuple(field.name for field in dataclasses.fields(Placement))
+_RECEIVER_FIELDS = dataclasses.fields(Placement)
+RECEIVER_KEYS = tuple(field.name for field in _RECEIVER_FIELDS)
 _HEADER_FIELDS = tuple(
     field for field in dataclasses.fields(SimLog) if field.name not in ("records", "events")
 )
@@ -340,14 +343,33 @@ def _json_row(obj: dict, receivers: dict) -> tuple:
     )
 
 
-def _header_placements(obj: dict) -> tuple:
-    """The receivers of a header line, checked."""
+def _field_values(obj: dict, fields, prefix: str = "") -> dict:
+    """obj's values for fields, each checked against its annotation; an
+    absent one takes the field default."""
+    return {
+        field.name: check_field(obj.get(field.name, field.default), field.type, prefix + field.name)
+        for field in fields
+    }
+
+
+def _header_values(obj: dict) -> dict:
+    """The SimLog fields of a header line, checked."""
     version = obj.get("version")
     if isinstance(version, bool) or version not in READABLE_LOG_VERSIONS:
         raise ValueError(
             f"unsupported log version {version!r}; this reader reads {list(READABLE_LOG_VERSIONS)}"
         )
     _require(obj, HEADER_KEYS, "header")
+    values = _field_values(obj, [field for field in _HEADER_FIELDS if field.name != "receivers"])
+    if values["tx_period_s"] <= 0:
+        raise ValueError(f"tx_period_s must be positive, got {values['tx_period_s']!r}")
+    window, threshold = values["analysis_window_m"], values["coverage_threshold"]
+    try:
+        AnalysisDefaults(window, threshold)
+    except ValueError as exc:
+        raise ValueError(
+            f"analysis_window_m {window!r}, coverage_threshold {threshold!r}: {exc}"
+        ) from None
     if not isinstance(obj["receivers"], list):
         raise ValueError("header receivers must be a list")
     placements = []
@@ -355,13 +377,11 @@ def _header_placements(obj: dict) -> tuple:
         if not isinstance(rec, dict):
             raise ValueError("header receivers must be objects")
         _require(rec, RECEIVER_KEYS, "header receiver")
-        if not isinstance(rec["id"], str):
-            raise ValueError(f"receiver id must be a string, got {rec['id']!r}")
-        placements.append(Placement(**{key: rec[key] for key in RECEIVER_KEYS}))
+        placements.append(Placement(**_field_values(rec, _RECEIVER_FIELDS, "receiver ")))
     ids = [p.id for p in placements]
     if len(set(ids)) != len(ids):
         raise ValueError(f"header lists a receiver id twice: {ids}")
-    return tuple(placements)
+    return {**values, "receivers": tuple(placements)}
 
 
 def _first_fault(columns: tuple, placements: tuple) -> "tuple[int, str] | None":
@@ -393,8 +413,7 @@ def _batches_of_lines(handle):
 def read_log(path: str | Path) -> SimLog:
     """Read a JSON-lines log; a line that breaks the format raises ValueError
     naming path:line."""
-    header = None
-    placements: tuple = ()
+    header = None  # the SimLog fields of the header line
     receivers: dict = {}  # JSON-encoded receiver id -> index in the header
     pattern = None
     parts: list = []  # column arrays of packet lines, in file order
@@ -435,8 +454,8 @@ def read_log(path: str | Path) -> SimLog:
                     elif kind == "header":
                         if header is not None:
                             raise ValueError("second header line")
-                        header, placements = obj, _header_placements(obj)
-                        receivers = {_encode(p.id): i for i, p in enumerate(placements)}
+                        header = _header_values(obj)
+                        receivers = {_encode(p.id): i for i, p in enumerate(header["receivers"])}
                         pattern = _packet_pattern(receivers)
                     elif kind == "event":
                         _require(obj, EVENT_KEYS, "event line")
@@ -449,10 +468,11 @@ def read_log(path: str | Path) -> SimLog:
                 parts.append(_rows_to_columns(path, rows, receivers, row_lines))
     if header is None:
         raise ValueError(f"{path}: missing header line")
-    return _assemble(path, header, placements, parts, events)
+    return _assemble(path, header, parts, events)
 
 
-def _assemble(path, header: dict, placements: tuple, parts: list, events: list) -> SimLog:
+def _assemble(path, header: dict, parts: list, events: list) -> SimLog:
+    placements = header["receivers"]
     if parts:
         columns = tuple(np.concatenate(column) for column in zip(*parts))
     else:
@@ -467,9 +487,7 @@ def _assemble(path, header: dict, placements: tuple, parts: list, events: list) 
     for index, placement in enumerate(placements):
         rows = receiver == index
         records[placement.id] = PacketColumns(placement.id, *(c[rows] for c in columns[1:7]))
-    values = {field.name: header.get(field.name, field.default) for field in _HEADER_FIELDS}
-    values.update(receivers=placements, records=records, events=events)
-    return SimLog(**values)
+    return SimLog(**header, records=records, events=events)
 
 
 FIELD_COLUMNS = ("seq", "tx_time_s", "train_d_t_m", "decoded", "rx_time_s")

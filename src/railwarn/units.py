@@ -7,6 +7,7 @@ dBi. Miles per hour appear only at user-facing boundaries.
 
 import csv
 import math
+import sys
 
 MPH_TO_MPS = 0.44704
 SPEED_OF_LIGHT_MPS = 299_792_458.0
@@ -20,8 +21,31 @@ def require_finite(**values) -> None:
     gate would pass it silently; the config dataclasses call this first.
     """
     for name, value in values.items():
-        if value is not None and not math.isfinite(value):
+        # Not math.isfinite, which overflows on an int beyond the float range.
+        if value is not None and not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_field(value, annotation, name: str):
+    """value as a dataclass field annotated float, int, str or X | None takes it.
+
+    A float field takes an int or float in the finite float range, as a
+    float; an int field only an int; a bool is neither; None passes only an
+    X | None. Anything else raises ValueError naming name.
+    """
+    kinds = getattr(annotation, "__args__", (annotation,))
+    kind = kinds[0]
+    if value is None and type(None) in kinds:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        expected = "int/float" if kind is float else kind.__name__
+        got = "null" if value is None else type(value).__name__
+        raise ValueError(f"{name}: expected {expected}, got {got}")
+    if kind is not float:
+        return value
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int too large
+        raise ValueError(f"{name}: must be a finite number, got {value!r}")
+    return float(value)
 
 
 def read_numeric_table(path, columns: tuple, what: str) -> list:

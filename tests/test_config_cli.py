@@ -33,7 +33,6 @@ class TestConfigLoading:
     def test_minimal_config_gets_standard_defaults(self, tmp_path):
         scenario = load_scenario(write_config(tmp_path, MINIMAL))
         assert scenario.radio.center_frequency_hz == 5.87e9
-        assert scenario.radio.channel_number == 174
         assert scenario.radio.tx_period_ms == 50.0
         assert scenario.radio.tx_power_dbm == 23.0
         assert scenario.radio.modulation == "QPSK"
@@ -644,6 +643,64 @@ class TestNumericFlags:
         assert main(["simulate", str(SUBURBAN), "-o", str(log_path)]) == 0
         assert main(["coverage", str(log_path), "--window", "25", "--threshold", "1"]) == 0
         assert main(["safeness", "--dwarn", "0", "--train-speed", "10mph", "--ts", "0"]) == 0
+
+
+class TestUnparseableFlags:
+    """Every value flag of every command is parsed and checked as argparse
+    reads it: a value that does not parse (for a str list, one with no items)
+    exits 2 naming the flag before any config or log is read or file written.
+
+    The log path does not exist, so reading it first would exit 3.
+    """
+
+    BASE = {
+        "simulate": ["simulate", str(SUBURBAN), "-o", "x.jsonl"],
+        "analyze": ["analyze", "missing.jsonl", "--out-dir", "out"],
+        "coverage": ["coverage", "missing.jsonl", "--out", "out.csv"],
+        "safeness": ["safeness", "--train-speed", "10mph", "--out", "out.csv"],
+        "sweep": ["sweep", str(SUBURBAN), "--out-dir", "sweep"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("simulate", "--seed", "abc"),
+            ("analyze", "--window", "abc"),
+            ("coverage", "--window", "abc"),
+            ("coverage", "--threshold", "1.5"),
+            ("safeness", "--dwarn", "abc"),
+            ("safeness", "--train-speed", "abc"),
+            ("safeness", "--vehicle-speeds", "25,abc"),
+            ("safeness", "--roads", ","),
+            ("safeness", "--tr", "x"),
+            ("safeness", "--ts", "x"),
+            ("safeness", "--window", "abc"),
+            ("safeness", "--threshold", "abc"),
+            ("sweep", "--speeds", "10mph,abc"),
+            ("sweep", "--powers", "abc"),
+            ("sweep", "--modulations", ","),
+            ("sweep", "--antennas", ","),
+            ("sweep", "--seeds", "abc"),
+            ("sweep", "--workers", "abc"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, tmp_path, monkeypatch, capsys, command, flag, text):
+        monkeypatch.chdir(tmp_path)
+        argv = list(self.BASE[command])
+        if command == "safeness" and flag != "--dwarn":
+            argv += ["--coverage-from", "missing.jsonl"]
+        assert main([*argv, flag, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config: {flag}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integer_beyond_float_range_is_finite(self, tmp_path, capsys):
+        log_path = tmp_path / "pass.jsonl"
+        assert main(["simulate", str(SUBURBAN), "-o", str(log_path)]) == 0
+        assert main(["coverage", str(log_path), "--threshold", "1" + "0" * 400]) == 0
+        assert "warning-failure: no bin met the threshold" in capsys.readouterr().out
 
 
 class TestNumericTables:

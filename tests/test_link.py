@@ -22,7 +22,6 @@ RADIO = RadioConfig()
 class TestRadioConfig:
     def test_defaults_match_standard_setup(self):
         assert RADIO.center_frequency_hz == 5.87e9
-        assert RADIO.channel_number == 174
         assert BSM_SIZE_BYTES == 99
         assert RADIO.tx_period_ms == 50.0
         assert RADIO.tx_period_s == 0.05

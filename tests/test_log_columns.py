@@ -389,3 +389,69 @@ class TestLogVersion:
         rewrite(path, lines)
         with pytest.raises(ValueError, match=r"pass\.log\.jsonl:1: unsupported log version None"):
             read_log(path)
+
+
+def with_header(tmp_path, **fields):
+    """A written log whose header has these fields set."""
+    path, lines = written_log(tmp_path)
+    lines[0] = json.dumps({**json.loads(lines[0]), **fields}, sort_keys=True)
+    rewrite(path, lines)
+    return path
+
+
+class TestHeaderFields:
+    """Every header field is checked where the header line is read: a bad one
+    names path:1 and the key, and the CLI exits 3 with one error line."""
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("coverage", "analysis_window_m", "abc"),
+            ("analyze", "tx_period_s", "x"),
+            ("coverage", "coverage_threshold", 2.5),
+            ("coverage", "coverage_threshold", True),
+            ("coverage", "coverage_threshold", 0),
+            ("coverage", "analysis_window_m", -5.0),
+            ("analyze", "tx_period_s", -1.0),
+        ],
+    )
+    def test_cli_exits_3_naming_line_and_key(self, tmp_path, capsys, command, key, value):
+        path = with_header(tmp_path, **{key: value})
+        out = {"analyze": "--out-dir", "coverage": "--out"}[command]
+        assert main([command, str(path), out, str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: runtime: {path}:1: ")
+        assert key in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("digest", 5),
+            ("seed", "1"),
+            ("seed", 1.0),
+            ("train_speed_mps", "fast"),
+            ("tx_period_s", None),
+            ("tx_period_s", 0.0),
+            ("start_d_t_m", None),
+            ("end_d_t_m", [1]),
+            ("duration_s", True),
+            ("analysis_window_m", None),
+            ("coverage_threshold", "5"),
+        ],
+    )
+    def test_wrong_type_or_range_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:1: .*{key}"):
+            read_log(with_header(tmp_path, **{key: value}))
+
+    @pytest.mark.parametrize("key, value", [("id", 5), ("height_m", "x"), ("boresight_deg", "up")])
+    def test_receiver_fields_checked(self, tmp_path, key, value):
+        path, lines = written_log(tmp_path)
+        header = json.loads(lines[0])
+        header["receivers"][0][key] = value
+        lines[0] = json.dumps(header, sort_keys=True)
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:1: receiver {key}"):
+            read_log(path)

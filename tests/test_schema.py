@@ -78,10 +78,17 @@ def antenna(**entry):
         (empirical(bins=[5]), "channel.bins"),
         (empirical(bins=[[-10, 10]]), "channel.bins"),
         (empirical(bins=[[-10, 10, [0]]]), "channel.bins[0]"),
+        (empirical(bins=[[-10, 10, 0.1], [10, 20, "x"]]), "channel.bins[1][2]"),
         (empirical(per_table=5), "channel.per_table"),
+        (empirical(per_table="per.csv", bins=[[-10, 10, float("nan")]]), "channel: give"),
         (antenna(azimuth=5, elevation=[[0, 1]]), "antennas.mine.azimuth"),
         (antenna(azimuth=[[0, "1"]], elevation=[[0, 1]]), "antennas.mine.azimuth[0]"),
+        (antenna(azimuth=[[0, 1]], elevation=[[0, 1], [True, 1]]), "antennas.mine.elevation[1][0]"),
         (antenna(azimuth_csv=5, elevation_csv="el.csv"), "antennas.mine.azimuth_csv"),
+        (
+            antenna(azimuth_csv="az.csv", elevation_csv="el.csv", azimuth=[[0, float("nan")]]),
+            "antennas.mine: give",
+        ),
         (set_key("antennas", 5), "antennas"),
         (set_key("version", True), "version"),
         (set_key("radio.tx_power_dbm", True), "radio.tx_power_dbm"),
@@ -98,7 +105,9 @@ def test_malformed_shape_exits_2_naming_the_key(tmp_path, capsys, edit, key):
     assert not log_path.exists()
 
 
-@pytest.mark.parametrize("key", ["latency.relay_hops", "radio.packet_size_bytes"])
+@pytest.mark.parametrize(
+    "key", ["latency.relay_hops", "radio.packet_size_bytes", "radio.channel_number"]
+)
 def test_knobs_the_engine_ignored_are_unknown(tmp_path, capsys, key):
     config = config_with(tmp_path, set_key(key, 1))
     assert main(["simulate", str(config), "-o", str(tmp_path / "x.jsonl")]) == 2
@@ -110,10 +119,10 @@ def test_shipped_config_digests():
     # sha256 of the canonical JSON, which holds every field of the scenario
     # but the analysis settings.
     assert scenario_digest(load_scenario(CONFIGS / "open_track_20mph.json")) == (
-        "78e5031c271e8238585cd5a31bd7df004290b82e7a53821d60281e49915142f0"
+        "813e840ed1c808555ef0615a71d6374fc92dc541e375733903a81a2cf17d3b97"
     )
     assert scenario_digest(load_scenario(SUBURBAN)) == (
-        "172f89e7456beaa0bb1cf267a1701b41a4e779132488ab849fa9062297bf85b7"
+        "2ad7df8b085163e585f9d69ce2ca87f14de3ce6efc4f694f2f914d6a66c4bc12"
     )
 
 
@@ -225,7 +234,6 @@ def scenarios(draw):
         ),
         radio=RadioConfig(
             center_frequency_hz=draw(floats(1e9, 6e9)),
-            channel_number=draw(st.integers(0, 200)),
             tx_power_dbm=draw(st.sampled_from([11.0, 23.0])),
             modulation=draw(st.sampled_from(["QPSK", "16QAM"])),
             tx_period_ms=draw(floats(10, 200)),
