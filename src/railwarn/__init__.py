@@ -66,11 +66,9 @@ from .safety import (
     VehicleBrakingTable,
     braking_time,
     minimum_required_range,
-    protection_time,
     safeness_curve,
     safeness_level,
     time_to_avoid_collision,
-    time_to_crossing,
 )
 from .units import mph_to_mps, parse_speed
 

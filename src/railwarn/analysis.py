@@ -22,7 +22,6 @@ from .safety import (
     DEFAULT_SYSTEM_DELAY_S,
     DEFAULT_VEHICLE_SPEEDS_MPH,
     ROADS,
-    VehicleBrakingTable,
     safeness_curve,
     time_to_avoid_collision,
 )
@@ -169,17 +168,14 @@ class LatencyStats:
     fraction_below_period: float
 
 
-def latency_stats(
-    log: SimLog, receiver_id: str | None = None, period_s: float | None = None
-) -> LatencyStats:
-    """Latency summary over decoded packets only."""
+def latency_stats(log: SimLog, receiver_id: str | None = None) -> LatencyStats:
+    """Latency summary over decoded packets only; the period is the log's."""
     receivers = log.records.values() if receiver_id is None else [log.records[receiver_id]]
     values = np.concatenate(
         [np.empty(0), *(packets.latency_s[packets.decoded] for packets in receivers)]
     )
     if not len(values):
         raise ValueError("no decoded packets in log")
-    period = log.tx_period_s if period_s is None else period_s
     return LatencyStats(
         count=len(values),
         mean_s=float(values.mean()),
@@ -187,7 +183,7 @@ def latency_stats(
         p95_s=float(np.percentile(values, 95)),
         max_s=float(values.max()),
         fraction_below_5ms=float((values < 5e-3).mean()),
-        fraction_below_period=float((values < period).mean()),
+        fraction_below_period=float((values < log.tx_period_s).mean()),
     )
 
 
@@ -226,8 +222,6 @@ def safeness_report(
     roads=ROADS,
     reaction_s: float = DEFAULT_REACTION_S,
     system_delay_s: float = DEFAULT_SYSTEM_DELAY_S,
-    table: VehicleBrakingTable | None = None,
-    distances_m=None,
 ) -> SafenessReport:
     """Protection time and safeness curves over a vehicle grid.
 
@@ -245,14 +239,7 @@ def safeness_report(
     for speed in vehicle_speeds_mph:
         for road in roads:
             curve = safeness_curve(
-                train_speed_mps,
-                warning_range,
-                speed,
-                road,
-                reaction_s,
-                system_delay_s,
-                distances_m,
-                table,
+                train_speed_mps, warning_range, speed, road, reaction_s, system_delay_s
             )
             rows.append(
                 SafenessRow(

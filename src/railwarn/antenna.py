@@ -80,26 +80,21 @@ def pattern_gain(
     return np.maximum(np.broadcast_to(combined, np.shape(azimuth_deg)), pattern.floor_dbi)
 
 
-def omni_pattern(peak_gain_dbi: float, name: str | None = None) -> AntennaPattern:
+def omni_pattern(peak_gain_dbi: float, name: str) -> AntennaPattern:
     """Ideal omnidirectional pattern: flat in both cuts."""
     return AntennaPattern(
-        name=name or f"omni{peak_gain_dbi:g}",
+        name=name,
         azimuth_cut=((0.0, peak_gain_dbi),),
         elevation_cut=((0.0, peak_gain_dbi),),
         peak_gain_dbi=peak_gain_dbi,
     )
 
 
-def bidirectional_pattern(
-    peak_gain_dbi: float,
-    beamwidth_deg: float = 10.0,
-    name: str | None = None,
-    floor_dbi: float = DEFAULT_FLOOR_DBI,
-) -> AntennaPattern:
+def bidirectional_pattern(peak_gain_dbi: float, beamwidth_deg: float, name: str) -> AntennaPattern:
     """Two-panel pattern with Gaussian main lobes fore and aft (0 and 180 deg).
 
     The lobe follows -12*(delta/beamwidth)^2 dB, i.e. -3 dB at half the
-    beamwidth off boresight, floored at floor_dbi. Elevation has a single
+    beamwidth off boresight, floored at DEFAULT_FLOOR_DBI. Elevation has a single
     lobe of the same width centred on the horizon.
     """
     if beamwidth_deg <= 0:
@@ -107,7 +102,7 @@ def bidirectional_pattern(
 
     def lobe(delta_deg: float) -> float:
         rel = -12.0 * (delta_deg / beamwidth_deg) ** 2
-        return max(peak_gain_dbi + rel, floor_dbi)
+        return max(peak_gain_dbi + rel, DEFAULT_FLOOR_DBI)
 
     azimuth = []
     for angle in range(360):
@@ -116,11 +111,10 @@ def bidirectional_pattern(
         azimuth.append((float(angle), lobe(min(fore, aft))))
     elevation = [(float(angle), lobe(abs(angle))) for angle in range(-90, 91)]
     return AntennaPattern(
-        name=name or f"bidir{peak_gain_dbi:g}",
+        name=name,
         azimuth_cut=tuple(azimuth),
         elevation_cut=tuple(elevation),
         peak_gain_dbi=peak_gain_dbi,
-        floor_dbi=floor_dbi,
     )
 
 

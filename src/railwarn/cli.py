@@ -258,6 +258,9 @@ def _cmd_safeness(args) -> int:
         log = logio.read_log(args.coverage_from)
         warning_range = an.coverage_report(log, args.window, args.threshold).warning_range_m
     else:
+        for flag in ("window", "threshold"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} applies only with --coverage-from, not --dwarn")
         warning_range = args.dwarn
     report = an.safeness_report(
         warning_range,

@@ -111,10 +111,10 @@ class PerProfile:
         raise ValueError(f"train distance {train_d_t_m:g} m outside the PER profile")
 
     @classmethod
-    def from_csv(cls, path: str | Path, out_of_range: str = "zero") -> "PerProfile":
+    def from_csv(cls, path: str | Path) -> "PerProfile":
         """Load a profile from CSV with header d_start_m,d_end_m,per."""
         bins = read_numeric_table(path, ("d_start_m", "d_end_m", "per"), "PER profile")
-        return cls(bins=tuple(bins), out_of_range=out_of_range)
+        return cls(bins=tuple(bins))
 
 
 @dataclass(frozen=True)

@@ -133,9 +133,7 @@ class SimLog:
     analysis_window_m: float = AnalysisDefaults.window_width_m
     coverage_threshold: int = AnalysisDefaults.coverage_threshold
 
-    def packet_count(self, receiver_id: str | None = None) -> int:
-        if receiver_id is not None:
-            return len(self.records[receiver_id])
+    def packet_count(self) -> int:
         return sum(len(recs) for recs in self.records.values())
 
     def decoded_count(self) -> int:
@@ -159,7 +157,8 @@ READ_BATCH_BYTES = 1 << 18
 # the types they hold. Header lines carry every SimLog field but the packets
 # and events; those with a default may be absent from older logs.
 PACKET_KEYS = PacketColumns.__slots__
-EVENT_KEYS = tuple(field.name for field in dataclasses.fields(WarningEvent))
+_EVENT_FIELDS = dataclasses.fields(WarningEvent)
+EVENT_KEYS = tuple(field.name for field in _EVENT_FIELDS)
 _RECEIVER_FIELDS = dataclasses.fields(Placement)
 RECEIVER_KEYS = tuple(field.name for field in _RECEIVER_FIELDS)
 _HEADER_FIELDS = tuple(
@@ -459,7 +458,7 @@ def read_log(path: str | Path) -> SimLog:
                         pattern = _packet_pattern(receivers)
                     elif kind == "event":
                         _require(obj, EVENT_KEYS, "event line")
-                        events.append(WarningEvent(**{key: obj[key] for key in EVENT_KEYS}))
+                        events.append(WarningEvent(**_field_values(obj, _EVENT_FIELDS, "event ")))
                     else:
                         raise ValueError(f"unknown line type {kind!r}")
                 except (ValueError, TypeError) as exc:
@@ -491,20 +490,18 @@ def _assemble(path, header: dict, parts: list, events: list) -> SimLog:
 
 
 FIELD_COLUMNS = ("seq", "tx_time_s", "train_d_t_m", "decoded", "rx_time_s")
+# The decoded column's accepted texts, compared stripped and in lower case.
+_DECODED_TEXTS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def read_field_log(
-    path: str | Path,
-    receiver_id: str = "field",
-    kind: str = "RSU",
-    tx_period_s: float = 0.05,
-) -> SimLog:
+def read_field_log(path: str | Path) -> SimLog:
     """Ingest an externally captured log from CSV.
 
     Expected columns: seq, tx_time_s, train_d_t_m, decoded, rx_time_s.
-    decoded accepts 0/1/true/false; rx_time_s may be blank for undecoded
-    rows. Rows are put in seq order (a stable sort). The result runs
-    through the same analysis pipeline as simulated logs; pass metadata
+    decoded accepts 1/0, true/false or yes/no in any case; rx_time_s may be
+    blank for undecoded rows. Rows are put in seq order (a stable sort). The
+    capture is one RSU named "field" transmitting every 50 ms; it runs
+    through the same analysis pipeline as simulated logs, and pass metadata
     that a capture cannot know is left unset.
     """
     path = Path(path)
@@ -521,7 +518,12 @@ def read_field_log(
                 continue
             row += [""] * (width - len(row))
             seq_text, tx_text, position_text, decoded_text, rx_text = (row[i] for i in where)
-            row_decoded = decoded_text.strip().lower() in ("1", "true", "yes")
+            row_decoded = _DECODED_TEXTS.get(decoded_text.strip().lower())
+            if row_decoded is None:
+                raise ValueError(
+                    f"{path}:{row_number}: decoded must be 1/0, true/false or yes/no, "
+                    f"got {decoded_text!r}"
+                )
             rx_text = rx_text.strip()
             if row_decoded and not rx_text:
                 raise ValueError(f"{path}:{row_number}: decoded row missing rx_time_s")
@@ -550,19 +552,17 @@ def read_field_log(
     ):
         if mask.any():
             raise ValueError(f"{path}:{int(row_numbers[mask].min())}: {message}")
-    packets = PacketColumns(receiver_id, seq, tx, position, decoded, rx, rx - tx)
+    packets = PacketColumns("field", seq, tx, position, decoded, rx, rx - tx)
     digest = "field-" + hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     return SimLog(
         digest=digest,
         seed=0,
         train_speed_mps=None,
-        tx_period_s=tx_period_s,
+        tx_period_s=0.05,
         start_d_t_m=float(position.min()),
         end_d_t_m=float(position.max()),
         duration_s=float(tx.max() - tx.min()),
-        receivers=(
-            Placement(id=receiver_id, kind=kind, offset_from_crossing_m=0.0, height_m=1.0),
-        ),
-        records={receiver_id: packets},
+        receivers=(Placement(id="field", kind="RSU", offset_from_crossing_m=0.0, height_m=1.0),),
+        records={"field": packets},
         events=[],
     )

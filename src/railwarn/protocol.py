@@ -99,14 +99,13 @@ def rsu_relay(
     event: WarningEvent,
     model: LatencyModel,
     rng: np.random.Generator,
-    hop_range_m: float = 0.0,
 ) -> float:
     """Delivery time of the relayed warning after the second hop.
 
     Only meaningful for indirect-mode events: the roadside unit forwards a
-    digested warning to vehicles, adding one more propagation plus
-    processing delay.
+    digested warning to vehicles at the crossing, over a hop of no length,
+    adding one more processing delay.
     """
     if event.mode != "indirect":
         raise ValueError("relay applies to indirect-mode events only")
-    return event.trigger_time_s + latency_sample(hop_range_m, model, rng, hops=1)
+    return event.trigger_time_s + latency_sample(0.0, model, rng, hops=1)

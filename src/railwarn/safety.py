@@ -25,16 +25,16 @@ the exact mph factor.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
-
-from .units import read_numeric_table
 
 DEFAULT_REACTION_S = 3.5
 DEFAULT_SYSTEM_DELAY_S = 0.005
 
 ROADS = ("dry", "wet")
+
+# Train distances a safeness curve is evaluated at.
+CURVE_POINTS = 251
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,6 @@ class VehicleBrakingTable:
         """Tabulated m/s value (coarse rounding preserved), interpolated."""
         return self._interpolate(speed_mph, "speed_mps")
 
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "VehicleBrakingTable":
-        """Load a table from CSV with header speed_mph,speed_mps,db_dry_m,db_wet_m."""
-        columns = ("speed_mph", "speed_mps", "db_dry_m", "db_wet_m")
-        rows = [BrakingRow(*row) for row in read_numeric_table(path, columns, "braking table")]
-        return cls(rows=tuple(rows))
-
 
 DEFAULT_BRAKING_TABLE = VehicleBrakingTable(
     rows=(
@@ -146,27 +139,14 @@ def _check_road(road: str) -> None:
         raise ValueError(f"road must be one of {ROADS}, got {road!r}")
 
 
-def time_to_crossing(train_distance_m: float, train_speed_mps: float) -> float:
-    """Seconds until a train train_distance_m away reaches the crossing."""
-    if train_speed_mps <= 0:
-        raise ValueError("train speed must be positive")
-    if train_distance_m < 0:
-        raise ValueError("approach distance must be >= 0 (use the unsigned distance)")
-    return train_distance_m / train_speed_mps
-
-
-def braking_time(
-    vehicle_speed_mph: float,
-    road: str = "dry",
-    table: VehicleBrakingTable | None = None,
-) -> float:
+def braking_time(vehicle_speed_mph: float, road: str = "dry") -> float:
     """Vehicle braking time in seconds: stopping distance over speed.
 
     Tabulated speeds reproduce the published times; intermediate speeds
     interpolate the stopping distance and the tabulated m/s value linearly
     before dividing. Speeds outside the table raise.
     """
-    table = DEFAULT_BRAKING_TABLE if table is None else table
+    table = DEFAULT_BRAKING_TABLE
     distance = table.braking_distance_m(vehicle_speed_mph, road)
     return distance / table.reference_speed_mps(vehicle_speed_mph)
 
@@ -178,19 +158,6 @@ def time_to_avoid_collision(warning_range_m: float, train_speed_mps: float) -> f
     if warning_range_m < 0:
         raise ValueError("warning range must be >= 0")
     return warning_range_m / train_speed_mps
-
-
-def protection_time(
-    time_to_avoid_collision_s: float,
-    reaction_s: float,
-    system_delay_s: float,
-    braking_s: float,
-) -> float:
-    """Margin left after reaction, system delay and braking. Negative means
-    the warning system cannot provide safety for these parameters."""
-    if min(reaction_s, system_delay_s, braking_s) < 0:
-        raise ValueError("reaction, system delay and braking times must be >= 0")
-    return time_to_avoid_collision_s - (reaction_s + system_delay_s + braking_s)
 
 
 def safeness_level(
@@ -254,14 +221,11 @@ class SafenessCurve:
     The level is linear in distance, so the 0- and 1-crossings are computed
     analytically: level 0 at train_speed * stop_budget, level 1 at the
     warning range. Their time separation equals the protection margin.
+    The train speed, range and time components are the report's.
     """
 
-    train_speed_mps: float
     vehicle_speed_mph: float
     road: str
-    warning_range_m: float
-    reaction_s: float
-    system_delay_s: float
     braking_s: float
     distances_m: tuple[float, ...]
     levels: tuple[float, ...]
@@ -278,35 +242,20 @@ def safeness_curve(
     road: str = "dry",
     reaction_s: float = DEFAULT_REACTION_S,
     system_delay_s: float = DEFAULT_SYSTEM_DELAY_S,
-    distances_m: "tuple[float, ...] | list[float] | None" = None,
-    table: VehicleBrakingTable | None = None,
 ) -> SafenessCurve:
-    """Evaluate the safeness level over a sweep of train distances.
+    """Evaluate the safeness level over CURVE_POINTS train distances.
 
     The time budget is fixed by the warning range; only the train's
-    remaining travel time varies along the sweep. The sweep must reach at
-    least the warning range so the level-1 crossing is inside it.
+    remaining travel time varies along the sweep, which runs from the
+    crossing to 1.25 times the warning range (to 1 m for a zero range), so
+    the level-1 crossing is inside it.
     """
-    if train_speed_mps <= 0:
-        raise ValueError("train speed must be positive")
-    if warning_range_m < 0:
-        raise ValueError("warning range must be >= 0")
-    braking_s = braking_time(vehicle_speed_mph, road, table)
-    if distances_m is None:
-        top = warning_range_m * 1.25 if warning_range_m > 0 else 1.0
-        count = 251
-        distances = tuple(top * i / (count - 1) for i in range(count))
-    else:
-        distances = tuple(float(d) for d in distances_m)
-        if not distances:
-            raise ValueError("distance sweep must be non-empty")
-        if any(d < 0 for d in distances):
-            raise ValueError("distance sweep must be non-negative")
-        if max(distances) < warning_range_m:
-            raise ValueError("distance sweep must extend to the warning range")
+    total_budget = time_to_avoid_collision(warning_range_m, train_speed_mps)
+    braking_s = braking_time(vehicle_speed_mph, road)
+    top = warning_range_m * 1.25 if warning_range_m > 0 else 1.0
+    distances = tuple(top * i / (CURVE_POINTS - 1) for i in range(CURVE_POINTS))
     if min(reaction_s, system_delay_s, braking_s) < 0:
         raise ValueError("reaction, system delay and braking times must be >= 0")
-    total_budget = time_to_avoid_collision(warning_range_m, train_speed_mps)
     stop_budget = reaction_s + system_delay_s + braking_s
     margin = total_budget - stop_budget
     # safeness_level at every distance, with the same float operations.
@@ -315,12 +264,8 @@ def safeness_curve(
     else:
         levels = tuple(((np.array(distances) / train_speed_mps - stop_budget) / margin).tolist())
     return SafenessCurve(
-        train_speed_mps=train_speed_mps,
         vehicle_speed_mph=vehicle_speed_mph,
         road=road,
-        warning_range_m=warning_range_m,
-        reaction_s=reaction_s,
-        system_delay_s=system_delay_s,
         braking_s=braking_s,
         distances_m=distances,
         levels=levels,

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +15,6 @@ from railwarn.engine import MAX_TICKS, TrainRun, run_pass, run_sweep, scenario_t
 from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
 from railwarn.logio import log_bytes, read_field_log, read_log, write_log
 from railwarn.protocol import TriggerPolicy
-from railwarn.safety import VehicleBrakingTable
 from railwarn.units import parse_speed
 
 
@@ -626,6 +624,14 @@ class TestNumericFlags:
                 ["safeness", "--dwarn", "300", "--train-speed", "10mph", "--vehicle-speeds", ","],
                 "--vehicle-speeds must list at least one value, got ','",
             ),
+            (
+                ["safeness", "--dwarn", "300", "--train-speed", "10mph", "--window", "5"],
+                "--window applies only with --coverage-from, not --dwarn",
+            ),
+            (
+                ["safeness", "--dwarn", "300", "--train-speed", "10mph", "--threshold", "99"],
+                "--threshold applies only with --coverage-from, not --dwarn",
+            ),
         ],
     )
     def test_flag_rejected(self, tmp_path, capsys, argv, message):
@@ -749,21 +755,6 @@ class TestNumericTables:
         assert err.startswith("error: config: antennas.aimed: ")
         assert f"az.csv:3: {message}" in err
         assert not output.exists()
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("10,4.47,10.0", "db_wet_m must be a finite number, got no value"),
-            ("10,,10.0,20.0", "speed_mps must be a finite number, got ''"),
-            ("10,4.47,x,20.0", "db_dry_m must be a finite number, got 'x'"),
-            ("10,4.47,10.0,nan", "db_wet_m must be a finite number, got 'nan'"),
-        ],
-    )
-    def test_braking_table(self, tmp_path, row, message):
-        path = tmp_path / "table.csv"
-        path.write_text(f"speed_mph,speed_mps,db_dry_m,db_wet_m\n5,2.2,4.0,8.0\n{row}\n")
-        with pytest.raises(ValueError, match=re.escape(f"table.csv:3: {message}")):
-            VehicleBrakingTable.from_csv(path)
 
 
 class TestLibraryMatchesCli:

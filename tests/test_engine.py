@@ -64,9 +64,9 @@ class TestRunPass:
         assert log.duration_s == pytest.approx(178.95, abs=0.01)
         # One record per 50 ms tick including t = 0.
         expected = math.floor(expected_duration / 0.05 + 1e-9) + 1
-        assert log.packet_count("rsu0") == expected
+        assert len(log.records["rsu0"]) == expected
         # Floor-consistent with the nominal periods-in-pass figure.
-        assert abs(log.packet_count("rsu0") - expected_duration / 0.05) <= 1.0
+        assert abs(len(log.records["rsu0"]) - expected_duration / 0.05) <= 1.0
 
     def test_perfect_link_decodes_everything(self):
         log = run_pass(make_scenario())
@@ -324,7 +324,7 @@ class TestLayerCalls:
         )
         log = run_pass(scenario)
         # One call per receiver, over all of its ticks.
-        assert calls == [(log.packet_count("rsu0"),), (log.packet_count("obu0"),)]
+        assert calls == [(len(log.records["rsu0"]),), (len(log.records["obu0"]),)]
 
     def test_packet_line_keys_are_the_column_names(self):
         lines = log_bytes(run_pass(make_scenario())).decode().splitlines()

@@ -341,6 +341,23 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match=r"capture\.csv:2:"):
             read_field_log(path)
 
+    def test_decoded_texts(self, tmp_path):
+        path = tmp_path / "capture.csv"
+        texts = ["1", " TRUE ", "Yes", "0", "false", "NO "]
+        rows = [f"{k},{k * 0.05},-120.0,{text},{k * 0.05 + 0.004}" for k, text in enumerate(texts)]
+        path.write_text("\n".join(["seq,tx_time_s,train_d_t_m,decoded,rx_time_s", *rows]) + "\n")
+        assert read_field_log(path).records["field"].decoded.tolist() == [True] * 3 + [False] * 3
+
+    @pytest.mark.parametrize("text", ["abc", "2", "", "y"])
+    def test_other_decoded_text_names_the_row(self, tmp_path, text):
+        path = tmp_path / "capture.csv"
+        path.write_text(
+            "seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n"
+            f"0,0.0,-120.0,1,0.004\n1,0.05,-119.5,{text},\n"
+        )
+        with pytest.raises(ValueError, match=rf"capture\.csv:3: decoded must be .*, got {text!r}"):
+            read_field_log(path)
+
 
 @pytest.mark.parametrize("seq", ["-1", "18446744073709551616"])
 def test_seq_outside_uint64_names_the_line(tmp_path, seq):
@@ -455,3 +472,53 @@ class TestHeaderFields:
         rewrite(path, lines)
         with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:1: receiver {key}"):
             read_log(path)
+
+
+EVENT = {
+    "type": "event",
+    "receiver_id": "rsu0",
+    "source": "RSU",
+    "mode": "indirect",
+    "trigger_time_s": 1.5,
+    "train_d_t_at_trigger_m": -120.5,
+    "packets_seen": 5,
+    "relay_delivery_time_s": 1.504,
+}
+
+
+def with_event(tmp_path, **fields):
+    """A written log with one event line, these fields set."""
+    path, lines = written_log(tmp_path)
+    rewrite(path, [*lines, json.dumps({**EVENT, **fields}, sort_keys=True)])
+    return path
+
+
+class TestEventFields:
+    """Each event field is checked against its WarningEvent annotation where
+    the line is read: a bad one names path:line and the key."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("receiver_id", 5),
+            ("source", None),
+            ("mode", ["indirect"]),
+            ("trigger_time_s", None),
+            ("trigger_time_s", "1.5"),
+            ("train_d_t_at_trigger_m", True),
+            ("packets_seen", "x"),
+            ("packets_seen", 5.0),
+            ("relay_delivery_time_s", "late"),
+        ],
+    )
+    def test_wrong_type_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:5: event {key}: expected"):
+            read_log(with_event(tmp_path, **{key: value}))
+
+    def test_cli_exits_3(self, tmp_path, capsys):
+        path = with_event(tmp_path, packets_seen="x", trigger_time_s=None)
+        assert main(["coverage", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: runtime: {path}:5: event ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""

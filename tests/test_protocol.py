@@ -162,8 +162,8 @@ class TestRsuRelay:
     def test_adds_second_hop_delay(self):
         model = LatencyModel(processing_base_ms=4.0, processing_jitter_ms=0.0)
         rng = np.random.default_rng(0)
-        delivery = rsu_relay(self.make_event(), model, rng, hop_range_m=30.0)
-        assert delivery == pytest.approx(10.0 + 4e-3 + 30.0 / 299792458.0, rel=1e-12)
+        delivery = rsu_relay(self.make_event(), model, rng)
+        assert delivery == pytest.approx(10.0 + 4e-3, rel=1e-12)
 
     def test_direct_mode_rejected(self):
         with pytest.raises(ValueError, match="indirect"):

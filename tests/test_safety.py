@@ -12,11 +12,9 @@ from railwarn.safety import (
     VehicleBrakingTable,
     braking_time,
     minimum_required_range,
-    protection_time,
     safeness_curve,
     safeness_level,
     time_to_avoid_collision,
-    time_to_crossing,
 )
 from railwarn.units import mph_to_mps
 
@@ -66,17 +64,6 @@ class TestBrakingTable:
         with pytest.raises(ValueError, match="road"):
             braking_time(30, "icy")
 
-    def test_csv_override(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text(
-            "speed_mph,speed_mps,db_dry_m,db_wet_m\n"
-            "10,4.47,10.0,20.0\n"
-            "20,8.94,30.0,60.0\n"
-        )
-        table = VehicleBrakingTable.from_csv(path)
-        assert braking_time(10, "dry", table) == pytest.approx(10.0 / 4.47)
-        assert braking_time(15, "wet", table) == pytest.approx(40.0 / ((4.47 + 8.94) / 2))
-
     def test_invalid_tables_rejected(self):
         from railwarn.safety import BrakingRow
 
@@ -88,29 +75,6 @@ class TestBrakingTable:
             VehicleBrakingTable(
                 rows=(BrakingRow(25, 11.11, 51.3, 25.5), BrakingRow(35, 15.55, 41.4, 82.8))
             )
-
-
-class TestTimeToCrossing:
-    def test_20mph_500m_matches_published_rounding(self):
-        value = time_to_crossing(500.0, mph_to_mps(20))
-        assert value == pytest.approx(500.0 / 8.9408, rel=1e-12)
-        assert value == pytest.approx(56.0, abs=1.0)
-
-    def test_at_crossing_is_zero(self):
-        assert time_to_crossing(0.0, 12.0) == 0.0
-
-    def test_79mph_450m(self):
-        value = time_to_crossing(450.0, mph_to_mps(79))
-        assert value == pytest.approx(12.74, abs=0.01)
-        assert value == pytest.approx(12.0, abs=1.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            time_to_crossing(100.0, 0.0)
-        with pytest.raises(ValueError):
-            time_to_crossing(100.0, -3.0)
-        with pytest.raises(ValueError):
-            time_to_crossing(-1.0, 3.0)
 
 
 class TestTimeToAvoidCollision:
@@ -130,33 +94,6 @@ class TestTimeToAvoidCollision:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             time_to_avoid_collision(100.0, 0.0)
-
-
-class TestProtectionTime:
-    def test_indirect_band_examples(self):
-        assert protection_time(44.74, 3.5, 0.005, 2.3) == pytest.approx(38.935, abs=1e-9)
-        assert protection_time(44.74, 3.5, 0.005, 7.15) == pytest.approx(34.085, abs=1e-9)
-
-    def test_negative_result_is_meaningful(self):
-        assert protection_time(5.0, 3.5, 0.005, 2.3) == pytest.approx(-0.805, abs=1e-9)
-        with pytest.raises(ValueError):
-            protection_time(5.0, -1.0, 0.0, 2.0)
-
-    def test_budget_identity_property(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(1000):
-            d = rng.uniform(1.0, 2000.0)
-            v = rng.uniform(0.5, 40.0)
-            tr, ts, tb = rng.uniform(0.0, 10.0, size=3)
-            prot = protection_time(time_to_avoid_collision(d, v), tr, ts, tb)
-            assert math.isclose(prot + tr + ts + tb, d / v, rel_tol=1e-12, abs_tol=1e-12)
-
-    def test_decreasing_in_train_speed(self):
-        values = [
-            protection_time(time_to_avoid_collision(200.0, v), 3.5, 0.005, 2.3)
-            for v in (2.0, 4.0, 8.0, 16.0)
-        ]
-        assert values == sorted(values, reverse=True)
 
 
 class TestSafenessLevel:
@@ -252,7 +189,7 @@ class TestSafenessCurve:
     def test_indirect_case_crossings(self):
         v = mph_to_mps(10)
         curve = safeness_curve(v, 200.0, 25, "dry")
-        stop = curve.reaction_s + curve.system_delay_s + curve.braking_s
+        stop = 3.5 + 0.005 + curve.braking_s
         assert curve.one_cross_distance_m == 200.0
         assert curve.zero_cross_distance_m == v * stop
         assert curve.zero_cross_distance_m == pytest.approx(25.95, abs=0.05)
@@ -275,8 +212,7 @@ class TestSafenessCurve:
         assert curve.protection_s == pytest.approx(2.13, abs=0.01)
 
     def test_level_is_one_at_warning_range_sample(self):
-        v = mph_to_mps(10)
-        curve = safeness_curve(v, 200.0, 25, "dry", distances_m=[0.0, 100.0, 200.0, 250.0])
+        curve = safeness_curve(mph_to_mps(10), 200.0, 25, "dry")
         by_distance = dict(zip(curve.distances_m, curve.levels))
         assert by_distance[200.0] == 1.0
         assert by_distance[0.0] < 0.0
@@ -287,8 +223,11 @@ class TestSafenessCurve:
         assert list(curve.levels) == sorted(curve.levels)
 
     def test_sweep_must_reach_warning_range(self):
-        with pytest.raises(ValueError, match="sweep"):
-            safeness_curve(5.0, 200.0, 25, "dry", distances_m=[0.0, 100.0])
+        # 251 distances from the crossing to 1.25 times the range; 1 m for none.
+        for warning, top in ((200.0, 250.0), (0.0, 1.0)):
+            curve = safeness_curve(5.0, warning, 25, "dry")
+            assert len(curve.distances_m) == 251
+            assert (curve.distances_m[0], curve.distances_m[-1]) == (0.0, top)
 
     def test_failed_system_flagged(self):
         # Tiny range: the budget cannot cover even the stop time.
@@ -316,18 +255,16 @@ def curve_inputs(draw):
     else:
         speed = draw(st.floats(0.1, 60.0))
         warning = draw(st.floats(0.0, 2000.0))
-    sweep = st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=20)
-    distances = draw(st.one_of(st.none(), sweep.map(lambda d: [*d, warning])))
-    return speed, warning, vehicle, road, reaction, delay, distances
+    return speed, warning, vehicle, road, reaction, delay
 
 
 @given(inputs=curve_inputs())
 def test_curve_levels_equal_safeness_level(inputs):
-    speed, warning, vehicle, road, reaction, delay, distances = inputs
-    curve = safeness_curve(speed, warning, vehicle, road, reaction, delay, distances)
+    speed, warning, vehicle, road, reaction, delay = inputs
+    curve = safeness_curve(speed, warning, vehicle, road, reaction, delay)
     budget = time_to_avoid_collision(warning, speed)
     expected = [
-        safeness_level(time_to_crossing(d, speed), budget, reaction, delay, curve.braking_s)
+        safeness_level(d / speed, budget, reaction, delay, curve.braking_s)
         for d in curve.distances_m
     ]
     assert list(map(repr, curve.levels)) == [repr(result.level) for result in expected]
