@@ -14,7 +14,6 @@ from .analysis import (
     PerBin,
     PerSeries,
     SafenessReport,
-    SafenessRow,
     bin_per,
     coverage_report,
     extract_dwarn,
@@ -26,7 +25,6 @@ from .antenna import (
     bidirectional_pattern,
     builtin_pattern,
     omni_pattern,
-    pattern_from_csv,
     pattern_gain,
 )
 from .config import ConfigError, LoadedConfig, load_config, load_scenario
@@ -59,11 +57,10 @@ from .link import (
 from .logio import AnalysisDefaults, PacketColumns, SimLog, read_field_log, read_log, write_log
 from .protocol import TriggerPolicy, WarningEvent, rsu_relay
 from .safety import (
-    DEFAULT_BRAKING_TABLE,
+    BRAKING_TABLE,
     SafenessCategory,
     SafenessCurve,
     SafenessResult,
-    VehicleBrakingTable,
     braking_time,
     minimum_required_range,
     safeness_curve,

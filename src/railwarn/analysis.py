@@ -23,7 +23,6 @@ from .safety import (
     DEFAULT_VEHICLE_SPEEDS_MPH,
     ROADS,
     safeness_curve,
-    time_to_avoid_collision,
 )
 
 
@@ -187,26 +186,15 @@ def latency_stats(log: SimLog, receiver_id: str | None = None) -> LatencyStats:
     )
 
 
-@dataclass(frozen=True)
-class SafenessRow:
-    vehicle_speed_mph: float
-    road: str
-    braking_s: float
-    time_to_avoid_collision_s: float
-    protection_s: float
-    zero_cross_distance_m: float
-    one_cross_distance_m: float
-    system_failed: bool
-
-
 @dataclass
 class SafenessReport:
+    """One SafenessCurve per grid point, vehicle speed major, in rows."""
+
     warning_range_m: float
     train_speed_mps: float
     reaction_s: float
     system_delay_s: float
     rows: list
-    curves: list
 
     def protection_band_s(self) -> "tuple[float, float] | None":
         values = [row.protection_s for row in self.rows if not row.system_failed]
@@ -234,36 +222,12 @@ def safeness_report(
         warning_range = float(coverage)
     if warning_range < 0:
         raise ValueError("warning range must be >= 0")
-    rows = []
-    curves = []
-    for speed in vehicle_speeds_mph:
-        for road in roads:
-            curve = safeness_curve(
-                train_speed_mps, warning_range, speed, road, reaction_s, system_delay_s
-            )
-            rows.append(
-                SafenessRow(
-                    vehicle_speed_mph=speed,
-                    road=road,
-                    braking_s=curve.braking_s,
-                    time_to_avoid_collision_s=time_to_avoid_collision(
-                        warning_range, train_speed_mps
-                    ),
-                    protection_s=curve.protection_s,
-                    zero_cross_distance_m=curve.zero_cross_distance_m,
-                    one_cross_distance_m=curve.one_cross_distance_m,
-                    system_failed=curve.system_failed,
-                )
-            )
-            curves.append(curve)
-    return SafenessReport(
-        warning_range_m=warning_range,
-        train_speed_mps=train_speed_mps,
-        reaction_s=reaction_s,
-        system_delay_s=system_delay_s,
-        rows=rows,
-        curves=curves,
-    )
+    rows = [
+        safeness_curve(train_speed_mps, warning_range, speed, road, reaction_s, system_delay_s)
+        for speed in vehicle_speeds_mph
+        for road in roads
+    ]
+    return SafenessReport(warning_range, train_speed_mps, reaction_s, system_delay_s, rows)
 
 
 def _write_csv(path: str | Path, header: list, rows: list) -> None:
@@ -294,50 +258,44 @@ def write_latency_csv(stats_by_receiver: dict, path: str | Path) -> None:
     _write_csv(path, ["receiver_id", *(f.name for f in dataclasses.fields(LatencyStats))], rows)
 
 
+# The cells of a coverage.csv row after the receiver id, as CoverageReport
+# fields; the header drops the _used suffix.
+_COVERAGE_CELLS = (
+    "warning_range_m",
+    "farthest_qualifying_m",
+    "contiguous",
+    "threshold_used",
+    "warning_failure",
+)
+_SAFENESS_COLUMNS = (
+    "vehicle_speed_mph",
+    "road",
+    "braking_s",
+    "time_to_avoid_collision_s",
+    "protection_s",
+    "zero_cross_distance_m",
+    "one_cross_distance_m",
+    "system_failed",
+)
+
+
 def write_coverage_csv(report: CoverageReport, path: str | Path) -> None:
-    header = [
-        "receiver_id",
-        "warning_range_m",
-        "farthest_qualifying_m",
-        "contiguous",
-        "threshold",
-        "warning_failure",
-    ]
-    rows = []
-    if report.per_receiver:
-        for rid, sub in sorted(report.per_receiver.items()):
-            rows.append(
-                [
-                    rid,
-                    sub.warning_range_m,
-                    sub.farthest_qualifying_m,
-                    sub.contiguous,
-                    sub.threshold_used,
-                    sub.warning_failure,
-                ]
-            )
-    rows.append(
-        [
-            "aggregate",
-            report.warning_range_m,
-            report.farthest_qualifying_m,
-            report.contiguous,
-            report.threshold_used,
-            report.warning_failure,
-        ]
-    )
+    """One row per receiver, sorted by id, then the aggregate row."""
+    reports = [*sorted((report.per_receiver or {}).items()), ("aggregate", report)]
+    rows = [[rid, *(getattr(sub, cell) for cell in _COVERAGE_CELLS)] for rid, sub in reports]
+    header = ["receiver_id", *(cell.removesuffix("_used") for cell in _COVERAGE_CELLS)]
     _write_csv(path, header, rows)
 
 
 def write_safeness_csv(report: SafenessReport, path: str | Path) -> None:
-    rows = [dataclasses.astuple(row) for row in report.rows]
-    _write_csv(path, [f.name for f in dataclasses.fields(SafenessRow)], rows)
+    rows = [[getattr(row, column) for column in _SAFENESS_COLUMNS] for row in report.rows]
+    _write_csv(path, list(_SAFENESS_COLUMNS), rows)
 
 
 def write_curves_csv(report: SafenessReport, path: str | Path) -> None:
     rows = [
-        [curve.vehicle_speed_mph, curve.road, d, level]
-        for curve in report.curves
-        for d, level in zip(curve.distances_m, curve.levels)
+        [row.vehicle_speed_mph, row.road, d, level]
+        for row in report.rows
+        for d, level in zip(row.distances_m, row.levels)
     ]
     _write_csv(path, ["vehicle_speed_mph", "road", "d_t_m", "safeness_level"], rows)

@@ -15,11 +15,10 @@ omnidirectional patterns at 6 and 12 dBi, and a 23 dBi two-panel pattern
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .units import read_numeric_table, require_finite
+from .units import require_finite
 
 DEFAULT_FLOOR_DBI = -10.0
 
@@ -134,29 +133,3 @@ def builtin_pattern(name: str) -> AntennaPattern:
         raise KeyError(
             f"unknown antenna pattern {name!r}; built-ins are {sorted(_BUILTIN_FACTORIES)}"
         ) from None
-
-
-def _read_cut_csv(path: str | Path) -> tuple[tuple[float, float], ...]:
-    return tuple(read_numeric_table(path, ("angle_deg", "gain_dbi"), "antenna cut"))
-
-
-def pattern_from_csv(
-    name: str,
-    azimuth_csv: str | Path,
-    elevation_csv: str | Path,
-    peak_gain_dbi: float | None = None,
-    floor_dbi: float = DEFAULT_FLOOR_DBI,
-) -> AntennaPattern:
-    """Load a pattern from two cut files with header angle_deg,gain_dbi."""
-    azimuth = _read_cut_csv(azimuth_csv)
-    elevation = _read_cut_csv(elevation_csv)
-    if peak_gain_dbi is None:
-        peak_gain_dbi = max(g for _, g in azimuth + elevation)
-    return AntennaPattern(
-        name=name,
-        azimuth_cut=azimuth,
-        elevation_cut=elevation,
-        peak_gain_dbi=peak_gain_dbi,
-        floor_dbi=floor_dbi,
-    )
-

@@ -80,12 +80,11 @@ def _at_least(low, strict=False):
 
 
 def _braking_speed(value, flag):
-    table = safety.DEFAULT_BRAKING_TABLE
+    low, high = safety.BRAKING_TABLE[0].speed_mph, safety.BRAKING_TABLE[-1].speed_mph
     require_finite(**{flag: value})
-    if not table.min_speed_mph <= value <= table.max_speed_mph:
+    if not low <= value <= high:
         raise ValueError(
-            f"{flag} must be within the braking table's "
-            f"{table.min_speed_mph:g}-{table.max_speed_mph:g} mph, got {value:g}"
+            f"{flag} must be within the braking table's {low:g}-{high:g} mph, got {value:g}"
         )
 
 

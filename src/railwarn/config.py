@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .antenna import DEFAULT_FLOOR_DBI, AntennaPattern, pattern_from_csv
+from .antenna import DEFAULT_FLOOR_DBI, AntennaPattern
 from .engine import CONFIG_VERSION, Scenario, TrainRun
 from .geometry import CrossingScene, Placement
 from .link import (
@@ -36,7 +36,7 @@ from .link import (
 )
 from .logio import AnalysisDefaults
 from .protocol import TriggerPolicy
-from .units import check_field, mph_to_mps
+from .units import check_field, mph_to_mps, read_numeric_table
 
 _SECTIONS = ("scene", "radio", "channel", "latency", "train", "policy", "analysis")
 _TOP_KEYS = {"version", "seed", "antennas", *_SECTIONS}
@@ -201,21 +201,24 @@ def _load_antennas(section, base_dir: Path) -> tuple:
                     raise ConfigError(f"{here}: both azimuth_csv and elevation_csv are required")
                 if "azimuth" in entry or "elevation" in entry:
                     raise ConfigError(f"{here}: give cut CSV paths or inline tables, not both")
-                azimuth_csv, elevation_csv = (
+                paths = [
                     base_dir / _checked(entry[key], str, f"{here}.{key}")
                     for key in ("azimuth_csv", "elevation_csv")
+                ]
+                azimuth, elevation = (
+                    tuple(read_numeric_table(path, ("angle_deg", "gain_dbi"), "antenna cut"))
+                    for path in paths
                 )
-                patterns.append(pattern_from_csv(name, azimuth_csv, elevation_csv, peak, floor))
             elif "azimuth" in entry and "elevation" in entry:
                 azimuth = _table(entry, "azimuth", 2, here)
                 elevation = _table(entry, "elevation", 2, here)
-                if peak is None:
-                    peak = max(g for _, g in azimuth + elevation)
-                patterns.append(AntennaPattern(name, azimuth, elevation, peak, floor))
             else:
                 raise ConfigError(
                     f"{here}: need azimuth_csv/elevation_csv paths or inline azimuth/elevation tables"
                 )
+            if peak is None:
+                peak = max(g for _, g in azimuth + elevation)
+            patterns.append(AntennaPattern(name, azimuth, elevation, peak, floor))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{here}: {exc}") from None
     return tuple(patterns)

@@ -9,7 +9,10 @@ are packet records (grouped by receiver, ordered by sequence number)
 followed by warning events. Keys are sorted so identical logs are
 byte-identical. Each header field, receivers' included, is checked against
 its SimLog or Placement annotation where the header is read; the analysis
-settings must make an AnalysisDefaults and tx_period_s be positive.
+settings must make an AnalysisDefaults and tx_period_s be positive. An
+event's fields are checked against WarningEvent's annotations, and its
+values against the header: its receiver is a header receiver, its source
+that receiver's kind, its mode the kind's, and packets_seen is >= 1.
 
 Packets move between files and PacketColumns in chunks. The writer formats
 packet lines from column values with one template per receiver and decoded
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Placement
-from .protocol import WarningEvent
+from .protocol import WARNING_MODES, WarningEvent
 from .units import check_field, require_finite
 
 # Version 2 logs come from the keyed block streams (engine.receiver_stream);
@@ -383,8 +386,29 @@ def _header_values(obj: dict) -> dict:
     return {**values, "receivers": tuple(placements)}
 
 
+def _event(obj: dict, placements: tuple) -> WarningEvent:
+    """An event line's WarningEvent, its fields checked against their
+    annotations and its values against the header's receivers."""
+    _require(obj, EVENT_KEYS, "event line")
+    event = WarningEvent(**_field_values(obj, _EVENT_FIELDS, "event "))
+    kinds = {placement.id: placement.kind for placement in placements}
+    if event.receiver_id not in kinds:
+        raise ValueError(f"event receiver_id: {event.receiver_id!r} is not in the header")
+    kind = kinds[event.receiver_id]
+    for key, expected in (("source", kind), ("mode", WARNING_MODES[kind])):
+        if getattr(event, key) != expected:
+            raise ValueError(
+                f"event {key}: must be {expected!r} for {kind} {event.receiver_id!r}, "
+                f"got {getattr(event, key)!r}"
+            )
+    if event.packets_seen < 1:
+        raise ValueError(f"event packets_seen: must be >= 1, got {event.packets_seen!r}")
+    return event
+
+
 def _first_fault(columns: tuple, placements: tuple) -> "tuple[int, str] | None":
-    """(line, message) of the first packet line that breaks a rule."""
+    """(line, message) of the lowest-numbered line that breaks a rule; the
+    rows need not be in line order."""
     receiver, seq, tx, position, decoded, rx, latency, lines = columns
     rules = [
         (
@@ -399,7 +423,7 @@ def _first_fault(columns: tuple, placements: tuple) -> "tuple[int, str] | None":
         rejected = np.zeros(len(lines), dtype=bool)
         rejected[steps] = True
         rules.append((rejected, f"seq of receiver {placement.id!r} must increase"))
-    faults = [(int(lines[mask][0]), message) for mask, message in rules if mask.any()]
+    faults = [(int(lines[mask].min()), message) for mask, message in rules if mask.any()]
     return min(faults, key=lambda fault: fault[0], default=None)
 
 
@@ -457,8 +481,9 @@ def read_log(path: str | Path) -> SimLog:
                         receivers = {_encode(p.id): i for i, p in enumerate(header["receivers"])}
                         pattern = _packet_pattern(receivers)
                     elif kind == "event":
-                        _require(obj, EVENT_KEYS, "event line")
-                        events.append(WarningEvent(**_field_values(obj, _EVENT_FIELDS, "event ")))
+                        if header is None:
+                            raise ValueError("event before header")
+                        events.append(_event(obj, header["receivers"]))
                     else:
                         raise ValueError(f"unknown line type {kind!r}")
                 except (ValueError, TypeError) as exc:
@@ -499,8 +524,10 @@ def read_field_log(path: str | Path) -> SimLog:
 
     Expected columns: seq, tx_time_s, train_d_t_m, decoded, rx_time_s.
     decoded accepts 1/0, true/false or yes/no in any case; rx_time_s may be
-    blank for undecoded rows. Rows are put in seq order (a stable sort). The
-    capture is one RSU named "field" transmitting every 50 ms; it runs
+    blank for undecoded rows. Rows are put in seq order (a stable sort) and
+    then meet read_log's packet rules: finite values, rx_time_s >= tx_time_s
+    and each seq once; a fault names the lowest CSV row that breaks a rule.
+    The capture is one RSU named "field" transmitting every 50 ms; it runs
     through the same analysis pipeline as simulated logs, and pass metadata
     that a capture cannot know is left unset.
     """
@@ -546,23 +573,19 @@ def read_field_log(path: str | Path) -> SimLog:
     seq, tx, position, decoded, rx, row_numbers = (
         np.asarray(column)[order] for column in (seq, tx, position, decoded, rx, row_numbers)
     )
-    for mask, message in (
-        (~np.isfinite(tx) | ~np.isfinite(position) | np.isinf(rx), "values must be finite"),
-        (decoded & (rx < tx), "rx_time_s must be >= tx_time_s"),
-    ):
-        if mask.any():
-            raise ValueError(f"{path}:{int(row_numbers[mask].min())}: {message}")
-    packets = PacketColumns("field", seq, tx, position, decoded, rx, rx - tx)
-    digest = "field-" + hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-    return SimLog(
-        digest=digest,
+    # _assemble rejects a non-finite value; until then it must not warn.
+    with np.errstate(invalid="ignore", over="ignore"):
+        latency = rx - tx
+        duration = float(tx.max() - tx.min())
+    header = dict(
+        digest="field-" + hashlib.sha256(path.read_bytes()).hexdigest()[:16],
         seed=0,
         train_speed_mps=None,
         tx_period_s=0.05,
         start_d_t_m=float(position.min()),
         end_d_t_m=float(position.max()),
-        duration_s=float(tx.max() - tx.min()),
+        duration_s=duration,
         receivers=(Placement(id="field", kind="RSU", offset_from_crossing_m=0.0, height_m=1.0),),
-        records={"field": packets},
-        events=[],
     )
+    columns = (np.zeros(len(seq), np.intp), seq, tx, position, decoded, rx, latency, row_numbers)
+    return _assemble(path, header, [columns], [])

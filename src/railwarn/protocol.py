@@ -41,11 +41,15 @@ class TriggerPolicy:
             raise ValueError("window must be positive when set")
 
 
+# The warning mode of each receiver kind: an RSU relays, an OBU warns its driver.
+WARNING_MODES = {"RSU": "indirect", "OBU": "direct"}
+
+
 @dataclass(frozen=True)
 class WarningEvent:
     receiver_id: str
-    source: str  # "RSU" | "OBU"
-    mode: str  # "indirect" | "direct"
+    source: str  # the receiver's kind
+    mode: str  # WARNING_MODES[source]
     trigger_time_s: float
     train_d_t_at_trigger_m: float
     packets_seen: int
@@ -88,7 +92,7 @@ def first_warning(
     return WarningEvent(
         receiver_id=receiver_id,
         source=kind,
-        mode="indirect" if kind == "RSU" else "direct",
+        mode=WARNING_MODES[kind],
         trigger_time_s=float(rx_time_s[first]),
         train_d_t_at_trigger_m=float(position_m[first]),
         packets_seen=int(seen[first]),

@@ -45,72 +45,37 @@ class BrakingRow:
     wet_m: float
 
 
-@dataclass(frozen=True)
-class VehicleBrakingTable:
-    """Piecewise-linear stopping-distance table indexed by vehicle speed."""
-
-    rows: tuple[BrakingRow, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) < 2:
-            raise ValueError("braking table needs at least two rows")
-        for row in self.rows:
-            if min(row.speed_mph, row.speed_mps, row.dry_m, row.wet_m) <= 0:
-                raise ValueError(f"braking table row has non-positive entries: {row}")
-            if row.wet_m < row.dry_m:
-                raise ValueError(
-                    f"wet stopping distance below dry at {row.speed_mph} mph"
-                )
-        speeds = [row.speed_mph for row in self.rows]
-        if any(b <= a for a, b in zip(speeds, speeds[1:])):
-            raise ValueError("braking table speeds must be strictly increasing")
-
-    @property
-    def min_speed_mph(self) -> float:
-        return self.rows[0].speed_mph
-
-    @property
-    def max_speed_mph(self) -> float:
-        return self.rows[-1].speed_mph
-
-    def _interpolate(self, speed_mph: float, attr: str) -> float:
-        if not self.min_speed_mph <= speed_mph <= self.max_speed_mph:
-            raise ValueError(
-                f"vehicle speed {speed_mph:g} mph outside tabulated range "
-                f"{self.min_speed_mph:g}-{self.max_speed_mph:g} mph; "
-                "extrapolation is not supported"
-            )
-        rows = self.rows
-        for low, high in zip(rows, rows[1:]):
-            if speed_mph <= high.speed_mph:
-                if speed_mph == low.speed_mph:
-                    return getattr(low, attr)
-                frac = (speed_mph - low.speed_mph) / (high.speed_mph - low.speed_mph)
-                lo, hi = getattr(low, attr), getattr(high, attr)
-                return lo + frac * (hi - lo)
-        return getattr(rows[-1], attr)
-
-    def braking_distance_m(self, speed_mph: float, road: str = "dry") -> float:
-        _check_road(road)
-        return self._interpolate(speed_mph, "dry_m" if road == "dry" else "wet_m")
-
-    def reference_speed_mps(self, speed_mph: float) -> float:
-        """Tabulated m/s value (coarse rounding preserved), interpolated."""
-        return self._interpolate(speed_mph, "speed_mps")
-
-
-DEFAULT_BRAKING_TABLE = VehicleBrakingTable(
-    rows=(
-        BrakingRow(25.0, 11.11, 25.5, 51.3),
-        BrakingRow(35.0, 15.55, 41.4, 82.8),
-        BrakingRow(45.0, 20.00, 59.1, 118.2),
-        BrakingRow(55.0, 24.44, 79.8, 159.3),
-        BrakingRow(65.0, 28.89, 103.2, 206.7),
-    )
+# The Virginia stopping table: speeds strictly increasing, wet never shorter than dry.
+BRAKING_TABLE = (
+    BrakingRow(25.0, 11.11, 25.5, 51.3),
+    BrakingRow(35.0, 15.55, 41.4, 82.8),
+    BrakingRow(45.0, 20.00, 59.1, 118.2),
+    BrakingRow(55.0, 24.44, 79.8, 159.3),
+    BrakingRow(65.0, 28.89, 103.2, 206.7),
 )
 
+
+def _interpolate(speed_mph: float, column: str) -> float:
+    """A BRAKING_TABLE column at speed_mph, linear between rows; a speed
+    outside the table raises."""
+    low_mph, high_mph = BRAKING_TABLE[0].speed_mph, BRAKING_TABLE[-1].speed_mph
+    if not low_mph <= speed_mph <= high_mph:
+        raise ValueError(
+            f"vehicle speed {speed_mph:g} mph outside tabulated range "
+            f"{low_mph:g}-{high_mph:g} mph; extrapolation is not supported"
+        )
+    for low, high in zip(BRAKING_TABLE, BRAKING_TABLE[1:]):
+        if speed_mph <= high.speed_mph:
+            break
+    if speed_mph == low.speed_mph:
+        return getattr(low, column)
+    frac = (speed_mph - low.speed_mph) / (high.speed_mph - low.speed_mph)
+    lo, hi = getattr(low, column), getattr(high, column)
+    return lo + frac * (hi - lo)
+
+
 # The vehicle grid of a safeness report unless one is given: the tabulated speeds.
-DEFAULT_VEHICLE_SPEEDS_MPH = tuple(row.speed_mph for row in DEFAULT_BRAKING_TABLE.rows)
+DEFAULT_VEHICLE_SPEEDS_MPH = tuple(row.speed_mph for row in BRAKING_TABLE)
 
 
 class SafenessCategory(str, Enum):
@@ -146,9 +111,9 @@ def braking_time(vehicle_speed_mph: float, road: str = "dry") -> float:
     interpolate the stopping distance and the tabulated m/s value linearly
     before dividing. Speeds outside the table raise.
     """
-    table = DEFAULT_BRAKING_TABLE
-    distance = table.braking_distance_m(vehicle_speed_mph, road)
-    return distance / table.reference_speed_mps(vehicle_speed_mph)
+    _check_road(road)
+    distance = _interpolate(vehicle_speed_mph, f"{road}_m")
+    return distance / _interpolate(vehicle_speed_mph, "speed_mps")
 
 
 def time_to_avoid_collision(warning_range_m: float, train_speed_mps: float) -> float:
@@ -227,6 +192,7 @@ class SafenessCurve:
     vehicle_speed_mph: float
     road: str
     braking_s: float
+    time_to_avoid_collision_s: float
     distances_m: tuple[float, ...]
     levels: tuple[float, ...]
     zero_cross_distance_m: float
@@ -267,6 +233,7 @@ def safeness_curve(
         vehicle_speed_mph=vehicle_speed_mph,
         road=road,
         braking_s=braking_s,
+        time_to_avoid_collision_s=total_budget,
         distances_m=distances,
         levels=levels,
         zero_cross_distance_m=train_speed_mps * stop_budget,

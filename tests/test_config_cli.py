@@ -341,6 +341,42 @@ class TestCli:
         assert main(["coverage", str(capture), "--field-csv", "--threshold", "5"]) == 0
         assert "warning range 200 m" in capsys.readouterr().out
 
+    def test_report_tables_pinned(self, tmp_path):
+        safeness, curves = tmp_path / "safeness.csv", tmp_path / "curves.csv"
+        argv = ["safeness", "--dwarn", "200", "--train-speed", "10mph"]
+        assert main([*argv, "--out", str(safeness), "--curves-out", str(curves)]) == 0
+        assert safeness.read_text().splitlines()[:2] == [
+            "vehicle_speed_mph,road,braking_s,time_to_avoid_collision_s,protection_s,"
+            "zero_cross_distance_m,one_cross_distance_m,system_failed",
+            "25.0,dry,2.295229522952295,44.73872584108805,38.938496318135755,"
+            "25.929346059405937,200.0,False",
+        ]
+        assert curves.read_text().splitlines()[:2] == [
+            "vehicle_speed_mph,road,d_t_m,safeness_level",
+            "25.0,dry,0.0,-0.14895874446622673",
+        ]
+        log, coverage = tmp_path / "suburban.log.jsonl", tmp_path / "coverage.csv"
+        assert main(["simulate", str(SUBURBAN), "-o", str(log)]) == 0
+        assert main(["coverage", str(log), "--out", str(coverage)]) == 0
+        lines = coverage.read_text().splitlines()
+        assert lines[0] == (
+            "receiver_id,warning_range_m,farthest_qualifying_m,contiguous,threshold,warning_failure"
+        )
+        # The header lists rsu0 before obu0; the table sorts them.
+        assert [line.split(",")[0] for line in lines[1:]] == ["obu0", "rsu0", "aggregate"]
+
+    def test_field_csv_repeated_seq_exits_3(self, tmp_path, capsys):
+        capture = tmp_path / "cap.csv"
+        rows = ["seq,tx_time_s,train_d_t_m,decoded,rx_time_s"]
+        rows += [f"0,{k * 0.05},{-120.0 + k},1,{k * 0.05 + 0.004}" for k in range(50)]
+        capture.write_text("\n".join(rows) + "\n")
+        assert main(["coverage", str(capture), "--field-csv"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: runtime: {capture}:3: seq of receiver 'field' must increase\n"
+        )
+        assert captured.out == ""
+
 
 SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"
 

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 import scalar_reference as ref
 
-from railwarn.antenna import AntennaPattern, builtin_pattern, pattern_from_csv, pattern_gain
+from railwarn.antenna import AntennaPattern, builtin_pattern, pattern_gain
+from railwarn.config import load_config
 from railwarn.geometry import CrossingScene, DegenerateGeometryError, Placement, link_geometry
 
 
@@ -145,7 +147,17 @@ class TestPatterns:
         el = tmp_path / "el.csv"
         az.write_text("angle_deg,gain_dbi\n0,10\n90,4\n180,10\n270,4\n")
         el.write_text("angle_deg,gain_dbi\n-90,-5\n0,10\n90,-5\n")
-        pattern = pattern_from_csv("custom", az, el)
+        config = tmp_path / "scenario.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "train": {"speed_mph": 20},
+                    "antennas": {"custom": {"azimuth_csv": "az.csv", "elevation_csv": "el.csv"}},
+                }
+            )
+        )
+        (pattern,) = load_config(config).scenario.custom_patterns
+        assert pattern.name == "custom"
         assert pattern.peak_gain_dbi == 10.0
         assert ref.pattern_gain(pattern, 0.0, 0.0) == 10.0
         assert ref.pattern_gain(pattern, 45.0, 0.0) == pytest.approx(7.0)

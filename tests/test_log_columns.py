@@ -335,6 +335,37 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match=r"capture\.csv:3: rx_time_s must be >= tx_time_s"):
             read_field_log(path)
 
+    def test_repeated_seq_names_the_row(self, tmp_path):
+        path = tmp_path / "capture.csv"
+        path.write_text(
+            "seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n"
+            "5,0.1,-119.0,0,\n3,0.0,-120.0,0,\n5,0.1,-119.0,0,\n"
+        )
+        with pytest.raises(
+            ValueError, match=r"capture\.csv:4: seq of receiver 'field' must increase"
+        ):
+            read_field_log(path)
+
+    def test_fault_names_the_lowest_row(self, tmp_path):
+        # Both rows break the rx >= tx rule; seq order puts row 3 first.
+        path = tmp_path / "capture.csv"
+        path.write_text(
+            "seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n"
+            "9,0.5,-119.0,1,0.1\n1,0.05,-120.0,1,0.01\n"
+        )
+        with pytest.raises(ValueError, match=r"capture\.csv:2: rx_time_s must be >= tx_time_s"):
+            read_field_log(path)
+
+    @pytest.mark.parametrize("tx, rx", [("nan", ""), ("inf", "inf"), ("-1e308", "1e308")])
+    def test_non_finite_value_or_latency_names_the_row(self, tmp_path, tx, rx):
+        path = tmp_path / "capture.csv"
+        path.write_text(
+            "seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n"
+            f"0,0.0,-120.0,1,0.004\n1,{tx},-119.5,{1 if rx else 0},{rx}\n"
+        )
+        with pytest.raises(ValueError, match=r"capture\.csv:3: packet values must be finite"):
+            read_field_log(path)
+
     def test_bad_number_names_the_row(self, tmp_path):
         path = tmp_path / "capture.csv"
         path.write_text("seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n0,zero,-120.0,0,\n")
@@ -514,6 +545,41 @@ class TestEventFields:
     def test_wrong_type_rejected(self, tmp_path, key, value):
         with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:5: event {key}: expected"):
             read_log(with_event(tmp_path, **{key: value}))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("receiver_id", "ghost"),
+            ("source", "OBU"),
+            ("mode", "sideways"),
+            ("mode", "direct"),
+            ("packets_seen", 0),
+            ("packets_seen", -4),
+        ],
+    )
+    def test_value_not_matching_the_header_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:5: event {key}: "):
+            read_log(with_event(tmp_path, **{key: value}))
+
+    def test_obu_event_mode_is_direct(self, tmp_path):
+        path = with_event(tmp_path, receiver_id="obu1", source="OBU", mode="direct")
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["receivers"].append({**header["receivers"][0], "id": "obu1", "kind": "OBU"})
+        lines[0] = json.dumps(header, sort_keys=True)
+        rewrite(path, lines)
+        assert read_log(path).events[0].mode == "direct"
+        rewrite(path, [*lines[:-1], lines[-1].replace('"direct"', '"indirect"')])
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:5: event mode: must be 'direct'"):
+            read_log(path)
+
+    def test_cli_exits_3_on_values(self, tmp_path, capsys):
+        path = with_event(tmp_path, receiver_id="ghost", mode="sideways", packets_seen=-4)
+        assert main(["coverage", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: runtime: {path}:5: event receiver_id: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_cli_exits_3(self, tmp_path, capsys):
         path = with_event(tmp_path, packets_seen="x", trigger_time_s=None)

@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from railwarn.safety import (
-    DEFAULT_BRAKING_TABLE,
+    BRAKING_TABLE,
     ROADS,
     SafenessCategory,
-    VehicleBrakingTable,
     braking_time,
     minimum_required_range,
     safeness_curve,
@@ -31,17 +30,17 @@ class TestBrakingTable:
             assert braking_time(speed, "wet") == pytest.approx(wet, abs=0.02)
 
     def test_wet_never_shorter_than_dry(self):
-        for row in DEFAULT_BRAKING_TABLE.rows:
+        for row in BRAKING_TABLE:
             assert row.wet_m >= row.dry_m
 
     def test_rows_strictly_increasing_in_speed(self):
-        speeds = [row.speed_mph for row in DEFAULT_BRAKING_TABLE.rows]
+        speeds = [row.speed_mph for row in BRAKING_TABLE]
         assert speeds == sorted(speeds)
         assert len(set(speeds)) == len(speeds)
 
     def test_self_consistency_distance_over_speed(self):
         # t_b must equal d_b / v with the tabulated m/s column.
-        for row, dry, wet in zip(DEFAULT_BRAKING_TABLE.rows, TB_DRY, TB_WET):
+        for row, dry, wet in zip(BRAKING_TABLE, TB_DRY, TB_WET):
             assert row.dry_m / row.speed_mps == pytest.approx(dry, abs=0.02)
             assert row.wet_m / row.speed_mps == pytest.approx(wet, abs=0.02)
 
@@ -63,18 +62,6 @@ class TestBrakingTable:
     def test_bad_road_rejected(self):
         with pytest.raises(ValueError, match="road"):
             braking_time(30, "icy")
-
-    def test_invalid_tables_rejected(self):
-        from railwarn.safety import BrakingRow
-
-        with pytest.raises(ValueError, match="strictly increasing"):
-            VehicleBrakingTable(
-                rows=(BrakingRow(25, 11.11, 25.5, 51.3), BrakingRow(25, 11.11, 30, 60))
-            )
-        with pytest.raises(ValueError, match="wet"):
-            VehicleBrakingTable(
-                rows=(BrakingRow(25, 11.11, 51.3, 25.5), BrakingRow(35, 15.55, 41.4, 82.8))
-            )
 
 
 class TestTimeToAvoidCollision:
