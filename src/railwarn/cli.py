@@ -295,8 +295,9 @@ def _cmd_safeness(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = load_config(args.config).scenario
+    out_dir = Path(args.out_dir)
     try:
-        results = run_sweep(
+        rows = run_sweep(
             scenario,
             speeds_mps=args.speeds,
             powers_dbm=args.powers,
@@ -304,28 +305,17 @@ def _cmd_sweep(args) -> int:
             antennas=args.antennas,
             seeds=args.seeds,
             max_workers=args.workers,
+            out_dir=out_dir,
         )
     except SweepPointError as exc:
         raise ConfigError(str(exc)) from None
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for index, result in enumerate(results):
-        point, log = result.point, result.log
-        name = (
-            f"point{index:03d}_v{point.speed_mps:g}_p{point.tx_power_dbm:g}"
-            f"_{point.modulation}_{point.tx_antenna}_s{point.seed}.log.jsonl"
-        )
-        logio.write_log(log, out_dir / name)
-        counts = [log.packet_count(), log.decoded_count(), len(log.events)]
-        rows.append([name, *astuple(point), *counts, an.coverage_report(log).warning_range_m])
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         point_keys = [field.name for field in fields(SweepPoint)]
         writer.writerow(["log", *point_keys, "packets", "decoded", "events", "warning_range_m"])
-        writer.writerows(rows)
-    print(f"wrote {len(results)} logs and {summary_path}")
+        writer.writerows([name, *astuple(point), *counts] for name, point, *counts in rows)
+    print(f"wrote {len(rows)} logs and {summary_path}")
     return EXIT_OK
 
 

@@ -29,9 +29,11 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+from . import analysis, logio
 from .antenna import AntennaPattern, builtin_pattern, pattern_gain
 from .geometry import CrossingScene, link_geometry
 from .link import (
@@ -51,9 +53,13 @@ from .units import require_finite
 # The version field of a scenario config; scenario_to_dict writes it.
 CONFIG_VERSION = 1
 
-# Upper bound on transmit ticks per pass, checked before anything is
-# allocated. The longest pass shipped, tested or benchmarked has 64,001.
+# Upper bounds, checked before anything is allocated: transmit ticks and
+# packets (ticks x receivers) per pass, and packets per sweep. The longest
+# pass shipped, tested or benchmarked has 64,001 ticks, the largest 300,303
+# packets, and the largest sweep 87,696 packets.
 MAX_TICKS = 1_000_000
+MAX_PACKETS = 4_000_000
+MAX_SWEEP_PACKETS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,19 @@ class Scenario:
                 f"pass needs {ticks:.0f} transmit ticks, more than the limit of {MAX_TICKS}; "
                 "shorten the pass, raise the train speed or lengthen the transmit period"
             )
+        packets, receivers = self.packet_count, len(self.scene.receivers)
+        if packets > MAX_PACKETS:
+            raise ValueError(
+                f"pass needs {packets // receivers} transmit ticks x {receivers} receivers = "
+                f"{packets} packets, more than the limit of {MAX_PACKETS}; "
+                "shorten the pass, raise the train speed or use fewer receivers"
+            )
+
+    @property
+    def packet_count(self) -> int:
+        """Packet records the pass writes: one per transmit tick and receiver."""
+        ticks = _tick_count(self.train.duration_s, self.radio.tx_period_s)
+        return ticks * len(self.scene.receivers)
 
     def resolve_pattern(self, name: str) -> AntennaPattern:
         for pattern in self.custom_patterns:
@@ -295,27 +314,54 @@ class SweepResult:
     log: SimLog
 
 
+class SweepPointError(ValueError):
+    """A sweep grid, or one of its points, that does not validate."""
+
+
 def _scenario_for_point(base: Scenario, point: SweepPoint) -> Scenario:
-    return dataclasses.replace(
-        base,
-        train=dataclasses.replace(base.train, speed_mps=point.speed_mps),
-        radio=dataclasses.replace(
-            base.radio,
-            tx_power_dbm=point.tx_power_dbm,
-            modulation=point.modulation,
-            tx_antenna=point.tx_antenna,
-        ),
-        seed=point.seed,
+    try:
+        return dataclasses.replace(
+            base,
+            train=dataclasses.replace(base.train, speed_mps=point.speed_mps),
+            radio=dataclasses.replace(
+                base.radio,
+                tx_power_dbm=point.tx_power_dbm,
+                modulation=point.modulation,
+                tx_antenna=point.tx_antenna,
+            ),
+            seed=point.seed,
+        )
+    except (ValueError, KeyError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise SweepPointError(
+            f"sweep point speed_mps={point.speed_mps!r}, tx_power_dbm={point.tx_power_dbm!r}, "
+            f"modulation={point.modulation!r}, tx_antenna={point.tx_antenna!r}, "
+            f"seed={point.seed!r}: {message}"
+        ) from None
+
+
+def _log_name(index: int, point: SweepPoint) -> str:
+    return (
+        f"point{index:03d}_v{point.speed_mps:g}_p{point.tx_power_dbm:g}"
+        f"_{point.modulation}_{point.tx_antenna}_s{point.seed}.log.jsonl"
     )
 
 
-class SweepPointError(ValueError):
-    """A sweep grid point whose scenario does not validate."""
+def _run_point(job: tuple):
+    """One grid point's pass: its SweepResult, or with a log path, its summary row.
 
-
-def _run_point(args: tuple) -> SweepResult:
-    point, scenario = args
-    return SweepResult(point=point, log=run_pass(scenario))
+    With a path, the log is written there and analysed where the pass ran,
+    and only (log name, point, packets, decoded, events, warning range in
+    m) comes back.
+    """
+    point, scenario, path = job
+    log = run_pass(scenario)
+    if path is None:
+        return SweepResult(point=point, log=log)
+    logio.write_log(log, path)
+    warning_range_m = analysis.coverage_report(log).warning_range_m
+    counts = (log.packet_count(), log.decoded_count(), len(log.events))
+    return (path.name, point, *counts, warning_range_m)
 
 
 def run_sweep(
@@ -326,6 +372,7 @@ def run_sweep(
     antennas=None,
     seeds=None,
     max_workers: int | None = None,
+    out_dir=None,
 ) -> list:
     """Run the cartesian grid of configurations around a base scenario.
 
@@ -333,7 +380,15 @@ def run_sweep(
     raises ValueError. Each point is an independent pass whose outcome
     depends only on its own configuration and seed, never on grid order or
     parallel schedule. Every point's scenario is built before any pass runs;
-    a point that does not validate raises SweepPointError naming it.
+    a point that does not validate, or a grid whose passes together exceed
+    MAX_SWEEP_PACKETS, raises SweepPointError.
+
+    Without out_dir, the result is one SweepResult per point, in grid order.
+    With it, the directory is made and the process that runs each pass
+    writes its log there as point<index>_v<speed>_p<power>_<modulation>_
+    <antenna>_s<seed>.log.jsonl and computes its coverage; the result is
+    then one summary row per point, in grid order, and no log comes back:
+    (log name, SweepPoint, packets, decoded, events, warning_range_m).
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
     powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
@@ -342,18 +397,19 @@ def run_sweep(
     seed_list = [base.seed] if seeds is None else list(seeds)
     if not (speeds and powers and mods and ants and seed_list):
         raise ValueError("sweep grid must be non-empty")
-    jobs = []
-    for values in product(speeds, powers, mods, ants, seed_list):
-        point = SweepPoint(*values)
-        try:
-            jobs.append((point, _scenario_for_point(base, point)))
-        except (ValueError, KeyError) as exc:
-            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            raise SweepPointError(
-                f"sweep point speed_mps={point.speed_mps!r}, tx_power_dbm={point.tx_power_dbm!r}, "
-                f"modulation={point.modulation!r}, tx_antenna={point.tx_antenna!r}, "
-                f"seed={point.seed!r}: {message}"
-            ) from None
+    points = [SweepPoint(*values) for values in product(speeds, powers, mods, ants, seed_list)]
+    scenarios = [_scenario_for_point(base, point) for point in points]
+    packets = sum(scenario.packet_count for scenario in scenarios)
+    if packets > MAX_SWEEP_PACKETS:
+        raise SweepPointError(
+            f"sweep of {len(points)} points needs {packets} packets, more than the limit of "
+            f"{MAX_SWEEP_PACKETS}; use fewer or shorter points"
+        )
+    paths = [None] * len(points)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        paths = [Path(out_dir) / _log_name(i, point) for i, point in enumerate(points)]
+    jobs = list(zip(points, scenarios, paths))
     # A fork-started pool starts all its workers at the first submit, so
     # it gets no more of them than there are points or processors.
     workers = min(max_workers or 1, len(jobs), os.cpu_count() or 1)

@@ -12,7 +12,9 @@ its SimLog or Placement annotation where the header is read; the analysis
 settings must make an AnalysisDefaults and tx_period_s be positive. An
 event's fields are checked against WarningEvent's annotations, and its
 values against the header: its receiver is a header receiver, its source
-that receiver's kind, its mode the kind's, and packets_seen is >= 1.
+that receiver's kind, its mode the kind's, and packets_seen is >= 1. Its
+trigger time is >= 0, and only an indirect event has a relay delivery time,
+never before its trigger.
 
 Packets move between files and PacketColumns in chunks. The writer formats
 packet lines from column values with one template per receiver and decoded
@@ -403,6 +405,18 @@ def _event(obj: dict, placements: tuple) -> WarningEvent:
             )
     if event.packets_seen < 1:
         raise ValueError(f"event packets_seen: must be >= 1, got {event.packets_seen!r}")
+    if event.trigger_time_s < 0:
+        raise ValueError(f"event trigger_time_s: must be >= 0, got {event.trigger_time_s!r}")
+    relay = event.relay_delivery_time_s
+    if relay is not None and event.mode != "indirect":
+        raise ValueError(
+            f"event relay_delivery_time_s: a {event.mode} event has no relay, got {relay!r}"
+        )
+    if relay is not None and relay < event.trigger_time_s:
+        raise ValueError(
+            f"event relay_delivery_time_s: must be >= trigger_time_s "
+            f"{event.trigger_time_s!r}, got {relay!r}"
+        )
     return event
 
 

@@ -1,17 +1,31 @@
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from scalar_reference import packet_rows
 
+import railwarn
+from railwarn import analysis, engine, logio
 from railwarn.cli import main
 from railwarn.config import ConfigError, load_scenario
-from railwarn.engine import MAX_TICKS, TrainRun, run_pass, run_sweep, scenario_to_dict
+from railwarn.engine import (
+    MAX_PACKETS,
+    MAX_SWEEP_PACKETS,
+    MAX_TICKS,
+    SweepPointError,
+    TrainRun,
+    run_pass,
+    run_sweep,
+    scenario_to_dict,
+)
 from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
 from railwarn.logio import log_bytes, read_field_log, read_log, write_log
 from railwarn.protocol import TriggerPolicy
@@ -470,6 +484,82 @@ class TestTickBudget:
         dataclasses.replace(scenario, train=train)
 
 
+class TestPacketBudget:
+    """Packets per pass and per sweep are bounded before anything is allocated
+    or any pass runs; these tests build oversized inputs and never run them."""
+
+    @pytest.fixture(autouse=True)
+    def no_pass_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized input reached run_pass")
+
+        monkeypatch.setattr(engine, "run_pass", refuse)
+        monkeypatch.setattr(railwarn.cli, "run_pass", refuse)
+
+    def test_oversized_pass_names_ticks_and_receivers(self, tmp_path, capsys):
+        # 500 OBUs at 0.0141 m/s over -350...350 m: each count alone is in bounds.
+        data = json.loads(SUBURBAN.read_text())
+        obu = data["scene"]["receivers"][1]
+        data["scene"]["receivers"] = [{**obu, "id": f"obu{i}"} for i in range(500)]
+        data["train"] = {"speed_mps": 0.0141, "start_d_t_m": -350, "end_d_t_m": 350}
+        config = write_config(tmp_path, data)
+        log_path = tmp_path / "x.jsonl"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", str(config), "-o", str(log_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config: pass needs 992908 transmit ticks x 500 receivers = 496454000 packets, "
+            f"more than the limit of {MAX_PACKETS}"
+        )
+        assert peak < 5_000_000
+        assert not log_path.exists()
+
+    def test_pass_limit_sits_between_tested_passes_and_runaways(self):
+        # The largest pass the tests and the benchmark run has 300,303 packets.
+        assert 300_303 * 10 <= MAX_PACKETS
+        scenario = load_scenario(SUBURBAN)
+        obu = scenario.scene.receivers[1]
+        speed_mps = 1000.0 / (900_000 * scenario.radio.tx_period_s)
+        train = TrainRun(speed_mps=speed_mps, start_d_t_m=-500.0, end_d_t_m=500.0)
+
+        def with_obus(count):
+            receivers = tuple(dataclasses.replace(obu, id=f"obu{i}") for i in range(count))
+            scene = dataclasses.replace(scenario.scene, receivers=receivers)
+            return dataclasses.replace(scenario, scene=scene, train=train)
+
+        # 900,001 ticks: four receivers fit under the limit, five do not.
+        assert with_obus(4).packet_count == 3_600_004
+        with pytest.raises(ValueError, match="900001 transmit ticks x 5 receivers"):
+            with_obus(5)
+
+    def test_oversized_sweep_names_the_grid(self, tmp_path, capsys):
+        # 14 points of 748,664 ticks x 2 receivers, each point in bounds.
+        out_dir = tmp_path / "sweep"
+        seeds = ",".join(str(seed) for seed in range(14))
+        argv = ["sweep", str(SUBURBAN), "--speeds", "0.0187", "--seeds", seeds]
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--out-dir", str(out_dir)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config: sweep of 14 points needs 20962592 packets, "
+            f"more than the limit of {MAX_SWEEP_PACKETS}"
+        )
+        assert peak < 5_000_000
+        assert not out_dir.exists()
+        scenario = load_scenario(SUBURBAN)
+        with pytest.raises(SweepPointError, match="sweep of 14 points"):
+            run_sweep(scenario, speeds_mps=[0.0187], seeds=range(14))
+        assert 13 * 1_497_328 <= MAX_SWEEP_PACKETS
+
+
 class TestSafenessFlags:
     """Non-finite safeness inputs exit 2 and name the flag."""
 
@@ -810,3 +900,84 @@ class TestLibraryMatchesCli:
         write_log(run_pass(load_scenario(SUBURBAN)), log_path)
         assert main(["coverage", str(log_path)]) == 0
         assert "aggregate: warning range 360 m (threshold 5 per 20 m bin)" in capsys.readouterr().out
+
+
+GRID = ["--speeds", "20mph,40mph", "--powers", "11,23", "--seeds", "1,2"]
+REVERSED_GRID = ["--speeds", "40mph,20mph", "--powers", "23,11", "--seeds", "2,1"]
+
+
+def sweep_argv(out_dir, grid=GRID, workers=1):
+    return ["sweep", str(SUBURBAN), *grid, "--workers", str(workers), "--out-dir", str(out_dir)]
+
+
+def sweep_files(out_dir) -> dict:
+    """Every file a sweep wrote, by name."""
+    return {path.name: path.read_bytes() for path in sorted(Path(out_dir).iterdir())}
+
+
+def by_point(out_dir) -> dict:
+    """Each summary row's point -> its other columns and its log's bytes."""
+    with open(Path(out_dir) / "summary.csv", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    return {tuple(row[1:6]): (row[6:], (Path(out_dir) / row[0]).read_bytes()) for row in rows}
+
+
+class TestSweepWorkers:
+    """Each pass's process writes its log and returns one summary row; the
+    outputs do not depend on the worker count, the start method or grid order."""
+
+    def test_outputs_independent_of_workers_and_grid_order(self, tmp_path, capsys):
+        assert main(sweep_argv(tmp_path / "one")) == 0
+        assert main(sweep_argv(tmp_path / "two", workers=2)) == 0
+        assert main(sweep_argv(tmp_path / "reversed", grid=REVERSED_GRID)) == 0
+        one = sweep_files(tmp_path / "one")
+        assert len(one) == 9
+        assert sweep_files(tmp_path / "two") == one
+        assert by_point(tmp_path / "reversed") == by_point(tmp_path / "one")
+
+    def test_spawned_workers_match_one_worker(self, tmp_path):
+        src = str(Path(railwarn.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        program = (
+            "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+            "from railwarn.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", program, *sweep_argv(tmp_path / "spawn", workers=2)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            check=True,
+        )
+        assert main(sweep_argv(tmp_path / "one")) == 0
+        assert sweep_files(tmp_path / "spawn") == sweep_files(tmp_path / "one")
+
+    def test_job_writes_and_analyses_each_log_once(self, tmp_path, monkeypatch, capsys):
+        calls = {"write_log": [], "coverage_report": []}
+        for module, name in ((logio, "write_log"), (analysis, "coverage_report")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _calls=calls[name]):
+                _calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        out_dir = tmp_path / "sweep"
+        assert main(sweep_argv(out_dir)) == 0
+        logs = sorted(path.name for path in out_dir.glob("*.log.jsonl"))
+        assert sorted(Path(args[1]).name for args in calls["write_log"]) == logs
+        assert len(logs) == len(calls["coverage_report"]) == 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unwritable_log_exits_3(self, tmp_path, capsys, workers):
+        out_dir = tmp_path / "sweep"
+        blocked = out_dir / "point001_v17.8816_p23_QPSK_omni12_s1.log.jsonl"
+        blocked.mkdir(parents=True)
+        grid = ["--speeds", "20mph,40mph", "--seeds", "1"]
+        assert main(sweep_argv(out_dir, grid=grid, workers=workers)) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: runtime: ")
+        assert str(blocked) in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (out_dir / "summary.csv").exists()

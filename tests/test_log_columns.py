@@ -91,7 +91,9 @@ def logs(draw):
     ids = draw(st.lists(receiver_ids, min_size=1, max_size=3, unique=True))
     records = {rid: draw(receiver_packets(rid)) for rid in ids}
     events = [
-        WarningEvent(rid, "OBU", "direct", draw(finite), draw(finite), draw(st.integers(1, 99)))
+        WarningEvent(
+            rid, "OBU", "direct", draw(finite.map(abs)), draw(finite), draw(st.integers(1, 99))
+        )
         for rid in draw(st.lists(st.sampled_from(ids), max_size=2))
     ]
     return make_log(records, events=events)
@@ -524,6 +526,18 @@ def with_event(tmp_path, **fields):
     return path
 
 
+def with_obu_event(tmp_path, **fields):
+    """A written log whose header adds OBU obu1, with one direct event of obu1."""
+    obu = {"receiver_id": "obu1", "source": "OBU", "mode": "direct", "relay_delivery_time_s": None}
+    path = with_event(tmp_path, **{**obu, **fields})
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["receivers"].append({**header["receivers"][0], "id": "obu1", "kind": "OBU"})
+    lines[0] = json.dumps(header, sort_keys=True)
+    rewrite(path, lines)
+    return path
+
+
 class TestEventFields:
     """Each event field is checked against its WarningEvent annotation where
     the line is read: a bad one names path:line and the key."""
@@ -562,16 +576,9 @@ class TestEventFields:
             read_log(with_event(tmp_path, **{key: value}))
 
     def test_obu_event_mode_is_direct(self, tmp_path):
-        path = with_event(tmp_path, receiver_id="obu1", source="OBU", mode="direct")
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["receivers"].append({**header["receivers"][0], "id": "obu1", "kind": "OBU"})
-        lines[0] = json.dumps(header, sort_keys=True)
-        rewrite(path, lines)
-        assert read_log(path).events[0].mode == "direct"
-        rewrite(path, [*lines[:-1], lines[-1].replace('"direct"', '"indirect"')])
+        assert read_log(with_obu_event(tmp_path)).events[0].mode == "direct"
         with pytest.raises(ValueError, match=r"pass\.log\.jsonl:5: event mode: must be 'direct'"):
-            read_log(path)
+            read_log(with_obu_event(tmp_path, mode="indirect"))
 
     def test_cli_exits_3_on_values(self, tmp_path, capsys):
         path = with_event(tmp_path, receiver_id="ghost", mode="sideways", packets_seen=-4)
@@ -586,5 +593,46 @@ class TestEventFields:
         assert main(["coverage", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: runtime: {path}:5: event ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"trigger_time_s": -5.0}, "trigger_time_s: must be >= 0, got -5.0"),
+            (
+                {"trigger_time_s": -5.0, "relay_delivery_time_s": -66.4},
+                "trigger_time_s: must be >= 0, got -5.0",
+            ),
+            (
+                {"relay_delivery_time_s": 1.0},
+                "relay_delivery_time_s: must be >= trigger_time_s 1.5, got 1.0",
+            ),
+        ],
+    )
+    def test_times_before_their_cause_rejected(self, tmp_path, fields, message):
+        with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:5: event {message}"):
+            read_log(with_event(tmp_path, **fields))
+
+    def test_relay_at_its_trigger_accepted(self, tmp_path):
+        # A relay adds a delay of at least zero.
+        path = with_event(tmp_path, trigger_time_s=0.0, relay_delivery_time_s=0.0)
+        assert read_log(path).events[0].relay_delivery_time_s == 0.0
+
+    def test_direct_event_has_no_relay(self, tmp_path):
+        assert read_log(with_obu_event(tmp_path)).events[0].relay_delivery_time_s is None
+        with pytest.raises(
+            ValueError,
+            match=r"pass\.log\.jsonl:5: event relay_delivery_time_s: a direct event has no relay",
+        ):
+            read_log(with_obu_event(tmp_path, relay_delivery_time_s=1.0))
+
+    def test_cli_exits_3_on_times(self, tmp_path, capsys):
+        path = with_event(tmp_path, relay_delivery_time_s=1.0)
+        assert main(["coverage", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: runtime: {path}:5: event relay_delivery_time_s: must be >= trigger_time_s"
+        )
         assert captured.err.count("\n") == 1
         assert captured.out == ""
