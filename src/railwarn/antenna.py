@@ -18,7 +18,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .units import require_finite
+from .units import require_finite, require_finite_fields
 
 DEFAULT_FLOOR_DBI = -10.0
 
@@ -32,7 +32,7 @@ class AntennaPattern:
     floor_dbi: float = DEFAULT_FLOOR_DBI
 
     def __post_init__(self) -> None:
-        require_finite(peak_gain_dbi=self.peak_gain_dbi, floor_dbi=self.floor_dbi)
+        require_finite_fields(self)
         for label, cut in (("azimuth", self.azimuth_cut), ("elevation", self.elevation_cut)):
             for angle, gain in cut:
                 require_finite(angle_deg=angle, gain_dbi=gain)

@@ -9,15 +9,13 @@ an unknown command or flag exits 1.
 """
 
 import argparse
-import csv
 import sys
-from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import analysis as an
 from . import logio, safety
 from .config import ConfigError, load_config
-from .engine import SweepPoint, SweepPointError, check_seed, run_pass, run_sweep
+from .engine import SweepPointError, check_seed, run_pass, run_sweep
 from .units import parse_speed, require_finite
 
 EXIT_OK = 0
@@ -309,13 +307,7 @@ def _cmd_sweep(args) -> int:
         )
     except SweepPointError as exc:
         raise ConfigError(str(exc)) from None
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        point_keys = [field.name for field in fields(SweepPoint)]
-        writer.writerow(["log", *point_keys, "packets", "decoded", "events", "warning_range_m"])
-        writer.writerows([name, *astuple(point), *counts] for name, point, *counts in rows)
-    print(f"wrote {len(rows)} logs and {summary_path}")
+    print(f"wrote {len(rows)} logs and {out_dir / 'summary.csv'}")
     return EXIT_OK
 
 

@@ -180,7 +180,8 @@ def _load_channel(section: dict, base_dir: Path, radio: RadioConfig):
     elif "per_table" in section:
         path = base_dir / _checked(section["per_table"], str, "channel.per_table")
         try:
-            bins = PerProfile.from_csv(path).bins
+            bins = tuple(read_numeric_table(path, ("d_start_m", "d_end_m", "per"), "PER profile"))
+            PerProfile(bins)  # so that a bad bin names the table it came from
         except (OSError, ValueError) as exc:
             raise ConfigError(f"channel.per_table: {exc}") from None
     else:

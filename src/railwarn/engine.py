@@ -22,10 +22,10 @@ The warning comes from the decodes as arrays (protocol.first_warning).
 The log's header carries the scenario's analysis settings (Scenario.analysis).
 """
 
+import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -46,19 +46,17 @@ from .link import (
     profile_success_probability,
     snr_success_probability,
 )
-from .logio import AnalysisDefaults, PacketColumns, SimLog
+from .logio import MAX_PACKETS, AnalysisDefaults, PacketColumns, SimLog, _tick_count
 from .protocol import TriggerPolicy, first_warning, rsu_relay
-from .units import require_finite
+from .units import require_finite_fields
 
 # The version field of a scenario config; scenario_to_dict writes it.
 CONFIG_VERSION = 1
 
-# Upper bounds, checked before anything is allocated: transmit ticks and
-# packets (ticks x receivers) per pass, and packets per sweep. The longest
-# pass shipped, tested or benchmarked has 64,001 ticks, the largest 300,303
-# packets, and the largest sweep 87,696 packets.
+# Upper bounds, checked before anything is allocated: transmit ticks per pass
+# (the most in a shipped, tested or benchmarked input is 64,001) and packets
+# per sweep (87,696); logio.MAX_PACKETS bounds the packets of a pass.
 MAX_TICKS = 1_000_000
-MAX_PACKETS = 4_000_000
 MAX_SWEEP_PACKETS = 20_000_000
 
 
@@ -71,9 +69,7 @@ class TrainRun:
     end_d_t_m: float = 600.0
 
     def __post_init__(self) -> None:
-        require_finite(
-            speed_mps=self.speed_mps, start_d_t_m=self.start_d_t_m, end_d_t_m=self.end_d_t_m
-        )
+        require_finite_fields(self)
         if self.speed_mps <= 0:
             raise ValueError("train speed must be positive")
         if not self.start_d_t_m < 0 < self.end_d_t_m:
@@ -190,12 +186,6 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _tick_count(duration_s: float, period_s: float) -> int:
-    # +1 for the packet at t = 0; small epsilon so exact multiples round down
-    # consistently instead of dropping the final tick to float dust.
-    return math.floor(duration_s / period_s + 1e-9) + 1
-
-
 def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     """Simulate one pass; a pure function of (scenario, seed)."""
     effective_seed = scenario.seed if seed is None else seed
@@ -219,7 +209,7 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
             # its geometry, then the profile.
             first = int(outside[0])
             link_geometry(positions[: first + 1], scene.receivers[0], scene)
-            scenario.channel.per_at(float(positions[first]))
+            raise ValueError(f"train distance {positions[first]:g} m outside the PER profile")
 
     records: dict = {}
     events: list = []
@@ -333,11 +323,8 @@ def _scenario_for_point(base: Scenario, point: SweepPoint) -> Scenario:
         )
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        raise SweepPointError(
-            f"sweep point speed_mps={point.speed_mps!r}, tx_power_dbm={point.tx_power_dbm!r}, "
-            f"modulation={point.modulation!r}, tx_antenna={point.tx_antenna!r}, "
-            f"seed={point.seed!r}: {message}"
-        ) from None
+        values = ", ".join(f"{key}={value!r}" for key, value in dataclasses.asdict(point).items())
+        raise SweepPointError(f"sweep point {values}: {message}") from None
 
 
 def _log_name(index: int, point: SweepPoint) -> str:
@@ -384,11 +371,13 @@ def run_sweep(
     MAX_SWEEP_PACKETS, raises SweepPointError.
 
     Without out_dir, the result is one SweepResult per point, in grid order.
-    With it, the directory is made and the process that runs each pass
-    writes its log there as point<index>_v<speed>_p<power>_<modulation>_
-    <antenna>_s<seed>.log.jsonl and computes its coverage; the result is
-    then one summary row per point, in grid order, and no log comes back:
-    (log name, SweepPoint, packets, decoded, events, warning_range_m).
+    With it, the directory is made and its summary.csv removed, and the
+    process that runs each pass writes its log there as point<index>_v<speed>
+    _p<power>_<modulation>_<antenna>_s<seed>.log.jsonl and computes its
+    coverage; no log comes back. The result is one row per point, in grid
+    order: (log name, SweepPoint, packets, decoded, events, warning_range_m),
+    and summary.csv, written last, lists them. A failed sweep deletes the
+    files at its log names and any summary.csv it began.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
     powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
@@ -405,18 +394,38 @@ def run_sweep(
             f"sweep of {len(points)} points needs {packets} packets, more than the limit of "
             f"{MAX_SWEEP_PACKETS}; use fewer or shorter points"
         )
-    paths = [None] * len(points)
+    paths, summary = [None] * len(points), None
     if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        paths = [Path(out_dir) / _log_name(i, point) for i, point in enumerate(points)]
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary = out_dir / "summary.csv"
+        summary.unlink(missing_ok=True)
+        paths = [out_dir / _log_name(i, point) for i, point in enumerate(points)]
     jobs = list(zip(points, scenarios, paths))
     # A fork-started pool starts all its workers at the first submit, so
     # it gets no more of them than there are points or processors.
     workers = min(max_workers or 1, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        # Imported here: loading multiprocessing costs every other command.
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if workers > 1:
+            # Imported here: loading multiprocessing costs every other command.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_point, jobs))
-    return [_run_point(job) for job in jobs]
+            # Leaving the pool waits for every running pass, so no worker
+            # writes a log after a failure is handled below.
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_run_point, jobs))
+        else:
+            results = [_run_point(job) for job in jobs]
+        if summary is not None:
+            with open(summary, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                keys = [field.name for field in dataclasses.fields(SweepPoint)]
+                writer.writerow(["log", *keys, "packets", "decoded", "events", "warning_range_m"])
+                writer.writerows([row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results)
+    except BaseException:
+        # A directory at a log's name was never the sweep's, so it stays.
+        for path in filter(None, [*paths, summary]):
+            if not path.is_dir():
+                path.unlink(missing_ok=True)
+        raise
+    return results

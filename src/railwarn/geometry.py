@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .units import require_finite
+from .units import require_finite_fields
 
 if TYPE_CHECKING:
     from .link import ObstructionSegment
@@ -34,11 +34,7 @@ class Placement:
     boresight_deg: float | None = None
 
     def __post_init__(self) -> None:
-        require_finite(
-            offset_from_crossing_m=self.offset_from_crossing_m,
-            height_m=self.height_m,
-            boresight_deg=self.boresight_deg,
-        )
+        require_finite_fields(self)
         if self.kind not in ("RSU", "OBU"):
             raise ValueError(f"placement kind must be RSU or OBU, got {self.kind!r}")
         if self.height_m <= 0:
@@ -54,11 +50,7 @@ class CrossingScene:
     obstructions: "tuple[ObstructionSegment, ...]" = ()
 
     def __post_init__(self) -> None:
-        require_finite(
-            track_heading_deg=self.track_heading_deg,
-            road_heading_deg=self.road_heading_deg,
-            tx_height_m=self.tx_height_m,
-        )
+        require_finite_fields(self)
         if self.tx_height_m <= 0:
             raise ValueError("transmit antenna height must be positive")
         if _parallel(self.track_heading_deg, self.road_heading_deg):

@@ -17,11 +17,10 @@ calibrating against real hardware.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .units import SPEED_OF_LIGHT_MPS, read_numeric_table, require_finite
+from .units import SPEED_OF_LIGHT_MPS, require_finite, require_finite_fields
 
 MODULATIONS = ("QPSK", "16QAM")
 ALLOWED_TX_POWERS_DBM = (11.0, 23.0)
@@ -49,11 +48,7 @@ class RadioConfig:
     rx_antenna: str = "omni6"
 
     def __post_init__(self) -> None:
-        require_finite(
-            center_frequency_hz=self.center_frequency_hz,
-            tx_power_dbm=self.tx_power_dbm,
-            tx_period_ms=self.tx_period_ms,
-        )
+        require_finite_fields(self)
         if self.tx_power_dbm not in ALLOWED_TX_POWERS_DBM:
             raise ValueError(
                 f"tx_power_dbm must be one of {ALLOWED_TX_POWERS_DBM}, "
@@ -102,20 +97,6 @@ class PerProfile:
                 raise ValueError("bins must be ordered and non-overlapping")
             previous_end = d_end
 
-    def per_at(self, train_d_t_m: float) -> float:
-        for d_start, d_end, per in self.bins:
-            if d_start <= train_d_t_m < d_end:
-                return per
-        if self.out_of_range == "zero":
-            return 1.0
-        raise ValueError(f"train distance {train_d_t_m:g} m outside the PER profile")
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "PerProfile":
-        """Load a profile from CSV with header d_start_m,d_end_m,per."""
-        bins = read_numeric_table(path, ("d_start_m", "d_end_m", "per"), "PER profile")
-        return cls(bins=tuple(bins))
-
 
 @dataclass(frozen=True)
 class SyntheticChannel:
@@ -130,15 +111,7 @@ class SyntheticChannel:
     transition_width_db: float = 2.0
 
     def __post_init__(self) -> None:
-        require_finite(
-            path_loss_exponent=self.path_loss_exponent,
-            reference_loss_db=self.reference_loss_db,
-            shadowing_sigma_db=self.shadowing_sigma_db,
-            noise_floor_dbm=self.noise_floor_dbm,
-            snr_threshold_qpsk_db=self.snr_threshold_qpsk_db,
-            snr_threshold_16qam_db=self.snr_threshold_16qam_db,
-            transition_width_db=self.transition_width_db,
-        )
+        require_finite_fields(self)
         if self.path_loss_exponent < 2.0:
             raise ValueError("path loss exponent below 2 is unphysical here")
         if self.shadowing_sigma_db < 0:
@@ -172,13 +145,7 @@ class ObstructionSegment:
     gap_period_m: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(
-            d_start_m=self.d_start_m,
-            d_end_m=self.d_end_m,
-            excess_loss_db=self.excess_loss_db,
-            gap_width_m=self.gap_width_m,
-            gap_period_m=self.gap_period_m,
-        )
+        require_finite_fields(self)
         if self.d_start_m >= self.d_end_m:
             raise ValueError("obstruction segment is empty or reversed")
         if self.excess_loss_db < 0:
@@ -197,10 +164,7 @@ class LatencyModel:
     processing_jitter_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        require_finite(
-            processing_base_ms=self.processing_base_ms,
-            processing_jitter_ms=self.processing_jitter_ms,
-        )
+        require_finite_fields(self)
         if self.processing_base_ms < 0 or self.processing_jitter_ms < 0:
             raise ValueError("latency components must be >= 0")
         if self.processing_jitter_ms > self.processing_base_ms:
@@ -209,11 +173,11 @@ class LatencyModel:
 
 
 def profile_success_probability(profile: PerProfile, train_d_t_m: np.ndarray) -> np.ndarray:
-    """1 - profile.per_at(d) at every position of an array.
+    """Decode probability 1 - per of the bin holding each position of an array.
 
-    Where per_at would raise (a position outside an "error" profile) the
-    result is NaN, so the caller can raise at the first such position in
-    its own order of checks.
+    A position in no bin gets 0 from a "zero" profile and NaN from an
+    "error" one, so the caller can raise at the first such position in its
+    own order of checks.
     """
     starts, ends, pers = (np.array(column) for column in zip(*profile.bins))
     index = np.maximum(np.searchsorted(starts, train_d_t_m, side="right") - 1, 0)

@@ -38,13 +38,24 @@ import numpy as np
 
 from .geometry import Placement
 from .protocol import WARNING_MODES, WarningEvent
-from .units import check_field, require_finite
+from .units import check_field, require_finite_fields
 
 # Version 2 logs come from the keyed block streams (engine.receiver_stream);
 # version 1 logs came from one stream per receiver drawn tick by tick. Their
 # lines have the same layout, so both read.
 LOG_VERSION = 2
 READABLE_LOG_VERSIONS = (1, 2)
+
+# The most packets one pass may hold, transmit ticks x receivers: the
+# engine refuses a scenario above it, and read_log a header. The largest
+# pass shipped, tested or benchmarked has 300,303.
+MAX_PACKETS = 4_000_000
+
+
+def _tick_count(duration_s: float, period_s: float) -> int:
+    # +1 for the packet at t = 0; small epsilon so exact multiples round down
+    # consistently instead of dropping the final tick to float dust.
+    return math.floor(duration_s / period_s + 1e-9) + 1
 
 
 class PacketColumns:
@@ -110,7 +121,7 @@ class AnalysisDefaults:
     coverage_threshold: int = 5
 
     def __post_init__(self) -> None:
-        require_finite(window_width_m=self.window_width_m)
+        require_finite_fields(self)
         if self.window_width_m <= 0:
             raise ValueError("window_width_m must be positive")
         if self.coverage_threshold < 1:
@@ -183,19 +194,12 @@ def _header_dict(log: SimLog) -> dict:
     }
 
 
-def _require_json_floats(packets: PacketColumns) -> None:
-    """Raise json's ValueError if a value the writer would print is not finite."""
-    decoded = packets.decoded
-    for values in (
-        packets.tx_time_s,
-        packets.train_d_t_m,
-        packets.rx_time_s[decoded],
-        packets.latency_s[decoded],
-    ):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            value = float(values[bad][0])
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+def _not_finite(tx, position, decoded, rx, latency) -> np.ndarray:
+    """The rows a log cannot hold, which the writer refuses and the reader
+    rejects: a time or position that is not finite, or a decoded row without
+    a finite rx_time_s and latency_s."""
+    finite = np.isfinite(tx) & np.isfinite(position)
+    return ~finite | decoded & ~(np.isfinite(rx) & np.isfinite(latency))
 
 
 def _packet_batches(packets: PacketColumns):
@@ -203,9 +207,14 @@ def _packet_batches(packets: PacketColumns):
 
     The templates hold the keys in sorted order, as json.dumps(...,
     sort_keys=True) writes them; %r of a float is float.__repr__, which is
-    what json writes for a float.
+    what json writes for a float. A row the log cannot hold raises json's
+    ValueError, naming the row's first value that is not finite.
     """
-    _require_json_floats(packets)
+    columns = packets.columns()
+    bad = np.flatnonzero(_not_finite(*columns[1:]))
+    if bad.size:
+        value = next(v for v in (float(c[bad[0]]) for c in columns[1:]) if not math.isfinite(v))
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     receiver = _encode(packets.receiver_id).replace("%", "%%")
     decoded_line = (
         '{"decoded": true, "latency_s": %r, "receiver_id": ' + receiver + ', "rx_time_s": %r, '
@@ -215,7 +224,6 @@ def _packet_batches(packets: PacketColumns):
         '{"decoded": false, "latency_s": null, "receiver_id": ' + receiver + ', "rx_time_s": null, '
         '"seq": %d, "train_d_t_m": %r, "tx_time_s": %r, "type": "packet"}'
     )
-    columns = packets.columns()
     for start in range(0, len(packets), WRITE_BATCH_ROWS):
         rows = zip(*(column[start : start + WRITE_BATCH_ROWS].tolist() for column in columns))
         yield [
@@ -250,8 +258,11 @@ def write_log(log: SimLog, path: str | Path) -> None:
             for text in _text_batches(log):
                 handle.write(text.encode())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            # Name the log, not the temp file the error arose on.
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -425,10 +436,7 @@ def _first_fault(columns: tuple, placements: tuple) -> "tuple[int, str] | None":
     rows need not be in line order."""
     receiver, seq, tx, position, decoded, rx, latency, lines = columns
     rules = [
-        (
-            ~np.isfinite(tx) | ~np.isfinite(position) | np.isinf(rx) | np.isinf(latency),
-            "packet values must be finite",
-        ),
+        (_not_finite(tx, position, decoded, rx, latency), "packet values must be finite"),
         (decoded & (rx < tx), "rx_time_s must be >= tx_time_s"),
     ]
     for index, placement in enumerate(placements):
@@ -441,6 +449,31 @@ def _first_fault(columns: tuple, placements: tuple) -> "tuple[int, str] | None":
     return min(faults, key=lambda fault: fault[0], default=None)
 
 
+# Bytes a log may hold per packet or event line of its pass, beyond the
+# longest receiver id; a written line has at most about 250.
+_LINE_BYTES = 512
+
+
+def _packet_limit(header: dict, header_bytes: int, file_bytes: int) -> int:
+    """The packet lines of a header's pass, receivers x transmit ticks. A pass
+    over MAX_PACKETS, or a file larger than the pass fills, raises ValueError."""
+    duration, period, receivers = header["duration_s"], header["tx_period_s"], header["receivers"]
+    # The ratio is bounded first: floor() of a vast one overflows.
+    packets = math.inf
+    if abs(duration / period) <= MAX_PACKETS:
+        packets = max(_tick_count(duration, period) * len(receivers), 0)
+    if packets > MAX_PACKETS:
+        raise ValueError(
+            f"header declares a pass of {duration:g} s at {period:g} s per tick for "
+            f"{len(receivers)} receiver(s), more than the limit of {MAX_PACKETS} packets"
+        )
+    longest = max((len(_encode(p.id)) for p in receivers), default=0)
+    allowed = header_bytes + (packets + len(receivers)) * (_LINE_BYTES + longest)
+    if file_bytes > allowed:
+        raise ValueError(f"file is {file_bytes} bytes, more than its pass can fill ({allowed})")
+    return packets
+
+
 def _batches_of_lines(handle):
     # The first line alone, so that the header's packet pattern serves the rest.
     yield handle.readlines(1)
@@ -449,10 +482,12 @@ def _batches_of_lines(handle):
 
 def read_log(path: str | Path) -> SimLog:
     """Read a JSON-lines log; a line that breaks the format raises ValueError
-    naming path:line."""
+    naming path:line. The header bounds the read (_packet_limit), and reading
+    stops at the first packet line past its pass."""
     header = None  # the SimLog fields of the header line
     receivers: dict = {}  # JSON-encoded receiver id -> index in the header
     pattern = None
+    limit = packets = 0  # packet lines the header allows, and read so far
     parts: list = []  # column arrays of packet lines, in file order
     events: list = []
     line_number = 0
@@ -462,7 +497,8 @@ def read_log(path: str | Path) -> SimLog:
             line_number += len(lines)
             if pattern is not None:
                 rows = pattern.findall("".join(lines))
-                if len(rows) == len(lines):
+                if len(rows) == len(lines) and packets + len(rows) <= limit:
+                    packets += len(rows)
                     parts.append(
                         _rows_to_columns(path, rows, receivers, range(first_line, line_number + 1))
                     )
@@ -472,26 +508,30 @@ def read_log(path: str | Path) -> SimLog:
                 try:
                     match = pattern.fullmatch(line.rstrip("\n")) if pattern else None
                     if match:
-                        rows.append(match.groups())
-                        row_lines.append(number)
-                        continue
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = _decode(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"invalid JSON: {exc}") from None
-                    kind = obj.get("type") if isinstance(obj, dict) else None
+                        obj, kind = None, "packet"
+                    else:
+                        line = line.strip()
+                        if not line:
+                            continue
+                        try:
+                            obj = _decode(line)
+                        except json.JSONDecodeError as exc:
+                            raise ValueError(f"invalid JSON: {exc}") from None
+                        kind = obj.get("type") if isinstance(obj, dict) else None
                     if kind == "packet":
                         if header is None:
                             raise ValueError("packet before header")
-                        rows.append(_json_row(obj, receivers))
+                        if packets == limit:
+                            raise ValueError(f"more packet lines than the pass holds ({limit})")
+                        packets += 1
+                        rows.append(match.groups() if match else _json_row(obj, receivers))
                         row_lines.append(number)
                     elif kind == "header":
                         if header is not None:
                             raise ValueError("second header line")
                         header = _header_values(obj)
+                        size = os.fstat(handle.fileno()).st_size
+                        limit = _packet_limit(header, len(line.encode()) + 1, size)
                         receivers = {_encode(p.id): i for i, p in enumerate(header["receivers"])}
                         pattern = _packet_pattern(receivers)
                     elif kind == "event":
@@ -541,6 +581,7 @@ def read_field_log(path: str | Path) -> SimLog:
     blank for undecoded rows. Rows are put in seq order (a stable sort) and
     then meet read_log's packet rules: finite values, rx_time_s >= tx_time_s
     and each seq once; a fault names the lowest CSV row that breaks a rule.
+    Reading stops at the row past MAX_PACKETS.
     The capture is one RSU named "field" transmitting every 50 ms; it runs
     through the same analysis pipeline as simulated logs, and pass metadata
     that a capture cannot know is left unset.
@@ -557,6 +598,8 @@ def read_field_log(path: str | Path) -> SimLog:
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(seq) == MAX_PACKETS:
+                raise ValueError(f"{path}:{row_number}: more than {MAX_PACKETS} packet rows")
             row += [""] * (width - len(row))
             seq_text, tx_text, position_text, decoded_text, rx_text = (row[i] for i in where)
             row_decoded = _DECODED_TEXTS.get(decoded_text.strip().lower())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .link import LatencyModel, latency_sample
-from .units import require_finite
+from .units import require_finite_fields
 
 # Every broadcast safety message is this long; the size is not a setting.
 BSM_SIZE_BYTES = 99
@@ -32,7 +32,7 @@ class TriggerPolicy:
     window_s: float | None = None
 
     def __post_init__(self) -> None:
-        require_finite(trigger_distance_m=self.trigger_distance_m, window_s=self.window_s)
+        require_finite_fields(self)
         if self.reliability_threshold < 1:
             raise ValueError("reliability threshold must be >= 1")
         if self.trigger_distance_m <= 0:

@@ -6,6 +6,7 @@ dBi. Miles per hour appear only at user-facing boundaries.
 """
 
 import csv
+import dataclasses
 import math
 import sys
 
@@ -18,12 +19,19 @@ def require_finite(**values) -> None:
 
     None passes, so optional settings can be checked as they are. Every
     comparison with NaN is false, so a NaN that reaches a range check or a
-    gate would pass it silently; the config dataclasses call this first.
+    gate would pass it silently; dataclasses check first (require_finite_fields).
     """
     for name, value in values.items():
         # Not math.isfinite, which overflows on an int beyond the float range.
         if value is not None and not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_finite_fields(instance) -> None:
+    """require_finite over a dataclass's fields annotated float or float | None,
+    in field order. Annotations must be types: postponed ones are strings."""
+    floats = [f.name for f in dataclasses.fields(instance) if f.type in (float, float | None)]
+    require_finite(**{name: getattr(instance, name) for name in floats})
 
 
 def check_field(value, annotation, name: str):
@@ -87,8 +95,6 @@ def parse_speed(text: str) -> float:
     cleaned = text.strip().lower().replace(" ", "")
     if cleaned.endswith("mph"):
         return mph_to_mps(float(cleaned[:-3]))
-    if cleaned.endswith("mps"):
-        return float(cleaned[:-3])
-    if cleaned.endswith("m/s"):
+    if cleaned.endswith(("mps", "m/s")):
         return float(cleaned[:-3])
     return float(cleaned)

@@ -7,8 +7,8 @@ original per-tick pass loop built from them:
 * geometry: train_position and link_geometry at one train position;
 * antenna: pattern_gain at one angle pair, from azimuth_gain_dbi and
   elevation_gain_dbi;
-* link: path_loss_db, excess_at of one obstruction segment and
-  packet_success_probability at one position;
+* link: path_loss_db, excess_at of one obstruction segment, per_at of
+  an empirical profile and packet_success_probability at one position;
 * protocol: ReceiverState and receiver_ingest, fed one decode at a time;
 * log: PacketRecord rows, with columns_from_records and packet_rows to go
   between rows and PacketColumns;
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from railwarn.antenna import AntennaPattern
-from railwarn.engine import Scenario, _tick_count, receiver_stream, scenario_digest
+from railwarn.engine import Scenario, receiver_stream, scenario_digest
 from railwarn.geometry import (
     CrossingScene,
     DegenerateGeometryError,
@@ -46,7 +46,7 @@ from railwarn.link import (
     SyntheticChannel,
     latency_sample,
 )
-from railwarn.logio import PacketColumns, SimLog
+from railwarn.logio import PacketColumns, SimLog, _tick_count
 from railwarn.protocol import TriggerPolicy, WarningEvent, rsu_relay
 
 
@@ -133,6 +133,17 @@ def path_loss_db(range_m: float, channel: SyntheticChannel) -> float:
     return channel.reference_loss_db + 10.0 * channel.path_loss_exponent * math.log10(range_m)
 
 
+def per_at(profile: PerProfile, train_d_t_m: float) -> float:
+    """The per of the profile's bin holding the position; out of every bin,
+    1 for a "zero" profile and ValueError for an "error" one."""
+    for d_start, d_end, per in profile.bins:
+        if d_start <= train_d_t_m < d_end:
+            return per
+    if profile.out_of_range == "zero":
+        return 1.0
+    raise ValueError(f"train distance {train_d_t_m:g} m outside the PER profile")
+
+
 def packet_success_probability(
     train_d_t_m: float,
     combined_gain_dbi: float,
@@ -152,7 +163,7 @@ def packet_success_probability(
     unsigned train distance when no slant range is supplied.
     """
     if isinstance(channel, PerProfile):
-        return 1.0 - channel.per_at(train_d_t_m)
+        return 1.0 - per_at(channel, train_d_t_m)
     if not isinstance(channel, SyntheticChannel):
         raise TypeError("channel must be a PerProfile or SyntheticChannel")
     if range_m is None:

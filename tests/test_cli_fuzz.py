@@ -1,0 +1,137 @@
+"""The read side of the CLI on damaged input: exit 0 or 3, never a traceback.
+
+A simulated suburban log and its RSU's packets as a field capture each
+take one mutation: a key dropped, a value of the wrong type, a line cut
+short, or a NaN or infinity put in. analyze, coverage and safeness
+--coverage-from then read the result in-process. Each either succeeds,
+printing no NaN or infinity, or exits 3 with exactly one `error: runtime:`
+line.
+"""
+
+import contextlib
+import io
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from railwarn.cli import main
+from railwarn.config import load_scenario
+from railwarn.engine import run_pass
+from railwarn.logio import FIELD_COLUMNS, log_bytes
+
+SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"
+
+MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite")
+WRONG_TYPES = ["x", "", None, True, [], [1.0], {}, {"a": 1}, 1.5, -1, 2**64]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE_TEXTS = ["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"]
+
+
+@pytest.fixture(scope="module")
+def originals():
+    """(log lines, field-capture lines) of one suburban pass."""
+    log = run_pass(load_scenario(SUBURBAN))
+    rsu = log.records["rsu0"]
+    rows = [
+        ",".join([str(seq), repr(tx), repr(position), str(int(decoded)), repr(rx) if decoded else ""])
+        for seq, tx, position, decoded, rx in zip(
+            rsu.seq.tolist(),
+            rsu.tx_time_s.tolist(),
+            rsu.train_d_t_m.tolist(),
+            rsu.decoded.tolist(),
+            rsu.rx_time_s.tolist(),
+        )
+    ]
+    return log_bytes(log).decode().splitlines(), [",".join(FIELD_COLUMNS), *rows]
+
+
+def mutate_json(line: str, data) -> str:
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if mutation == "truncate":
+        return line[: data.draw(st.integers(0, len(line) - 1), label="cut at")]
+    whole = json.loads(line)
+    obj = whole
+    if "receivers" in whole and data.draw(st.booleans(), label="in a receiver"):
+        obj = data.draw(st.sampled_from(whole["receivers"]), label="receiver")
+    key = data.draw(st.sampled_from(sorted(obj)), label="key")
+    if mutation == "drop a key":
+        del obj[key]
+    elif mutation == "wrong type":
+        obj[key] = data.draw(st.sampled_from(WRONG_TYPES), label="value")
+    else:
+        obj[key] = data.draw(st.sampled_from(NON_FINITE), label="value")
+    return json.dumps(whole, sort_keys=True)  # writes NaN and Infinity literals
+
+
+def mutate_csv(line: str, data) -> str:
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if mutation == "truncate":
+        return line[: data.draw(st.integers(0, len(line) - 1), label="cut at")]
+    cells = line.split(",")
+    index = data.draw(st.integers(0, len(cells) - 1), label="column")
+    if mutation == "drop a key":
+        del cells[index]
+    elif mutation == "wrong type":
+        cells[index] = data.draw(st.sampled_from(["x", "1.5.2", "[]", "true", "-"]), label="value")
+    else:
+        cells[index] = data.draw(st.sampled_from(NON_FINITE_TEXTS), label="value")
+    return ",".join(cells)
+
+
+def run(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean(argv: list) -> None:
+    code, out, err = run(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 3), (argv, code, err)
+    if code == 3:
+        assert err.startswith("error: runtime: ") and err.count("\n") == 1, err
+    else:
+        # A success reports numbers, never a NaN or an infinity.
+        assert err == "" and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+
+
+def pick_line(lines: list, data) -> int:
+    """The header line, the last lines (events, or the last rows) or any line."""
+    return data.draw(
+        st.one_of(
+            st.just(0),
+            st.integers(len(lines) - 3, len(lines) - 1),
+            st.integers(1, len(lines) - 1),
+        ),
+        label="line",
+    )
+
+
+# The examples share tmp_path; each writes its inputs afresh.
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
+    log_lines, field_lines = originals
+    if data.draw(st.booleans(), label="field capture"):
+        lines = list(field_lines)
+        index = pick_line(lines, data)
+        lines[index] = mutate_csv(lines[index], data)
+        path = tmp_path / "capture.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert_clean(["analyze", str(path), "--field-csv", "--out-dir", str(tmp_path / "out")])
+        assert_clean(["coverage", str(path), "--field-csv"])
+    else:
+        lines = list(log_lines)
+        index = pick_line(lines, data)
+        lines[index] = mutate_json(lines[index], data)
+        path = tmp_path / "pass.log.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert_clean(["analyze", str(path), "--out-dir", str(tmp_path / "out")])
+        assert_clean(["coverage", str(path), "--out", str(tmp_path / "coverage.csv")])
+        assert_clean(["safeness", "--coverage-from", str(path), "--train-speed", "10mph"])

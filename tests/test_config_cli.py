@@ -17,7 +17,6 @@ from railwarn import analysis, engine, logio
 from railwarn.cli import main
 from railwarn.config import ConfigError, load_scenario
 from railwarn.engine import (
-    MAX_PACKETS,
     MAX_SWEEP_PACKETS,
     MAX_TICKS,
     SweepPointError,
@@ -27,7 +26,7 @@ from railwarn.engine import (
     scenario_to_dict,
 )
 from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
-from railwarn.logio import log_bytes, read_field_log, read_log, write_log
+from railwarn.logio import MAX_PACKETS, log_bytes, read_field_log, read_log, write_log
 from railwarn.protocol import TriggerPolicy
 from railwarn.units import parse_speed
 
@@ -93,7 +92,7 @@ class TestConfigLoading:
         )
         scenario = load_scenario(path)
         assert isinstance(scenario.channel, PerProfile)
-        assert scenario.channel.per_at(-100.0) == 0.0
+        assert scenario.channel.bins == ((-500.0, 500.0, 0.0),)
 
     def test_missing_per_table_reports_key(self, tmp_path):
         path = write_config(
@@ -969,15 +968,32 @@ class TestSweepWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unwritable_log_exits_3(self, tmp_path, capsys, workers):
+        # A failed sweep deletes the logs it wrote and the summary of an
+        # earlier sweep in the directory; the directory at a log's name stays.
         out_dir = tmp_path / "sweep"
-        blocked = out_dir / "point001_v17.8816_p23_QPSK_omni12_s1.log.jsonl"
-        blocked.mkdir(parents=True)
-        grid = ["--speeds", "20mph,40mph", "--seeds", "1"]
+        assert main(sweep_argv(out_dir, grid=["--speeds", "30mph"])) == 0
+        assert (out_dir / "summary.csv").is_file()
+        for path in out_dir.glob("*.log.jsonl"):
+            path.unlink()
+        blocked = out_dir / "point001_v8.9408_p23_QPSK_omni12_s1.log.jsonl"
+        blocked.mkdir()
+        grid = ["--speeds", "10mph,20mph,40mph", "--seeds", "1"]
+        capsys.readouterr()
         assert main(sweep_argv(out_dir, grid=grid, workers=workers)) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: runtime: ")
         assert str(blocked) in captured.err
+        assert ".tmp" not in captured.err
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
-        assert not (out_dir / "summary.csv").exists()
+        assert sorted(path.name for path in out_dir.iterdir()) == [blocked.name]
+        assert blocked.is_dir()
+
+    def test_invalid_grid_leaves_the_directory_alone(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        assert main(sweep_argv(out_dir, grid=["--speeds", "30mph"])) == 0
+        before = sweep_files(out_dir)
+        assert main(sweep_argv(out_dir, grid=["--speeds", "30mph,0.001"])) == 2
+        assert capsys.readouterr().err.startswith("error: config: sweep point speed_mps=0.001")
+        assert sweep_files(out_dir) == before

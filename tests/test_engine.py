@@ -271,17 +271,27 @@ class TestRunSweep:
 
     def test_import_does_not_load_multiprocessing(self):
         # The process pool is imported only for a sweep with more than one worker.
-        src = str(Path(railwarn.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = (
-            "import sys, railwarn; "
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
-        )
-        env = dict(os.environ, PYTHONPATH=path)
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "[]"
+        assert loaded_modules("railwarn.cli", "multiprocessing") == "[]"
+
+
+def loaded_modules(module: str, prefix: str) -> str:
+    """The modules named prefix... that a fresh interpreter holds after importing module."""
+    src = str(Path(railwarn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        f"import sys, {module}; "
+        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    )
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+def test_package_import_loads_no_submodule():
+    # Names are imported from their modules; the package re-exports none.
+    assert loaded_modules("railwarn", "railwarn.") == "[]"
 
 
 class TestDigest:

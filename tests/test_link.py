@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from scalar_reference import excess_at, packet_success_probability, path_loss_db
+from scalar_reference import excess_at, packet_success_probability, path_loss_db, per_at
 
+from railwarn.config import load_scenario
 from railwarn.link import (
     LatencyModel,
     ObstructionSegment,
@@ -65,12 +67,12 @@ class TestPathLoss:
 class TestPerProfile:
     def test_lookup_and_policies(self):
         profile = PerProfile(bins=((-500.0, 0.0, 0.0), (0.0, 100.0, 0.25)))
-        assert profile.per_at(-300.0) == 0.0
-        assert profile.per_at(50.0) == 0.25
-        assert profile.per_at(500.0) == 1.0  # out of range -> no coverage
+        assert per_at(profile, -300.0) == 0.0
+        assert per_at(profile, 50.0) == 0.25
+        assert per_at(profile, 500.0) == 1.0  # out of range -> no coverage
         strict = PerProfile(bins=((-500.0, 0.0, 0.0),), out_of_range="error")
         with pytest.raises(ValueError, match="outside"):
-            strict.per_at(10.0)
+            per_at(strict, 10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-overlapping"):
@@ -81,11 +83,15 @@ class TestPerProfile:
             PerProfile(bins=((0.0, -100.0, 0.5),))
 
     def test_csv_load(self, tmp_path):
-        path = tmp_path / "per.csv"
-        path.write_text("d_start_m,d_end_m,per\n-500,0,0.0\n0,350,0.1\n")
-        profile = PerProfile.from_csv(path)
-        assert profile.per_at(-1.0) == 0.0
-        assert profile.per_at(1.0) == 0.1
+        # A config's per_table is read into the profile's bins.
+        (tmp_path / "per.csv").write_text("d_start_m,d_end_m,per\n-500,0,0.0\n0,350,0.1\n")
+        config = tmp_path / "scenario.json"
+        channel = {"mode": "empirical", "per_table": "per.csv"}
+        config.write_text(json.dumps({"train": {"speed_mph": 20}, "channel": channel}))
+        profile = load_scenario(config).channel
+        assert profile.bins == ((-500.0, 0.0, 0.0), (0.0, 350.0, 0.1))
+        assert per_at(profile, -1.0) == 0.0
+        assert per_at(profile, 1.0) == 0.1
 
 
 class TestPacketSuccess:

@@ -5,6 +5,7 @@ on re-spaced lines, the writer against its own output read back, bin_per
 against a per-packet dictionary count.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,11 +15,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scalar_reference import PacketRecord, columns_from_records, packet_rows
 
+from railwarn import logio
 from railwarn.analysis import PerBin, PerSeries, bin_per, extract_dwarn
 from railwarn.cli import main
 from railwarn.geometry import Placement
 from railwarn.logio import (
     LOG_VERSION,
+    MAX_PACKETS,
     PacketColumns,
     SimLog,
     log_bytes,
@@ -300,6 +303,17 @@ class TestReaderRejects:
 
 
 class TestWriter:
+    @pytest.mark.parametrize("where", ["missing/pass.log.jsonl", "directory"])
+    def test_error_names_the_log_not_its_temp_file(self, tmp_path, where):
+        path = tmp_path / where
+        if where == "directory":
+            path.mkdir()
+        with pytest.raises(OSError) as caught:
+            write_log(make_log({"rsu0": []}, receivers=(RSU,)), path)
+        assert str(caught.value).endswith(f": {str(path)!r}")
+        assert ".tmp" not in str(caught.value)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if where != "directory" else [where])
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         bad = make_log({"rsu0": [PacketRecord(0, 0.0, math.inf, "rsu0", False)]}, receivers=(RSU,))
         path = tmp_path / "pass.log.jsonl"
@@ -358,7 +372,9 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match=r"capture\.csv:2: rx_time_s must be >= tx_time_s"):
             read_field_log(path)
 
-    @pytest.mark.parametrize("tx, rx", [("nan", ""), ("inf", "inf"), ("-1e308", "1e308")])
+    @pytest.mark.parametrize(
+        "tx, rx", [("nan", ""), ("inf", "inf"), ("-1e308", "1e308"), ("0.05", "nan")]
+    )
     def test_non_finite_value_or_latency_names_the_row(self, tmp_path, tx, rx):
         path = tmp_path / "capture.csv"
         path.write_text(
@@ -636,3 +652,92 @@ class TestEventFields:
         )
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+def with_pass(tmp_path, duration_s, tx_period_s=0.05, receivers=1):
+    """A written log of 3 packets whose header declares this pass."""
+    header = {"duration_s": duration_s, "tx_period_s": tx_period_s}
+    if receivers == 2:
+        other = {**dataclasses.asdict(RSU), "id": "rsu1"}
+        header["receivers"] = [dataclasses.asdict(RSU), other]
+    return with_header(tmp_path, **header)
+
+
+class TestReadBounds:
+    """The header bounds a read before any packet line: its pass holds at
+    most MAX_PACKETS packets, the file at most a line's worth of bytes per
+    packet, and reading stops at the first packet line past the pass."""
+
+    @pytest.mark.parametrize(
+        "receivers, duration_s, fits",
+        [
+            (1, MAX_PACKETS - 1.0, True),
+            (1, float(MAX_PACKETS), False),
+            (2, MAX_PACKETS / 2 - 1.0, True),
+            (2, MAX_PACKETS / 2, False),
+            (1, 1e308, False),
+        ],
+    )
+    def test_header_pass_at_most_max_packets(self, tmp_path, receivers, duration_s, fits):
+        path = with_pass(tmp_path, duration_s, tx_period_s=1.0, receivers=receivers)
+        if fits:
+            assert read_log(path).packet_count() == 3
+        else:
+            with pytest.raises(
+                ValueError,
+                match=rf"pass\.log\.jsonl:1: header declares .*more than the limit of "
+                rf"{MAX_PACKETS} packets",
+            ):
+                read_log(path)
+
+    @pytest.mark.parametrize("duration_s", [1e308, -1e308])
+    def test_vast_tick_ratio_does_not_overflow(self, tmp_path, duration_s):
+        path = with_pass(tmp_path, duration_s, tx_period_s=5e-324)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:1: header declares"):
+            read_log(path)
+
+    def test_stops_at_the_first_packet_line_past_the_pass(self, tmp_path):
+        # 0.05 s at 0.05 s per tick is 2 ticks; the third packet line is
+        # refused before it is converted, so its bad seq is never reached.
+        path = with_pass(tmp_path, 0.05)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace('"seq": 2', '"seq": -1')
+        rewrite(path, lines)
+        with pytest.raises(
+            ValueError, match=r"pass\.log\.jsonl:4: more packet lines than the pass holds \(2\)"
+        ):
+            read_log(path)
+
+    def test_fast_path_stops_at_the_pass(self, tmp_path):
+        path = with_pass(tmp_path, 0.05)
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:4: more packet lines"):
+            read_log(path)
+        assert read_log(with_pass(tmp_path, 0.1)).packet_count() == 3
+
+    def test_file_larger_than_the_pass_can_fill(self, tmp_path):
+        path = with_pass(tmp_path, 0.1)
+        with open(path, "a") as handle:
+            handle.write(" " * 4000 + "\n")
+        with pytest.raises(
+            ValueError, match=r"pass\.log\.jsonl:1: file is \d+ bytes, more than its pass can fill"
+        ):
+            read_log(path)
+
+    def test_cli_exits_3_with_one_line(self, tmp_path, capsys):
+        path = with_pass(tmp_path, float(MAX_PACKETS), tx_period_s=1.0)
+        assert main(["coverage", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: runtime: {path}:1: header declares")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_field_capture_stops_at_the_row_past_max_packets(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(logio, "MAX_PACKETS", 3)
+        path = tmp_path / "capture.csv"
+        lines = ["seq,tx_time_s,train_d_t_m,decoded,rx_time_s"]
+        lines += [f"{k},{k * 0.05},-120.0,0," for k in range(4)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"capture\.csv:5: more than 3 packet rows"):
+            read_field_log(path)
+        path.write_text("\n".join(lines[:4]) + "\n")
+        assert read_field_log(path).packet_count() == 3

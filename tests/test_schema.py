@@ -9,6 +9,7 @@ key, and knobs the engine never read are unknown keys.
 import ast
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,32 @@ def test_digest_excludes_the_analysis_settings():
     other = dataclasses.replace(scenario, analysis=AnalysisDefaults(7.5, 2))
     assert scenario_to_dict(other)["analysis"] != scenario_to_dict(scenario)["analysis"]
     assert scenario_digest(other) == scenario_digest(scenario)
+
+
+# One valid instance of each dataclass whose __post_init__ checks the fields
+# annotated float or float | None for finiteness (units.require_finite_fields).
+FINITE_CHECKED = [
+    TrainRun(speed_mps=4.0),
+    Placement(id="rsu0", kind="RSU", offset_from_crossing_m=5.0, height_m=3.0),
+    CrossingScene(),
+    RadioConfig(),
+    SyntheticChannel(),
+    ObstructionSegment(d_start_m=-50.0, d_end_m=50.0, excess_loss_db=10.0),
+    LatencyModel(),
+    TriggerPolicy(),
+    AnalysisDefaults(),
+    AntennaPattern("flat", ((0.0, 6.0),), ((0.0, 6.0),), 6.0),
+]
+
+
+@pytest.mark.parametrize("instance", FINITE_CHECKED, ids=lambda instance: type(instance).__name__)
+def test_every_float_field_rejects_nan(instance):
+    names = [f.name for f in dataclasses.fields(instance) if f.type in (float, float | None)]
+    # Annotations turned into strings would match no field here, nor in the check.
+    assert names
+    for name in names:
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got nan$"):
+            dataclasses.replace(instance, **{name: math.nan})
 
 
 def imported_names(tree):
