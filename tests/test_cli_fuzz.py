@@ -18,11 +18,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
+from make_golden import capture_lines
 
 from railwarn.cli import main
 from railwarn.config import load_scenario
 from railwarn.engine import run_pass
-from railwarn.logio import FIELD_COLUMNS, log_bytes
+from railwarn.logio import log_bytes
 
 SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"
 
@@ -36,18 +37,7 @@ NON_FINITE_TEXTS = ["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"]
 def originals():
     """(log lines, field-capture lines) of one suburban pass."""
     log = run_pass(load_scenario(SUBURBAN))
-    rsu = log.records["rsu0"]
-    rows = [
-        ",".join([str(seq), repr(tx), repr(position), str(int(decoded)), repr(rx) if decoded else ""])
-        for seq, tx, position, decoded, rx in zip(
-            rsu.seq.tolist(),
-            rsu.tx_time_s.tolist(),
-            rsu.train_d_t_m.tolist(),
-            rsu.decoded.tolist(),
-            rsu.rx_time_s.tolist(),
-        )
-    ]
-    return log_bytes(log).decode().splitlines(), [",".join(FIELD_COLUMNS), *rows]
+    return log_bytes(log).decode().splitlines(), capture_lines(log)
 
 
 def mutate_json(line: str, data) -> str:
