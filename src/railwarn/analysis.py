@@ -11,6 +11,7 @@ the crossing; approach-side bins have negative centers.
 
 import csv
 import dataclasses
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,9 +199,7 @@ class SafenessReport:
 
     def protection_band_s(self) -> "tuple[float, float] | None":
         values = [row.protection_s for row in self.rows if not row.system_failed]
-        if not values:
-            return None
-        return min(values), max(values)
+        return (min(values), max(values)) if values else None
 
 
 def safeness_report(
@@ -216,10 +215,8 @@ def safeness_report(
     coverage may be a CoverageReport or a bare warning range in meters.
     A zero range marks every grid point as failed rather than raising.
     """
-    if isinstance(coverage, CoverageReport):
-        warning_range = coverage.warning_range_m
-    else:
-        warning_range = float(coverage)
+    is_report = isinstance(coverage, CoverageReport)
+    warning_range = coverage.warning_range_m if is_report else float(coverage)
     if warning_range < 0:
         raise ValueError("warning range must be >= 0")
     rows = [
@@ -230,32 +227,33 @@ def safeness_report(
     return SafenessReport(warning_range, train_speed_mps, reaction_s, system_delay_s, rows)
 
 
-def _write_csv(path: str | Path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def csv_output(path: str | Path, header: list, rows: list) -> tuple:
+    """A CSV file as the (path, chunks) output logio.commit writes; each write_*_csv returns one."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return path, [text.getvalue()]
 
 
-def write_per_csv(series_list, path: str | Path) -> None:
+def write_per_csv(series_list, path: str | Path) -> tuple:
     rows = [
         [s.receiver_id, b.d_center_m, b.transmitted, b.received, b.per]
         for s in series_list
         for b in s.bins
     ]
-    _write_csv(path, ["receiver_id", "d_center_m", "transmitted", "received", "per"], rows)
+    return csv_output(path, ["receiver_id", "d_center_m", "transmitted", "received", "per"], rows)
 
 
-def write_counts_csv(series_list, path: str | Path) -> None:
-    rows = [
-        [s.receiver_id, b.d_center_m, b.received] for s in series_list for b in s.bins
-    ]
-    _write_csv(path, ["receiver_id", "d_center_m", "received"], rows)
+def write_counts_csv(series_list, path: str | Path) -> tuple:
+    rows = [[s.receiver_id, b.d_center_m, b.received] for s in series_list for b in s.bins]
+    return csv_output(path, ["receiver_id", "d_center_m", "received"], rows)
 
 
-def write_latency_csv(stats_by_receiver: dict, path: str | Path) -> None:
+def write_latency_csv(stats_by_receiver: dict, path: str | Path) -> tuple:
     rows = [[rid, *dataclasses.astuple(s)] for rid, s in stats_by_receiver.items()]
-    _write_csv(path, ["receiver_id", *(f.name for f in dataclasses.fields(LatencyStats))], rows)
+    header = ["receiver_id", *(field.name for field in dataclasses.fields(LatencyStats))]
+    return csv_output(path, header, rows)
 
 
 # The cells of a coverage.csv row after the receiver id, as CoverageReport
@@ -279,23 +277,23 @@ _SAFENESS_COLUMNS = (
 )
 
 
-def write_coverage_csv(report: CoverageReport, path: str | Path) -> None:
+def write_coverage_csv(report: CoverageReport, path: str | Path) -> tuple:
     """One row per receiver, sorted by id, then the aggregate row."""
     reports = [*sorted((report.per_receiver or {}).items()), ("aggregate", report)]
     rows = [[rid, *(getattr(sub, cell) for cell in _COVERAGE_CELLS)] for rid, sub in reports]
     header = ["receiver_id", *(cell.removesuffix("_used") for cell in _COVERAGE_CELLS)]
-    _write_csv(path, header, rows)
+    return csv_output(path, header, rows)
 
 
-def write_safeness_csv(report: SafenessReport, path: str | Path) -> None:
+def write_safeness_csv(report: SafenessReport, path: str | Path) -> tuple:
     rows = [[getattr(row, column) for column in _SAFENESS_COLUMNS] for row in report.rows]
-    _write_csv(path, list(_SAFENESS_COLUMNS), rows)
+    return csv_output(path, list(_SAFENESS_COLUMNS), rows)
 
 
-def write_curves_csv(report: SafenessReport, path: str | Path) -> None:
+def write_curves_csv(report: SafenessReport, path: str | Path) -> tuple:
     rows = [
         [row.vehicle_speed_mph, row.road, d, level]
         for row in report.rows
         for d, level in zip(row.distances_m, row.levels)
     ]
-    _write_csv(path, ["vehicle_speed_mph", "road", "d_t_m", "safeness_level"], rows)
+    return csv_output(path, ["vehicle_speed_mph", "road", "d_t_m", "safeness_level"], rows)

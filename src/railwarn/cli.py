@@ -6,6 +6,11 @@ print a single machine-parsable line to stderr:  error: <category>: <msg>
 Each value flag is parsed and range-checked as argparse reads it, so a bad
 value exits 2 naming the flag before a command runs; a missing argument or
 an unknown command or flag exits 1.
+
+Each command returns its stdout text, its (path, chunks) outputs and the
+directory to make for them or None. main writes the outputs with
+logio.commit, all or nothing, and prints the text only after; sweep writes
+its own files (engine.run_sweep).
 """
 
 import argparse
@@ -122,45 +127,19 @@ def _build_parser() -> _Parser:
     group = p_safe.add_mutually_exclusive_group(required=True)
     group.add_argument("--dwarn", action=_Value, check=non_negative, help="warning range in meters")
     group.add_argument("--coverage-from", help="log file to extract the range from")
+    speed = dict(action=_Value, parse=parse_speed, check=positive)
+    p_safe.add_argument("--train-speed", **speed, required=True, help="e.g. 10mph or 4.47 (m/s)")
+    items = dict(action=_Value, many=True)
+    grid = dict(default=safety.DEFAULT_VEHICLE_SPEEDS_MPH, check=_braking_speed)
     p_safe.add_argument(
-        "--train-speed",
-        action=_Value,
-        parse=parse_speed,
-        check=positive,
-        required=True,
-        help="e.g. 10mph or 4.47 (m/s)",
+        "--vehicle-speeds", **items, **grid, help="mph list (default: the braking table's)"
     )
-    p_safe.add_argument(
-        "--vehicle-speeds",
-        action=_Value,
-        default=safety.DEFAULT_VEHICLE_SPEEDS_MPH,
-        check=_braking_speed,
-        many=True,
-        help="mph list (default: the braking table's)",
-    )
-    p_safe.add_argument(
-        "--roads",
-        action=_Value,
-        default=safety.ROADS,
-        parse=str,
-        check=_road,
-        many=True,
-        help="comma list (default: every road)",
-    )
-    p_safe.add_argument(
-        "--tr",
-        action=_Value,
-        default=safety.DEFAULT_REACTION_S,
-        check=non_negative,
-        help="driver reaction time, s",
-    )
-    p_safe.add_argument(
-        "--ts",
-        action=_Value,
-        default=safety.DEFAULT_SYSTEM_DELAY_S,
-        check=non_negative,
-        help="system delay, s",
-    )
+    roads = dict(default=safety.ROADS, parse=str, check=_road)
+    p_safe.add_argument("--roads", **items, **roads, help="comma list (default: every road)")
+    seconds = dict(action=_Value, check=non_negative)
+    reaction, delay = safety.DEFAULT_REACTION_S, safety.DEFAULT_SYSTEM_DELAY_S
+    p_safe.add_argument("--tr", **seconds, default=reaction, help="driver reaction time, s")
+    p_safe.add_argument("--ts", **seconds, default=delay, help="system delay, s")
     p_safe.add_argument("--window", **window)
     p_safe.add_argument("--threshold", **threshold)
     p_safe.add_argument("--out", help="protection-time table CSV")
@@ -168,7 +147,6 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="grid of passes around a base config")
     p_sweep.add_argument("config")
-    items = dict(action=_Value, many=True)
     p_sweep.add_argument(
         "--speeds", **items, parse=parse_speed, help="comma list, e.g. 20mph,50mph,79mph"
     )
@@ -184,73 +162,70 @@ def _build_parser() -> _Parser:
 
 
 def _read_any_log(path: str, field_csv: bool):
-    if field_csv:
-        return logio.read_field_log(path)
-    return logio.read_log(path)
+    return (logio.read_field_log if field_csv else logio.read_log)(path)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     log = run_pass(load_config(args.config).scenario, seed=args.seed)
     output = args.output or (Path(args.config).stem + ".log.jsonl")
-    logio.write_log(log, output)
-    decoded = log.decoded_count()
-    print(
+    text = (
         f"wrote {output}: {log.packet_count()} packet records, "
-        f"{decoded} decoded, {len(log.events)} warning event(s), "
-        f"digest {log.digest[:12]}"
+        f"{log.decoded_count()} decoded, {len(log.events)} warning event(s), "
+        f"digest {log.digest[:12]}\n"
     )
-    return EXIT_OK
+    return text, [(output, logio.log_text(log))], None
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     log = _read_any_log(args.log, args.field_csv)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = [an.bin_per(log, args.window, rid) for rid in log.receiver_ids()]
-    an.write_per_csv(series, out_dir / "per.csv")
-    an.write_counts_csv(series, out_dir / "counts.csv")
-    stats = {}
-    for rid in log.receiver_ids():
-        try:
-            stats[rid] = an.latency_stats(log, rid)
-        except ValueError:
-            continue
-    an.write_latency_csv(stats, out_dir / "latency.csv")
-    for s in series:
-        worst = max(b.per for b in s.bins)
-        width = s.window_width_m
-        print(f"{s.receiver_id}: {len(s.bins)} bins of {width:g} m, worst per {worst:.3f}")
-    for rid, s in stats.items():
-        print(
-            f"{rid}: latency mean {s.mean_s * 1e3:.3f} ms, p95 {s.p95_s * 1e3:.3f} ms, "
-            f"below 5 ms {s.fraction_below_5ms:.3f}"
-        )
-    print(f"wrote {out_dir / 'per.csv'}, {out_dir / 'counts.csv'}, {out_dir / 'latency.csv'}")
-    return EXIT_OK
+    # A receiver with no decoded packet has no latency row.
+    stats = {
+        rid: an.latency_stats(log, rid)
+        for rid in log.receiver_ids()
+        if log.records[rid].decoded.any()
+    }
+    lines = [
+        f"{s.receiver_id}: {len(s.bins)} bins of {s.window_width_m:g} m, "
+        f"worst per {max(b.per for b in s.bins):.3f}"
+        for s in series
+    ]
+    lines += [
+        f"{rid}: latency mean {s.mean_s * 1e3:.3f} ms, p95 {s.p95_s * 1e3:.3f} ms, "
+        f"below 5 ms {s.fraction_below_5ms:.3f}"
+        for rid, s in stats.items()
+    ]
+    outputs = [
+        an.write_per_csv(series, out_dir / "per.csv"),
+        an.write_counts_csv(series, out_dir / "counts.csv"),
+        an.write_latency_csv(stats, out_dir / "latency.csv"),
+    ]
+    lines.append("wrote " + ", ".join(str(path) for path, _ in outputs))
+    return "\n".join(lines) + "\n", outputs, out_dir
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args) -> tuple:
     log = _read_any_log(args.log, args.field_csv)
     report = an.coverage_report(log, args.window, args.threshold)
-    for rid, sub in sorted((report.per_receiver or {}).items()):
-        print(
-            f"{rid}: warning range {sub.warning_range_m:g} m, "
-            f"farthest qualifying {sub.farthest_qualifying_m:g} m, "
-            f"contiguous {str(sub.contiguous).lower()}"
-        )
-    print(
+    lines = [
+        f"{rid}: warning range {sub.warning_range_m:g} m, "
+        f"farthest qualifying {sub.farthest_qualifying_m:g} m, "
+        f"contiguous {str(sub.contiguous).lower()}"
+        for rid, sub in sorted((report.per_receiver or {}).items())
+    ]
+    lines.append(
         f"aggregate: warning range {report.warning_range_m:g} m "
         f"(threshold {report.threshold_used} per {report.window_width_m:g} m bin)"
     )
     if report.warning_failure:
-        print("warning-failure: no bin met the threshold")
-    if args.out:
-        an.write_coverage_csv(report, args.out)
-        print(f"wrote {args.out}")
-    return EXIT_OK
+        lines.append("warning-failure: no bin met the threshold")
+    outputs = [an.write_coverage_csv(report, args.out)] if args.out else []
+    lines += [f"wrote {path}" for path, _ in outputs]
+    return "\n".join(lines) + "\n", outputs, None
 
 
-def _cmd_safeness(args) -> int:
+def _cmd_safeness(args) -> tuple:
     if args.coverage_from:
         log = logio.read_log(args.coverage_from)
         warning_range = an.coverage_report(log, args.window, args.threshold).warning_range_m
@@ -267,31 +242,28 @@ def _cmd_safeness(args) -> int:
         reaction_s=args.tr,
         system_delay_s=args.ts,
     )
-    print(
+    lines = [
         f"warning range {warning_range:g} m, train speed {args.train_speed:.4f} m/s, "
         f"reaction {args.tr:g} s, system delay {args.ts:g} s"
-    )
+    ]
     for row in report.rows:
         status = "FAILED" if row.system_failed else f"{row.protection_s:7.2f} s"
-        print(
+        lines.append(
             f"  vehicle {row.vehicle_speed_mph:4.0f} mph {row.road:3s}: "
             f"braking {row.braking_s:5.2f} s, protection {status}"
         )
     band = report.protection_band_s()
     if band is not None:
-        print(f"protection band: {band[0]:.2f} to {band[1]:.2f} s")
+        lines.append(f"protection band: {band[0]:.2f} to {band[1]:.2f} s")
     else:
-        print("system failure at every grid point")
-    if args.out:
-        an.write_safeness_csv(report, args.out)
-        print(f"wrote {args.out}")
-    if args.curves_out:
-        an.write_curves_csv(report, args.curves_out)
-        print(f"wrote {args.curves_out}")
-    return EXIT_OK
+        lines.append("system failure at every grid point")
+    writers = ((args.out, an.write_safeness_csv), (args.curves_out, an.write_curves_csv))
+    outputs = [write(report, path) for path, write in writers if path]
+    lines += [f"wrote {path}" for path, _ in outputs]
+    return "\n".join(lines) + "\n", outputs, None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     scenario = load_config(args.config).scenario
     out_dir = Path(args.out_dir)
     try:
@@ -307,8 +279,7 @@ def _cmd_sweep(args) -> int:
         )
     except SweepPointError as exc:
         raise ConfigError(str(exc)) from None
-    print(f"wrote {len(rows)} logs and {out_dir / 'summary.csv'}")
-    return EXIT_OK
+    return f"wrote {len(rows)} logs and {out_dir / 'summary.csv'}\n", [], None
 
 
 _COMMANDS = {
@@ -323,7 +294,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        text, outputs, directory = _COMMANDS[args.command](args)
+        logio.commit(outputs, directory)
+        sys.stdout.write(text)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

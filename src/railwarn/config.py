@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .antenna import DEFAULT_FLOOR_DBI, AntennaPattern
-from .engine import CONFIG_VERSION, Scenario, TrainRun
-from .geometry import CrossingScene, Placement
+from .engine import CONFIG_VERSION, Scenario
+from .geometry import CrossingScene, Placement, TrainRun
 from .link import (
     LatencyModel,
     ObstructionSegment,

@@ -22,7 +22,6 @@ The warning comes from the decodes as arrays (protocol.first_warning).
 The log's header carries the scenario's analysis settings (Scenario.analysis).
 """
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import analysis, logio
 from .antenna import AntennaPattern, builtin_pattern, pattern_gain
-from .geometry import CrossingScene, link_geometry
+from .geometry import CrossingScene, TrainRun, link_geometry
 from .link import (
     LatencyModel,
     PerProfile,
@@ -46,7 +45,7 @@ from .link import (
     profile_success_probability,
     snr_success_probability,
 )
-from .logio import MAX_PACKETS, AnalysisDefaults, PacketColumns, SimLog, _tick_count
+from .logio import AnalysisDefaults, PacketColumns, SimLog, _tick_count, pass_packets
 from .protocol import TriggerPolicy, first_warning, rsu_relay
 from .units import require_finite_fields
 
@@ -58,26 +57,6 @@ CONFIG_VERSION = 1
 # per sweep (87,696); logio.MAX_PACKETS bounds the packets of a pass.
 MAX_TICKS = 1_000_000
 MAX_SWEEP_PACKETS = 20_000_000
-
-
-@dataclass(frozen=True)
-class TrainRun:
-    """Constant-speed pass through the crossing."""
-
-    speed_mps: float
-    start_d_t_m: float = -600.0
-    end_d_t_m: float = 600.0
-
-    def __post_init__(self) -> None:
-        require_finite_fields(self)
-        if self.speed_mps <= 0:
-            raise ValueError("train speed must be positive")
-        if not self.start_d_t_m < 0 < self.end_d_t_m:
-            raise ValueError("pass must start before the crossing and end after it")
-
-    @property
-    def duration_s(self) -> float:
-        return (self.end_d_t_m - self.start_d_t_m) / self.speed_mps
 
 
 @dataclass(frozen=True)
@@ -104,19 +83,14 @@ class Scenario:
                 f"pass needs {ticks:.0f} transmit ticks, more than the limit of {MAX_TICKS}; "
                 "shorten the pass, raise the train speed or lengthen the transmit period"
             )
-        packets, receivers = self.packet_count, len(self.scene.receivers)
-        if packets > MAX_PACKETS:
-            raise ValueError(
-                f"pass needs {packets // receivers} transmit ticks x {receivers} receivers = "
-                f"{packets} packets, more than the limit of {MAX_PACKETS}; "
-                "shorten the pass, raise the train speed or use fewer receivers"
-            )
+        self.packet_count  # raises for a pass over logio.MAX_PACKETS
 
     @property
     def packet_count(self) -> int:
         """Packet records the pass writes: one per transmit tick and receiver."""
-        ticks = _tick_count(self.train.duration_s, self.radio.tx_period_s)
-        return ticks * len(self.scene.receivers)
+        return pass_packets(
+            self.train.duration_s, self.radio.tx_period_s, len(self.scene.receivers)
+        )
 
     def resolve_pattern(self, name: str) -> AntennaPattern:
         for pattern in self.custom_patterns:
@@ -243,12 +217,8 @@ def _receiver_pass(scenario, placement, seed, times, positions, patterns, succes
     and is None for a synthetic one. Each draw is one block over all ticks
     from the receiver's stream for its purpose.
     """
-    scene, radio, channel, latency = (
-        scenario.scene,
-        scenario.radio,
-        scenario.channel,
-        scenario.latency,
-    )
+    scene, radio, channel = scenario.scene, scenario.radio, scenario.channel
+    latency = scenario.latency
     ticks = len(times)
     geo = link_geometry(positions, placement, scene)
     if success is None:
@@ -376,8 +346,8 @@ def run_sweep(
     _p<power>_<modulation>_<antenna>_s<seed>.log.jsonl and computes its
     coverage; no log comes back. The result is one row per point, in grid
     order: (log name, SweepPoint, packets, decoded, events, warning_range_m),
-    and summary.csv, written last, lists them. A failed sweep deletes the
-    files at its log names and any summary.csv it began.
+    and summary.csv, written last through logio.commit, lists them. A failed
+    sweep deletes the files at its log names and writes no summary.csv.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
     powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
@@ -417,14 +387,13 @@ def run_sweep(
         else:
             results = [_run_point(job) for job in jobs]
         if summary is not None:
-            with open(summary, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                keys = [field.name for field in dataclasses.fields(SweepPoint)]
-                writer.writerow(["log", *keys, "packets", "decoded", "events", "warning_range_m"])
-                writer.writerows([row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results)
+            keys = [field.name for field in dataclasses.fields(SweepPoint)]
+            header = ["log", *keys, "packets", "decoded", "events", "warning_range_m"]
+            rows = [[row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results]
+            logio.commit([analysis.csv_output(summary, header, rows)])
     except BaseException:
         # A directory at a log's name was never the sweep's, so it stays.
-        for path in filter(None, [*paths, summary]):
+        for path in filter(None, paths):
             if not path.is_dir():
                 path.unlink(missing_ok=True)
         raise

@@ -42,6 +42,26 @@ class Placement:
 
 
 @dataclass(frozen=True)
+class TrainRun:
+    """Constant-speed pass through the crossing."""
+
+    speed_mps: float
+    start_d_t_m: float = -600.0
+    end_d_t_m: float = 600.0
+
+    def __post_init__(self) -> None:
+        require_finite_fields(self)
+        if self.speed_mps <= 0:
+            raise ValueError("train speed must be positive")
+        if not self.start_d_t_m < 0 < self.end_d_t_m:
+            raise ValueError("pass must start before the crossing and end after it")
+
+    @property
+    def duration_s(self) -> float:
+        return (self.end_d_t_m - self.start_d_t_m) / self.speed_mps
+
+
+@dataclass(frozen=True)
 class CrossingScene:
     track_heading_deg: float = 0.0
     road_heading_deg: float = 90.0

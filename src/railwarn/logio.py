@@ -2,19 +2,14 @@
 
 SimLog holds one pass, each receiver's packets as PacketColumns; the
 engine writes it and the analysis reads it. It is frozen: a log is complete
-when the engine returns it. A log file is one JSON object per line. The
-first line is a header with the scenario digest, pass metadata and the
-analysis settings (AnalysisDefaults) the scenario gave; the remaining lines
-are packet records (grouped by receiver, ordered by sequence number)
-followed by warning events. Keys are sorted so identical logs are
-byte-identical. Each header field, receivers' included, is checked against
-its SimLog or Placement annotation where the header is read; the analysis
-settings must make an AnalysisDefaults and tx_period_s be positive. An
-event's fields are checked against WarningEvent's annotations, and its
-values against the header: its receiver is a header receiver, its source
-that receiver's kind, its mode the kind's, and packets_seen is >= 1. Its
-trigger time is >= 0, and only an indirect event has a relay delivery time,
-never before its trigger.
+when the engine returns it. A log file is one JSON object per line: a
+header with the scenario digest, pass metadata and the analysis settings
+(AnalysisDefaults) the scenario gave, then packet records (grouped by
+receiver, ordered by sequence number), then warning events. Keys are
+sorted so identical logs are byte-identical. The reader checks each header
+field against its annotation and the pass's shape (_header_values), and
+each event against the header (_event). Every file the package writes
+goes through commit, all or nothing.
 
 Packets move between files and PacketColumns in chunks. The writer formats
 packet lines from column values with one template per receiver and decoded
@@ -24,8 +19,10 @@ numbers with float() and int(), as json does; any other line goes through
 json with the full checks.
 """
 
+import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -36,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Placement
+from .geometry import Placement, TrainRun
 from .protocol import WARNING_MODES, WarningEvent
 from .units import check_field, require_finite_fields
 
@@ -56,6 +53,18 @@ def _tick_count(duration_s: float, period_s: float) -> int:
     # +1 for the packet at t = 0; small epsilon so exact multiples round down
     # consistently instead of dropping the final tick to float dust.
     return math.floor(duration_s / period_s + 1e-9) + 1
+
+
+def pass_packets(duration_s: float, period_s: float, receivers: int) -> int:
+    """The packet records of a pass, ticks x receivers; over MAX_PACKETS raises ValueError."""
+    # The ratio is bounded first: floor() of a vast one overflows.
+    ticks = _tick_count(duration_s, period_s) if duration_s / period_s <= MAX_PACKETS else math.inf
+    if not ticks * receivers <= MAX_PACKETS:
+        raise ValueError(
+            f"pass needs {ticks} transmit ticks x {receivers} receiver(s) = "
+            f"{ticks * receivers} packets, more than the limit of {MAX_PACKETS}"
+        )
+    return ticks * receivers
 
 
 class PacketColumns:
@@ -106,8 +115,6 @@ class PacketColumns:
             np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
             for mine, theirs in zip(self.columns(), other.columns())
         )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"PacketColumns({self.receiver_id!r}, {len(self)} packets)"
@@ -234,7 +241,7 @@ def _packet_batches(packets: PacketColumns):
         ]
 
 
-def _text_batches(log: SimLog):
+def log_text(log: SimLog):
     """The serialised log in pieces of whole lines."""
     yield _encode(_header_dict(log)) + "\n"
     for receiver_id in log.receiver_ids():
@@ -245,25 +252,47 @@ def _text_batches(log: SimLog):
 
 
 def log_bytes(log: SimLog) -> bytes:
-    return "".join(_text_batches(log)).encode()
+    return "".join(log_text(log)).encode()
+
+
+def commit(outputs, directory=None) -> None:
+    """Write every (path, chunks) output, all or nothing; directory, if
+    given, is made first.
+
+    Each output streams its text chunks to a temp file beside its path, and
+    only when every one is complete are they renamed over their paths. A
+    path that is a directory fails before anything is written there. Any
+    failure deletes every temp file and every directory made here, and an
+    OSError names the output's path. The one gap: a rename racing with
+    another process's leaves the outputs renamed before it.
+    """
+    made, pending, path = [], [], directory  # pending: (temp file, path) pairs
+    try:
+        if directory:
+            made = [d for d in (Path(directory), *Path(directory).parents) if not d.exists()]
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        for path, chunks in dict(outputs).items():  # the last output for a path wins
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            pending.append((f"{path}.tmp{os.getpid()}", path))
+            with open(pending[-1][0], "wb") as handle:
+                handle.writelines(text.encode() for text in chunks)
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _ in pending:
+            Path(tmp).unlink(missing_ok=True)
+        for made_dir in made:
+            with contextlib.suppress(OSError):
+                made_dir.rmdir()
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
 
 
 def write_log(log: SimLog, path: str | Path) -> None:
-    """Stream the log in batches to a temp file in the same directory, then
-    rename it; the whole text is never held, and a failed write leaves no file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            for text in _text_batches(log):
-                handle.write(text.encode())
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            # Name the log, not the temp file the error arose on.
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-        raise
+    """Write the log to path, streamed in batches; a failed write leaves no file."""
+    commit([(path, log_text(log))])
 
 
 def _reject_constant(name: str):
@@ -368,7 +397,9 @@ def _field_values(obj: dict, fields, prefix: str = "") -> dict:
 
 
 def _header_values(obj: dict) -> dict:
-    """The SimLog fields of a header line, checked."""
+    """The SimLog fields of a header line, checked. A pass has duration_s >= 0
+    and start_d_t_m <= end_d_t_m; a simulated one (train_speed_mps set) is a
+    TrainRun, and duration_s is that run's."""
     version = obj.get("version")
     if isinstance(version, bool) or version not in READABLE_LOG_VERSIONS:
         raise ValueError(
@@ -378,6 +409,22 @@ def _header_values(obj: dict) -> dict:
     values = _field_values(obj, [field for field in _HEADER_FIELDS if field.name != "receivers"])
     if values["tx_period_s"] <= 0:
         raise ValueError(f"tx_period_s must be positive, got {values['tx_period_s']!r}")
+    speed, start, end, duration = (
+        values[key] for key in ("train_speed_mps", "start_d_t_m", "end_d_t_m", "duration_s")
+    )
+    if duration < 0:
+        raise ValueError(f"duration_s: must be >= 0, got {duration!r}")
+    if start > end:
+        raise ValueError(f"start_d_t_m: must be <= end_d_t_m {end!r}, got {start!r}")
+    if speed is not None:
+        try:
+            train = TrainRun(speed, start, end)
+        except ValueError as exc:
+            raise ValueError(f"train_speed_mps, start_d_t_m, end_d_t_m: {exc}") from None
+        if duration != train.duration_s:
+            raise ValueError(
+                f"duration_s: must be {train.duration_s!r} for this train run, got {duration!r}"
+            )
     window, threshold = values["analysis_window_m"], values["coverage_threshold"]
     try:
         AnalysisDefaults(window, threshold)
@@ -455,18 +502,9 @@ _LINE_BYTES = 512
 
 
 def _packet_limit(header: dict, header_bytes: int, file_bytes: int) -> int:
-    """The packet lines of a header's pass, receivers x transmit ticks. A pass
-    over MAX_PACKETS, or a file larger than the pass fills, raises ValueError."""
-    duration, period, receivers = header["duration_s"], header["tx_period_s"], header["receivers"]
-    # The ratio is bounded first: floor() of a vast one overflows.
-    packets = math.inf
-    if abs(duration / period) <= MAX_PACKETS:
-        packets = max(_tick_count(duration, period) * len(receivers), 0)
-    if packets > MAX_PACKETS:
-        raise ValueError(
-            f"header declares a pass of {duration:g} s at {period:g} s per tick for "
-            f"{len(receivers)} receiver(s), more than the limit of {MAX_PACKETS} packets"
-        )
+    """The packet lines of a header's pass; a file larger than they fill raises ValueError."""
+    receivers = header["receivers"]
+    packets = pass_packets(header["duration_s"], header["tx_period_s"], len(receivers))
     longest = max((len(_encode(p.id)) for p in receivers), default=0)
     allowed = header_bytes + (packets + len(receivers)) * (_LINE_BYTES + longest)
     if file_bytes > allowed:

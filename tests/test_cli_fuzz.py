@@ -5,10 +5,12 @@ take one mutation: a key dropped, a value of the wrong type, a line cut
 short, or a NaN or infinity put in. analyze, coverage and safeness
 --coverage-from then read the result in-process. Each either succeeds,
 printing no NaN or infinity, or exits 3 with exactly one `error: runtime:`
-line.
+line and no stdout. Half the examples find every output path taken by a
+directory; those must exit 3 and write nothing.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -31,6 +33,7 @@ MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite")
 WRONG_TYPES = ["x", "", None, True, [], [1.0], {}, {"a": 1}, 1.5, -1, 2**64]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 NON_FINITE_TEXTS = ["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"]
+BLOCKED = ("per.csv", "counts.csv", "latency.csv", "coverage.csv", "safeness.csv", "curves.csv")
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +83,21 @@ def run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_clean(argv: list) -> None:
+def assert_clean(argv: list, tmp_path: Path, blocked: bool) -> None:
+    """The command exits 0, or 3 with one error line and no stdout; with its
+    outputs blocked it exits 3. No temp file is left, and nothing in blocked/."""
     code, out, err = run(argv)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 3), (argv, code, err)
     if code == 3:
         assert err.startswith("error: runtime: ") and err.count("\n") == 1, err
+        assert out == "" and ".tmp" not in err, (out, err)
     else:
         # A success reports numbers, never a NaN or an infinity.
         assert err == "" and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+        assert not blocked, argv
+    assert not list(tmp_path.rglob("*.tmp*"))
+    assert not [p for p in (tmp_path / "blocked").rglob("*") if p.is_file()]
 
 
 def pick_line(lines: list, data) -> int:
@@ -103,25 +112,34 @@ def pick_line(lines: list, data) -> int:
     )
 
 
-# The examples share tmp_path; each writes its inputs afresh.
+# The examples share tmp_path; each writes its inputs afresh. With blocked
+# outputs, every file a command writes is a directory in blocked/.
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.data())
 def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
     log_lines, field_lines = originals
+    blocked = data.draw(st.booleans(), label="outputs blocked")
+    out = tmp_path / ("blocked" if blocked else "out")
+    for name in BLOCKED:
+        (tmp_path / "blocked" / name).mkdir(parents=True, exist_ok=True)
+    checked = functools.partial(assert_clean, tmp_path=tmp_path, blocked=blocked)
     if data.draw(st.booleans(), label="field capture"):
         lines = list(field_lines)
         index = pick_line(lines, data)
         lines[index] = mutate_csv(lines[index], data)
         path = tmp_path / "capture.csv"
         path.write_text("\n".join(lines) + "\n")
-        assert_clean(["analyze", str(path), "--field-csv", "--out-dir", str(tmp_path / "out")])
-        assert_clean(["coverage", str(path), "--field-csv"])
+        checked(["analyze", str(path), "--field-csv", "--out-dir", str(out)])
+        checked(["coverage", str(path), "--field-csv", "--out", str(out / "coverage.csv")])
     else:
         lines = list(log_lines)
         index = pick_line(lines, data)
         lines[index] = mutate_json(lines[index], data)
         path = tmp_path / "pass.log.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        assert_clean(["analyze", str(path), "--out-dir", str(tmp_path / "out")])
-        assert_clean(["coverage", str(path), "--out", str(tmp_path / "coverage.csv")])
-        assert_clean(["safeness", "--coverage-from", str(path), "--train-speed", "10mph"])
+        checked(["analyze", str(path), "--out-dir", str(out)])
+        checked(["coverage", str(path), "--out", str(out / "coverage.csv")])
+        checked(
+            ["safeness", "--coverage-from", str(path), "--train-speed", "10mph"]
+            + ["--out", str(out / "safeness.csv"), "--curves-out", str(out / "curves.csv")]
+        )

@@ -511,7 +511,7 @@ class TestPacketBudget:
             tracemalloc.stop()
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "error: config: pass needs 992908 transmit ticks x 500 receivers = 496454000 packets, "
+            "error: config: pass needs 992908 transmit ticks x 500 receiver(s) = 496454000 packets, "
             f"more than the limit of {MAX_PACKETS}"
         )
         assert peak < 5_000_000
@@ -532,7 +532,7 @@ class TestPacketBudget:
 
         # 900,001 ticks: four receivers fit under the limit, five do not.
         assert with_obus(4).packet_count == 3_600_004
-        with pytest.raises(ValueError, match="900001 transmit ticks x 5 receivers"):
+        with pytest.raises(ValueError, match=r"900001 transmit ticks x 5 receiver\(s\)"):
             with_obus(5)
 
     def test_oversized_sweep_names_the_grid(self, tmp_path, capsys):

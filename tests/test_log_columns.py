@@ -56,7 +56,7 @@ def make_log(records: dict, receivers=None, events=()) -> SimLog:
         tx_period_s=0.05,
         start_d_t_m=-350.0,
         end_d_t_m=350.0,
-        duration_s=156.59,
+        duration_s=(350.0 - -350.0) / 4.4704,
         receivers=receivers,
         records={
             rid: rows if isinstance(rows, PacketColumns) else columns_from_records(rows, rid)
@@ -655,8 +655,9 @@ class TestEventFields:
 
 
 def with_pass(tmp_path, duration_s, tx_period_s=0.05, receivers=1):
-    """A written log of 3 packets whose header declares this pass."""
-    header = {"duration_s": duration_s, "tx_period_s": tx_period_s}
+    """A written log of 3 packets whose header declares this pass, with no
+    train run to fix its duration."""
+    header = {"duration_s": duration_s, "tx_period_s": tx_period_s, "train_speed_mps": None}
     if receivers == 2:
         other = {**dataclasses.asdict(RSU), "id": "rsu1"}
         header["receivers"] = [dataclasses.asdict(RSU), other]
@@ -685,15 +686,17 @@ class TestReadBounds:
         else:
             with pytest.raises(
                 ValueError,
-                match=rf"pass\.log\.jsonl:1: header declares .*more than the limit of "
-                rf"{MAX_PACKETS} packets",
+                match=rf"pass\.log\.jsonl:1: pass needs .* packets, more than the limit of "
+                rf"{MAX_PACKETS}$",
             ):
                 read_log(path)
 
     @pytest.mark.parametrize("duration_s", [1e308, -1e308])
     def test_vast_tick_ratio_does_not_overflow(self, tmp_path, duration_s):
         path = with_pass(tmp_path, duration_s, tx_period_s=5e-324)
-        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:1: header declares"):
+        # A negative duration is refused by its sign before the ratio is taken.
+        message = "pass needs inf transmit ticks" if duration_s > 0 else "duration_s: must be >= 0"
+        with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:1: {message}"):
             read_log(path)
 
     def test_stops_at_the_first_packet_line_past_the_pass(self, tmp_path):
@@ -727,7 +730,7 @@ class TestReadBounds:
         path = with_pass(tmp_path, float(MAX_PACKETS), tx_period_s=1.0)
         assert main(["coverage", str(path)]) == 3
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: runtime: {path}:1: header declares")
+        assert captured.err.startswith(f"error: runtime: {path}:1: pass needs 4000001 transmit ticks")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 

@@ -25,7 +25,7 @@ def make_log(records, events=()) -> SimLog:
         tx_period_s=0.05,
         start_d_t_m=-350.0,
         end_d_t_m=350.0,
-        duration_s=156.59,
+        duration_s=(350.0 - -350.0) / 4.4704,
         receivers=(RECEIVER,),
         records={"rsu0": columns_from_records(records, "rsu0")},
         events=list(events),
