@@ -33,7 +33,7 @@ def capture_lines(log, receiver_id: str = "rsu0") -> list:
     """One receiver's packets as a field-capture CSV, header first."""
     packets = log.records[receiver_id]
     rows = [
-        ",".join([str(seq), repr(tx), repr(position), str(int(decoded)), repr(rx) if decoded else ""])
+        f"{seq},{tx!r},{position!r},{int(decoded)},{repr(rx) if decoded else ''}"
         for seq, tx, position, decoded, rx in zip(
             packets.seq.tolist(),
             packets.tx_time_s.tolist(),
@@ -45,42 +45,32 @@ def capture_lines(log, receiver_id: str = "rsu0") -> list:
     return [",".join(FIELD_COLUMNS), *rows]
 
 
+def _safeness_outputs(out: Path) -> list:
+    return ["--out", str(out / "safeness.csv"), "--curves-out", str(out / "curves.csv")]
+
+
 def runs(tmp: Path) -> list:
     """(name, argv) of every run, in order; later runs read earlier outputs."""
     result = []
     for name in NAMES:
-        log = str(tmp / name / "pass.log.jsonl")
         out = tmp / name
+        log = str(out / "pass.log.jsonl")
+        safeness = ["safeness", "--coverage-from", log, "--train-speed", "10mph"]
         result += [
             (f"{name}/simulate", ["simulate", str(CONFIGS / f"{name}.json"), "-o", log]),
             (f"{name}/analyze", ["analyze", log, "--out-dir", str(out / "analyze")]),
             (f"{name}/coverage", ["coverage", log, "--out", str(out / "coverage.csv")]),
-            (
-                f"{name}/safeness",
-                ["safeness", "--coverage-from", log, "--train-speed", "10mph"]
-                + ["--out", str(out / "safeness.csv"), "--curves-out", str(out / "curves.csv")],
-            ),
+            (f"{name}/safeness", [*safeness, *_safeness_outputs(out)]),
         ]
-    result.append(
-        (
-            "dwarn/safeness",
-            ["safeness", "--dwarn", "300", "--train-speed", "10mph"]
-            + ["--out", str(tmp / "dwarn/safeness.csv"), "--curves-out", str(tmp / "dwarn/curves.csv")],
-        )
-    )
-    capture = str(tmp / "field" / "capture.csv")
-    result.append(
-        ("field/analyze", ["analyze", capture, "--field-csv", "--out-dir", str(tmp / "field/analyze")])
-    )
+    dwarn = ["safeness", "--dwarn", "300", "--train-speed", "10mph"]
+    result.append(("dwarn/safeness", [*dwarn, *_safeness_outputs(tmp / "dwarn")]))
+    capture, field_out = str(tmp / "field" / "capture.csv"), str(tmp / "field" / "analyze")
+    result.append(("field/analyze", ["analyze", capture, "--field-csv", "--out-dir", field_out]))
     suburban = str(CONFIGS / "suburban_rsu_10mph.json")
     for workers in (1, 2):
         out_dir = str(tmp / f"sweep-w{workers}")
-        result.append(
-            (
-                f"sweep-w{workers}/sweep",
-                ["sweep", suburban, *SWEEP, "--workers", str(workers), "--out-dir", out_dir],
-            )
-        )
+        argv = ["sweep", suburban, *SWEEP, "--workers", str(workers), "--out-dir", out_dir]
+        result.append((f"sweep-w{workers}/sweep", argv))
     return result
 
 

@@ -7,8 +7,6 @@ and no temp file behind.
 
 import contextlib
 import io
-import json
-import re
 from pathlib import Path
 
 import pytest
@@ -79,9 +77,11 @@ def test_analyze_removes_the_directories_it_made(tmp_path, open_track_log, monke
         raise OSError(28, "No space left on device")
 
     commit = logio.commit
-    monkeypatch.setattr(
-        logio, "commit", lambda outputs, directory: commit([(p, full(c)) for p, c in outputs], directory)
-    )
+
+    def commit_on_a_full_disk(outputs, directory):
+        commit([(path, full(chunks)) for path, chunks in outputs], directory)
+
+    monkeypatch.setattr(logio, "commit", commit_on_a_full_disk)
     target = str(tmp_path / "new" / "out" / "per.csv")
     argv = ["analyze", str(open_track_log), "--out-dir", str(tmp_path / "new" / "out")]
     assert_failed_cleanly(tmp_path, argv, target)
@@ -118,41 +118,3 @@ class TestCommit:
         with pytest.raises(ValueError, match="not JSON compliant"):
             logio.commit([(directory / "a", ["a"]), (directory / "b", chunks())], directory)
         assert list(tmp_path.iterdir()) == []
-
-
-class TestPassShape:
-    """A header's pass is checked before the file-size bound: duration_s >= 0,
-    start_d_t_m <= end_d_t_m, and a simulated header's fields make a TrainRun
-    whose duration_s is the header's."""
-
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"duration_s": -5.0}, "duration_s: must be >= 0, got -5.0"),
-            (
-                {"train_speed_mps": None, "start_d_t_m": 5.0, "end_d_t_m": -5.0},
-                "start_d_t_m: must be <= end_d_t_m -5.0, got 5.0",
-            ),
-            ({"train_speed_mps": -1.0}, "train_speed_mps, start_d_t_m, end_d_t_m: train speed must be positive"),
-            (
-                {"start_d_t_m": 10.0},
-                "train_speed_mps, start_d_t_m, end_d_t_m: pass must start before the crossing",
-            ),
-            ({"duration_s": 200.0}, r"duration_s: must be 134\.21\d* for this train run, got 200\.0"),
-        ],
-    )
-    def test_cli_exits_3_naming_line_and_key(self, tmp_path, open_track_log, fields, message):
-        lines = open_track_log.read_text().splitlines(keepends=True)
-        lines[0] = json.dumps({**json.loads(lines[0]), **fields}, sort_keys=True) + "\n"
-        path = tmp_path / "neg.log.jsonl"
-        path.write_text("".join(lines))
-        code, out, err = run(["coverage", str(path)])
-        assert code == 3 and out == "" and err.count("\n") == 1
-        assert re.match(rf"error: runtime: {re.escape(str(path))}:1: {message}", err), err
-
-    def test_a_field_capture_header_has_no_train_run(self, tmp_path, open_track_log):
-        lines = open_track_log.read_text().splitlines(keepends=True)
-        header = {**json.loads(lines[0]), "train_speed_mps": None, "duration_s": 200.0}
-        path = tmp_path / "free.log.jsonl"
-        path.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:]))
-        assert logio.read_log(path).duration_s == 200.0

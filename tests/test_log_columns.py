@@ -479,6 +479,11 @@ class TestHeaderFields:
             ("coverage", "coverage_threshold", 0),
             ("coverage", "analysis_window_m", -5.0),
             ("analyze", "tx_period_s", -1.0),
+            # The pass's shape, checked before the file-size bound.
+            ("coverage", "duration_s", -5.0),
+            ("coverage", "duration_s", 200.0),
+            ("coverage", "train_speed_mps", -1.0),
+            ("coverage", "start_d_t_m", 10.0),
         ],
     )
     def test_cli_exits_3_naming_line_and_key(self, tmp_path, capsys, command, key, value):
@@ -511,6 +516,18 @@ class TestHeaderFields:
     def test_wrong_type_or_range_rejected(self, tmp_path, key, value):
         with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:1: .*{key}"):
             read_log(with_header(tmp_path, **{key: value}))
+
+    def test_pass_shape_rules(self, tmp_path):
+        with pytest.raises(ValueError, match=r"pass\.log\.jsonl:1: duration_s: must be >= 0"):
+            read_log(with_header(tmp_path, duration_s=-5.0))
+        # Without a train run, only the duration's sign and the order of the ends hold.
+        free = {"train_speed_mps": None, "duration_s": 200.0}
+        assert read_log(with_header(tmp_path, **free)).duration_s == 200.0
+        reversed_ends = with_header(tmp_path, **free, start_d_t_m=5.0, end_d_t_m=-5.0)
+        with pytest.raises(ValueError, match=r":1: start_d_t_m: must be <= end_d_t_m -5\.0, got 5"):
+            read_log(reversed_ends)
+        with pytest.raises(ValueError, match=r":1: duration_s: must be 156\.58\d* for this train"):
+            read_log(with_header(tmp_path, duration_s=156.59))
 
     @pytest.mark.parametrize("key, value", [("id", 5), ("height_m", "x"), ("boresight_deg", "up")])
     def test_receiver_fields_checked(self, tmp_path, key, value):
