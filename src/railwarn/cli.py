@@ -14,6 +14,7 @@ its own files (engine.run_sweep).
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -91,6 +92,11 @@ def _braking_speed(value, flag):
         )
 
 
+def _non_empty(value, flag):
+    if not value:
+        raise ValueError(f"{flag} must name a path, got ''")
+
+
 def _road(value, flag):
     if value not in safety.ROADS:
         raise ValueError(f"{flag} must be among {', '.join(safety.ROADS)}, got {value!r}")
@@ -102,10 +108,11 @@ def _build_parser() -> _Parser:
     non_negative, positive = _at_least(0.0), _at_least(0.0, strict=True)
     window = dict(action=_Value, check=positive, help="bin width in meters")
     threshold = dict(action=_Value, parse=int, check=_at_least(1), help="required packets per bin")
+    path = dict(action=_Value, parse=str, check=_non_empty)
 
     p_sim = sub.add_parser("simulate", help="run one pass from a scenario config")
     p_sim.add_argument("config")
-    p_sim.add_argument("-o", "--output", help="log path (default: <config stem>.log.jsonl)")
+    p_sim.add_argument("-o", "--output", **path, help="log path (default: <config stem>.log.jsonl)")
     p_sim.add_argument(
         "--seed", action=_Value, parse=int, check=check_seed, help="override the config seed"
     )
@@ -113,14 +120,14 @@ def _build_parser() -> _Parser:
     p_an = sub.add_parser("analyze", help="PER, counts and latency tables from a log")
     p_an.add_argument("log")
     p_an.add_argument("--window", **window)
-    p_an.add_argument("--out-dir", default=".", help="directory for the CSV outputs")
+    p_an.add_argument("--out-dir", **path, default=".", help="directory for the CSV outputs")
     p_an.add_argument("--field-csv", action="store_true", help="log is a field-capture CSV")
 
     p_cov = sub.add_parser("coverage", help="warning coverage range from a log")
     p_cov.add_argument("log")
     p_cov.add_argument("--window", **window)
     p_cov.add_argument("--threshold", **threshold)
-    p_cov.add_argument("--out", help="optional CSV output path")
+    p_cov.add_argument("--out", **path, help="optional CSV output path")
     p_cov.add_argument("--field-csv", action="store_true")
 
     p_safe = sub.add_parser("safeness", help="protection time and safeness curves")
@@ -142,8 +149,8 @@ def _build_parser() -> _Parser:
     p_safe.add_argument("--ts", **seconds, default=delay, help="system delay, s")
     p_safe.add_argument("--window", **window)
     p_safe.add_argument("--threshold", **threshold)
-    p_safe.add_argument("--out", help="protection-time table CSV")
-    p_safe.add_argument("--curves-out", help="safeness curve CSV")
+    p_safe.add_argument("--out", **path, help="protection-time table CSV")
+    p_safe.add_argument("--curves-out", **path, help="safeness curve CSV")
 
     p_sweep = sub.add_parser("sweep", help="grid of passes around a base config")
     p_sweep.add_argument("config")
@@ -156,7 +163,7 @@ def _build_parser() -> _Parser:
         "--antennas", **items, parse=str, help="comma list of transmit antenna names"
     )
     p_sweep.add_argument("--seeds", **items, parse=int, help="comma list of integer seeds")
-    p_sweep.add_argument("--out-dir", default="sweep", help="directory for per-point logs")
+    p_sweep.add_argument("--out-dir", **path, default="sweep", help="directory for per-point logs")
     p_sweep.add_argument("--workers", action=_Value, parse=int, check=_at_least(1))
     return parser
 
@@ -226,6 +233,9 @@ def _cmd_coverage(args) -> tuple:
 
 
 def _cmd_safeness(args) -> tuple:
+    out, curves = args.out, args.curves_out
+    if out and curves and os.path.realpath(out) == os.path.realpath(curves):
+        raise ConfigError(f"--out {out!r} and --curves-out {curves!r} name one file")
     if args.coverage_from:
         log = logio.read_log(args.coverage_from)
         warning_range = an.coverage_report(log, args.window, args.threshold).warning_range_m
@@ -257,7 +267,7 @@ def _cmd_safeness(args) -> tuple:
         lines.append(f"protection band: {band[0]:.2f} to {band[1]:.2f} s")
     else:
         lines.append("system failure at every grid point")
-    writers = ((args.out, an.write_safeness_csv), (args.curves_out, an.write_curves_csv))
+    writers = ((out, an.write_safeness_csv), (curves, an.write_curves_csv))
     outputs = [write(report, path) for path, write in writers if path]
     lines += [f"wrote {path}" for path, _ in outputs]
     return "\n".join(lines) + "\n", outputs, None

@@ -236,15 +236,7 @@ def _receiver_pass(scenario, placement, seed, times, positions, patterns, succes
     jitter = receiver_stream(seed, placement.id, "jitter")
     arrival = times + latency_sample(geo.range_m, latency, jitter)
     rx_time_s = np.where(decoded, arrival, np.nan)
-    packets = PacketColumns(
-        placement.id,
-        np.arange(ticks, dtype=np.uint64),
-        times,
-        positions,
-        decoded,
-        rx_time_s,
-        rx_time_s - times,
-    )
+    packets = PacketColumns(np.arange(ticks, dtype=np.uint64), times, positions, rx_time_s)
     event = first_warning(
         placement.id,
         placement.kind,

@@ -1,15 +1,17 @@
 """The pass log: its types, JSON-lines files and field-capture CSV ingest.
 
-SimLog holds one pass, each receiver's packets as PacketColumns; the
-engine writes it and the analysis reads it. It is frozen: a log is complete
-when the engine returns it. A log file is one JSON object per line: a
-header with the scenario digest, pass metadata and the analysis settings
-(AnalysisDefaults) the scenario gave, then packet records (grouped by
-receiver, ordered by sequence number), then warning events. Keys are
-sorted so identical logs are byte-identical. The reader checks each header
-field against its annotation and the pass's shape (_header_values), and
-each event against the header (_event). Every file the package writes
-goes through commit, all or nothing.
+SimLog holds one pass, each receiver's packets as PacketColumns under its
+id; the engine writes it and the analysis reads it. It is frozen: a log is
+complete when the engine returns it. A packet is four measured values;
+decoded and latency_s = rx_time_s - tx_time_s are derived from them. A log
+file is one JSON object per line: a header with the scenario digest, pass
+metadata and the analysis settings (AnalysisDefaults) the scenario gave,
+then packet records (grouped by receiver, ordered by sequence number), then
+warning events. Keys are sorted so identical logs are byte-identical. The
+reader checks each header field against its annotation and the pass's
+shape (_header_values), each event against the header (_event), and each
+decoded line's latency_s against its times (_first_fault). Every file the
+package writes goes through commit, all or nothing.
 
 Packets move between files and PacketColumns in chunks. The writer formats
 packet lines from column values with one template per receiver and decoded
@@ -70,40 +72,32 @@ def pass_packets(duration_s: float, period_s: float, receivers: int) -> int:
 class PacketColumns:
     """One receiver's packets as numpy columns, one row per packet.
 
-    seq is uint64; tx_time_s and train_d_t_m are float64; decoded is bool;
-    rx_time_s and latency_s are float64 and NaN where the packet was not
-    decoded. Equality is exact with NaN equal to NaN. The slots are the keys
-    of a packet line in the log file.
+    Four columns are measured: seq (uint64), tx_time_s, train_d_t_m and
+    rx_time_s (float64, NaN where the packet was not decoded). decoded (true
+    where rx_time_s is not NaN) and latency_s (rx_time_s - tx_time_s) are
+    derived from them. All are read-only; equality is exact with NaN equal
+    to NaN. The receiver id is the SimLog.records key they are filed under.
     """
 
-    __slots__ = (
-        "receiver_id",
-        "seq",
-        "tx_time_s",
-        "train_d_t_m",
-        "decoded",
-        "rx_time_s",
-        "latency_s",
-    )
+    __slots__ = ("seq", "tx_time_s", "train_d_t_m", "decoded", "rx_time_s", "latency_s")
 
-    def __init__(self, receiver_id, seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s):
-        self.receiver_id = receiver_id
+    def __init__(self, seq, tx_time_s, train_d_t_m, rx_time_s):
         self.seq = np.asarray(seq, dtype=np.uint64)
         self.tx_time_s = np.asarray(tx_time_s, dtype=np.float64)
         self.train_d_t_m = np.asarray(train_d_t_m, dtype=np.float64)
-        self.decoded = np.asarray(decoded, dtype=bool)
         self.rx_time_s = np.asarray(rx_time_s, dtype=np.float64)
-        self.latency_s = np.asarray(latency_s, dtype=np.float64)
-        columns = self.columns()
-        if len({len(column) for column in columns}) != 1:
+        if not len(self.seq) == len(self.tx_time_s) == len(self.train_d_t_m) == len(self.rx_time_s):
             raise ValueError("packet columns must have equal lengths")
+        self.decoded = ~np.isnan(self.rx_time_s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.latency_s = self.rx_time_s - self.tx_time_s
         # Receivers of one pass share the time and position arrays.
-        for column in columns:
+        for column in self.columns():
             column.flags.writeable = False
 
     def columns(self) -> tuple:
         """(seq, tx_time_s, train_d_t_m, decoded, rx_time_s, latency_s)."""
-        return tuple(getattr(self, name) for name in self.__slots__[1:])
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -111,13 +105,13 @@ class PacketColumns:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PacketColumns):
             return NotImplemented
-        return self.receiver_id == other.receiver_id and all(
+        return all(
             np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
             for mine, theirs in zip(self.columns(), other.columns())
         )
 
     def __repr__(self) -> str:
-        return f"PacketColumns({self.receiver_id!r}, {len(self)} packets)"
+        return f"PacketColumns({len(self)} packets)"
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,9 @@ WRITE_BATCH_ROWS = 4096
 READ_BATCH_BYTES = 1 << 18
 
 # The keys of packet, event and header lines are the slot or field names of
-# the types they hold. Header lines carry every SimLog field but the packets
-# and events; those with a default may be absent from older logs.
-PACKET_KEYS = PacketColumns.__slots__
+# the types they hold, after a packet's receiver_id. Header lines carry every
+# SimLog field but records and events; those with a default may be absent.
+PACKET_KEYS = ("receiver_id", *PacketColumns.__slots__)
 _EVENT_FIELDS = dataclasses.fields(WarningEvent)
 EVENT_KEYS = tuple(field.name for field in _EVENT_FIELDS)
 _RECEIVER_FIELDS = dataclasses.fields(Placement)
@@ -209,7 +203,7 @@ def _not_finite(tx, position, decoded, rx, latency) -> np.ndarray:
     return ~finite | decoded & ~(np.isfinite(rx) & np.isfinite(latency))
 
 
-def _packet_batches(packets: PacketColumns):
+def _packet_batches(receiver_id: str, packets: PacketColumns):
     """Lists of packet lines, WRITE_BATCH_ROWS rows at a time.
 
     The templates hold the keys in sorted order, as json.dumps(...,
@@ -222,7 +216,7 @@ def _packet_batches(packets: PacketColumns):
     if bad.size:
         value = next(v for v in (float(c[bad[0]]) for c in columns[1:]) if not math.isfinite(v))
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    receiver = _encode(packets.receiver_id).replace("%", "%%")
+    receiver = _encode(receiver_id).replace("%", "%%")
     decoded_line = (
         '{"decoded": true, "latency_s": %r, "receiver_id": ' + receiver + ', "rx_time_s": %r, '
         '"seq": %d, "train_d_t_m": %r, "tx_time_s": %r, "type": "packet"}'
@@ -245,7 +239,7 @@ def log_text(log: SimLog):
     """The serialised log in pieces of whole lines."""
     yield _encode(_header_dict(log)) + "\n"
     for receiver_id in log.receiver_ids():
-        for lines in _packet_batches(log.records[receiver_id]):
+        for lines in _packet_batches(receiver_id, log.records[receiver_id]):
             yield "\n".join(lines) + "\n"
     for event in log.events:
         yield _encode({"type": "event", **dataclasses.asdict(event)}) + "\n"
@@ -257,7 +251,7 @@ def log_bytes(log: SimLog) -> bytes:
 
 def commit(outputs, directory=None) -> None:
     """Write every (path, chunks) output, all or nothing; directory, if
-    given, is made first.
+    given, is made first. The paths must name different files.
 
     Each output streams its text chunks to a temp file beside its path, and
     only when every one is complete are they renamed over their paths. A
@@ -271,7 +265,7 @@ def commit(outputs, directory=None) -> None:
         if directory:
             made = [d for d in (Path(directory), *Path(directory).parents) if not d.exists()]
             Path(directory).mkdir(parents=True, exist_ok=True)
-        for path, chunks in dict(outputs).items():  # the last output for a path wins
+        for path, chunks in outputs:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             pending.append((f"{path}.tmp{os.getpid()}", path))
@@ -480,11 +474,14 @@ def _event(obj: dict, placements: tuple) -> WarningEvent:
 
 def _first_fault(columns: tuple, placements: tuple) -> "tuple[int, str] | None":
     """(line, message) of the lowest-numbered line that breaks a rule; the
-    rows need not be in line order."""
+    rows need not be in line order. latency holds each line's own latency_s."""
     receiver, seq, tx, position, decoded, rx, latency, lines = columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived = rx - tx
     rules = [
-        (_not_finite(tx, position, decoded, rx, latency), "packet values must be finite"),
+        (_not_finite(tx, position, decoded, rx, derived), "packet values must be finite"),
         (decoded & (rx < tx), "rx_time_s must be >= tx_time_s"),
+        (decoded & (latency != derived), "latency_s must be exactly rx_time_s - tx_time_s"),
     ]
     for index, placement in enumerate(placements):
         rows = np.flatnonzero(receiver == index)
@@ -598,11 +595,11 @@ def _assemble(path, header: dict, parts: list, events: list) -> SimLog:
     fault = _first_fault(columns, placements)
     if fault is not None:
         raise ValueError(f"{path}:{fault[0]}: {fault[1]}")
-    receiver = columns[0]
+    receiver, seq, tx, position, _, rx = columns[:6]
     records = {}
     for index, placement in enumerate(placements):
         rows = receiver == index
-        records[placement.id] = PacketColumns(placement.id, *(c[rows] for c in columns[1:7]))
+        records[placement.id] = PacketColumns(*(c[rows] for c in (seq, tx, position, rx)))
     return SimLog(**header, records=records, events=events)
 
 
@@ -668,7 +665,8 @@ def read_field_log(path: str | Path) -> SimLog:
     seq, tx, position, decoded, rx, row_numbers = (
         np.asarray(column)[order] for column in (seq, tx, position, decoded, rx, row_numbers)
     )
-    # _assemble rejects a non-finite value; until then it must not warn.
+    # _assemble rejects a non-finite value; until then it must not warn. A
+    # capture has no latency_s of its own to check, so its derived one stands in.
     with np.errstate(invalid="ignore", over="ignore"):
         latency = rx - tx
         duration = float(tx.max() - tx.min())

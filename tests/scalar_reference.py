@@ -233,7 +233,8 @@ def receiver_ingest(
 
 @dataclass(frozen=True)
 class PacketRecord:
-    """One packet of one receiver as a row."""
+    """One packet of one receiver as a row; latency_s is derived from the
+    times, as PacketColumns derives it."""
 
     seq: int
     tx_time_s: float
@@ -241,21 +242,24 @@ class PacketRecord:
     receiver_id: str
     decoded: bool
     rx_time_s: float | None = None
-    latency_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.decoded:
-            if self.rx_time_s is None or self.latency_s is None:
-                raise ValueError("decoded records need rx_time_s and latency_s")
+            if self.rx_time_s is None:
+                raise ValueError("decoded records need rx_time_s")
             if self.rx_time_s < self.tx_time_s:
                 raise ValueError("rx_time_s must be >= tx_time_s")
+
+    @property
+    def latency_s(self) -> float | None:
+        return self.rx_time_s - self.tx_time_s if self.decoded else None
 
 
 def columns_from_records(records, receiver_id: str) -> PacketColumns:
     """PacketColumns from PacketRecord rows of one receiver.
 
     Rejects what the columns cannot hold: a record of another receiver, an
-    undecoded record with an rx time or latency, and seq outside [0, 2**64).
+    undecoded record with an rx time, and seq outside [0, 2**64).
     """
     records = list(records)
     for record in records:
@@ -263,23 +267,19 @@ def columns_from_records(records, receiver_id: str) -> PacketColumns:
             raise ValueError(
                 f"record of receiver {record.receiver_id!r} filed under {receiver_id!r}"
             )
-        if not record.decoded and (record.rx_time_s, record.latency_s) != (None, None):
-            raise ValueError("undecoded records carry no rx_time_s or latency_s")
+        if not record.decoded and record.rx_time_s is not None:
+            raise ValueError("undecoded records carry no rx_time_s")
         if record.seq < 0 or record.seq >= 2**64:
             raise ValueError(f"seq must be in [0, 2**64), got {record.seq}")
-    nan = math.nan
     return PacketColumns(
-        receiver_id,
         [r.seq for r in records],
         [r.tx_time_s for r in records],
         [r.train_d_t_m for r in records],
-        [r.decoded for r in records],
-        [nan if r.rx_time_s is None else r.rx_time_s for r in records],
-        [nan if r.latency_s is None else r.latency_s for r in records],
+        [math.nan if r.rx_time_s is None else r.rx_time_s for r in records],
     )
 
 
-def packet_rows(packets: PacketColumns) -> list:
+def packet_rows(packets: PacketColumns, receiver_id: str) -> list:
     """The PacketRecord rows of a receiver's columns, in order."""
     rows = []
     for index in range(len(packets)):
@@ -289,10 +289,9 @@ def packet_rows(packets: PacketColumns) -> list:
                 seq=int(packets.seq[index]),
                 tx_time_s=float(packets.tx_time_s[index]),
                 train_d_t_m=float(packets.train_d_t_m[index]),
-                receiver_id=packets.receiver_id,
+                receiver_id=receiver_id,
                 decoded=decoded,
                 rx_time_s=float(packets.rx_time_s[index]) if decoded else None,
-                latency_s=float(packets.latency_s[index]) if decoded else None,
             )
         )
     return rows
@@ -352,8 +351,6 @@ def reference_run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
                         receiver_id=placement.id,
                         decoded=True,
                         rx_time_s=rx_time,
-                        # Keep the record identity exact under rounding.
-                        latency_s=rx_time - times[k],
                     )
                 )
                 decoded.append((rx_time, k))

@@ -2,7 +2,8 @@
 
 A command that fails exits 3 with one `error: runtime:` line naming the
 output it could not write, prints nothing to stdout and leaves no new file
-and no temp file behind.
+and no temp file behind. Two outputs naming one file exit 2 before anything
+is read or written.
 """
 
 import contextlib
@@ -71,6 +72,24 @@ def test_simulate_with_a_missing_output_directory(tmp_path):
     assert_failed_cleanly(tmp_path, ["simulate", str(OPEN_TRACK), "-o", target], target)
 
 
+@pytest.mark.parametrize(
+    "source, curves",
+    [
+        (["--dwarn", "300"], "s.csv"),
+        (["--dwarn", "300"], "./s.csv"),
+        (["--coverage-from", "missing.log.jsonl"], "s.csv"),
+    ],
+)
+def test_safeness_with_both_outputs_naming_one_file(tmp_path, monkeypatch, source, curves):
+    monkeypatch.chdir(tmp_path)
+    argv = ["safeness", *source, "--train-speed", "10mph", "--out", "s.csv", "--curves-out", curves]
+    code, out, err = run(argv)
+    assert code == 2
+    assert err == f"error: config: --out 's.csv' and --curves-out {curves!r} name one file\n"
+    assert out == ""
+    assert files(tmp_path) == set()
+
+
 def test_analyze_removes_the_directories_it_made(tmp_path, open_track_log, monkeypatch):
     def full(chunks):
         yield from chunks
@@ -94,12 +113,6 @@ class TestCommit:
         assert (tmp_path / "a").read_text() == "xy"
         assert (tmp_path / "b").read_bytes() == b""
         assert (tmp_path / "d").is_dir()
-
-    def test_the_last_output_for_a_path_wins(self, tmp_path):
-        path = str(tmp_path / "a")
-        logio.commit([(path, ["first"]), (path, ["second"])])
-        assert files(tmp_path) == {"a"}
-        assert (tmp_path / "a").read_text() == "second"
 
     def test_a_directory_target_fails_before_any_rename(self, tmp_path):
         (tmp_path / "old").write_text("kept")

@@ -41,7 +41,6 @@ def synthetic_log(decodes_by_position, receivers=(RSU,), latency_s=0.004):
                     receiver_id=placement.id,
                     decoded=decoded,
                     rx_time_s=tx_time + latency_s if decoded else None,
-                    latency_s=latency_s if decoded else None,
                 )
             )
         records[placement.id] = rows
@@ -232,7 +231,6 @@ class TestLatencyStats:
                     receiver_id="rsu0",
                     decoded=True,
                     rx_time_s=seq * 0.05 + latency,
-                    latency_s=latency,
                 )
             )
         log = SimLog(

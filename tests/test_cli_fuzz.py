@@ -2,11 +2,13 @@
 
 A simulated suburban log and its RSU's packets as a field capture each
 take one mutation: a key dropped, a value of the wrong type, a line cut
-short, or a NaN or infinity put in. analyze, coverage and safeness
---coverage-from then read the result in-process. Each either succeeds,
-printing no NaN or infinity, or exits 3 with exactly one `error: runtime:`
-line and no stdout. Half the examples find every output path taken by a
-directory; those must exit 3 and write nothing.
+short, or a NaN or infinity put in; or, in the log, a decoded line's
+latency_s moved one ulp off rx_time_s - tx_time_s. analyze, coverage and
+safeness --coverage-from then read the result in-process. Each either
+succeeds, printing no NaN or infinity, or exits 3 with exactly one
+`error: runtime:` line and no stdout. Half the examples find every output
+path taken by a directory; those, and a moved latency_s, must exit 3 and
+write nothing.
 """
 
 import contextlib
@@ -29,7 +31,8 @@ from railwarn.logio import log_bytes
 
 SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"
 
-MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite")
+# The last mutation applies to a decoded packet line; a capture has no latency_s.
+MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite", "latency_s one ulp")
 WRONG_TYPES = ["x", "", None, True, [], [1.0], {}, {"a": 1}, 1.5, -1, 2**64]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 NON_FINITE_TEXTS = ["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"]
@@ -43,11 +46,15 @@ def originals():
     return log_bytes(log).decode().splitlines(), capture_lines(log)
 
 
-def mutate_json(line: str, data) -> str:
-    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+def mutate_json(line: str, mutation: str, data) -> str:
     if mutation == "truncate":
         return line[: data.draw(st.integers(0, len(line) - 1), label="cut at")]
     whole = json.loads(line)
+    if mutation == "latency_s one ulp":
+        # Only latency_s: a one-ulp tx_time_s can round away on the tx = 0.0 line.
+        direction = data.draw(st.sampled_from([math.inf, -math.inf]), label="direction")
+        whole["latency_s"] = math.nextafter(whole["latency_s"], direction)
+        return json.dumps(whole, sort_keys=True)
     obj = whole
     if "receivers" in whole and data.draw(st.booleans(), label="in a receiver"):
         obj = data.draw(st.sampled_from(whole["receivers"]), label="receiver")
@@ -62,7 +69,7 @@ def mutate_json(line: str, data) -> str:
 
 
 def mutate_csv(line: str, data) -> str:
-    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    mutation = data.draw(st.sampled_from(MUTATIONS[:-1]), label="mutation")
     if mutation == "truncate":
         return line[: data.draw(st.integers(0, len(line) - 1), label="cut at")]
     cells = line.split(",")
@@ -83,9 +90,10 @@ def run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_clean(argv: list, tmp_path: Path, blocked: bool) -> None:
-    """The command exits 0, or 3 with one error line and no stdout; with its
-    outputs blocked it exits 3. No temp file is left, and nothing in blocked/."""
+def assert_clean(argv: list, tmp_path: Path, fails: bool) -> None:
+    """The command exits 0, or 3 with one error line and no stdout; when it
+    fails (outputs blocked, or latency_s moved) it exits 3. No temp file is
+    left, and nothing in blocked/."""
     code, out, err = run(argv)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 3), (argv, code, err)
@@ -95,7 +103,7 @@ def assert_clean(argv: list, tmp_path: Path, blocked: bool) -> None:
     else:
         # A success reports numbers, never a NaN or an infinity.
         assert err == "" and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
-        assert not blocked, argv
+        assert not fails, argv
     assert not list(tmp_path.rglob("*.tmp*"))
     assert not [p for p in (tmp_path / "blocked").rglob("*") if p.is_file()]
 
@@ -122,7 +130,7 @@ def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
     out = tmp_path / ("blocked" if blocked else "out")
     for name in BLOCKED:
         (tmp_path / "blocked" / name).mkdir(parents=True, exist_ok=True)
-    checked = functools.partial(assert_clean, tmp_path=tmp_path, blocked=blocked)
+    checked = functools.partial(assert_clean, tmp_path=tmp_path, fails=blocked)
     if data.draw(st.booleans(), label="field capture"):
         lines = list(field_lines)
         index = pick_line(lines, data)
@@ -133,8 +141,14 @@ def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
         checked(["coverage", str(path), "--field-csv", "--out", str(out / "coverage.csv")])
     else:
         lines = list(log_lines)
-        index = pick_line(lines, data)
-        lines[index] = mutate_json(lines[index], data)
+        mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+        if mutation == "latency_s one ulp":
+            decoded = [n for n, line in enumerate(lines) if '"decoded": true' in line]
+            index = data.draw(st.sampled_from(decoded), label="line")
+            checked = functools.partial(checked, fails=True)
+        else:
+            index = pick_line(lines, data)
+        lines[index] = mutate_json(lines[index], mutation, data)
         path = tmp_path / "pass.log.jsonl"
         path.write_text("\n".join(lines) + "\n")
         checked(["analyze", str(path), "--out-dir", str(out)])

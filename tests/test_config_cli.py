@@ -192,7 +192,7 @@ class TestRoundTrips:
             "2,0.10,-119.0,true,0.1045\n"
         )
         log = read_field_log(path)
-        records = packet_rows(log.records["field"])
+        records = packet_rows(log.records["field"], "field")
         assert len(records) == 3
         assert records[0].latency_s == pytest.approx(0.004)
         assert records[1].decoded is False
@@ -778,8 +778,9 @@ class TestNumericFlags:
 
 class TestUnparseableFlags:
     """Every value flag of every command is parsed and checked as argparse
-    reads it: a value that does not parse (for a str list, one with no items)
-    exits 2 naming the flag before any config or log is read or file written.
+    reads it: a value that does not parse (for a str list, one with no items;
+    for an output path, an empty one) exits 2 naming the flag before any
+    config or log is read or file written.
 
     The log path does not exist, so reading it first would exit 3.
     """
@@ -796,6 +797,13 @@ class TestUnparseableFlags:
         "command, flag, text",
         [
             ("simulate", "--seed", "abc"),
+            ("simulate", "-o", ""),
+            ("simulate", "--output", ""),
+            ("analyze", "--out-dir", ""),
+            ("coverage", "--out", ""),
+            ("safeness", "--out", ""),
+            ("safeness", "--curves-out", ""),
+            ("sweep", "--out-dir", ""),
             ("analyze", "--window", "abc"),
             ("coverage", "--window", "abc"),
             ("coverage", "--threshold", "1.5"),

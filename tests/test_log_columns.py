@@ -71,10 +71,10 @@ def receiver_packets(draw, receiver_id):
     seqs = sorted(draw(st.sets(st.integers(0, 2**63), max_size=12)))
     packets = []
     for seq in seqs:
-        decoded = draw(st.booleans())
         tx_time, rx_time = sorted((draw(finite), draw(finite)))
-        if not decoded:
-            rx_time = None
+        # A decoded packet's latency_s, rx_time_s - tx_time_s, must be finite
+        # to be written; test_decoded_latency_that_overflows_raises has the rest.
+        decoded = draw(st.booleans()) and math.isfinite(rx_time - tx_time)
         packets.append(
             PacketRecord(
                 seq=seq,
@@ -82,8 +82,7 @@ def receiver_packets(draw, receiver_id):
                 train_d_t_m=draw(finite),
                 receiver_id=receiver_id,
                 decoded=decoded,
-                rx_time_s=rx_time,
-                latency_s=draw(finite) if decoded else None,
+                rx_time_s=rx_time if decoded else None,
             )
         )
     return packets
@@ -131,7 +130,7 @@ def test_round_trip_byte_for_byte(tmp_path_factory, log, respaced):
 @given(log=logs())
 def test_iteration_rebuilds_the_records(log):
     rebuilt = make_log(
-        {rid: packet_rows(packets) for rid, packets in log.records.items()},
+        {rid: packet_rows(packets, rid) for rid, packets in log.records.items()},
         receivers=log.receivers,
         events=log.events,
     )
@@ -158,13 +157,7 @@ def test_bin_per_counts_every_packet_once(rows, width):
     positions = [position for position, _ in rows]
     decoded = [hit for _, hit in rows]
     packets = PacketColumns(
-        "rsu0",
-        np.arange(len(rows)),
-        np.zeros(len(rows)),
-        positions,
-        decoded,
-        np.where(decoded, 0.004, np.nan),
-        np.where(decoded, 0.004, np.nan),
+        np.arange(len(rows)), np.zeros(len(rows)), positions, np.where(decoded, 0.004, np.nan)
     )
     series = bin_per(make_log({"rsu0": packets}, receivers=(RSU,)), width)
     assert sum(b.transmitted for b in series.bins) == len(rows)
@@ -192,13 +185,14 @@ class TestPacketColumns:
     def test_nan_columns_compare_equal_and_rows_come_back(self):
         records = [
             PacketRecord(0, 0.0, -10.0, "rsu0", False),
-            PacketRecord(1, 0.05, -9.5, "rsu0", True, 0.054, 0.004),
+            PacketRecord(1, 0.05, -9.5, "rsu0", True, 0.054),
         ]
         columns = columns_from_records(records, "rsu0")
         assert len(columns) == 2
         assert columns == columns_from_records(list(records), "rsu0")
-        assert packet_rows(columns) == records
-        assert packet_rows(columns)[1] == records[1] and packet_rows(columns)[0].decoded is False
+        rows = packet_rows(columns, "rsu0")
+        assert rows == records
+        assert rows[1] == records[1] and rows[0].decoded is False
         other = columns_from_records(records[:1], "rsu0")
         assert (columns == other) is False
 
@@ -220,13 +214,13 @@ class TestPacketColumns:
         path = tmp_path / "pass.log.jsonl"
         write_log(log, path)
         path.write_text(path.read_text().replace('"tx_time_s": 1.0', '"tx_time_s": 1'))
-        assert packet_rows(read_log(path).records["rsu0"])[0].tx_time_s == 1.0
+        assert packet_rows(read_log(path).records["rsu0"], "rsu0")[0].tx_time_s == 1.0
         assert b'"tx_time_s": 1.0' in log_bytes(read_log(path))
 
 
 def written_log(tmp_path, packets=3):
     records = [
-        PacketRecord(k, k * 0.05, -10.0 + k, "rsu0", k % 2 == 0, k * 0.05 + 0.004, 0.004)
+        PacketRecord(k, k * 0.05, -10.0 + k, "rsu0", k % 2 == 0, k * 0.05 + 0.004)
         if k % 2 == 0
         else PacketRecord(k, k * 0.05, -10.0 + k, "rsu0", False)
         for k in range(packets)
@@ -294,6 +288,18 @@ class TestReaderRejects:
         with pytest.raises(ValueError, match=r":4: rx_time_s must be >= tx_time_s"):
             read_log(path)
 
+    def test_latency_other_than_rx_minus_tx(self, tmp_path, capsys):
+        path, lines = written_log(tmp_path)
+        lines[3] = lines[3].replace('"latency_s": 0.0040000000000000036', '"latency_s": 0.0001')
+        rewrite(path, lines)
+        message = "latency_s must be exactly rx_time_s - tx_time_s"
+        with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:4: {message}"):
+            read_log(path)
+        assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: runtime: {path}:4: {message}\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     def test_cli_reports_runtime_error_with_line(self, tmp_path, capsys):
         path, lines = written_log(tmp_path)
         lines[2] = lines[2].replace('"rsu0"', '"ghost"')
@@ -321,11 +327,11 @@ class TestWriter:
             write_log(bad, path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_decoded_non_finite_latency_raises(self):
+    def test_decoded_latency_that_overflows_raises(self):
         bad = make_log(
-            {"rsu0": [PacketRecord(0, 0.0, -1.0, "rsu0", True, 0.1, math.nan)]}, receivers=(RSU,)
+            {"rsu0": [PacketRecord(0, -1e308, -1.0, "rsu0", True, 1e308)]}, receivers=(RSU,)
         )
-        with pytest.raises(ValueError, match="JSON compliant"):
+        with pytest.raises(ValueError, match="JSON compliant: inf"):
             log_bytes(bad)
 
 
@@ -341,7 +347,7 @@ class TestFieldCsv:
         packets = read_field_log(path).records["field"]
         assert packets.seq.tolist() == [0, 1, 2]
         assert packets.decoded.tolist() == [False, False, True]
-        assert packet_rows(packets)[2].latency_s == pytest.approx(0.004)
+        assert packet_rows(packets, "field")[2].latency_s == pytest.approx(0.004)
 
     def test_rx_before_tx_names_the_row(self, tmp_path):
         path = tmp_path / "capture.csv"

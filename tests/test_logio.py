@@ -36,7 +36,9 @@ def make_log(records, events=()) -> SimLog:
 def records(draw):
     decoded = draw(st.booleans())
     tx_time = draw(floats)
-    rx_time = draw(floats.filter(lambda t: t >= tx_time)) if decoded else None
+    # A decoded packet's latency_s, rx_time_s - tx_time_s, must be finite to be written.
+    later = floats.filter(lambda t: t >= tx_time and math.isfinite(t - tx_time))
+    rx_time = draw(later) if decoded else None
     return PacketRecord(
         seq=draw(st.integers(0, 2**63)),
         tx_time_s=tx_time,
@@ -44,7 +46,6 @@ def records(draw):
         receiver_id="rsu0",
         decoded=decoded,
         rx_time_s=rx_time,
-        latency_s=draw(floats) if decoded else None,
     )
 
 
