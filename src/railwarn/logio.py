@@ -10,15 +10,16 @@ then packet records (grouped by receiver, ordered by sequence number), then
 warning events. Keys are sorted so identical logs are byte-identical. The
 reader checks each header field against its annotation and the pass's
 shape (_header_values), each event against the header (_event), and each
-decoded line's latency_s against its times (_first_fault). Every file the
-package writes goes through commit, all or nothing.
+decoded line's latency_s against its times (_first_fault), and that a
+simulated log holds its whole pass (_assemble). Every file the package
+writes goes through commit, all or nothing.
 
-Packets move between files and PacketColumns in chunks. The writer formats
-packet lines from column values with one template per receiver and decoded
-state, giving the bytes json.dumps(..., sort_keys=True) gives. The reader
-matches the writer's exact packet line with one pattern and converts its
-numbers with float() and int(), as json does; any other line goes through
-json with the full checks.
+A packet line has one layout, PACKET_LINE, keys sorted as json.dumps(...,
+sort_keys=True) writes them: the writer fills it into one template per
+receiver and decoded state, the reader into one pattern. Packets move in
+chunks. The reader checks line 1 as the header, then matches packet lines
+with the pattern, converting their numbers with float() and int() as json
+does; any other line goes through json with the full checks.
 """
 
 import contextlib
@@ -174,6 +175,10 @@ READ_BATCH_BYTES = 1 << 18
 # the types they hold, after a packet's receiver_id. Header lines carry every
 # SimLog field but records and events; those with a default may be absent.
 PACKET_KEYS = ("receiver_id", *PacketColumns.__slots__)
+PACKET_LINE = (
+    '{"decoded": %s, "latency_s": %s, "receiver_id": %s, "rx_time_s": %s, '
+    '"seq": %s, "train_d_t_m": %s, "tx_time_s": %s, "type": "packet"}'
+)
 _EVENT_FIELDS = dataclasses.fields(WarningEvent)
 EVENT_KEYS = tuple(field.name for field in _EVENT_FIELDS)
 _RECEIVER_FIELDS = dataclasses.fields(Placement)
@@ -206,10 +211,9 @@ def _not_finite(tx, position, decoded, rx, latency) -> np.ndarray:
 def _packet_batches(receiver_id: str, packets: PacketColumns):
     """Lists of packet lines, WRITE_BATCH_ROWS rows at a time.
 
-    The templates hold the keys in sorted order, as json.dumps(...,
-    sort_keys=True) writes them; %r of a float is float.__repr__, which is
-    what json writes for a float. A row the log cannot hold raises json's
-    ValueError, naming the row's first value that is not finite.
+    %r of a float is float.__repr__, which is what json writes for a
+    float. A row the log cannot hold raises json's ValueError, naming the
+    row's first value that is not finite.
     """
     columns = packets.columns()
     bad = np.flatnonzero(_not_finite(*columns[1:]))
@@ -217,14 +221,8 @@ def _packet_batches(receiver_id: str, packets: PacketColumns):
         value = next(v for v in (float(c[bad[0]]) for c in columns[1:]) if not math.isfinite(v))
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     receiver = _encode(receiver_id).replace("%", "%%")
-    decoded_line = (
-        '{"decoded": true, "latency_s": %r, "receiver_id": ' + receiver + ', "rx_time_s": %r, '
-        '"seq": %d, "train_d_t_m": %r, "tx_time_s": %r, "type": "packet"}'
-    )
-    lost_line = (
-        '{"decoded": false, "latency_s": null, "receiver_id": ' + receiver + ', "rx_time_s": null, '
-        '"seq": %d, "train_d_t_m": %r, "tx_time_s": %r, "type": "packet"}'
-    )
+    decoded_line = PACKET_LINE % ("true", "%r", receiver, "%r", "%d", "%r", "%r")
+    lost_line = PACKET_LINE % ("false", "null", receiver, "null", "%d", "%r", "%r")
     for start in range(0, len(packets), WRITE_BATCH_ROWS):
         rows = zip(*(column[start : start + WRITE_BATCH_ROWS].tolist() for column in columns))
         yield [
@@ -251,7 +249,8 @@ def log_bytes(log: SimLog) -> bytes:
 
 def commit(outputs, directory=None) -> None:
     """Write every (path, chunks) output, all or nothing; directory, if
-    given, is made first. The paths must name different files.
+    given, is made first. Two paths naming one file raise ValueError
+    before anything is written.
 
     Each output streams its text chunks to a temp file beside its path, and
     only when every one is complete are they renamed over their paths. A
@@ -260,6 +259,11 @@ def commit(outputs, directory=None) -> None:
     OSError names the output's path. The one gap: a rename racing with
     another process's leaves the outputs renamed before it.
     """
+    outputs = list(outputs)
+    files = [os.path.realpath(path) for path, _ in outputs]
+    twice = [os.fspath(path) for (path, _), file in zip(outputs, files) if files.count(file) > 1]
+    if twice:
+        raise ValueError(f"outputs {', '.join(map(repr, twice))} name one file")
     made, pending, path = [], [], directory  # pending: (temp file, path) pairs
     try:
         if directory:
@@ -299,21 +303,17 @@ _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
 
 
 def _packet_pattern(encoded_ids) -> re.Pattern:
-    """The writer's packet line, for receivers with these JSON-encoded ids.
+    """PACKET_LINE as a pattern, for receivers with these JSON-encoded ids.
 
     Groups: "true" or "" (decoded), latency_s, receiver_id, rx_time_s, seq,
     train_d_t_m, tx_time_s. latency_s and rx_time_s are numbers on a
     decoded line and "" on an undecoded one, where the line holds null.
     Numbers follow the JSON grammar, so NaN and Infinity never match.
     """
-    ids = "|".join(re.escape(encoded) for encoded in encoded_ids)
-    return re.compile(
-        r'^\{"decoded": (?:(true)|false), "latency_s": (?(1)(' + _NUMBER + r')|null), '
-        r'"receiver_id": (' + ids + r'), "rx_time_s": (?(1)(' + _NUMBER + r')|null), '
-        r'"seq": (0|[1-9][0-9]*), "train_d_t_m": (' + _NUMBER + r'), '
-        r'"tx_time_s": (' + _NUMBER + r'), "type": "packet"\}$',
-        re.MULTILINE,
-    )
+    ids = "(" + "|".join(re.escape(encoded) for encoded in encoded_ids) + ")"
+    number, if_decoded = f"({_NUMBER})", f"(?(1)({_NUMBER})|null)"
+    groups = ("(?:(true)|false)", if_decoded, ids, if_decoded, "(0|[1-9][0-9]*)", number, number)
+    return re.compile("^" + re.escape(PACKET_LINE) % groups + "$", re.MULTILINE)
 
 
 def _rows_to_columns(path, rows: list, receivers: dict, lines) -> tuple:
@@ -393,7 +393,7 @@ def _field_values(obj: dict, fields, prefix: str = "") -> dict:
 def _header_values(obj: dict) -> dict:
     """The SimLog fields of a header line, checked. A pass has duration_s >= 0
     and start_d_t_m <= end_d_t_m; a simulated one (train_speed_mps set) is a
-    TrainRun, and duration_s is that run's."""
+    TrainRun, and duration_s is that run's. It lists at least one receiver."""
     version = obj.get("version")
     if isinstance(version, bool) or version not in READABLE_LOG_VERSIONS:
         raise ValueError(
@@ -426,8 +426,8 @@ def _header_values(obj: dict) -> dict:
         raise ValueError(
             f"analysis_window_m {window!r}, coverage_threshold {threshold!r}: {exc}"
         ) from None
-    if not isinstance(obj["receivers"], list):
-        raise ValueError("header receivers must be a list")
+    if not isinstance(obj["receivers"], list) or not obj["receivers"]:
+        raise ValueError("header receivers must be a list of at least one receiver")
     placements = []
     for rec in obj["receivers"]:
         if not isinstance(rec, dict):
@@ -436,7 +436,7 @@ def _header_values(obj: dict) -> dict:
         placements.append(Placement(**_field_values(rec, _RECEIVER_FIELDS, "receiver ")))
     ids = [p.id for p in placements]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"header lists a receiver id twice: {ids}")
+        raise ValueError(f"header receivers list an id twice: {ids}")
     return {**values, "receivers": tuple(placements)}
 
 
@@ -509,78 +509,68 @@ def _packet_limit(header: dict, header_bytes: int, file_bytes: int) -> int:
     return packets
 
 
-def _batches_of_lines(handle):
-    # The first line alone, so that the header's packet pattern serves the rest.
-    yield handle.readlines(1)
-    yield from iter(lambda: handle.readlines(READ_BATCH_BYTES), [])
+def _line_object(line: str) -> tuple:
+    """A JSON line's value and its "type", None for a value that is not an object."""
+    try:
+        obj = _decode(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    return obj, obj.get("type") if isinstance(obj, dict) else None
 
 
 def read_log(path: str | Path) -> SimLog:
     """Read a JSON-lines log; a line that breaks the format raises ValueError
-    naming path:line. The header bounds the read (_packet_limit), and reading
-    stops at the first packet line past its pass."""
-    header = None  # the SimLog fields of the header line
-    receivers: dict = {}  # JSON-encoded receiver id -> index in the header
-    pattern = None
-    limit = packets = 0  # packet lines the header allows, and read so far
+    naming path:line. The header is line 1 and bounds the read
+    (_packet_limit), and reading stops at the first packet line past its pass."""
+    packets = 0  # packet lines read so far
     parts: list = []  # column arrays of packet lines, in file order
     events: list = []
-    line_number = 0
     with open(path) as handle:
-        for lines in _batches_of_lines(handle):
+        first = handle.readline()
+        try:
+            obj, kind = _line_object(first) if first.strip() else (None, "blank")
+            if kind != "header":
+                raise ValueError(f"line 1 must be the header, got a {kind!r} line")
+            header = _header_values(obj)
+            limit = _packet_limit(header, len(first.encode()), os.fstat(handle.fileno()).st_size)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
+        receivers = {_encode(p.id): i for i, p in enumerate(header["receivers"])}
+        pattern = _packet_pattern(receivers)
+        line_number = 1
+        for lines in iter(lambda: handle.readlines(READ_BATCH_BYTES), []):
             first_line = line_number + 1
             line_number += len(lines)
-            if pattern is not None:
-                rows = pattern.findall("".join(lines))
-                if len(rows) == len(lines) and packets + len(rows) <= limit:
-                    packets += len(rows)
-                    parts.append(
-                        _rows_to_columns(path, rows, receivers, range(first_line, line_number + 1))
-                    )
-                    continue
+            rows = pattern.findall("".join(lines))
+            if len(rows) == len(lines) and packets + len(rows) <= limit:
+                packets += len(rows)
+                parts.append(
+                    _rows_to_columns(path, rows, receivers, range(first_line, line_number + 1))
+                )
+                continue
             rows, row_lines = [], []
             for number, line in enumerate(lines, start=first_line):
                 try:
-                    match = pattern.fullmatch(line.rstrip("\n")) if pattern else None
-                    if match:
-                        obj, kind = None, "packet"
-                    else:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            obj = _decode(line)
-                        except json.JSONDecodeError as exc:
-                            raise ValueError(f"invalid JSON: {exc}") from None
-                        kind = obj.get("type") if isinstance(obj, dict) else None
+                    match = pattern.fullmatch(line.rstrip("\n"))
+                    if not (match or line.strip()):
+                        continue
+                    obj, kind = (None, "packet") if match else _line_object(line)
                     if kind == "packet":
-                        if header is None:
-                            raise ValueError("packet before header")
                         if packets == limit:
                             raise ValueError(f"more packet lines than the pass holds ({limit})")
                         packets += 1
                         rows.append(match.groups() if match else _json_row(obj, receivers))
                         row_lines.append(number)
-                    elif kind == "header":
-                        if header is not None:
-                            raise ValueError("second header line")
-                        header = _header_values(obj)
-                        size = os.fstat(handle.fileno()).st_size
-                        limit = _packet_limit(header, len(line.encode()) + 1, size)
-                        receivers = {_encode(p.id): i for i, p in enumerate(header["receivers"])}
-                        pattern = _packet_pattern(receivers)
                     elif kind == "event":
-                        if header is None:
-                            raise ValueError("event before header")
                         events.append(_event(obj, header["receivers"]))
+                    elif kind == "header":
+                        raise ValueError("second header line")
                     else:
                         raise ValueError(f"unknown line type {kind!r}")
                 except (ValueError, TypeError) as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
             if rows:
                 parts.append(_rows_to_columns(path, rows, receivers, row_lines))
-    if header is None:
-        raise ValueError(f"{path}: missing header line")
     return _assemble(path, header, parts, events)
 
 
@@ -596,6 +586,15 @@ def _assemble(path, header: dict, parts: list, events: list) -> SimLog:
     if fault is not None:
         raise ValueError(f"{path}:{fault[0]}: {fault[1]}")
     receiver, seq, tx, position, _, rx = columns[:6]
+    # A simulated log holds its whole pass: one packet line per tick per receiver.
+    if header["train_speed_mps"] is not None:
+        ticks = _tick_count(header["duration_s"], header["tx_period_s"])
+        for placement, count in zip(placements, np.bincount(receiver, minlength=len(placements))):
+            if count != ticks:
+                raise ValueError(
+                    f"{path}: receiver {placement.id!r} has {count} packet lines, not the {ticks} "
+                    "of its pass"
+                )
     records = {}
     for index, placement in enumerate(placements):
         rows = receiver == index
@@ -659,7 +658,7 @@ def read_field_log(path: str | Path) -> SimLog:
             decoded.append(row_decoded)
             row_numbers.append(row_number)
     if not seq:
-        raise ValueError("empty log")
+        raise ValueError(f"{path}: empty log")
     seq = np.array(seq, dtype=np.uint64)
     order = np.argsort(seq, kind="stable")
     seq, tx, position, decoded, rx, row_numbers = (

@@ -122,6 +122,14 @@ class TestCommit:
         assert (tmp_path / "old").read_text() == "kept"
         assert files(tmp_path) == {"old"}
 
+    @pytest.mark.parametrize("second", ["p.txt", "./p.txt", "link.txt"])
+    def test_two_outputs_naming_one_file_write_nothing(self, tmp_path, monkeypatch, second):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.txt").symlink_to("p.txt")
+        with pytest.raises(ValueError, match=rf"outputs 'p.txt', '{second}' name one file"):
+            logio.commit([("p.txt", ["first"]), (second, ["second"])], "made")
+        assert list(tmp_path.iterdir()) == [tmp_path / "link.txt"]
+
     def test_a_failed_chunk_removes_temp_files_and_made_directories(self, tmp_path):
         def chunks():
             yield "x"

@@ -272,8 +272,16 @@ class TestCli:
             )
             + "\n"
         )
+        # A simulated header's pass has 41 ticks; a field capture has no pass to hold.
         assert main(["analyze", str(log_path)]) == 3
-        assert "empty log" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: runtime: {log_path}: receiver 'rsu0' has 0 packet lines, "
+            "not the 41 of its pass\n"
+        )
+        capture = tmp_path / "empty.csv"
+        capture.write_text("seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n")
+        assert main(["coverage", str(capture), "--field-csv"]) == 3
+        assert capsys.readouterr().err == f"error: runtime: {capture}: empty log\n"
 
     def test_safeness_table(self, tmp_path, capsys):
         out = tmp_path / "prot.csv"

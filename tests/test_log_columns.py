@@ -8,6 +8,8 @@ against a per-packet dictionary count.
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from railwarn.logio import (
 from railwarn.protocol import WarningEvent
 
 RSU = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
+OPEN_TRACK = Path(__file__).resolve().parent.parent / "configs" / "open_track_20mph.json"
 
 # Finite floats of every shape, with the edges named: signed zeros,
 # subnormals and the largest doubles.
@@ -45,14 +48,17 @@ receiver_ids = st.text(
 
 
 def make_log(records: dict, receivers=None, events=()) -> SimLog:
-    """A log of records, which maps each receiver id to its PacketColumns or PacketRecord rows."""
+    """A log of records, which maps each receiver id to its PacketColumns or PacketRecord rows.
+
+    The records are hand-made packet sets, not a pass, so the header has no train run.
+    """
     receivers = receivers or tuple(
         Placement(id=rid, kind="OBU", offset_from_crossing_m=1.0, height_m=1.5) for rid in records
     )
     return SimLog(
         digest="d" * 64,
         seed=3,
-        train_speed_mps=4.4704,
+        train_speed_mps=None,
         tx_period_s=0.05,
         start_d_t_m=-350.0,
         end_d_t_m=350.0,
@@ -234,6 +240,11 @@ def rewrite(path, lines):
     path.write_text("\n".join(lines) + "\n")
 
 
+def on_line(index, old, new):
+    """An edit of written_log's lines that replaces old with new on one line."""
+    return lambda lines: [*lines[:index], lines[index].replace(old, new), *lines[index + 1 :]]
+
+
 class TestReaderRejects:
     def test_receiver_missing_from_header(self, tmp_path):
         path, lines = written_log(tmp_path)
@@ -299,6 +310,49 @@ class TestReaderRejects:
         captured = capsys.readouterr()
         assert captured.err == f"error: runtime: {path}:4: {message}\n"
         assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            pytest.param(
+                lambda lines: ["", *lines], 1, "line 1 must be the header, got a 'blank' line",
+                id="blank line 1",
+            ),
+            pytest.param(
+                lambda lines: [lines[1], *lines], 1,
+                "line 1 must be the header, got a 'packet' line", id="packet line 1",
+            ),
+            pytest.param(on_line(0, "}", ""), 1, "invalid JSON", id="bad header JSON"),
+            pytest.param(
+                lambda lines: [*lines, lines[0]], 5, "second header line", id="header twice"
+            ),
+            pytest.param(
+                on_line(2, '"packet"', '"packets"'), 3, "unknown line type 'packets'",
+                id="unknown type",
+            ),
+            pytest.param(
+                on_line(2, '"seq": 1', '"seq": 1.0'), 3, "seq must be an integer, got 1.0",
+                id="seq not an integer",
+            ),
+            pytest.param(
+                on_line(2, "false", "0"), 3, "decoded must be true or false, got 0",
+                id="decoded not a bool",
+            ),
+            pytest.param(
+                on_line(2, '"rx_time_s": null', '"rx_time_s": 0.06'), 3,
+                "undecoded records carry no rx_time_s", id="undecoded with rx_time_s",
+            ),
+        ],
+    )
+    def test_line_out_of_place_or_mistyped(self, tmp_path, capsys, edit, line, message):
+        path, lines = written_log(tmp_path)
+        rewrite(path, edit(lines))
+        with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:{line}: {re.escape(message)}"):
+            read_log(path)
+        assert main(["coverage", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: runtime: {path}:{line}: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_cli_reports_runtime_error_with_line(self, tmp_path, capsys):
         path, lines = written_log(tmp_path)
@@ -421,6 +475,12 @@ def test_seq_outside_uint64_names_the_line(tmp_path, seq):
     rewrite(path, lines)
     with pytest.raises(ValueError, match=rf"pass\.log\.jsonl:3: seq must be in \[0, 2\*\*64\), got {seq}"):
         read_log(path)
+    capture = tmp_path / "capture.csv"
+    capture.write_text(
+        f"seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n0,0.0,-1.0,0,\n{seq},0.05,0.0,0,\n"
+    )
+    with pytest.raises(ValueError, match=rf"capture\.csv:3: seq must be in \[0, 2\*\*64\)"):
+        read_field_log(capture)
 
 
 @pytest.mark.parametrize("number", ["+1.0", "01.0", ".5", "1.", "1e", "0x10"])
@@ -490,10 +550,12 @@ class TestHeaderFields:
             ("coverage", "duration_s", 200.0),
             ("coverage", "train_speed_mps", -1.0),
             ("coverage", "start_d_t_m", 10.0),
+            ("coverage", "receivers", []),
+            ("analyze", "receivers", []),
         ],
     )
     def test_cli_exits_3_naming_line_and_key(self, tmp_path, capsys, command, key, value):
-        path = with_header(tmp_path, **{key: value})
+        path = with_header(tmp_path, **{"train_speed_mps": 4.4704, key: value})
         out = {"analyze": "--out-dir", "coverage": "--out"}[command]
         assert main([command, str(path), out, str(tmp_path / "out")]) == 3
         captured = capsys.readouterr()
@@ -517,6 +579,10 @@ class TestHeaderFields:
             ("duration_s", True),
             ("analysis_window_m", None),
             ("coverage_threshold", "5"),
+            ("receivers", []),
+            ("receivers", {"id": "rsu0"}),
+            ("receivers", ["rsu0"]),
+            ("receivers", [dataclasses.asdict(RSU)] * 2),
         ],
     )
     def test_wrong_type_or_range_rejected(self, tmp_path, key, value):
@@ -533,7 +599,7 @@ class TestHeaderFields:
         with pytest.raises(ValueError, match=r":1: start_d_t_m: must be <= end_d_t_m -5\.0, got 5"):
             read_log(reversed_ends)
         with pytest.raises(ValueError, match=r":1: duration_s: must be 156\.58\d* for this train"):
-            read_log(with_header(tmp_path, duration_s=156.59))
+            read_log(with_header(tmp_path, train_speed_mps=4.4704, duration_s=156.59))
 
     @pytest.mark.parametrize("key, value", [("id", 5), ("height_m", "x"), ("boresight_deg", "up")])
     def test_receiver_fields_checked(self, tmp_path, key, value):
@@ -756,6 +822,20 @@ class TestReadBounds:
         assert captured.err.startswith(f"error: runtime: {path}:1: pass needs 4000001 transmit ticks")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_a_simulated_log_holds_its_whole_pass(self, tmp_path, capsys):
+        # The open-track pass has 2685 ticks at its one receiver; cut, it holds 999.
+        path, cut = tmp_path / "o.log.jsonl", tmp_path / "cut.log.jsonl"
+        assert main(["simulate", str(OPEN_TRACK), "-o", str(path)]) == 0
+        cut.write_text("".join(path.read_text().splitlines(keepends=True)[:1000]))
+        capsys.readouterr()
+        assert main(["coverage", str(cut), "--out", str(tmp_path / "coverage.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: runtime: {cut}: receiver 'obu0' has 999 packet lines, "
+            "not the 2685 of its pass\n"
+        )
+        assert captured.out == "" and not (tmp_path / "coverage.csv").exists()
 
     def test_field_capture_stops_at_the_row_past_max_packets(self, tmp_path, monkeypatch):
         monkeypatch.setattr(logio, "MAX_PACKETS", 3)

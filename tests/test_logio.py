@@ -21,7 +21,7 @@ def make_log(records, events=()) -> SimLog:
     return SimLog(
         digest="d" * 64,
         seed=7,
-        train_speed_mps=4.4704,
+        train_speed_mps=None,
         tx_period_s=0.05,
         start_d_t_m=-350.0,
         end_d_t_m=350.0,
