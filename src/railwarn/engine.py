@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, logio
+from . import analysis, geometry, logio
 from .antenna import AntennaPattern, builtin_pattern, pattern_gain
 from .geometry import CrossingScene, TrainRun, link_geometry
 from .link import (
@@ -77,6 +77,18 @@ class Scenario:
             raise ValueError("scenario needs at least one receiver")
         self.resolve_pattern(self.radio.tx_antenna)
         self.resolve_pattern(self.radio.rx_antenna)
+        # A pass is farthest from a receiver at an end (the squared distance to a
+        # straight track is convex). Called through geometry, so a wrapper of this
+        # module's link_geometry sees only the passes' calls.
+        ends = np.array([self.train.start_d_t_m, self.train.end_d_t_m])
+        for index, placement in enumerate(self.scene.receivers):
+            with np.errstate(over="ignore"):
+                ranges = geometry.link_geometry(ends, placement, self.scene).range_m
+            if not np.isfinite(ranges).all():
+                raise ValueError(
+                    f"scene.receivers[{index}]: receiver {placement.id!r} is too far from the "
+                    "train for a finite slant range; reduce offset_from_crossing_m or height_m"
+                )
         ticks = self.train.duration_s / self.radio.tx_period_s + 1
         if not ticks <= MAX_TICKS:
             raise ValueError(
@@ -260,12 +272,6 @@ class SweepPoint:
     seed: int
 
 
-@dataclass
-class SweepResult:
-    point: SweepPoint
-    log: SimLog
-
-
 class SweepPointError(ValueError):
     """A sweep grid, or one of its points, that does not validate."""
 
@@ -296,17 +302,12 @@ def _log_name(index: int, point: SweepPoint) -> str:
     )
 
 
-def _run_point(job: tuple):
-    """One grid point's pass: its SweepResult, or with a log path, its summary row.
-
-    With a path, the log is written there and analysed where the pass ran,
-    and only (log name, point, packets, decoded, events, warning range in
-    m) comes back.
-    """
+def _run_point(job: tuple) -> tuple:
+    """One grid point's pass, written to its log path and analysed in the
+    process that ran it: (log name, point, packets, decoded, events,
+    warning range in m)."""
     point, scenario, path = job
     log = run_pass(scenario)
-    if path is None:
-        return SweepResult(point=point, log=log)
     logio.write_log(log, path)
     warning_range_m = analysis.coverage_report(log).warning_range_m
     counts = (log.packet_count(), log.decoded_count(), len(log.events))
@@ -321,24 +322,24 @@ def run_sweep(
     antennas=None,
     seeds=None,
     max_workers: int | None = None,
-    out_dir=None,
+    *,
+    out_dir,
 ) -> list:
-    """Run the cartesian grid of configurations around a base scenario.
+    """Run the cartesian grid of configurations around a base scenario into out_dir.
 
     An axis left as None keeps the base scenario's value; an empty one
     raises ValueError. Each point is an independent pass whose outcome
     depends only on its own configuration and seed, never on grid order or
     parallel schedule. Every point's scenario is built before any pass runs;
     a point that does not validate, or a grid whose passes together exceed
-    MAX_SWEEP_PACKETS, raises SweepPointError.
+    MAX_SWEEP_PACKETS, raises SweepPointError and touches no file.
 
-    Without out_dir, the result is one SweepResult per point, in grid order.
-    With it, the directory is made and its summary.csv removed, and the
-    process that runs each pass writes its log there as point<index>_v<speed>
-    _p<power>_<modulation>_<antenna>_s<seed>.log.jsonl and computes its
-    coverage; no log comes back. The result is one row per point, in grid
-    order: (log name, SweepPoint, packets, decoded, events, warning_range_m),
-    and summary.csv, written last through logio.commit, lists them. A failed
+    Then out_dir is made and its summary.csv removed, and the process that
+    runs each pass writes its log there as point<index>_v<speed>_p<power>
+    _<modulation>_<antenna>_s<seed>.log.jsonl and computes its coverage; no
+    log comes back. The result is one row per point, in grid order: (log
+    name, SweepPoint, packets, decoded, events, warning_range_m), and
+    summary.csv, written last through logio.commit, lists them. A failed
     sweep deletes the files at its log names and writes no summary.csv.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
@@ -356,13 +357,11 @@ def run_sweep(
             f"sweep of {len(points)} points needs {packets} packets, more than the limit of "
             f"{MAX_SWEEP_PACKETS}; use fewer or shorter points"
         )
-    paths, summary = [None] * len(points), None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        summary = out_dir / "summary.csv"
-        summary.unlink(missing_ok=True)
-        paths = [out_dir / _log_name(i, point) for i, point in enumerate(points)]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = out_dir / "summary.csv"
+    summary.unlink(missing_ok=True)
+    paths = [out_dir / _log_name(i, point) for i, point in enumerate(points)]
     jobs = list(zip(points, scenarios, paths))
     # A fork-started pool starts all its workers at the first submit, so
     # it gets no more of them than there are points or processors.
@@ -378,14 +377,13 @@ def run_sweep(
                 results = list(pool.map(_run_point, jobs))
         else:
             results = [_run_point(job) for job in jobs]
-        if summary is not None:
-            keys = [field.name for field in dataclasses.fields(SweepPoint)]
-            header = ["log", *keys, "packets", "decoded", "events", "warning_range_m"]
-            rows = [[row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results]
-            logio.commit([analysis.csv_output(summary, header, rows)])
+        keys = [field.name for field in dataclasses.fields(SweepPoint)]
+        header = ["log", *keys, "packets", "decoded", "events", "warning_range_m"]
+        rows = [[row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results]
+        logio.commit([analysis.csv_output(summary, header, rows)])
     except BaseException:
         # A directory at a log's name was never the sweep's, so it stays.
-        for path in filter(None, paths):
+        for path in paths:
             if not path.is_dir():
                 path.unlink(missing_ok=True)
         raise

@@ -10,9 +10,9 @@ then packet records (grouped by receiver, ordered by sequence number), then
 warning events. Keys are sorted so identical logs are byte-identical. The
 reader checks each header field against its annotation and the pass's
 shape (_header_values), each event against the header (_event), and each
-decoded line's latency_s against its times (_first_fault), and that a
-simulated log holds its whole pass (_assemble). Every file the package
-writes goes through commit, all or nothing.
+decoded line's latency_s against its times (_first_fault), and that each
+receiver has a packet line and a simulated log its whole pass (_assemble).
+Every file the package writes goes through commit, all or nothing.
 
 A packet line has one layout, PACKET_LINE, keys sorted as json.dumps(...,
 sort_keys=True) writes them: the writer fills it into one template per
@@ -586,15 +586,16 @@ def _assemble(path, header: dict, parts: list, events: list) -> SimLog:
     if fault is not None:
         raise ValueError(f"{path}:{fault[0]}: {fault[1]}")
     receiver, seq, tx, position, _, rx = columns[:6]
-    # A simulated log holds its whole pass: one packet line per tick per receiver.
+    # Every receiver has a packet line, and in a simulated log one per tick of its pass.
+    ticks = None
     if header["train_speed_mps"] is not None:
         ticks = _tick_count(header["duration_s"], header["tx_period_s"])
-        for placement, count in zip(placements, np.bincount(receiver, minlength=len(placements))):
-            if count != ticks:
-                raise ValueError(
-                    f"{path}: receiver {placement.id!r} has {count} packet lines, not the {ticks} "
-                    "of its pass"
-                )
+    for placement, count in zip(placements, np.bincount(receiver, minlength=len(placements))):
+        if count == 0 or (ticks is not None and count != ticks):
+            wanted = "at least 1" if ticks is None else f"the {ticks} of its pass"
+            raise ValueError(
+                f"{path}: receiver {placement.id!r} has {count} packet lines, not {wanted}"
+            )
     records = {}
     for index, placement in enumerate(placements):
         rows = receiver == index

@@ -244,7 +244,7 @@ def test_criterion_08_latency_contract():
     )
 
 
-def test_criterion_09_determinism():
+def test_criterion_09_determinism(tmp_path):
     scenario = open_scenario(
         20, channel=SyntheticChannel(path_loss_exponent=2.8, shadowing_sigma_db=4.0)
     )
@@ -252,12 +252,15 @@ def test_criterion_09_determinism():
 
     speeds = [mph_to_mps(v) for v in (20, 50)]
     mods = ["QPSK", "16QAM"]
-    forward = run_sweep(scenario, speeds_mps=speeds, modulations=mods)
+    forward = run_sweep(scenario, speeds_mps=speeds, modulations=mods, out_dir=tmp_path / "fwd")
     backward = run_sweep(
-        scenario, speeds_mps=list(reversed(speeds)), modulations=list(reversed(mods))
+        scenario,
+        speeds_mps=list(reversed(speeds)),
+        modulations=list(reversed(mods)),
+        out_dir=tmp_path / "bwd",
     )
-    assert {r.point: log_bytes(r.log) for r in forward} == {
-        r.point: log_bytes(r.log) for r in backward
+    assert {row[1]: (tmp_path / "fwd" / row[0]).read_bytes() for row in forward} == {
+        row[1]: (tmp_path / "bwd" / row[0]).read_bytes() for row in backward
     }
     print("CRITERION 9 PASS: same-seed reruns byte-identical; sweep order irrelevant")
 

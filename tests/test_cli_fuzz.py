@@ -1,14 +1,21 @@
-"""The read side of the CLI on damaged input: exit 0 or 3, never a traceback.
+"""The CLI on damaged input: never a traceback, and a failure writes nothing.
 
-A simulated suburban log and its RSU's packets as a field capture each
-take one mutation: a key dropped, a value of the wrong type, a line cut
-short, or a NaN or infinity put in; or, in the log, a decoded line's
-latency_s moved one ulp off rx_time_s - tx_time_s. analyze, coverage and
-safeness --coverage-from then read the result in-process. Each either
-succeeds, printing no NaN or infinity, or exits 3 with exactly one
-`error: runtime:` line and no stdout. Half the examples find every output
-path taken by a directory; those, and a moved latency_s, must exit 3 and
-write nothing.
+Read side (test_one_mutation_exits_0_or_3): a simulated suburban log and
+its RSU's packets as a field capture each take one mutation: a key
+dropped, a value of the wrong type, a line cut short, or a NaN or infinity
+put in; or, in the log, a decoded line's latency_s moved one ulp off
+rx_time_s - tx_time_s. analyze, coverage and safeness --coverage-from then
+read the result in-process. Each either succeeds, printing no NaN or
+infinity, or exits 3 with exactly one `error: runtime:` line and no
+stdout. Half the examples find every output path taken by a directory;
+those, and a moved latency_s, must exit 3 and write nothing.
+
+Write side (test_simulate_exits_0_2_or_3): a shipped config takes one
+mutation of one key (dropped, a wrong type, a non-finite literal, or a
+vast or subnormal number), or the open-track PER table one mutation of one
+row (a cell replaced, the row cut short, dropped or duplicated). simulate
+then either writes its log, or exits 2 or 3 with exactly one error line,
+no stdout and no log.
 """
 
 import contextlib
@@ -29,7 +36,8 @@ from railwarn.config import load_scenario
 from railwarn.engine import run_pass
 from railwarn.logio import log_bytes
 
-SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SUBURBAN = CONFIGS / "suburban_rsu_10mph.json"
 
 # The last mutation applies to a decoded packet line; a capture has no latency_s.
 MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite", "latency_s one ulp")
@@ -157,3 +165,82 @@ def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
             ["safeness", "--coverage-from", str(path), "--train-speed", "10mph"]
             + ["--out", str(out / "safeness.csv"), "--curves-out", str(out / "curves.csv")]
         )
+
+
+# Write side: the mutations of one config key, and of one PER table row.
+KEY_MUTATIONS = ("drop a key", "wrong type", "non-finite", "vast or tiny")
+VAST_OR_TINY = [1e200, -1e200, 1e308, -1e308, 1e-320]
+ROW_MUTATIONS = ("replace a cell", "truncate a row", "drop a row", "duplicate a row")
+CELLS = ["", "x", "nan", "-inf", "Infinity", "-1", "2", "1e200", "-1e308", "1e-320", "0"]
+SHIPPED = ("open_track_20mph.json", "suburban_rsu_10mph.json")
+
+
+def key_paths(obj, prefix=()) -> list:
+    """The path of every key of every object in a JSON value, lists entered."""
+    if isinstance(obj, list):
+        return [path for i, item in enumerate(obj) for path in key_paths(item, (*prefix, i))]
+    if not isinstance(obj, dict):
+        return []
+    return [
+        path for key in obj for path in [(*prefix, key), *key_paths(obj[key], (*prefix, key))]
+    ]
+
+
+def mutate_key(config: dict, data) -> None:
+    *parents, key = data.draw(st.sampled_from(key_paths(config)), label="key")
+    node = functools.reduce(lambda node, step: node[step], parents, config)
+    mutation = data.draw(st.sampled_from(KEY_MUTATIONS), label="mutation")
+    if mutation == "drop a key":
+        del node[key]
+    else:
+        values = {"wrong type": WRONG_TYPES, "non-finite": NON_FINITE}.get(mutation, VAST_OR_TINY)
+        node[key] = data.draw(st.sampled_from(values), label="value")
+
+
+def mutate_rows(rows: list, data) -> None:
+    index = data.draw(st.integers(0, len(rows) - 1), label="row")
+    mutation = data.draw(st.sampled_from(ROW_MUTATIONS), label="mutation")
+    if mutation == "replace a cell":
+        cells = rows[index].split(",")
+        column = data.draw(st.integers(0, len(cells) - 1), label="column")
+        cells[column] = data.draw(st.sampled_from(CELLS), label="value")
+        rows[index] = ",".join(cells)
+    elif mutation == "truncate a row":
+        rows[index] = rows[index][: data.draw(st.integers(0, len(rows[index]) - 1), label="cut")]
+    elif mutation == "drop a row":
+        del rows[index]
+    else:
+        rows.insert(index, rows[index])
+
+
+# Each example writes its config, PER table and log path afresh in the shared tmp_path.
+@settings(
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_simulate_exits_0_2_or_3(tmp_path, data):
+    """simulate exits 0 and writes its log, or exits 2 or 3 with one error
+    line, no stdout and no log.
+"""
+    name = data.draw(st.sampled_from(SHIPPED), label="config")
+    config = json.loads((CONFIGS / name).read_text())
+    rows = (CONFIGS / "open_track_per.csv").read_text().splitlines()
+    if name.startswith("open_track") and data.draw(st.booleans(), label="mutate the PER table"):
+        mutate_rows(rows, data)
+    else:
+        mutate_key(config, data)
+    (tmp_path / "open_track_per.csv").write_text("\n".join(rows) + "\n")
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(config))  # writes NaN and Infinity literals
+    log_path = tmp_path / "pass.log.jsonl"
+    log_path.unlink(missing_ok=True)
+    code, out, err = run(["simulate", str(config_path), "-o", str(log_path)])
+    event(f"simulate exit {code}")
+    assert code in (0, 2, 3), (code, err)
+    if code == 0:
+        assert err == "" and log_path.is_file(), err
+    else:
+        assert re.fullmatch(r"error: (config|runtime): [^\n]*\n", err), err
+        assert out == "" and not log_path.exists(), out
+    assert not list(tmp_path.rglob("*.tmp*"))

@@ -563,7 +563,8 @@ class TestPacketBudget:
         assert not out_dir.exists()
         scenario = load_scenario(SUBURBAN)
         with pytest.raises(SweepPointError, match="sweep of 14 points"):
-            run_sweep(scenario, speeds_mps=[0.0187], seeds=range(14))
+            run_sweep(scenario, speeds_mps=[0.0187], seeds=range(14), out_dir=out_dir)
+        assert not out_dir.exists()
         assert 13 * 1_497_328 <= MAX_SWEEP_PACKETS
 
 
@@ -667,12 +668,13 @@ class TestSweepPool:
             (2, [0, 1, 2], 8, [2]),
         ],
     )
-    def test_workers_bounded(self, monkeypatch, pools, workers, seeds, cpus, started):
+    def test_workers_bounded(self, tmp_path, monkeypatch, pools, workers, seeds, cpus, started):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         scenario = load_scenario(SUBURBAN)
-        results = run_sweep(scenario, seeds=seeds, max_workers=workers)
+        rows = run_sweep(scenario, seeds=seeds, max_workers=workers, out_dir=tmp_path)
         assert pools == started
-        assert [result.point.seed for result in results] == seeds
+        assert [row[1].seed for row in rows] == seeds
+        assert all((tmp_path / row[0]).is_file() for row in rows)
 
 
 class TestNegativeSeeds:

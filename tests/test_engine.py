@@ -214,59 +214,67 @@ class TestReceiverStream:
             receiver_stream(42, "rsu0", "latency")
 
 
-class TestRunSweep:
-    def test_singleton_grid_matches_run_pass(self):
-        scenario = make_scenario()
-        results = run_sweep(scenario)
-        assert len(results) == 1
-        assert log_bytes(results[0].log) == log_bytes(run_pass(scenario))
+def swept_logs(out_dir, scenario, **axes) -> list:
+    """(point, log bytes) per grid point, in grid order, read from the logs run_sweep wrote."""
+    rows = run_sweep(scenario, out_dir=out_dir, **axes)
+    return [(row[1], (out_dir / row[0]).read_bytes()) for row in rows]
 
-    def test_speed_grid(self):
+
+class TestRunSweep:
+    def test_singleton_grid_matches_run_pass(self, tmp_path):
+        scenario = make_scenario()
+        results = swept_logs(tmp_path, scenario)
+        assert len(results) == 1
+        assert results[0][1] == log_bytes(run_pass(scenario))
+
+    def test_speed_grid(self, tmp_path):
         scenario = make_scenario(
             train=TrainRun(speed_mps=mph_to_mps(20), start_d_t_m=-550.0, end_d_t_m=550.0)
         )
         speeds = [mph_to_mps(v) for v in (20, 50, 79)]
-        results = run_sweep(scenario, speeds_mps=speeds)
-        assert [r.point.speed_mps for r in results] == speeds
-        assert len({r.log.digest for r in results}) == 3
+        results = swept_logs(tmp_path, scenario, speeds_mps=speeds)
+        assert [point.speed_mps for point, _ in results] == speeds
+        assert len({json.loads(data.partition(b"\n")[0])["digest"] for _, data in results}) == 3
 
-    def test_order_independence(self):
+    def test_order_independence(self, tmp_path):
         scenario = make_scenario(
             channel=SyntheticChannel(path_loss_exponent=2.8, shadowing_sigma_db=3.0)
         )
         speeds = [mph_to_mps(v) for v in (10, 20)]
         powers = [11.0, 23.0]
-        forward = run_sweep(scenario, speeds_mps=speeds, powers_dbm=powers)
-        reverse = run_sweep(
-            scenario, speeds_mps=list(reversed(speeds)), powers_dbm=list(reversed(powers))
+        forward = swept_logs(tmp_path / "fwd", scenario, speeds_mps=speeds, powers_dbm=powers)
+        reverse = swept_logs(
+            tmp_path / "rev",
+            scenario,
+            speeds_mps=list(reversed(speeds)),
+            powers_dbm=list(reversed(powers)),
         )
-        by_point_fwd = {r.point: log_bytes(r.log) for r in forward}
-        by_point_rev = {r.point: log_bytes(r.log) for r in reverse}
-        assert by_point_fwd == by_point_rev
+        assert dict(forward) == dict(reverse)
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, tmp_path):
         scenario = make_scenario(
             train=TrainRun(speed_mps=mph_to_mps(50), start_d_t_m=-200.0, end_d_t_m=200.0)
         )
         speeds = [mph_to_mps(v) for v in (20, 50)]
-        sequential = run_sweep(scenario, speeds_mps=speeds)
-        parallel = run_sweep(scenario, speeds_mps=speeds, max_workers=2)
-        assert [log_bytes(r.log) for r in sequential] == [log_bytes(r.log) for r in parallel]
+        sequential = swept_logs(tmp_path / "one", scenario, speeds_mps=speeds, max_workers=1)
+        parallel = swept_logs(tmp_path / "two", scenario, speeds_mps=speeds, max_workers=2)
+        assert sequential == parallel
 
-    def test_seed_grid(self):
+    def test_seed_grid(self, tmp_path):
         scenario = make_scenario(
             channel=PerProfile(bins=((-700.0, 700.0, 0.5),)),
             train=TrainRun(speed_mps=mph_to_mps(50), start_d_t_m=-200.0, end_d_t_m=200.0),
         )
-        results = run_sweep(scenario, seeds=[1, 2, 1])
-        assert log_bytes(results[0].log) == log_bytes(results[2].log)
-        assert log_bytes(results[0].log) != log_bytes(results[1].log)
+        results = [data for _, data in swept_logs(tmp_path, scenario, seeds=[1, 2, 1])]
+        assert results[0] == results[2]
+        assert results[0] != results[1]
 
     @pytest.mark.parametrize("axis", ["speeds_mps", "powers_dbm", "modulations", "antennas", "seeds"])
-    def test_empty_axis_rejected(self, axis):
+    def test_empty_axis_rejected(self, tmp_path, axis):
         # Only None keeps the base value; an empty axis is an empty grid.
         with pytest.raises(ValueError, match="sweep grid must be non-empty"):
-            run_sweep(make_scenario(), **{axis: []})
+            run_sweep(make_scenario(), out_dir=tmp_path / "out", **{axis: []})
+        assert not (tmp_path / "out").exists()
 
     def test_import_does_not_load_multiprocessing(self):
         # The process pool is imported only for a sweep with more than one worker.

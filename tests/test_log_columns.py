@@ -35,6 +35,7 @@ from railwarn.protocol import WarningEvent
 
 RSU = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
 OPEN_TRACK = Path(__file__).resolve().parent.parent / "configs" / "open_track_20mph.json"
+SUBURBAN = OPEN_TRACK.with_name("suburban_rsu_10mph.json")
 
 # Finite floats of every shape, with the edges named: signed zeros,
 # subnormals and the largest doubles.
@@ -74,7 +75,8 @@ def make_log(records: dict, receivers=None, events=()) -> SimLog:
 
 @st.composite
 def receiver_packets(draw, receiver_id):
-    seqs = sorted(draw(st.sets(st.integers(0, 2**63), max_size=12)))
+    # At least one packet: a log is read only if every receiver has a line.
+    seqs = sorted(draw(st.sets(st.integers(0, 2**63), min_size=1, max_size=12)))
     packets = []
     for seq in seqs:
         tx_time, rx_time = sorted((draw(finite), draw(finite)))
@@ -632,13 +634,15 @@ def with_event(tmp_path, **fields):
 
 
 def with_obu_event(tmp_path, **fields):
-    """A written log whose header adds OBU obu1, with one direct event of obu1."""
+    """A written log whose header adds OBU obu1, which holds its last packet
+    line, with one direct event of obu1."""
     obu = {"receiver_id": "obu1", "source": "OBU", "mode": "direct", "relay_delivery_time_s": None}
     path = with_event(tmp_path, **{**obu, **fields})
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     header["receivers"].append({**header["receivers"][0], "id": "obu1", "kind": "OBU"})
     lines[0] = json.dumps(header, sort_keys=True)
+    lines[3] = lines[3].replace('"receiver_id": "rsu0"', '"receiver_id": "obu1"')
     rewrite(path, lines)
     return path
 
@@ -745,12 +749,16 @@ class TestEventFields:
 
 def with_pass(tmp_path, duration_s, tx_period_s=0.05, receivers=1):
     """A written log of 3 packets whose header declares this pass, with no
-    train run to fix its duration."""
+    train run to fix its duration; a second receiver rsu1 holds the last."""
     header = {"duration_s": duration_s, "tx_period_s": tx_period_s, "train_speed_mps": None}
-    if receivers == 2:
-        other = {**dataclasses.asdict(RSU), "id": "rsu1"}
-        header["receivers"] = [dataclasses.asdict(RSU), other]
-    return with_header(tmp_path, **header)
+    if receivers == 1:
+        return with_header(tmp_path, **header)
+    other = {**dataclasses.asdict(RSU), "id": "rsu1"}
+    path = with_header(tmp_path, **header, receivers=[dataclasses.asdict(RSU), other])
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace('"receiver_id": "rsu0"', '"receiver_id": "rsu1"')
+    rewrite(path, lines)
+    return path
 
 
 class TestReadBounds:
@@ -836,6 +844,22 @@ class TestReadBounds:
             "not the 2685 of its pass\n"
         )
         assert captured.out == "" and not (tmp_path / "coverage.csv").exists()
+        # Without a train run a header fixes no tick count, but each of its
+        # receivers still needs a packet line: none at all, or only rsu0's.
+        suburban = tmp_path / "s.log.jsonl"
+        assert main(["simulate", str(SUBURBAN), "-o", str(suburban)]) == 0
+        for source, keep, missing in ((path, "", "obu0"), (suburban, '"rsu0"', "obu0")):
+            lines = source.read_text().splitlines()
+            header = {**json.loads(lines[0]), "train_speed_mps": None}
+            packets = [line for line in lines[1:] if keep and keep in line and '"packet"' in line]
+            rewrite(cut, [json.dumps(header, sort_keys=True), *packets])
+            capsys.readouterr()
+            for command in (["coverage"], ["analyze", "--out-dir", str(tmp_path / "out")]):
+                assert main([*command, str(cut)]) == 3
+                assert capsys.readouterr().err == (
+                    f"error: runtime: {cut}: receiver {missing!r} has 0 packet lines, "
+                    "not at least 1\n"
+                )
 
     def test_field_capture_stops_at_the_row_past_max_packets(self, tmp_path, monkeypatch):
         monkeypatch.setattr(logio, "MAX_PACKETS", 3)

@@ -91,9 +91,11 @@ def test_a_log_is_never_edited(field, value):
 
 def test_header_without_analysis_settings_reads_the_defaults(tmp_path):
     path = tmp_path / "old.log.jsonl"
-    header = json.loads(log_bytes(make_log([])).decode())
+    packet = PacketRecord(0, 0.0, -10.0, "rsu0", False)
+    header, line = log_bytes(make_log([packet])).decode().splitlines()
+    header = json.loads(header)
     del header["analysis_window_m"], header["coverage_threshold"]
-    path.write_text(json.dumps(header) + "\n")
+    path.write_text(json.dumps(header) + "\n" + line + "\n")
     log = read_log(path)
     assert (log.analysis_window_m, log.coverage_threshold) == (
         AnalysisDefaults.window_width_m,

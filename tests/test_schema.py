@@ -61,6 +61,25 @@ def empirical(**channel):
     return set_key("channel", {"mode": "empirical", **channel})
 
 
+def open_track(edit):
+    """An edit applied to the open-track config in place of the suburban one."""
+
+    def replace(data):
+        data.clear()
+        data.update(json.loads((CONFIGS / "open_track_20mph.json").read_text()))
+        data["channel"]["per_table"] = str(CONFIGS / "open_track_per.csv")
+        edit(data)
+
+    return replace
+
+
+def receiver0(key: str, value):
+    def edit(data):
+        data["scene"]["receivers"][0][key] = value
+
+    return edit
+
+
 def antenna(**entry):
     def edit(data):
         data["antennas"] = {"mine": entry}
@@ -95,6 +114,11 @@ def antenna(**entry):
         (set_key("radio.tx_power_dbm", True), "radio.tx_power_dbm"),
         (set_key("policy.reliability_threshold", 5.5), "policy.reliability_threshold"),
         (set_key("radio.modulation", None), "radio.modulation"),
+        # A slant range too long for a float.
+        (receiver0("offset_from_crossing_m", 1e200), "scene.receivers[0]: receiver 'rsu0'"),
+        (receiver0("height_m", 1e200), "scene.receivers[0]: receiver 'rsu0'"),
+        (open_track(receiver0("offset_from_crossing_m", 1e200)), "scene.receivers[0]: receiver"),
+        (open_track(receiver0("height_m", 1e200)), "scene.receivers[0]: receiver 'obu0'"),
     ],
 )
 def test_malformed_shape_exits_2_naming_the_key(tmp_path, capsys, edit, key):
