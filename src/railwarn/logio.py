@@ -15,8 +15,9 @@ receiver has a packet line and a simulated log its whole pass (_assemble).
 Every file the package writes goes through commit, all or nothing.
 
 A packet line has one layout, PACKET_LINE, keys sorted as json.dumps(...,
-sort_keys=True) writes them: the writer fills it into one template per
-receiver and decoded state, the reader into one pattern. Packets move in
+sort_keys=True) writes them: the writer splits it into each receiver's head
+and each tick's text, which receivers whose tick columns are bitwise equal
+share (log_text); the reader fills it into one pattern. Packets move in
 chunks. The reader checks line 1 as the header, then matches packet lines
 with the pattern, converting their numbers with float() and int() as json
 does; any other line goes through json with the full checks.
@@ -27,6 +28,7 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -208,37 +210,56 @@ def _not_finite(tx, position, decoded, rx, latency) -> np.ndarray:
     return ~finite | decoded & ~(np.isfinite(rx) & np.isfinite(latency))
 
 
-def _packet_batches(receiver_id: str, packets: PacketColumns):
-    """Lists of packet lines, WRITE_BATCH_ROWS rows at a time.
+# A packet line is its receiver's head, then its tick's text from "seq" on.
+_SPLIT = PACKET_LINE.index('"seq"')
+_HEAD, _TICK_LINE = PACKET_LINE[:_SPLIT], PACKET_LINE[_SPLIT:] % ("%d", "%r", "%r") + "\n"
 
-    %r of a float is float.__repr__, which is what json writes for a
-    float. A row the log cannot hold raises json's ValueError, naming the
-    row's first value that is not finite.
-    """
-    columns = packets.columns()
-    bad = np.flatnonzero(_not_finite(*columns[1:]))
-    if bad.size:
-        value = next(v for v in (float(c[bad[0]]) for c in columns[1:]) if not math.isfinite(v))
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    receiver = _encode(receiver_id).replace("%", "%%")
-    decoded_line = PACKET_LINE % ("true", "%r", receiver, "%r", "%d", "%r", "%r")
-    lost_line = PACKET_LINE % ("false", "null", receiver, "null", "%d", "%r", "%r")
-    for start in range(0, len(packets), WRITE_BATCH_ROWS):
-        rows = zip(*(column[start : start + WRITE_BATCH_ROWS].tolist() for column in columns))
-        yield [
-            decoded_line % (latency, rx, seq, position, tx)
-            if decoded
-            else lost_line % (seq, position, tx)
-            for seq, tx, position, decoded, rx, latency in rows
-        ]
+
+def _same_ticks(a: PacketColumns, b: PacketColumns) -> bool:
+    """Whether seq, tx_time_s and train_d_t_m are bitwise equal: 0.0 == -0.0, not as text."""
+    pairs = zip(a.columns()[:3], b.columns()[:3])
+    return all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in pairs)
+
+
+def _tick_text(packets: PacketColumns, rows: slice) -> list:
+    """Each tick's text from "seq" on, with its newline, for a slice of rows."""
+    columns = (c[rows].tolist() for c in (packets.seq, packets.train_d_t_m, packets.tx_time_s))
+    return [_TICK_LINE % row for row in zip(*columns)]
 
 
 def log_text(log: SimLog):
-    """The serialised log in pieces of whole lines."""
+    """The serialised log in pieces of whole lines, WRITE_BATCH_ROWS packet
+    lines at most. %r of a float is float.__repr__, which json writes.
+
+    A tick's text is formatted once, and the pass's is held while a later
+    receiver's tick columns are bitwise equal to it; each receiver formats
+    only its head. A row the log cannot hold raises json's ValueError,
+    naming the row's first value that is not finite.
+    """
     yield _encode(_header_dict(log)) + "\n"
-    for receiver_id in log.receiver_ids():
-        for lines in _packet_batches(receiver_id, log.records[receiver_id]):
-            yield "\n".join(lines) + "\n"
+    receivers = [(receiver_id, log.records[receiver_id]) for receiver_id in log.receiver_ids()]
+    held = None  # (packets, tick text) that a later receiver reuses
+    for index, (receiver_id, packets) in enumerate(receivers):
+        columns = packets.columns()[1:]
+        bad = np.flatnonzero(_not_finite(*columns))
+        if bad.size:
+            value = next(v for v in (float(c[bad[0]]) for c in columns) if not math.isfinite(v))
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        if held is None or not _same_ticks(held[0], packets):
+            later = any(_same_ticks(packets, other) for _, other in receivers[index + 1 :])
+            held = (packets, _tick_text(packets, slice(None))) if later else None
+        receiver = _encode(receiver_id)
+        lost = _HEAD % ("false", "null", receiver, "null")
+        decoded_head = _HEAD % ("true", "%r", receiver.replace("%", "%%"), "%r")
+        for start in range(0, len(packets), WRITE_BATCH_ROWS):
+            rows = slice(start, start + WRITE_BATCH_ROWS)
+            ticks = held[1][rows] if held else _tick_text(packets, rows)
+            decoded = packets.decoded[rows]
+            times = (c[rows][decoded].tolist() for c in (packets.latency_s, packets.rx_time_s))
+            heads = np.array([lost, *[decoded_head % pair for pair in zip(*times)]], dtype=object)
+            # A decoded row takes its own head, numbered from 1; a lost row head 0.
+            heads = heads[np.cumsum(decoded) * decoded].tolist()
+            yield "".join(itertools.chain.from_iterable(zip(heads, ticks)))
     for event in log.events:
         yield _encode({"type": "event", **dataclasses.asdict(event)}) + "\n"
 
@@ -545,7 +566,7 @@ def read_log(path: str | Path) -> SimLog:
             if len(rows) == len(lines) and packets + len(rows) <= limit:
                 packets += len(rows)
                 parts.append(
-                    _rows_to_columns(path, rows, receivers, range(first_line, line_number + 1))
+                    _rows_to_columns(path, rows, receivers, np.arange(first_line, line_number + 1))
                 )
                 continue
             rows, row_lines = [], []

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import math
+import re
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
-from scalar_reference import PacketRecord, columns_from_records
+from scalar_reference import PacketRecord, columns_from_records, packet_rows
 
 from railwarn.geometry import Placement
-from railwarn.logio import AnalysisDefaults, SimLog, log_bytes, read_log
+from railwarn.logio import AnalysisDefaults, PacketColumns, SimLog, log_bytes, read_log, write_log
 from railwarn.protocol import WarningEvent
 
 RECEIVER = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
@@ -18,6 +20,11 @@ floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def make_log(records, events=()) -> SimLog:
+    return columns_log({"rsu0": columns_from_records(records, "rsu0")}, events)
+
+
+def columns_log(records: dict, events=()) -> SimLog:
+    """A log of receivers named by records' keys, each holding its PacketColumns."""
     return SimLog(
         digest="d" * 64,
         seed=7,
@@ -26,8 +33,8 @@ def make_log(records, events=()) -> SimLog:
         start_d_t_m=-350.0,
         end_d_t_m=350.0,
         duration_s=(350.0 - -350.0) / 4.4704,
-        receivers=(RECEIVER,),
-        records={"rsu0": columns_from_records(records, "rsu0")},
+        receivers=tuple(dataclasses.replace(RECEIVER, id=rid) for rid in records),
+        records=records,
         events=list(events),
     )
 
@@ -49,27 +56,28 @@ def records(draw):
     )
 
 
+def json_line(packet: PacketRecord) -> str:
+    return json.dumps(
+        {
+            "type": "packet",
+            "receiver_id": packet.receiver_id,
+            "seq": packet.seq,
+            "tx_time_s": packet.tx_time_s,
+            "train_d_t_m": packet.train_d_t_m,
+            "decoded": packet.decoded,
+            "rx_time_s": packet.rx_time_s,
+            "latency_s": packet.latency_s,
+        },
+        sort_keys=True,
+    )
+
+
 @given(packets=st.lists(records(), max_size=20), trigger=floats, seen=st.integers(1, 10**6))
 def test_lines_equal_json_dumps_sorted(packets, trigger, seen):
     event = WarningEvent("rsu0", "RSU", "indirect", trigger, -120.5, seen, trigger + 0.004)
     log = make_log(packets, [event])
     lines = log_bytes(log).decode().splitlines()
-    assert lines[1:-1] == [
-        json.dumps(
-            {
-                "type": "packet",
-                "receiver_id": r.receiver_id,
-                "seq": r.seq,
-                "tx_time_s": r.tx_time_s,
-                "train_d_t_m": r.train_d_t_m,
-                "decoded": r.decoded,
-                "rx_time_s": r.rx_time_s,
-                "latency_s": r.latency_s,
-            },
-            sort_keys=True,
-        )
-        for r in packets
-    ]
+    assert lines[1:-1] == [json_line(r) for r in packets]
     assert lines[-1] == json.dumps({"type": "event", **vars(event)}, sort_keys=True)
     assert json.loads(lines[0])["receivers"][0]["id"] == "rsu0"
 
@@ -101,3 +109,104 @@ def test_header_without_analysis_settings_reads_the_defaults(tmp_path):
         AnalysisDefaults.window_width_m,
         AnalysisDefaults.coverage_threshold,
     )
+
+
+# How a later receiver holds the first receiver's seq, tx_time_s and
+# train_d_t_m: the same arrays, equal copies, copies whose middle row has
+# the other sign of zero in one column, copies with each seq one higher, or
+# the arrays one row shorter.
+SHARES = ("same", "copy", "tx_time_s", "train_d_t_m", "seq", "shorter")
+SIGNED = {"tx_time_s": 1, "train_d_t_m": 2}  # column index of a zero-sign share
+
+
+def sharing_log(ids, ticks, shares, latencies) -> SimLog:
+    """A log whose first receiver's tick columns come from ticks, (seq step,
+    tx_time_s, train_d_t_m) rows, and each later receiver's from the
+    first's as its share says. latencies[r][i] is receiver r's rx_time_s -
+    tx_time_s at row i, None where the packet is lost."""
+    steps, tx, position = (np.array(column) for column in zip(*ticks))
+    base = [np.cumsum(steps, dtype=np.uint64), tx, position]
+    middle, later = len(ticks) // 2, shares[: len(ids) - 1]
+    for column in (base[SIGNED[share]] for share in later if share in SIGNED):
+        column[middle] = math.copysign(0.0, column[middle])
+    columns = [base]
+    for share in later:
+        mine = base if share == "same" else [column.copy() for column in base]
+        if share == "shorter":
+            mine = [column[:-1] for column in mine]
+        elif share == "seq":
+            mine[0] += np.uint64(1)
+        elif share in SIGNED:
+            mine[SIGNED[share]][middle] *= -1
+        columns.append(mine)
+    records = {}
+    for rid, (seq, tx, position), latency in zip(ids, columns, latencies):
+        latency = np.array([math.nan if v is None else v for v in latency[: len(seq)]])
+        records[rid] = PacketColumns(seq, tx, position, tx + latency)
+    return columns_log(records)
+
+
+# Ids a %-template or a JSON string could mangle.
+tricky_ids = st.sampled_from(["%", "%r", "%%s", '"', "\\", "\u00e9\u2603", "rsu0"]) | st.text(
+    min_size=1, max_size=4
+)
+tick_rows = st.lists(st.tuples(st.integers(1, 2**60), floats, floats), min_size=2, max_size=8)
+latencies = st.lists(
+    st.lists(st.none() | st.floats(0, 1e6), min_size=8, max_size=8), min_size=3, max_size=3
+)
+
+
+@given(
+    ids=st.lists(tricky_ids, min_size=2, max_size=3, unique=True),
+    ticks=tick_rows,
+    shares=st.lists(st.sampled_from(SHARES), min_size=2, max_size=2),
+    latencies=latencies,
+)
+# 0.0 == -0.0, but their text differs: equal numbers are not equal text.
+@example(
+    ids=["rsu0", "%r"],
+    ticks=[(1, 0.0, -10.0), (1, 0.05, 5.0)],
+    shares=["train_d_t_m", "same"],
+    latencies=[[0.001] * 8, [0.002] * 8, [None] * 8],
+)
+@example(
+    ids=['"', "%", "\\"],
+    ticks=[(1, 0.0, -10.0), (1, -1.0, 5.0), (1, 0.05, 7.0)],
+    shares=["copy", "tx_time_s"],
+    latencies=[[None, 0.5] * 4, [0.25] * 8, [None] * 8],
+)
+@example(
+    ids=["rsu0", "obu0", "\u00e9"],
+    ticks=[(1, 0.0, -10.0), (1, 0.05, 5.0)],
+    shares=["seq", "shorter"],
+    latencies=[[0.001] * 8, [None] * 8, [0.003] * 8],
+)
+def test_receivers_sharing_ticks_write_json_lines(
+    tmp_path_factory, ids, ticks, shares, latencies
+):
+    log = sharing_log(ids, ticks, shares, latencies)
+    path = tmp_path_factory.mktemp("logs") / "pass.log.jsonl"
+    write_log(log, path)
+    data = path.read_bytes()
+    assert data.decode().splitlines()[1:] == [
+        json_line(packet) for rid in ids for packet in packet_rows(log.records[rid], rid)
+    ]
+    assert log_bytes(read_log(path)) == data
+
+
+@pytest.mark.parametrize("column", ["tx_time_s", "train_d_t_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_of_a_later_receiver_writes_no_file(tmp_path, column, value):
+    seq, tx, position = np.arange(3), np.array([0.0, 0.05, 0.1]), np.array([-10.0, -5.0, 0.0])
+    own = {"tx_time_s": tx.copy(), "train_d_t_m": position.copy()}
+    own[column][2] = value
+    log = columns_log(
+        {
+            "rsu0": PacketColumns(seq, tx, position, tx + 0.001),
+            "obu0": PacketColumns(seq, own["tx_time_s"], own["train_d_t_m"], tx + 0.002),
+        }
+    )
+    message = f"Out of range float values are not JSON compliant: {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_log(log, tmp_path / "pass.log.jsonl")
+    assert list(tmp_path.iterdir()) == []
