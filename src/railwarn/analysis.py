@@ -217,8 +217,6 @@ def safeness_report(
     """
     is_report = isinstance(coverage, CoverageReport)
     warning_range = coverage.warning_range_m if is_report else float(coverage)
-    if warning_range < 0:
-        raise ValueError("warning range must be >= 0")
     rows = [
         safeness_curve(train_speed_mps, warning_range, speed, road, reaction_s, system_delay_s)
         for speed in vehicle_speeds_mph

@@ -244,14 +244,13 @@ def _cmd_safeness(args) -> tuple:
             if getattr(args, flag) is not None:
                 raise ConfigError(f"--{flag} applies only with --coverage-from, not --dwarn")
         warning_range = args.dwarn
-    report = an.safeness_report(
-        warning_range,
-        args.train_speed,
-        vehicle_speeds_mph=args.vehicle_speeds,
-        roads=args.roads,
-        reaction_s=args.tr,
-        system_delay_s=args.ts,
-    )
+    try:
+        report = an.safeness_report(
+            warning_range, args.train_speed, args.vehicle_speeds, args.roads, args.tr, args.ts
+        )
+    except ValueError as exc:  # each flag is finite, but the model overflows
+        source = "--coverage-from" if args.coverage_from else "--dwarn"
+        raise ConfigError(f"{source}, --train-speed, --tr and --ts: {exc}") from None
     lines = [
         f"warning range {warning_range:g} m, train speed {args.train_speed:.4f} m/s, "
         f"reaction {args.tr:g} s, system delay {args.ts:g} s"

@@ -1,19 +1,21 @@
 """Timing-budget math for a radio warning system at a railroad grade crossing.
 
-The model tracks a handful of time components for a train approaching a
-crossing and a road vehicle that must be warned in time to stop:
+A train at speed v approaches a crossing, and a road vehicle must be warned
+in time to stop. With a warning range d_warn, driver reaction tr (default
+3.5 s), warning-system delay ts (propagation plus processing, default 5 ms),
+vehicle braking tb (from the stopping-distance table below) and a train t
+seconds from the crossing, each formula is stated once:
 
-* time for the train to reach the crossing, from its distance and speed
-* time available to act once a warning can be raised at the warning range
-* driver reaction time (default 3.5 s)
-* warning-system delay, propagation plus processing (default 5 ms)
-* vehicle braking time, taken from the stopping-distance table below
+* stop budget = tr + ts + tb, summed in that order (_stop_budget_s)
+* available time T = d_warn / v (time_to_avoid_collision)
+* protection margin = T - stop budget; <= 0 means the system failed
+* level = (t - stop budget) / margin, NaN at a zero margin (safeness_level):
+  0 is exactly enough time left to stop, 1 the whole budget still in hand
+* minimum required range = v * stop budget, with ts = 0 unless given
+  (minimum_required_range); a safeness curve's level-0 distance is it with ts
 
-Whatever remains of the available time after reaction, system delay and
-braking is the protection margin the system grants the driver. The safeness
-level normalises the train's remaining travel time against that budget:
-level 0 means exactly enough time left to stop, level 1 means the full
-warning-range budget is still in hand.
+Every input and result is finite: a NaN, an infinity or an overflow raises
+ValueError, as do a negative time or range and a speed <= 0.
 
 Vehicle stopping distances are the averages published in the Virginia
 driver's manual for 25-65 mph on dry and wet pavement. The table's m/s
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+from .units import require_finite
 
 DEFAULT_REACTION_S = 3.5
 DEFAULT_SYSTEM_DELAY_S = 0.005
@@ -88,20 +90,16 @@ class SafenessCategory(str, Enum):
 class SafenessResult:
     """Normalised safety margin and its classification.
 
-    level is NaN when the margin denominator degenerates to zero. When the
-    system has failed (no positive protection margin) the category is forced
-    to NOT_SAFE even if the raw level came out positive, which happens when
-    numerator and denominator are both negative.
+    level is NaN when the protection margin is zero. When the system has
+    failed (protection_s <= 0) the category is NOT_SAFE even if the raw level
+    came out positive, as it does when numerator and denominator are both
+    negative.
     """
 
     level: float
     category: SafenessCategory
     system_failed: bool
-
-
-def _check_road(road: str) -> None:
-    if road not in ROADS:
-        raise ValueError(f"road must be one of {ROADS}, got {road!r}")
+    protection_s: float
 
 
 def braking_time(vehicle_speed_mph: float, road: str = "dry") -> float:
@@ -111,9 +109,19 @@ def braking_time(vehicle_speed_mph: float, road: str = "dry") -> float:
     interpolate the stopping distance and the tabulated m/s value linearly
     before dividing. Speeds outside the table raise.
     """
-    _check_road(road)
+    if road not in ROADS:
+        raise ValueError(f"road must be one of {ROADS}, got {road!r}")
     distance = _interpolate(vehicle_speed_mph, f"{road}_m")
     return distance / _interpolate(vehicle_speed_mph, "speed_mps")
+
+
+def _stop_budget_s(reaction_s: float, system_delay_s: float, braking_s: float) -> float:
+    """reaction + system delay + braking, each >= 0, and the sum finite."""
+    if min(reaction_s, system_delay_s, braking_s) < 0:
+        raise ValueError("reaction, system delay and braking times must be >= 0")
+    budget = reaction_s + system_delay_s + braking_s
+    require_finite(stop_budget_s=budget)  # a NaN or infinite time, or an overflow
+    return budget
 
 
 def time_to_avoid_collision(warning_range_m: float, train_speed_mps: float) -> float:
@@ -122,7 +130,9 @@ def time_to_avoid_collision(warning_range_m: float, train_speed_mps: float) -> f
         raise ValueError("train speed must be positive")
     if warning_range_m < 0:
         raise ValueError("warning range must be >= 0")
-    return warning_range_m / train_speed_mps
+    budget = warning_range_m / train_speed_mps
+    require_finite(train_speed_mps=train_speed_mps, time_to_avoid_collision_s=budget)
+    return budget
 
 
 def safeness_level(
@@ -132,35 +142,25 @@ def safeness_level(
     system_delay_s: float,
     braking_s: float,
 ) -> SafenessResult:
-    """Classify the current instant of an approach.
-
-    level = (t_train - stop_budget) / (t_available - stop_budget) where
-    stop_budget = reaction + system delay + braking. Categories: level < 0
-    not safe, 0 <= level < 1 safe but close, level >= 1 no risk. A
-    non-positive denominator means the system failed: the category is
-    NOT_SAFE regardless of the raw level, and the level is NaN when the
-    denominator is exactly zero.
-    """
+    """Classify the current instant of an approach: level < 0 not safe,
+    0 <= level < 1 safe but close, level >= 1 no risk, and not safe whenever
+    the system failed, whatever the level."""
+    require_finite(
+        time_to_crossing_s=time_to_crossing_s,
+        time_to_avoid_collision_s=time_to_avoid_collision_s,
+    )
     if time_to_crossing_s < 0 or time_to_avoid_collision_s < 0:
         raise ValueError("times must be >= 0")
-    if min(reaction_s, system_delay_s, braking_s) < 0:
-        raise ValueError("reaction, system delay and braking times must be >= 0")
-    stop_budget = reaction_s + system_delay_s + braking_s
+    stop_budget = _stop_budget_s(reaction_s, system_delay_s, braking_s)
     margin = time_to_avoid_collision_s - stop_budget
-    if margin <= 0:
-        if margin == 0:
-            level = math.nan
-        else:
-            level = (time_to_crossing_s - stop_budget) / margin
-        return SafenessResult(level, SafenessCategory.NOT_SAFE, True)
-    level = (time_to_crossing_s - stop_budget) / margin
-    if level >= 1.0:
-        category = SafenessCategory.NO_RISK
-    elif level >= 0.0:
+    level = math.nan if margin == 0 else (time_to_crossing_s - stop_budget) / margin
+    if margin <= 0 or level < 0.0:
+        category = SafenessCategory.NOT_SAFE
+    elif level < 1.0:
         category = SafenessCategory.SAFE_BUT_CLOSE
     else:
-        category = SafenessCategory.NOT_SAFE
-    return SafenessResult(level, category, False)
+        category = SafenessCategory.NO_RISK
+    return SafenessResult(level, category, margin <= 0, margin)
 
 
 def minimum_required_range(
@@ -170,22 +170,22 @@ def minimum_required_range(
     system_delay_s: float = 0.0,
 ) -> float:
     """Minimum radio range a warning system must cover: train speed times the
-    time to react and brake. System delay is excluded by default; pass it
-    explicitly to fold it in."""
+    stop budget. System delay is excluded by default; pass it explicitly to
+    fold it in."""
     if train_speed_mps <= 0:
         raise ValueError("train speed must be positive")
-    if min(reaction_s, braking_s, system_delay_s) < 0:
-        raise ValueError("times must be >= 0")
-    return train_speed_mps * (reaction_s + braking_s + system_delay_s)
+    range_m = train_speed_mps * _stop_budget_s(reaction_s, system_delay_s, braking_s)
+    require_finite(train_speed_mps=train_speed_mps, minimum_required_range_m=range_m)
+    return range_m
 
 
 @dataclass(frozen=True)
 class SafenessCurve:
     """Safeness level swept over train distance for one vehicle case.
 
-    The level is linear in distance, so the 0- and 1-crossings are computed
-    analytically: level 0 at train_speed * stop_budget, level 1 at the
-    warning range. Their time separation equals the protection margin.
+    The level is linear in distance, so the 0- and 1-crossings are known:
+    level 0 at the minimum required range with the system delay, level 1 at
+    the warning range. Their time separation equals the protection margin.
     The train speed, range and time components are the report's.
     """
 
@@ -209,7 +209,7 @@ def safeness_curve(
     reaction_s: float = DEFAULT_REACTION_S,
     system_delay_s: float = DEFAULT_SYSTEM_DELAY_S,
 ) -> SafenessCurve:
-    """Evaluate the safeness level over CURVE_POINTS train distances.
+    """safeness_level at CURVE_POINTS train distances.
 
     The time budget is fixed by the warning range; only the train's
     remaining travel time varies along the sweep, which runs from the
@@ -219,26 +219,24 @@ def safeness_curve(
     total_budget = time_to_avoid_collision(warning_range_m, train_speed_mps)
     braking_s = braking_time(vehicle_speed_mph, road)
     top = warning_range_m * 1.25 if warning_range_m > 0 else 1.0
+    require_finite(top_distance_m=top)
     distances = tuple(top * i / (CURVE_POINTS - 1) for i in range(CURVE_POINTS))
-    if min(reaction_s, system_delay_s, braking_s) < 0:
-        raise ValueError("reaction, system delay and braking times must be >= 0")
-    stop_budget = reaction_s + system_delay_s + braking_s
-    margin = total_budget - stop_budget
-    # safeness_level at every distance, with the same float operations.
-    if margin == 0:
-        levels = (math.nan,) * len(distances)
-    else:
-        levels = tuple(((np.array(distances) / train_speed_mps - stop_budget) / margin).tolist())
+    results = [
+        safeness_level(d / train_speed_mps, total_budget, reaction_s, system_delay_s, braking_s)
+        for d in distances
+    ]
     return SafenessCurve(
         vehicle_speed_mph=vehicle_speed_mph,
         road=road,
         braking_s=braking_s,
         time_to_avoid_collision_s=total_budget,
         distances_m=distances,
-        levels=levels,
-        zero_cross_distance_m=train_speed_mps * stop_budget,
+        levels=tuple(result.level for result in results),
+        zero_cross_distance_m=minimum_required_range(
+            train_speed_mps, reaction_s, braking_s, system_delay_s
+        ),
         one_cross_distance_m=warning_range_m,
-        protection_s=margin,
-        # safeness_level's failure test, which holds at every distance alike.
-        system_failed=margin <= 0,
+        # The margin and the failure are the same at every distance.
+        protection_s=results[0].protection_s,
+        system_failed=results[0].system_failed,
     )

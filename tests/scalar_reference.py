@@ -10,6 +10,8 @@ original per-tick pass loop built from them:
 * link: path_loss_db, excess_at of one obstruction segment, per_at of
   an empirical profile and packet_success_probability at one position;
 * protocol: ReceiverState and receiver_ingest, fed one decode at a time;
+* safety: safeness_curve_levels, a curve's levels and protection margin
+  written out from the formulas, with none of the package's safety code;
 * log: PacketRecord rows, with columns_from_records and packet_rows to go
   between rows and PacketColumns;
 * reference_run_pass: per tick it calls the scalar layer functions
@@ -229,6 +231,22 @@ def receiver_ingest(
         packets_seen=len(distinct),
     )
     return state.event
+
+
+def safeness_curve_levels(
+    distances_m, train_speed_mps, warning_range_m, reaction_s, system_delay_s, braking_s
+) -> tuple:
+    """(levels, protection margin) of a safeness curve over distances_m.
+
+    level = (d / v - stop) / (d_warn / v - stop) with stop = tr + ts + tb;
+    every level is NaN when the margin (the denominator) is exactly 0.
+    """
+    stop = reaction_s + system_delay_s + braking_s
+    margin = warning_range_m / train_speed_mps - stop
+    levels = [
+        math.nan if margin == 0 else (d / train_speed_mps - stop) / margin for d in distances_m
+    ]
+    return levels, margin
 
 
 @dataclass(frozen=True)

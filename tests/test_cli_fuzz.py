@@ -16,14 +16,23 @@ vast or subnormal number), or the open-track PER table one mutation of one
 row (a cell replaced, the row cut short, dropped or duplicated). simulate
 then either writes its log, or exits 2 or 3 with exactly one error line,
 no stdout and no log.
+
+Safeness flags (test_safeness_flags_exit_0_1_or_2): --dwarn, --train-speed,
+--tr and --ts each take an edge value (zero of either sign, the smallest
+subnormal, a vast finite number, an overflowing literal), a value that is
+not a finite number, or a normal one. safeness then either writes two
+tables of finite numbers, or exits 1 or 2 with exactly one error line, no
+warning, no stdout and neither table.
 """
 
 import contextlib
+import csv
 import functools
 import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -244,3 +253,51 @@ def test_simulate_exits_0_2_or_3(tmp_path, data):
         assert re.fullmatch(r"error: (config|runtime): [^\n]*\n", err), err
         assert out == "" and not log_path.exists(), out
     assert not list(tmp_path.rglob("*.tmp*"))
+
+
+# Safeness flags: a normal value for each, or one of the edges and non-numbers.
+SAFENESS_NORMAL = {"--dwarn": "300", "--train-speed": "10mph", "--tr": "3.5", "--ts": "0.005"}
+SAFENESS_EDGES = ["0", "-0.0", "5e-324", "1e308", "1.7976931348623157e308", "1e400", "nan", ""]
+
+
+def numeric_cells(path: Path) -> list:
+    """Each row of a safeness CSV as (row, its numeric cells as floats)."""
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    text = ("road", "system_failed")
+    return [(row, {k: float(v) for k, v in row.items() if k not in text}) for row in rows]
+
+
+# Each example writes both tables afresh in the shared tmp_path.
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_safeness_flags_exit_0_1_or_2(tmp_path, data):
+    """safeness exits 0 and writes tables whose numbers are finite, save a
+    NaN level on a curve with a protection margin of exactly 0; or it exits
+    1 or 2 with one error line, no warning, no stdout and neither table."""
+    argv = ["safeness"]
+    for flag, normal in SAFENESS_NORMAL.items():
+        # One branch is the normal value alone, so that some examples run the model.
+        value = data.draw(st.one_of(st.just(normal), st.sampled_from(SAFENESS_EDGES)), label=flag)
+        argv.append(f"{flag}={value}")
+    out, curves = tmp_path / "safeness.csv", tmp_path / "curves.csv"
+    out.unlink(missing_ok=True)
+    curves.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run([*argv, "--out", str(out), "--curves-out", str(curves)])
+    event(f"safeness exit {code}")
+    assert code in (0, 1, 2), (argv, code, err)
+    if code:
+        assert re.fullmatch(r"error: (usage|config): [^\n]*\n", err), err
+        assert stdout == "" and not out.exists() and not curves.exists(), stdout
+        return
+    assert err == "" and not re.search(r"\b(nan|inf)\b", stdout, re.IGNORECASE), stdout
+    margins = {}
+    for row, cells in numeric_cells(out):
+        assert all(map(math.isfinite, cells.values())), (argv, row)
+        margins[row["vehicle_speed_mph"], row["road"]] = cells["protection_s"]
+    for row, cells in numeric_cells(curves):
+        if margins[row["vehicle_speed_mph"], row["road"]] == 0.0:
+            cells.pop("safeness_level")  # NaN: the level's denominator is 0
+        assert all(map(math.isfinite, cells.values())), (argv, row)

@@ -569,7 +569,8 @@ class TestPacketBudget:
 
 
 class TestSafenessFlags:
-    """Non-finite safeness inputs exit 2 and name the flag."""
+    """Non-finite safeness inputs exit 2 and name the flag; finite ones whose
+    safeness model overflows exit 2 naming the model's flags."""
 
     @pytest.mark.parametrize(
         "flag, argv",
@@ -589,6 +590,31 @@ class TestSafenessFlags:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: config: {flag} must be finite")
         assert "protection" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            # The stop budget overflows.
+            (
+                ["--dwarn", "300", "--train-speed", "10mph", "--tr", "1e308", "--ts", "1e308"],
+                "stop_budget_s",
+            ),
+            # The curve's top distance, 1.25 times the range, overflows.
+            (["--dwarn", "1.5e308", "--train-speed", "10mph"], "top_distance_m"),
+            # The range over the speed overflows.
+            (["--dwarn", "1e308", "--train-speed", "1e-300"], "time_to_avoid_collision_s"),
+        ],
+    )
+    def test_overflowing_model_rejected(self, tmp_path, capsys, argv, value):
+        out, curves = tmp_path / "s.csv", tmp_path / "c.csv"
+        assert main(["safeness", *argv, "--out", str(out), "--curves-out", str(curves)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: config: --dwarn, --train-speed, --tr and --ts: {value} must be finite, "
+            "got inf\n"
+        )
+        assert captured.out == ""
+        assert not out.exists() and not curves.exists()
 
 
 class TestSweepPoints:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scalar_reference import safeness_curve_levels
 
 from railwarn.safety import (
     BRAKING_TABLE,
@@ -228,6 +229,30 @@ class TestSafenessCurve:
             safeness_curve(5.0, 200.0, 25, "dry", **{component: -0.5})
 
 
+class TestFiniteInputs:
+    """A NaN, an infinity or an overflow raises ValueError naming the value."""
+
+    @pytest.mark.parametrize(
+        "function, args, name",
+        [
+            (time_to_avoid_collision, (math.nan, 5.0), "time_to_avoid_collision_s"),
+            (time_to_avoid_collision, (1e308, 1e-300), "time_to_avoid_collision_s"),
+            (time_to_avoid_collision, (100.0, math.inf), "train_speed_mps"),
+            (safeness_level, (math.inf, 10.0, 3.5, 0.005, 2.3), "time_to_crossing_s"),
+            (safeness_level, (1.0, math.nan, 3.5, 0.005, 2.3), "time_to_avoid_collision_s"),
+            (safeness_level, (1.0, 10.0, 1e308, 1e308, 2.3), "stop_budget_s"),
+            (safeness_level, (1.0, 10.0, math.nan, 0.005, 2.3), "stop_budget_s"),
+            (minimum_required_range, (1e308, 3.5, 2.3), "minimum_required_range_m"),
+            (minimum_required_range, (math.inf, 0.0, 0.0), "train_speed_mps"),
+            (safeness_curve, (10.0, 1.5e308, 25), "top_distance_m"),
+            (safeness_curve, (10.0, 1e308, 25), "time_to_crossing_s"),
+        ],
+    )
+    def test_rejected(self, function, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            function(*args)
+
+
 @st.composite
 def curve_inputs(draw):
     """safeness_curve arguments; about half have a protection margin of exactly 0."""
@@ -245,14 +270,25 @@ def curve_inputs(draw):
     return speed, warning, vehicle, road, reaction, delay
 
 
+# The defaults at 25 mph on a dry road: summing the stop budget as
+# reaction + braking + delay gives the last digit of a different float.
+DEFAULT_STOP_S = 3.5 + 0.005 + braking_time(25.0, "dry")
+
+
 @given(inputs=curve_inputs())
-def test_curve_levels_equal_safeness_level(inputs):
+@example(inputs=(mph_to_mps(10), 200.0, 25.0, "dry", 3.5, 0.005))
+@example(inputs=(4.0, DEFAULT_STOP_S * 4.0, 25.0, "dry", 3.5, 0.005))
+def test_curve_matches_scalar_reference(inputs):
     speed, warning, vehicle, road, reaction, delay = inputs
     curve = safeness_curve(speed, warning, vehicle, road, reaction, delay)
-    budget = time_to_avoid_collision(warning, speed)
-    expected = [
-        safeness_level(d / speed, budget, reaction, delay, curve.braking_s)
-        for d in curve.distances_m
-    ]
-    assert list(map(repr, curve.levels)) == [repr(result.level) for result in expected]
-    assert all(result.system_failed == curve.system_failed for result in expected)
+    tb = curve.braking_s
+    levels, margin = safeness_curve_levels(curve.distances_m, speed, warning, reaction, delay, tb)
+    assert list(map(repr, curve.levels)) == list(map(repr, levels))
+    assert curve.system_failed == (margin <= 0)
+    assert curve.protection_s == margin
+    # The level-0 distance is the minimum required range with the system
+    # delay, and a delay left out is a delay of 0.
+    assert curve.zero_cross_distance_m == minimum_required_range(speed, reaction, tb, delay)
+    assert minimum_required_range(speed, reaction, tb) == minimum_required_range(
+        speed, reaction, tb, 0.0
+    )
