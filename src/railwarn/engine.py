@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -302,16 +302,32 @@ def _log_name(index: int, point: SweepPoint) -> str:
     )
 
 
-def _run_point(job: tuple) -> tuple:
-    """One grid point's pass, written to its log path and analysed in the
-    process that ran it: (log name, point, packets, decoded, events,
-    warning range in m)."""
-    point, scenario, path = job
-    log = run_pass(scenario)
-    logio.write_log(log, path)
-    warning_range_m = analysis.coverage_report(log).warning_range_m
-    counts = (log.packet_count(), log.decoded_count(), len(log.events))
-    return (path.name, point, *counts, warning_range_m)
+def _run_points(jobs: list) -> list:
+    """Each grid point's pass, written to its log path and analysed in the
+    process that ran it: one (log name, point, packets, decoded, events,
+    warning range in m) row per job. The jobs' logs are written through one
+    tick-text holder, so points of one train run format its ticks once."""
+    ticks: list = []
+    rows = []
+    for point, scenario, path in jobs:
+        log = run_pass(scenario)
+        logio.write_log(log, path, ticks)
+        warning_range_m = analysis.coverage_report(log).warning_range_m
+        counts = (log.packet_count(), log.decoded_count(), len(log.events))
+        rows.append((path.name, point, *counts, warning_range_m))
+    return rows
+
+
+def _pieces(jobs: list, workers: int) -> list:
+    """The jobs cut into contiguous pieces, in order: each run of jobs with one
+    train run and transmit period splits into min(workers, its length) pieces."""
+    pieces = []
+    for _, group in groupby(jobs, lambda job: (job[1].train, job[1].radio.tx_period_s)):
+        group = list(group)
+        count = min(workers, len(group))
+        bounds = [len(group) * i // count for i in range(count + 1)]
+        pieces += [group[start:end] for start, end in zip(bounds, bounds[1:])]
+    return pieces
 
 
 def run_sweep(
@@ -337,10 +353,16 @@ def run_sweep(
     Then out_dir is made and its summary.csv removed, and the process that
     runs each pass writes its log there as point<index>_v<speed>_p<power>
     _<modulation>_<antenna>_s<seed>.log.jsonl and computes its coverage; no
-    log comes back. The result is one row per point, in grid order: (log
-    name, SweepPoint, packets, decoded, events, warning_range_m), and
-    summary.csv, written last through logio.commit, lists them. A failed
-    sweep deletes the files at its log names and writes no summary.csv.
+    log comes back. Consecutive points with one train run and transmit
+    period write the same tick columns, so they are cut into at most
+    max_workers contiguous pieces, each run by one process through one
+    tick-text holder (_run_points): a piece formats its run's tick text
+    once, and a process holds one pass's tick text at most. Which points
+    share a piece changes no byte. The result is one row per point, in
+    grid order: (log name, SweepPoint, packets, decoded, events,
+    warning_range_m), and summary.csv, written last through logio.commit,
+    lists them. A failed sweep deletes the files at its log names and
+    writes no summary.csv.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
     powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
@@ -374,9 +396,10 @@ def run_sweep(
             # Leaving the pool waits for every running pass, so no worker
             # writes a log after a failure is handled below.
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_point, jobs))
+                pieces = pool.map(_run_points, _pieces(jobs, workers))
+                results = [row for piece in pieces for row in piece]
         else:
-            results = [_run_point(job) for job in jobs]
+            results = _run_points(jobs)
         keys = [field.name for field in dataclasses.fields(SweepPoint)]
         header = ["log", *keys, "packets", "decoded", "events", "warning_range_m"]
         rows = [[row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results]

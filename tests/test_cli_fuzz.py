@@ -17,6 +17,14 @@ row (a cell replaced, the row cut short, dropped or duplicated). simulate
 then either writes its log, or exits 2 or 3 with exactly one error line,
 no stdout and no log.
 
+Sweep grid flags (test_sweep_grid_flags_exit_0_2_or_3): one of --speeds,
+--powers, --modulations, --antennas and --seeds of a one-point suburban
+grid takes an empty item, a value of the wrong type, a non-finite, negative
+or vast one, alone or beside its normal value; or --workers a count that
+starts no process. sweep then either writes one log per point and its
+summary.csv, or exits 2 or 3 with exactly one error line, no stdout, no log
+and no summary.csv.
+
 Safeness flags (test_safeness_flags_exit_0_1_or_2): --dwarn, --train-speed,
 --tr and --ts each take an edge value (zero of either sign, the smallest
 subnormal, a vast finite number, an overflowing literal), a value that is
@@ -32,6 +40,7 @@ import io
 import json
 import math
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -301,3 +310,60 @@ def test_safeness_flags_exit_0_1_or_2(tmp_path, data):
         if margins[row["vehicle_speed_mph"], row["road"]] == 0.0:
             cells.pop("safeness_level")  # NaN: the level's denominator is 0
         assert all(map(math.isfinite, cells.values())), (argv, row)
+
+
+# Sweep grid flags: one flag of a one-point suburban grid takes one mutation.
+SWEEP_NORMAL = {
+    "--speeds": "40mph",
+    "--powers": "23",
+    "--modulations": "QPSK",
+    "--antennas": "omni12",
+    "--seeds": "7",
+}
+SWEEP_MUTATIONS = {
+    "empty item": ["", " "],
+    "wrong type": ["x", "1.5.2", "[]", "QPSK", "1.5", "-"],
+    "non-finite": ["nan", "inf", "-inf", "Infinity", "nanmph"],
+    "negative": ["-1", "-0.0", "-40mph", "-1e308"],
+    "vast": ["1e308", "1e308mph", "1e400"],
+}
+# Worker counts that start no process.
+BAD_WORKERS = ["abc", "0", "-1", "1.5", ""]
+
+
+# Each example sweeps into the shared tmp_path's sweep/, removed first.
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sweep_grid_flags_exit_0_2_or_3(tmp_path, data):
+    """sweep exits 0 with one log per grid point and a summary, or exits 2
+    or 3 with one error line, no warning, no stdout, no log and no summary."""
+    flag = data.draw(st.sampled_from([*SWEEP_NORMAL, "--workers"]), label="flag")
+    grid = dict(SWEEP_NORMAL, **{"--workers": "1"})
+    if flag == "--workers":
+        grid[flag] = data.draw(st.sampled_from(BAD_WORKERS), label="value")
+    else:
+        mutation = data.draw(st.sampled_from(sorted(SWEEP_MUTATIONS)), label="mutation")
+        value = data.draw(st.sampled_from(SWEEP_MUTATIONS[mutation]), label="value")
+        # The mutated item alone, or beside the normal one: a one- or two-point grid.
+        places = [[value], [value, grid[flag]], [grid[flag], value]]
+        items = data.draw(st.sampled_from(places), label="items")
+        grid[flag] = ",".join(items)
+    out_dir = tmp_path / "sweep"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    argv = ["sweep", str(SUBURBAN), *[f"{k}={v}" for k, v in grid.items()]]
+    argv += ["--out-dir", str(out_dir)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv)
+    event(f"sweep {flag} exit {code}")
+    assert code in (0, 2, 3), (argv, code, err)
+    logs = sorted(out_dir.glob("*.log.jsonl")) if out_dir.exists() else []
+    if code == 0:
+        assert err == "" and (out_dir / "summary.csv").is_file(), err
+        assert out == f"wrote {len(logs)} logs and {out_dir / 'summary.csv'}\n"
+        with open(out_dir / "summary.csv", newline="") as handle:
+            assert len(list(csv.reader(handle))) == len(logs) + 1 <= 3
+    else:
+        assert re.fullmatch(r"error: (config|runtime): [^\n]*\n", err), (argv, err)
+        assert out == "" and logs == [] and not (out_dir / "summary.csv").exists(), argv
+    assert not list(tmp_path.rglob("*.tmp*"))

@@ -1010,6 +1010,30 @@ class TestSweepWorkers:
         assert sorted(Path(args[1]).name for args in calls["write_log"]) == logs
         assert len(logs) == len(calls["coverage_report"]) == 8
 
+    def test_one_worker_formats_each_train_run_once(self, tmp_path, monkeypatch):
+        # The benchmark's sweep_grid grid: 3 train runs of 8 points, each
+        # point a two-receiver pass that shares its tick text.
+        calls = []
+        original = logio._tick_text
+
+        def counted(packets, rows):
+            calls.append(len(packets))
+            return original(packets, rows)
+
+        monkeypatch.setattr(logio, "_tick_text", counted)
+        rows = run_sweep(
+            load_scenario(SUBURBAN),
+            speeds_mps=[parse_speed(s) for s in ("10mph", "20mph", "40mph")],
+            powers_dbm=[11.0, 23.0],
+            modulations=["QPSK", "16QAM"],
+            antennas=["omni12", "bidir23"],
+            max_workers=1,
+            out_dir=tmp_path,
+        )
+        # Speed is the grid's outer axis: rows 0, 8 and 16 start the train runs.
+        assert len(rows) == 24
+        assert calls == [row[2] // 2 for row in rows[::8]]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unwritable_log_exits_3(self, tmp_path, capsys, workers):
         # A failed sweep deletes the logs it wrote and the summary of an

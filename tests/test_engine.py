@@ -260,6 +260,38 @@ class TestRunSweep:
         parallel = swept_logs(tmp_path / "two", scenario, speeds_mps=speeds, max_workers=2)
         assert sequential == parallel
 
+    def test_uneven_pieces_match_one_worker(self, tmp_path, monkeypatch):
+        # Equal neighbouring speeds form one train run of 6 points, then two
+        # runs of 3: 2 and 3 workers cut them into pieces of unequal sizes.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        scenario = make_scenario(
+            scene=CrossingScene(receivers=(RSU, OBU)),
+            train=TrainRun(speed_mps=mph_to_mps(50), start_d_t_m=-200.0, end_d_t_m=200.0),
+        )
+        speeds = [mph_to_mps(v) for v in (20, 20, 50, 20)]
+        outputs = []
+        for workers in (1, 2, 3):
+            out_dir = tmp_path / f"w{workers}"
+            axes = dict(speeds_mps=speeds, seeds=[1, 2, 3], max_workers=workers)
+            logs = swept_logs(out_dir, scenario, **axes)
+            outputs.append((logs, (out_dir / "summary.csv").read_bytes()))
+        assert len(outputs[0][0]) == 12
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize(
+        "workers, sizes",
+        [(1, [6, 3, 3]), (2, [3, 3, 1, 2, 1, 2]), (3, [2, 2, 2, 1, 1, 1, 1, 1, 1])],
+    )
+    def test_pieces_cut_each_train_run(self, workers, sizes):
+        # Train runs of 6, 3 and 3 points; the last repeats the first.
+        base = make_scenario()
+        speeds = [8.0] * 6 + [9.0] * 3 + [8.0] * 3
+        runs = [dataclasses.replace(base.train, speed_mps=speed) for speed in speeds]
+        jobs = [(i, dataclasses.replace(base, train=run), None) for i, run in enumerate(runs)]
+        pieces = engine._pieces(jobs, workers)
+        assert [len(piece) for piece in pieces] == sizes
+        assert [job for piece in pieces for job in piece] == jobs
+
     def test_seed_grid(self, tmp_path):
         scenario = make_scenario(
             channel=PerProfile(bins=((-700.0, 700.0, 0.5),)),

@@ -5,12 +5,20 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_reference import PacketRecord, columns_from_records, packet_rows
 
 from railwarn.geometry import Placement
-from railwarn.logio import AnalysisDefaults, PacketColumns, SimLog, log_bytes, read_log, write_log
+from railwarn.logio import (
+    _NUMBER,
+    AnalysisDefaults,
+    PacketColumns,
+    SimLog,
+    log_bytes,
+    read_log,
+    write_log,
+)
 from railwarn.protocol import WarningEvent
 
 RECEIVER = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
@@ -210,3 +218,79 @@ def test_non_finite_value_of_a_later_receiver_writes_no_file(tmp_path, column, v
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_log(log, tmp_path / "pass.log.jsonl")
     assert list(tmp_path.iterdir()) == []
+
+
+# How a log in a sequence holds the tick columns of the sequence's first
+# rows: the same arrays, equal copies, copies with the other sign of zero in
+# one train_d_t_m, one ulp moved in one tx_time_s, or one row fewer.
+VARIANTS = ("same", "copy", "sign", "ulp", "shorter")
+
+
+def variant_columns(base: list, variant: str) -> list:
+    if variant == "same":
+        return base
+    seq, tx, position = (column.copy() for column in base)
+    middle = len(seq) // 2
+    if variant == "sign":
+        position[middle] *= -1
+    elif variant == "ulp":
+        tx[middle] = math.nextafter(tx[middle], -math.inf if tx[middle] > 0 else math.inf)
+    elif variant == "shorter":
+        return [seq[:-1], tx[:-1], position[:-1]]
+    return [seq, tx, position]
+
+
+@given(
+    ticks=tick_rows,
+    logs=st.lists(
+        st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=2), min_size=1, max_size=5
+    ),
+    latency=st.none() | st.floats(0, 1e6),
+)
+# Two receivers sharing, one receiver, a zero of the other sign, the first
+# ticks again, one ulp, then a shorter log after a shared one.
+@example(
+    ticks=[(1, 0.0, -10.0), (1, 0.05, 5.0), (1, 0.1, 7.5)],
+    logs=[["same", "copy"], ["sign"], ["same"], ["ulp", "ulp"], ["copy", "shorter"]],
+    latency=0.001,
+)
+def test_logs_written_through_one_holder_keep_their_own_bytes(
+    tmp_path_factory, ticks, logs, latency
+):
+    steps, tx, position = (np.array(column) for column in zip(*ticks))
+    position[len(ticks) // 2] = 0.0  # a zero whose sign the "sign" variant flips
+    base = [np.cumsum(steps, dtype=np.uint64), tx, position]
+    path = tmp_path_factory.mktemp("logs") / "pass.log.jsonl"
+    latency = math.nan if latency is None else latency
+    holder: list = []
+    for variants in logs:
+        records = {}
+        for rid, variant in zip(("rsu0", "obu0"), variants):
+            seq, tx, position = variant_columns(base, variant)
+            records[rid] = PacketColumns(seq, tx, position, tx + latency)
+        log = columns_log(records)
+        write_log(log, path, holder)
+        assert path.read_bytes() == log_bytes(log)
+        # The holder keeps one tick text, formatted from the last receiver's tick columns.
+        held, text = holder
+        assert [c.tobytes() for c in held.columns()[:3]] == [
+            c.tobytes() for c in records[rid].columns()[:3]
+        ]
+        assert len(text) == len(records[rid])
+
+
+# The reader's number grammar as it was written with optional repeats.
+OPTIONAL_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+
+
+@settings(max_examples=300)
+@given(text=st.text(alphabet="0123456789.eE+-", max_size=12))
+@example(text="-0.5e+10")
+@example(text="01")
+@example(text="1.")
+@example(text="1e")
+def test_number_grammar_matches_its_optional_form(text):
+    matched = re.fullmatch(_NUMBER, text) is not None
+    assert matched == (re.fullmatch(OPTIONAL_NUMBER, text) is not None)
+    if matched:
+        assert json.loads(text) == float(text)
