@@ -36,7 +36,7 @@ from .link import (
 )
 from .logio import AnalysisDefaults
 from .protocol import TriggerPolicy
-from .units import check_field, mph_to_mps, read_numeric_table
+from .units import check_field, mph_to_mps, not_utf8, read_numeric_table
 
 _SECTIONS = ("scene", "radio", "channel", "latency", "train", "policy", "analysis")
 _TOP_KEYS = {"version", "seed", "antennas", *_SECTIONS}
@@ -252,9 +252,11 @@ def parse_config(data: dict, base_dir: Path) -> LoadedConfig:
 def load_config(path: str | Path) -> LoadedConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(not_utf8(path)) from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

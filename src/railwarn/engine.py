@@ -45,7 +45,7 @@ from .link import (
     profile_success_probability,
     snr_success_probability,
 )
-from .logio import AnalysisDefaults, PacketColumns, SimLog, _tick_count, pass_packets
+from .logio import AnalysisDefaults, PacketColumns, SimLog, pass_packets
 from .protocol import TriggerPolicy, first_warning, rsu_relay
 from .units import require_finite_fields
 
@@ -179,13 +179,11 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     scene = scenario.scene
     train = scenario.train
     period_s = scenario.radio.tx_period_s
-    ticks = _tick_count(train.duration_s, period_s)
     patterns = (
         scenario.resolve_pattern(scenario.radio.tx_antenna),
         scenario.resolve_pattern(scenario.radio.rx_antenna),
     )
-    times = np.arange(ticks) * period_s
-    positions = train.start_d_t_m + train.speed_mps * times
+    seq, times, positions = train.ticks(period_s)
     profile_success = None
     if isinstance(scenario.channel, PerProfile):
         profile_success = profile_success_probability(scenario.channel, positions)
@@ -201,7 +199,7 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     events: list = []
     for placement in scene.receivers:
         records[placement.id], event = _receiver_pass(
-            scenario, placement, effective_seed, times, positions, patterns, profile_success
+            scenario, placement, effective_seed, (seq, times, positions), patterns, profile_success
         )
         if event is not None:
             events.append(event)
@@ -222,16 +220,17 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     )
 
 
-def _receiver_pass(scenario, placement, seed, times, positions, patterns, success) -> tuple:
+def _receiver_pass(scenario, placement, seed, ticks, patterns, success) -> tuple:
     """One receiver's packet columns and warning event.
 
-    success holds the per-tick decode probability of an empirical channel
-    and is None for a synthetic one. Each draw is one block over all ticks
-    from the receiver's stream for its purpose.
+    ticks holds the pass's seq, tx_time_s and train_d_t_m columns
+    (TrainRun.ticks). success holds the per-tick decode probability of an
+    empirical channel and is None for a synthetic one. Each draw is one
+    block over all ticks from the receiver's stream for its purpose.
     """
     scene, radio, channel = scenario.scene, scenario.radio, scenario.channel
     latency = scenario.latency
-    ticks = len(times)
+    seq, times, positions = ticks
     geo = link_geometry(positions, placement, scene)
     if success is None:
         tx_pattern, rx_pattern = patterns
@@ -241,14 +240,14 @@ def _receiver_pass(scenario, placement, seed, times, positions, patterns, succes
         snr_db = mean_snr_db(positions, geo.range_m, gain, radio, channel, scene.obstructions)
         sigma = channel.shadowing_sigma_db
         if sigma > 0:
-            shadow = receiver_stream(seed, placement.id, "shadowing").normal(0.0, sigma, ticks)
+            shadow = receiver_stream(seed, placement.id, "shadowing").normal(0.0, sigma, len(seq))
             snr_db = snr_db - shadow
         success = snr_success_probability(snr_db, radio, channel)
-    decoded = receiver_stream(seed, placement.id, "decode").random(ticks) < success
+    decoded = receiver_stream(seed, placement.id, "decode").random(len(seq)) < success
     jitter = receiver_stream(seed, placement.id, "jitter")
     arrival = times + latency_sample(geo.range_m, latency, jitter)
     rx_time_s = np.where(decoded, arrival, np.nan)
-    packets = PacketColumns(np.arange(ticks, dtype=np.uint64), times, positions, rx_time_s)
+    packets = PacketColumns(seq, times, positions, rx_time_s)
     event = first_warning(
         placement.id,
         placement.kind,
@@ -302,19 +301,30 @@ def _log_name(index: int, point: SweepPoint) -> str:
     )
 
 
+def _train_run(job) -> tuple:
+    """What fixes a job's tick columns: its train run and transmit period."""
+    return job[1].train, job[1].radio.tx_period_s
+
+
 def _run_points(jobs: list) -> list:
     """Each grid point's pass, written to its log path and analysed in the
     process that ran it: one (log name, point, packets, decoded, events,
-    warning range in m) row per job. The jobs' logs are written through one
-    tick-text holder, so points of one train run format its ticks once."""
-    ticks: list = []
-    rows = []
-    for point, scenario, path in jobs:
+    warning range in m) row per job, in the jobs' order. The logs are
+    written through one logio.TextHolder, each train run's points by seed:
+    points of one train run format its ticks once, and points of one train
+    run and seed, whose packets arrive alike whatever the link budget,
+    format each decoded row's head once."""
+    runs = groupby(range(len(jobs)), lambda i: _train_run(jobs[i]))
+    order = [i for _, run in runs for i in sorted(run, key=lambda i: jobs[i][0].seed)]
+    holder = logio.TextHolder()
+    rows = [None] * len(jobs)
+    for i in order:
+        point, scenario, path = jobs[i]
         log = run_pass(scenario)
-        logio.write_log(log, path, ticks)
+        logio.write_log(log, path, holder)
         warning_range_m = analysis.coverage_report(log).warning_range_m
         counts = (log.packet_count(), log.decoded_count(), len(log.events))
-        rows.append((path.name, point, *counts, warning_range_m))
+        rows[i] = (path.name, point, *counts, warning_range_m)
     return rows
 
 
@@ -322,7 +332,7 @@ def _pieces(jobs: list, workers: int) -> list:
     """The jobs cut into contiguous pieces, in order: each run of jobs with one
     train run and transmit period splits into min(workers, its length) pieces."""
     pieces = []
-    for _, group in groupby(jobs, lambda job: (job[1].train, job[1].radio.tx_period_s)):
+    for _, group in groupby(jobs, _train_run):
         group = list(group)
         count = min(workers, len(group))
         bounds = [len(group) * i // count for i in range(count + 1)]

@@ -60,6 +60,18 @@ class TrainRun:
     def duration_s(self) -> float:
         return (self.end_d_t_m - self.start_d_t_m) / self.speed_mps
 
+    def ticks(self, period_s: float) -> tuple:
+        """The seq, tx_time_s and train_d_t_m columns of a pass transmitting every period_s."""
+        times = np.arange(tick_count(self.duration_s, period_s)) * period_s
+        seq = np.arange(len(times), dtype=np.uint64)
+        return seq, times, self.start_d_t_m + self.speed_mps * times
+
+
+def tick_count(duration_s: float, period_s: float) -> int:
+    """Transmit ticks of a pass: +1 for the packet at t = 0; a small epsilon
+    makes exact multiples round down consistently, not drop the last tick."""
+    return math.floor(duration_s / period_s + 1e-9) + 1
+
 
 @dataclass(frozen=True)
 class CrossingScene:

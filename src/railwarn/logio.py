@@ -11,14 +11,17 @@ warning events. Keys are sorted so identical logs are byte-identical. The
 reader checks each header field against its annotation and the pass's
 shape (_header_values), each event against the header (_event), and each
 decoded line's latency_s against its times (_first_fault), and that each
-receiver has a packet line and a simulated log its whole pass (_assemble).
-Every file the package writes goes through commit, all or nothing.
+receiver has a packet line and a simulated log its whole pass, its tick
+columns bitwise its train run's (_assemble). Every file the package
+writes goes through commit, all or nothing; a file read that is not UTF-8
+names path:line (units.utf8_text).
 
 A packet line has one layout, PACKET_LINE, keys sorted as json.dumps(...,
 sort_keys=True) writes them: the writer splits it into each receiver's head
 and each tick's text, which receivers whose tick columns are bitwise equal
-share, within a log and, through a holder the caller keeps, across logs
-(log_text); the reader fills it into one pattern. Packets move in
+share, within a log and, through a TextHolder the caller keeps, across
+logs, where a receiver's decoded heads are shared too (log_text); the
+reader fills it into one pattern. Packets move in
 chunks. The reader checks line 1 as the header, then matches packet lines
 with the pattern, converting their numbers with float() and int() as json
 does; any other line goes through json with the full checks.
@@ -39,9 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Placement, TrainRun
+from .geometry import Placement, TrainRun, tick_count
 from .protocol import WARNING_MODES, WarningEvent
-from .units import check_field, require_finite_fields
+from .units import check_field, require_finite_fields, utf8_text
 
 # Version 2 logs come from the keyed block streams (engine.receiver_stream);
 # version 1 logs came from one stream per receiver drawn tick by tick. Their
@@ -55,16 +58,10 @@ READABLE_LOG_VERSIONS = (1, 2)
 MAX_PACKETS = 4_000_000
 
 
-def _tick_count(duration_s: float, period_s: float) -> int:
-    # +1 for the packet at t = 0; small epsilon so exact multiples round down
-    # consistently instead of dropping the final tick to float dust.
-    return math.floor(duration_s / period_s + 1e-9) + 1
-
-
 def pass_packets(duration_s: float, period_s: float, receivers: int) -> int:
     """The packet records of a pass, ticks x receivers; over MAX_PACKETS raises ValueError."""
     # The ratio is bounded first: floor() of a vast one overflows.
-    ticks = _tick_count(duration_s, period_s) if duration_s / period_s <= MAX_PACKETS else math.inf
+    ticks = tick_count(duration_s, period_s) if duration_s / period_s <= MAX_PACKETS else math.inf
     if not ticks * receivers <= MAX_PACKETS:
         raise ValueError(
             f"pass needs {ticks} transmit ticks x {receivers} receiver(s) = "
@@ -228,44 +225,92 @@ def _tick_text(packets: PacketColumns, rows: slice) -> list:
     return [_TICK_LINE % row for row in zip(*columns)]
 
 
-def log_text(log: SimLog, ticks: list | None = None):
+def _heads(template: str, latency_s: np.ndarray, rx_time_s: np.ndarray) -> list:
+    """The heads of decoded rows with these times, formatted from a receiver's template."""
+    return [template % pair for pair in zip(latency_s.tolist(), rx_time_s.tolist())]
+
+
+class TextHolder:
+    """Text that log_text formats for one log and reuses for the next, which
+    a caller keeps across the logs it writes: one pass's tick text, as
+    (packets, text), and each receiver's decoded-row heads, as receiver id ->
+    (rx_time_s, latency_s, heads), row by row, where a row's head is held
+    only while its times are the ones it was formatted from (NaN elsewhere)."""
+
+    __slots__ = ("ticks", "heads")
+
+    def __init__(self):
+        self.ticks, self.heads = (), {}
+
+
+def _held_heads(holder: TextHolder, receiver_id, packets: PacketColumns, template: str):
+    """The receiver's held heads, brought up to this log: each decoded row's
+    held head is reused where its rx_time_s and latency_s are bitwise
+    equal to this row's, and formatted and held otherwise."""
+    held = holder.heads.get(receiver_id)
+    if held is None or len(held[0]) != len(packets):
+        held = (np.full(len(packets), math.nan), np.full(len(packets), math.nan))
+        held += (np.empty(len(packets), dtype=object),)
+    rx, latency, heads = held
+    changed = (rx.view(np.uint64) != packets.rx_time_s.view(np.uint64)) | (
+        latency.view(np.uint64) != packets.latency_s.view(np.uint64)
+    )
+    rows = np.flatnonzero(packets.decoded & changed)
+    rx[rows], latency[rows] = packets.rx_time_s[rows], packets.latency_s[rows]
+    heads[rows] = _heads(template, latency[rows], rx[rows])
+    return held
+
+
+def log_text(log: SimLog, holder: TextHolder | None = None):
     """The serialised log in pieces of whole lines, WRITE_BATCH_ROWS packet
     lines at most. %r of a float is float.__repr__, which json writes.
 
     A tick's text is formatted once, and the pass's is held while a later
     receiver's tick columns are bitwise equal to it; each receiver formats
-    only its head. ticks, a list the caller keeps, carries the held text
+    only its head. holder, a TextHolder the caller keeps, carries held text
     from one log to the next: given it, every receiver's tick text is held
     there, one pass's at most, and reused by a receiver of a later log
-    whose tick columns are bitwise equal. A row the log cannot hold raises
-    json's ValueError, naming the row's first value that is not finite.
+    whose tick columns are bitwise equal; and so is each receiver's decoded
+    heads, a head reused by a later log's row of that receiver whose
+    rx_time_s and latency_s are bitwise equal. So what is held changes no
+    byte. A row the log cannot hold raises json's ValueError, naming the
+    row's first value that is not finite.
     """
     yield _encode(_header_dict(log)) + "\n"
     receivers = [(receiver_id, log.records[receiver_id]) for receiver_id in log.receiver_ids()]
-    held = [] if ticks is None else ticks  # [packets, tick text] that a later receiver reuses
+    held = TextHolder() if holder is None else holder
+    heads_held = {}  # this log's receivers' heads, which the holder keeps after it
     for index, (receiver_id, packets) in enumerate(receivers):
         columns = packets.columns()[1:]
         bad = np.flatnonzero(_not_finite(*columns))
         if bad.size:
             value = next(v for v in (float(c[bad[0]]) for c in columns) if not math.isfinite(v))
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        if not (held and _same_ticks(held[0], packets)):
-            keep = ticks is not None or any(
+        if not (held.ticks and _same_ticks(held.ticks[0], packets)):
+            keep = holder is not None or any(
                 _same_ticks(packets, other) for _, other in receivers[index + 1 :]
             )
-            held[:] = (packets, _tick_text(packets, slice(None))) if keep else ()
+            held.ticks = (packets, _tick_text(packets, slice(None))) if keep else ()
         receiver = _encode(receiver_id)
         lost = _HEAD % ("false", "null", receiver, "null")
         decoded_head = _HEAD % ("true", "%r", receiver.replace("%", "%%"), "%r")
+        if holder is not None:
+            heads_held[receiver_id] = _held_heads(holder, receiver_id, packets, decoded_head)
+            heads = np.where(packets.decoded, heads_held[receiver_id][2], lost)
         for start in range(0, len(packets), WRITE_BATCH_ROWS):
             rows = slice(start, start + WRITE_BATCH_ROWS)
-            text = held[1][rows] if held else _tick_text(packets, rows)
-            decoded = packets.decoded[rows]
-            times = (c[rows][decoded].tolist() for c in (packets.latency_s, packets.rx_time_s))
-            heads = np.array([lost, *[decoded_head % pair for pair in zip(*times)]], dtype=object)
-            # A decoded row takes its own head, numbered from 1; a lost row head 0.
-            heads = heads[np.cumsum(decoded) * decoded].tolist()
-            yield "".join(itertools.chain.from_iterable(zip(heads, text)))
+            text = held.ticks[1][rows] if held.ticks else _tick_text(packets, rows)
+            if holder is None:
+                decoded = packets.decoded[rows]
+                times = (c[rows][decoded] for c in (packets.latency_s, packets.rx_time_s))
+                batch = np.array([lost, *_heads(decoded_head, *times)], dtype=object)
+                # A decoded row takes its own head, numbered from 1; a lost row head 0.
+                batch = batch[np.cumsum(decoded) * decoded]
+            else:
+                batch = heads[rows]
+            yield "".join(itertools.chain.from_iterable(zip(batch.tolist(), text)))
+    if holder is not None:
+        holder.heads = heads_held
     for event in log.events:
         yield _encode({"type": "event", **dataclasses.asdict(event)}) + "\n"
 
@@ -315,10 +360,10 @@ def commit(outputs, directory=None) -> None:
         raise
 
 
-def write_log(log: SimLog, path: str | Path, ticks: list | None = None) -> None:
+def write_log(log: SimLog, path: str | Path, holder: TextHolder | None = None) -> None:
     """Write the log to path, streamed in batches; a failed write leaves no
-    file. ticks is log_text's holder of tick text across logs."""
-    commit([(path, log_text(log, ticks))])
+    file. holder is log_text's holder of text across logs."""
+    commit([(path, log_text(log, holder))])
 
 
 def _reject_constant(name: str):
@@ -555,7 +600,7 @@ def read_log(path: str | Path) -> SimLog:
     packets = 0  # packet lines read so far
     parts: list = []  # column arrays of packet lines, in file order
     events: list = []
-    with open(path) as handle:
+    with utf8_text(path) as handle:
         first = handle.readline()
         try:
             obj, kind = _line_object(first) if first.strip() else (None, "blank")
@@ -604,6 +649,9 @@ def read_log(path: str | Path) -> SimLog:
     return _assemble(path, header, parts, events)
 
 
+_TICK_COLUMNS = ("seq", "tx_time_s", "train_d_t_m")
+
+
 def _assemble(path, header: dict, parts: list, events: list) -> SimLog:
     placements = header["receivers"]
     if parts:
@@ -615,21 +663,32 @@ def _assemble(path, header: dict, parts: list, events: list) -> SimLog:
     fault = _first_fault(columns, placements)
     if fault is not None:
         raise ValueError(f"{path}:{fault[0]}: {fault[1]}")
-    receiver, seq, tx, position, _, rx = columns[:6]
-    # Every receiver has a packet line, and in a simulated log one per tick of its pass.
+    receiver, seq, tx, position, _, rx, _, lines = columns
+    # Every receiver has a packet line, and in a simulated log one per tick
+    # of its train run, whose tick columns its own equal bitwise.
     ticks = None
     if header["train_speed_mps"] is not None:
-        ticks = _tick_count(header["duration_s"], header["tx_period_s"])
+        train = TrainRun(*(header[key] for key in ("train_speed_mps", "start_d_t_m", "end_d_t_m")))
+        ticks = train.ticks(header["tx_period_s"])
     for placement, count in zip(placements, np.bincount(receiver, minlength=len(placements))):
-        if count == 0 or (ticks is not None and count != ticks):
-            wanted = "at least 1" if ticks is None else f"the {ticks} of its pass"
+        if count == 0 or (ticks is not None and count != len(ticks[0])):
+            wanted = "at least 1" if ticks is None else f"the {len(ticks[0])} of its pass"
             raise ValueError(
                 f"{path}: receiver {placement.id!r} has {count} packet lines, not {wanted}"
             )
     records = {}
+    faults = []  # (line, column, tick) of each receiver's first row off its train run
     for index, placement in enumerate(placements):
         rows = receiver == index
-        records[placement.id] = PacketColumns(*(c[rows] for c in (seq, tx, position, rx)))
+        packets = records[placement.id] = PacketColumns(*(c[rows] for c in (seq, tx, position, rx)))
+        for column, derived in enumerate(ticks or ()):
+            mine = packets.columns()[column]
+            off = np.flatnonzero(mine.view(np.uint64) != derived.view(np.uint64))
+            faults += [(int(lines[rows][off[0]]), column, int(off[0]))] if off.size else []
+    if faults:
+        line, column, tick = min(faults)
+        name, value = _TICK_COLUMNS[column], ticks[column][tick].item()
+        raise ValueError(f"{path}:{line}: {name} must be {value!r} for seq {tick} of this train run")
     return SimLog(**header, records=records, events=events)
 
 
@@ -653,7 +712,7 @@ def read_field_log(path: str | Path) -> SimLog:
     """
     path = Path(path)
     seq, tx, position, decoded, rx, row_numbers = [], [], [], [], [], []
-    with open(path, newline="") as handle:
+    with utf8_text(path, newline="") as handle:
         reader = csv.reader(handle)
         fieldnames = next(reader, None)
         if fieldnames is None or not set(FIELD_COLUMNS).issubset(fieldnames):

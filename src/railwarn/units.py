@@ -5,6 +5,7 @@ the approach side), times in seconds, speeds in m/s, powers in dBm, gains in
 dBi. Miles per hour appear only at user-facing boundaries.
 """
 
+import contextlib
 import csv
 import dataclasses
 import math
@@ -56,6 +57,29 @@ def check_field(value, annotation, name: str):
     return float(value)
 
 
+@contextlib.contextmanager
+def utf8_text(path, newline=None):
+    """path opened as UTF-8 text. A byte that does not decode raises
+    ValueError naming path:line; the line is found only then."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError:
+        raise ValueError(not_utf8(path)) from None
+
+
+def not_utf8(path) -> str:
+    """Where a file's first byte that is not UTF-8 lies, as path:line."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                line.decode()
+            except UnicodeDecodeError as exc:
+                byte = line[exc.start]
+                return f"{path}:{number}: byte 0x{byte:02x} at column {exc.start + 1} is not UTF-8"
+    return f"{path}: not UTF-8"
+
+
 def read_numeric_table(path, columns: tuple, what: str) -> list:
     """The rows of a CSV file with a header line, as tuples of floats in the
     order of columns; other columns are ignored.
@@ -64,7 +88,7 @@ def read_numeric_table(path, columns: tuple, what: str) -> list:
     ValueError naming path:line and the column.
     """
     rows = []
-    with open(path, newline="") as handle:
+    with utf8_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
             raise ValueError(f"{what} CSV {path} must have columns {','.join(columns)}")

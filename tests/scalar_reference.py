@@ -39,6 +39,7 @@ from railwarn.geometry import (
     _default_rx_boresight,
     _unit,
     receiver_position,
+    tick_count,
     wrap_angle_deg,
 )
 from railwarn.link import (
@@ -48,7 +49,7 @@ from railwarn.link import (
     SyntheticChannel,
     latency_sample,
 )
-from railwarn.logio import PacketColumns, SimLog, _tick_count
+from railwarn.logio import PacketColumns, SimLog
 from railwarn.protocol import TriggerPolicy, WarningEvent, rsu_relay
 
 
@@ -320,7 +321,7 @@ def reference_run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     effective_seed = scenario.seed if seed is None else seed
     train = scenario.train
     period_s = scenario.radio.tx_period_s
-    ticks = _tick_count(train.duration_s, period_s)
+    ticks = tick_count(train.duration_s, period_s)
     synthetic = isinstance(scenario.channel, SyntheticChannel)
     tx_pattern = scenario.resolve_pattern(scenario.radio.tx_antenna)
     rx_pattern = scenario.resolve_pattern(scenario.radio.rx_antenna)

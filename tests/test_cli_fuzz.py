@@ -2,20 +2,23 @@
 
 Read side (test_one_mutation_exits_0_or_3): a simulated suburban log and
 its RSU's packets as a field capture each take one mutation: a key
-dropped, a value of the wrong type, a line cut short, or a NaN or infinity
-put in; or, in the log, a decoded line's latency_s moved one ulp off
-rx_time_s - tx_time_s. analyze, coverage and safeness --coverage-from then
-read the result in-process. Each either succeeds, printing no NaN or
-infinity, or exits 3 with exactly one `error: runtime:` line and no
-stdout. Half the examples find every output path taken by a directory;
-those, and a moved latency_s, must exit 3 and write nothing.
+dropped, a value of the wrong type, a line cut short, a NaN or infinity
+put in, or a byte that is not UTF-8 inserted; or, in the log, a decoded
+line's latency_s moved one ulp off rx_time_s - tx_time_s. analyze,
+coverage and safeness --coverage-from then read the result in-process.
+Each either succeeds, printing no NaN or infinity, or exits 3 with
+exactly one `error: runtime:` line and no stdout. Half the examples find
+every output path taken by a directory; those, a moved latency_s and a
+byte that is not UTF-8 must exit 3 and write nothing, the last naming
+path:line.
 
 Write side (test_simulate_exits_0_2_or_3): a shipped config takes one
 mutation of one key (dropped, a wrong type, a non-finite literal, or a
 vast or subnormal number), or the open-track PER table one mutation of one
-row (a cell replaced, the row cut short, dropped or duplicated). simulate
-then either writes its log, or exits 2 or 3 with exactly one error line,
-no stdout and no log.
+row (a cell replaced, the row cut short, dropped or duplicated); or
+either file takes a byte that is not UTF-8. simulate then either writes
+its log, or exits 2 or 3 with exactly one error line, no stdout and no
+log; a byte that is not UTF-8 exits 2 naming path:line.
 
 Sweep grid flags (test_sweep_grid_flags_exit_0_2_or_3): one of --speeds,
 --powers, --modulations, --antennas and --seeds of a one-point suburban
@@ -58,7 +61,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUBURBAN = CONFIGS / "suburban_rsu_10mph.json"
 
 # The last mutation applies to a decoded packet line; a capture has no latency_s.
-MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite", "latency_s one ulp")
+MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite", "not UTF-8", "latency_s one ulp")
+# A lone surrogate, which write_text(errors="surrogateescape") writes as the byte 0xff.
+NOT_UTF8 = "\udcff"
 WRONG_TYPES = ["x", "", None, True, [], [1.0], {}, {"a": 1}, 1.5, -1, 2**64]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 NON_FINITE_TEXTS = ["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"]
@@ -94,8 +99,16 @@ def mutate_json(line: str, mutation: str, data) -> str:
     return json.dumps(whole, sort_keys=True)  # writes NaN and Infinity literals
 
 
-def mutate_csv(line: str, data) -> str:
-    mutation = data.draw(st.sampled_from(MUTATIONS[:-1]), label="mutation")
+def insert_not_utf8(text: str, data) -> str:
+    at = data.draw(st.integers(0, len(text)), label="insert at")
+    return text[:at] + NOT_UTF8 + text[at:]
+
+
+def write_bytes(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+
+
+def mutate_csv(line: str, mutation: str, data) -> str:
     if mutation == "truncate":
         return line[: data.draw(st.integers(0, len(line) - 1), label="cut at")]
     cells = line.split(",")
@@ -116,15 +129,16 @@ def run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_clean(argv: list, tmp_path: Path, fails: bool) -> None:
+def assert_clean(argv: list, tmp_path: Path, fails: bool, names: str = "") -> None:
     """The command exits 0, or 3 with one error line and no stdout; when it
-    fails (outputs blocked, or latency_s moved) it exits 3. No temp file is
-    left, and nothing in blocked/."""
+    fails (outputs blocked, latency_s moved, or a byte not UTF-8) it exits
+    3, and its error starts with names. No temp file is left, and nothing
+    in blocked/."""
     code, out, err = run(argv)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 3), (argv, code, err)
     if code == 3:
-        assert err.startswith("error: runtime: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: runtime: {names}") and err.count("\n") == 1, err
         assert out == "" and ".tmp" not in err, (out, err)
     else:
         # A success reports numbers, never a NaN or an infinity.
@@ -157,26 +171,26 @@ def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
     for name in BLOCKED:
         (tmp_path / "blocked" / name).mkdir(parents=True, exist_ok=True)
     checked = functools.partial(assert_clean, tmp_path=tmp_path, fails=blocked)
-    if data.draw(st.booleans(), label="field capture"):
-        lines = list(field_lines)
+    field = data.draw(st.booleans(), label="field capture")
+    lines = list(field_lines if field else log_lines)
+    mutation = data.draw(st.sampled_from(MUTATIONS[: -1 if field else None]), label="mutation")
+    if mutation == "latency_s one ulp":
+        decoded = [n for n, line in enumerate(lines) if '"decoded": true' in line]
+        index = data.draw(st.sampled_from(decoded), label="line")
+        checked = functools.partial(checked, fails=True)
+    else:
         index = pick_line(lines, data)
-        lines[index] = mutate_csv(lines[index], data)
-        path = tmp_path / "capture.csv"
-        path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / ("capture.csv" if field else "pass.log.jsonl")
+    if mutation == "not UTF-8":
+        lines[index] = insert_not_utf8(lines[index], data)
+        checked = functools.partial(checked, fails=True, names=f"{path}:{index + 1}: ")
+    else:
+        lines[index] = (mutate_csv if field else mutate_json)(lines[index], mutation, data)
+    write_bytes(path, "\n".join(lines) + "\n")
+    if field:
         checked(["analyze", str(path), "--field-csv", "--out-dir", str(out)])
         checked(["coverage", str(path), "--field-csv", "--out", str(out / "coverage.csv")])
     else:
-        lines = list(log_lines)
-        mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
-        if mutation == "latency_s one ulp":
-            decoded = [n for n, line in enumerate(lines) if '"decoded": true' in line]
-            index = data.draw(st.sampled_from(decoded), label="line")
-            checked = functools.partial(checked, fails=True)
-        else:
-            index = pick_line(lines, data)
-        lines[index] = mutate_json(lines[index], mutation, data)
-        path = tmp_path / "pass.log.jsonl"
-        path.write_text("\n".join(lines) + "\n")
         checked(["analyze", str(path), "--out-dir", str(out)])
         checked(["coverage", str(path), "--out", str(out / "coverage.csv")])
         checked(
@@ -244,18 +258,29 @@ def test_simulate_exits_0_2_or_3(tmp_path, data):
     name = data.draw(st.sampled_from(SHIPPED), label="config")
     config = json.loads((CONFIGS / name).read_text())
     rows = (CONFIGS / "open_track_per.csv").read_text().splitlines()
-    if name.startswith("open_track") and data.draw(st.booleans(), label="mutate the PER table"):
+    config_path, table_path = tmp_path / "scenario.json", tmp_path / "open_track_per.csv"
+    per_table = name.startswith("open_track") and data.draw(st.booleans(), label="PER table")
+    not_utf8 = data.draw(st.booleans(), label="insert a byte that is not UTF-8")
+    if per_table and not not_utf8:
         mutate_rows(rows, data)
-    else:
+    elif not per_table and not not_utf8:
         mutate_key(config, data)
-    (tmp_path / "open_track_per.csv").write_text("\n".join(rows) + "\n")
-    config_path = tmp_path / "scenario.json"
-    config_path.write_text(json.dumps(config))  # writes NaN and Infinity literals
+    table, text = "\n".join(rows) + "\n", json.dumps(config)  # writes NaN and Infinity literals
+    named = None  # the path:line a byte not UTF-8 is in
+    if not_utf8:
+        path, before = (table_path, table) if per_table else (config_path, text)
+        after = insert_not_utf8(before, data)
+        named = f"{path}:{after[: after.index(NOT_UTF8)].count(chr(10)) + 1}: "
+        table, text = (after, text) if per_table else (table, after)
+    write_bytes(table_path, table)
+    write_bytes(config_path, text)
     log_path = tmp_path / "pass.log.jsonl"
     log_path.unlink(missing_ok=True)
     code, out, err = run(["simulate", str(config_path), "-o", str(log_path)])
     event(f"simulate exit {code}")
     assert code in (0, 2, 3), (code, err)
+    if named:
+        assert code == 2 and err.startswith("error: config: ") and named in err, err
     if code == 0:
         assert err == "" and log_path.is_file(), err
     else:

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scalar_reference import packet_rows
 
@@ -926,6 +927,57 @@ class TestNumericTables:
         assert not output.exists()
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 names path:line: in a config or the tables it
+    names it exits 2, in a log or a field capture 3."""
+
+    def run(self, capsys, argv, code) -> str:
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_config(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"train":\n {"speed_mph": 10, "x\xff": 1}}\n')
+        err = self.run(capsys, ["simulate", str(path), "-o", str(tmp_path / "o.log")], 2)
+        assert err == f"error: config: {path}:2: byte 0xff at column 22 is not UTF-8\n"
+        assert not (tmp_path / "o.log").exists()
+
+    def test_per_table_and_antenna_cut(self, tmp_path, capsys):
+        (tmp_path / "per.csv").write_bytes(b"d_start_m,d_end_m,per\n-600,600,0.0\n\xfe\n")
+        config = {**MINIMAL, "channel": {"mode": "empirical", "per_table": "per.csv"}}
+        argv = ["simulate", str(write_config(tmp_path, config)), "-o", str(tmp_path / "o.log")]
+        err = self.run(capsys, argv, 2)
+        assert err.startswith(f"error: config: channel.per_table: {tmp_path / 'per.csv'}:3: ")
+        (tmp_path / "az.csv").write_bytes(b"angle_deg,gain_dbi\n0,9\n90,\xc3\n")
+        (tmp_path / "el.csv").write_text("angle_deg,gain_dbi\n0,9\n")
+        config = {
+            **MINIMAL,
+            "radio": {"rx_antenna": "aimed"},
+            "antennas": {"aimed": {"azimuth_csv": "az.csv", "elevation_csv": "el.csv"}},
+        }
+        argv = ["simulate", str(write_config(tmp_path, config)), "-o", str(tmp_path / "o.log")]
+        err = self.run(capsys, argv, 2)
+        assert err.startswith(f"error: config: antennas.aimed: {tmp_path / 'az.csv'}:3: ")
+
+    def test_log_and_field_capture(self, tmp_path, capsys):
+        path = tmp_path / "pass.log.jsonl"
+        assert main(["simulate", str(SUBURBAN), "-o", str(path)]) == 0
+        # Line 5001 lies past the reader's first batch of lines.
+        lines = path.read_bytes().split(b"\n")
+        lines[5000] = lines[5000][:20] + b"\xff" + lines[5000][20:]
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        for argv in (["coverage"], ["analyze", "--out-dir", str(tmp_path / "out")]):
+            err = self.run(capsys, [*argv, str(path)], 3)
+            assert err == f"error: runtime: {path}:5001: byte 0xff at column 21 is not UTF-8\n"
+        capture = tmp_path / "capture.csv"
+        capture.write_bytes(b"seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n0,0.0,-1\xff20,0,\n")
+        err = self.run(capsys, ["coverage", str(capture), "--field-csv"], 3)
+        assert err.startswith(f"error: runtime: {capture}:2: byte 0xff ")
+
+
 class TestLibraryMatchesCli:
     """A log carries its scenario's analysis settings whoever writes it."""
 
@@ -1033,6 +1085,40 @@ class TestSweepWorkers:
         # Speed is the grid's outer axis: rows 0, 8 and 16 start the train runs.
         assert len(rows) == 24
         assert calls == [row[2] // 2 for row in rows[::8]]
+
+    def test_one_worker_formats_each_head_once_per_train_run_and_seed(
+        self, tmp_path, monkeypatch
+    ):
+        # The benchmark's sweep_grid grid at two seeds: a row's head is
+        # formatted once for all points of its train run and seed that decode it.
+        formatted = []
+        original = logio._heads
+
+        def counted(*args):
+            heads = original(*args)
+            formatted.append(len(heads))
+            return heads
+
+        monkeypatch.setattr(logio, "_heads", counted)
+        rows = run_sweep(
+            load_scenario(SUBURBAN),
+            speeds_mps=[parse_speed(s) for s in ("10mph", "20mph", "40mph")],
+            powers_dbm=[11.0, 23.0],
+            modulations=["QPSK", "16QAM"],
+            antennas=["omni12", "bidir23"],
+            seeds=[1, 2],
+            max_workers=1,
+            out_dir=tmp_path,
+        )
+        decoded: dict = {}  # (speed, seed, receiver id) -> rows decoded in any of its logs
+        for name, point, *_ in rows:
+            for rid, packets in read_log(tmp_path / name).records.items():
+                key = (point.speed_mps, point.seed, rid)
+                decoded.setdefault(key, set()).update(np.flatnonzero(packets.decoded).tolist())
+        assert len(decoded) == 12
+        assert sum(formatted) == sum(map(len, decoded.values()))
+        # Without the holder, each log formats all its decoded rows' heads.
+        assert sum(formatted) < sum(row[3] for row in rows) / 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unwritable_log_exits_3(self, tmp_path, capsys, workers):

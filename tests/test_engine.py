@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scalar_reference import packet_rows
 
 import railwarn
@@ -277,6 +279,41 @@ class TestRunSweep:
             outputs.append((logs, (out_dir / "summary.csv").read_bytes()))
         assert len(outputs[0][0]) == 12
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    # Points of one train run and seed share their heads' times whatever the
+    # power, modulation and antenna; each log is still its own pass's bytes.
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(
+        speeds=st.lists(st.sampled_from([20, 50]), min_size=1, max_size=2),
+        powers=st.lists(st.sampled_from([11.0, 23.0]), min_size=1, max_size=2),
+        modulations=st.permutations(["QPSK", "16QAM"]),
+        antennas=st.lists(st.sampled_from(["omni12", "bidir23"]), min_size=1, max_size=2),
+        seeds=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2),
+        workers=st.integers(1, 3),
+    )
+    def test_every_log_equals_its_pass_written_alone(
+        self, tmp_path_factory, monkeypatch, speeds, powers, modulations, antennas, seeds, workers
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        base = make_scenario(
+            scene=CrossingScene(receivers=(RSU, OBU)),
+            channel=SyntheticChannel(path_loss_exponent=2.8, shadowing_sigma_db=3.0),
+            train=TrainRun(speed_mps=mph_to_mps(50), start_d_t_m=-200.0, end_d_t_m=200.0),
+        )
+        axes = dict(
+            speeds_mps=[mph_to_mps(v) for v in speeds],
+            powers_dbm=powers,
+            modulations=modulations,
+            antennas=antennas,
+            seeds=seeds,
+            max_workers=workers,
+        )
+        for point, data in swept_logs(tmp_path_factory.mktemp("sweep"), base, **axes):
+            assert data == log_bytes(run_pass(engine._scenario_for_point(base, point)))
 
     @pytest.mark.parametrize(
         "workers, sizes",

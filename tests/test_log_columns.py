@@ -871,3 +871,120 @@ class TestReadBounds:
             read_field_log(path)
         path.write_text("\n".join(lines[:4]) + "\n")
         assert read_field_log(path).packet_count() == 3
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """The open-track (one receiver) and suburban (two receivers) logs, as lines."""
+    logs = {}
+    for config in (OPEN_TRACK, SUBURBAN):
+        path = tmp_path_factory.mktemp("simulated") / "pass.log.jsonl"
+        assert main(["simulate", str(config), "-o", str(path)]) == 0
+        logs[config.stem] = path.read_text().splitlines()
+    return logs
+
+
+def edit_packets(lines: list, edit) -> list:
+    """lines with edit(packet, row of its receiver) applied to each packet line, through json."""
+    rows: dict = {}
+    edited = [lines[0]]
+    for line in lines[1:]:
+        obj = json.loads(line)
+        if obj["type"] == "packet":
+            row = rows[obj["receiver_id"]] = rows.get(obj["receiver_id"], -1) + 1
+            edit(obj, row)
+            line = json.dumps(obj, sort_keys=True)
+        edited.append(line)
+    return edited
+
+
+def double_positions(packet, row):
+    packet["train_d_t_m"] *= 2
+
+
+def sent_at(packet, tx_time_s):
+    """The packet sent at tx_time_s, its latency_s kept rx_time_s - tx_time_s."""
+    packet["tx_time_s"] = tx_time_s
+    if packet["decoded"]:
+        packet["latency_s"] = packet["rx_time_s"] - tx_time_s
+
+
+class TestTickColumns:
+    """A simulated log's seq, tx_time_s and train_d_t_m are its train run's, bit for bit."""
+
+    def test_the_round_trip_is_unchanged(self, simulated):
+        for lines in simulated.values():
+            assert edit_packets(lines, lambda packet, row: None) == lines
+
+    def test_doubled_positions_exit_3(self, tmp_path, capsys, simulated):
+        # Unchecked, coverage reads a 1000 m warning range here; the untouched log gives 500 m.
+        path = tmp_path / "doubled.log.jsonl"
+        rewrite(path, edit_packets(simulated["open_track_20mph"], double_positions))
+        capsys.readouterr()
+        assert main(["coverage", str(path), "--out", str(tmp_path / "c.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: runtime: {path}:2: train_d_t_m must be -600.0 for seq 0 of this train run\n"
+        )
+        assert captured.out == "" and not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, rows, message",
+        [
+            (
+                lambda packet: sent_at(packet, math.nextafter(packet["tx_time_s"], 0)),
+                range(7, 8),
+                "tx_time_s must be 0.35000000000000003 for seq 7",
+            ),
+            # 0.0 == -0.0, but a log written from this train run holds 0.0.
+            (lambda packet: sent_at(packet, -0.0), range(1), "tx_time_s must be 0.0 for seq 0"),
+            # Every seq from row 3 on one higher, so each still increases.
+            (
+                lambda packet: packet.update(seq=packet["seq"] + 1),
+                range(3, 10**6),
+                "seq must be 3 for seq 3",
+            ),
+        ],
+    )
+    def test_one_row_off_names_its_line(self, tmp_path, simulated, edit, rows, message):
+        lines = simulated["suburban_rsu_10mph"]
+        path = tmp_path / "off.log.jsonl"
+
+        def off(packet, row):
+            if packet["receiver_id"] == "obu0" and row in rows:
+                edit(packet)
+
+        edited = edit_packets(lines, off)
+        line = next(n for n, (a, b) in enumerate(zip(lines, edited), start=1) if a != b)
+        rewrite(path, edited)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {message}')} of"):
+            read_log(path)
+
+    def test_the_first_line_off_is_named(self, tmp_path, simulated):
+        # rsu0's lines come first: its row 100 precedes obu0's row 5.
+        def off(packet, row):
+            if (packet["receiver_id"], row) in (("rsu0", 100), ("obu0", 5)):
+                double_positions(packet, row)
+
+        lines = edit_packets(simulated["suburban_rsu_10mph"], off)
+        path = tmp_path / "two.log.jsonl"
+        rewrite(path, lines)
+        with pytest.raises(ValueError, match=r"two\.log\.jsonl:102: train_d_t_m must be "):
+            read_log(path)
+
+    def test_version_1_logs_are_checked_alike(self, tmp_path, simulated):
+        lines = simulated["open_track_20mph"]
+        version_1 = [lines[0].replace('"version": 2', '"version": 1'), *lines[1:]]
+        path = tmp_path / "v1.log.jsonl"
+        rewrite(path, version_1)
+        assert read_log(path).packet_count() == len(lines) - 1 - sum('"event"' in line for line in lines)
+        rewrite(path, edit_packets(version_1, double_positions))
+        with pytest.raises(ValueError, match=r"v1\.log\.jsonl:2: train_d_t_m must be -600\.0 for"):
+            read_log(path)
+
+    def test_a_header_without_a_train_run_fixes_no_ticks(self, tmp_path, simulated):
+        lines = edit_packets(simulated["open_track_20mph"], double_positions)
+        lines[0] = json.dumps({**json.loads(lines[0]), "train_speed_mps": None}, sort_keys=True)
+        path = tmp_path / "free.log.jsonl"
+        rewrite(path, lines)
+        assert read_log(path).records["obu0"].train_d_t_m[0] == -1200.0

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,17 +11,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_reference import PacketRecord, columns_from_records, packet_rows
 
+from railwarn.config import load_scenario
+from railwarn.engine import run_pass
 from railwarn.geometry import Placement
 from railwarn.logio import (
     _NUMBER,
     AnalysisDefaults,
     PacketColumns,
     SimLog,
+    TextHolder,
     log_bytes,
     read_log,
     write_log,
 )
 from railwarn.protocol import WarningEvent
+from railwarn.units import mph_to_mps
 
 RECEIVER = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
 
@@ -220,24 +226,35 @@ def test_non_finite_value_of_a_later_receiver_writes_no_file(tmp_path, column, v
     assert list(tmp_path.iterdir()) == []
 
 
-# How a log in a sequence holds the tick columns of the sequence's first
-# rows: the same arrays, equal copies, copies with the other sign of zero in
-# one train_d_t_m, one ulp moved in one tx_time_s, or one row fewer.
-VARIANTS = ("same", "copy", "sign", "ulp", "shorter")
+# How a log in a sequence holds the columns of the sequence's first rows:
+# the same arrays, equal copies, copies with the other sign of zero in one
+# train_d_t_m, one ulp moved in one tx_time_s, one row fewer, one ulp moved
+# in one rx_time_s, or every row decoded, the first rows' lost ones too.
+VARIANTS = ("same", "copy", "sign", "ulp", "shorter", "rx_ulp", "found")
+
+
+def nudged(value: float) -> float:
+    """value one ulp toward zero, or up from zero."""
+    return math.nextafter(value, -math.inf if value > 0 else math.inf)
 
 
 def variant_columns(base: list, variant: str) -> list:
+    """(seq, tx_time_s, train_d_t_m, rx_time_s) of a variant of base's columns."""
     if variant == "same":
         return base
-    seq, tx, position = (column.copy() for column in base)
+    seq, tx, position, rx = (column.copy() for column in base)
     middle = len(seq) // 2
     if variant == "sign":
         position[middle] *= -1
     elif variant == "ulp":
-        tx[middle] = math.nextafter(tx[middle], -math.inf if tx[middle] > 0 else math.inf)
+        tx[middle] = nudged(tx[middle])
     elif variant == "shorter":
-        return [seq[:-1], tx[:-1], position[:-1]]
-    return [seq, tx, position]
+        return [seq[:-1], tx[:-1], position[:-1], rx[:-1]]
+    elif variant == "rx_ulp" and not math.isnan(rx[middle]):
+        rx[middle] = nudged(rx[middle])
+    elif variant == "found":
+        rx = np.where(np.isnan(rx), tx + 0.5, rx)
+    return [seq, tx, position, rx]
 
 
 @given(
@@ -245,38 +262,76 @@ def variant_columns(base: list, variant: str) -> list:
     logs=st.lists(
         st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=2), min_size=1, max_size=5
     ),
-    latency=st.none() | st.floats(0, 1e6),
+    latencies=st.lists(st.none() | st.floats(0, 1e6), min_size=8, max_size=8),
 )
 # Two receivers sharing, one receiver, a zero of the other sign, the first
 # ticks again, one ulp, then a shorter log after a shared one.
 @example(
     ticks=[(1, 0.0, -10.0), (1, 0.05, 5.0), (1, 0.1, 7.5)],
     logs=[["same", "copy"], ["sign"], ["same"], ["ulp", "ulp"], ["copy", "shorter"]],
-    latency=0.001,
+    latencies=[0.001] * 8,
+)
+# One rx_time_s one ulp off, then a row decoded only in the later log, then
+# the first rows again.
+@example(
+    ticks=[(1, 0.0, -10.0), (1, 0.05, 5.0), (1, 0.1, 7.5)],
+    logs=[["same", "same"], ["rx_ulp", "copy"], ["found", "found"], ["copy", "same"]],
+    latencies=[0.001, None, 0.003] + [None] * 5,
 )
 def test_logs_written_through_one_holder_keep_their_own_bytes(
-    tmp_path_factory, ticks, logs, latency
+    tmp_path_factory, ticks, logs, latencies
 ):
     steps, tx, position = (np.array(column) for column in zip(*ticks))
     position[len(ticks) // 2] = 0.0  # a zero whose sign the "sign" variant flips
-    base = [np.cumsum(steps, dtype=np.uint64), tx, position]
+    latency = np.array([math.nan if v is None else v for v in latencies[: len(ticks)]])
+    base = [np.cumsum(steps, dtype=np.uint64), tx, position, tx + latency]
     path = tmp_path_factory.mktemp("logs") / "pass.log.jsonl"
-    latency = math.nan if latency is None else latency
-    holder: list = []
+    holder = TextHolder()
     for variants in logs:
         records = {}
-        for rid, variant in zip(("rsu0", "obu0"), variants):
-            seq, tx, position = variant_columns(base, variant)
-            records[rid] = PacketColumns(seq, tx, position, tx + latency)
+        # The second id is one a %-template would mangle.
+        for rid, variant in zip(("rsu0", "%s%%"), variants):
+            records[rid] = PacketColumns(*variant_columns(base, variant))
         log = columns_log(records)
         write_log(log, path, holder)
         assert path.read_bytes() == log_bytes(log)
         # The holder keeps one tick text, formatted from the last receiver's tick columns.
-        held, text = holder
+        held, text = holder.ticks
         assert [c.tobytes() for c in held.columns()[:3]] == [
             c.tobytes() for c in records[rid].columns()[:3]
         ]
         assert len(text) == len(records[rid])
+        # It keeps the heads of this log's receivers, every decoded row's among them.
+        assert set(holder.heads) == set(records)
+        for rid, packets in records.items():
+            rx, latency_s, heads = holder.heads[rid]
+            decoded = packets.decoded
+            assert rx[decoded].tobytes() == packets.rx_time_s[decoded].tobytes()
+            assert latency_s[decoded].tobytes() == packets.latency_s[decoded].tobytes()
+            assert all(isinstance(head, str) for head in heads[decoded])
+
+
+SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"
+
+
+def test_holder_keeps_at_most_320_bytes_per_packet_row(tmp_path):
+    # The memory law in README: about 250 bytes per packet row of the pass
+    # last written, linear in its size; 6,264 and 25,054 rows here.
+    base = load_scenario(SUBURBAN)
+    per_row = []
+    for mph in (10, 2.5):
+        train = dataclasses.replace(base.train, speed_mps=mph_to_mps(mph))
+        log = run_pass(dataclasses.replace(base, train=train))
+        holder = TextHolder()
+        tracemalloc.start()
+        try:
+            write_log(log, tmp_path / "pass.log.jsonl", holder)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_row.append(kept / log.packet_count())
+    assert all(200 < kept < 320 for kept in per_row), per_row
+    assert abs(per_row[0] - per_row[1]) < 0.02 * per_row[1], per_row
 
 
 # The reader's number grammar as it was written with optional repeats.
