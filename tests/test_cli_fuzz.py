@@ -104,6 +104,10 @@ def insert_not_utf8(text: str, data) -> str:
     return text[:at] + NOT_UTF8 + text[at:]
 
 
+def line_of_not_utf8(path: Path, text: str) -> str:
+    return f"{path}:{text[: text.index(NOT_UTF8)].count(chr(10)) + 1}: "
+
+
 def write_bytes(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
@@ -263,15 +267,16 @@ def test_simulate_exits_0_2_or_3(tmp_path, data):
     not_utf8 = data.draw(st.booleans(), label="insert a byte that is not UTF-8")
     if per_table and not not_utf8:
         mutate_rows(rows, data)
-    elif not per_table and not not_utf8:
+    elif not not_utf8:
         mutate_key(config, data)
     table, text = "\n".join(rows) + "\n", json.dumps(config)  # writes NaN and Infinity literals
     named = None  # the path:line a byte not UTF-8 is in
-    if not_utf8:
-        path, before = (table_path, table) if per_table else (config_path, text)
-        after = insert_not_utf8(before, data)
-        named = f"{path}:{after[: after.index(NOT_UTF8)].count(chr(10)) + 1}: "
-        table, text = (after, text) if per_table else (table, after)
+    if not_utf8 and per_table:
+        table = insert_not_utf8(table, data)
+        named = line_of_not_utf8(table_path, table)
+    elif not_utf8:
+        text = insert_not_utf8(text, data)
+        named = line_of_not_utf8(config_path, text)
     write_bytes(table_path, table)
     write_bytes(config_path, text)
     log_path = tmp_path / "pass.log.jsonl"
