@@ -20,6 +20,12 @@ fourth stream. This layout is the log format's random layout
 (logio.LOG_VERSION 2): any engine that keeps it writes byte-identical logs.
 The warning comes from the decodes as arrays (protocol.first_warning).
 The log's header carries the scenario's analysis settings (Scenario.analysis).
+
+A LinkHolder carries the link arrays that the transmit power and
+modulation leave alone (geometry, antenna gain, the shadowing and decode
+draws, arrival times) from one pass to the next of its train run and seed;
+a sweep keeps one per piece, so a traced sweep counts fewer link_geometry,
+pattern_gain and receiver_stream calls than it runs passes.
 """
 
 import dataclasses
@@ -172,13 +178,47 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
-    """Simulate one pass; a pure function of (scenario, seed)."""
+class LinkHolder:
+    """Link arrays that run_pass computes for one pass and reuses in the next,
+    which a caller keeps across the passes it runs: run is the (train run,
+    tx_period_s, seed) they were computed for, and arrays holds (inputs,
+    array) pairs. An array is reused only while its inputs compare equal
+    with ==, so what is held changes no byte; all are dropped when run
+    changes."""
+
+    __slots__ = ("run", "arrays")
+
+    def __init__(self):
+        self.run, self.arrays = None, []
+
+    def keep(self, run) -> None:
+        """Hold arrays of this (train run, tx_period_s, seed) only."""
+        if self.run != run:
+            self.run, self.arrays = run, []
+
+    def get(self, inputs, compute):
+        """The array held for inputs, or compute() of them, held."""
+        for held_inputs, array in self.arrays:
+            if held_inputs == inputs:
+                return array
+        array = compute()
+        self.arrays.append((inputs, array))
+        return array
+
+
+def run_pass(
+    scenario: Scenario, seed: int | None = None, holder: LinkHolder | None = None
+) -> SimLog:
+    """Simulate one pass; a pure function of (scenario, seed). holder, a
+    LinkHolder the caller keeps, carries link arrays from one pass to the
+    next; without it the pass uses a fresh one."""
     effective_seed = scenario.seed if seed is None else seed
     check_seed(effective_seed)
     scene = scenario.scene
     train = scenario.train
     period_s = scenario.radio.tx_period_s
+    holder = LinkHolder() if holder is None else holder
+    holder.keep((train, period_s, effective_seed))
     patterns = (
         scenario.resolve_pattern(scenario.radio.tx_antenna),
         scenario.resolve_pattern(scenario.radio.rx_antenna),
@@ -199,7 +239,13 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     events: list = []
     for placement in scene.receivers:
         records[placement.id], event = _receiver_pass(
-            scenario, placement, effective_seed, (seq, times, positions), patterns, profile_success
+            scenario,
+            placement,
+            effective_seed,
+            (seq, times, positions),
+            patterns,
+            profile_success,
+            holder,
         )
         if event is not None:
             events.append(event)
@@ -220,32 +266,48 @@ def run_pass(scenario: Scenario, seed: int | None = None) -> SimLog:
     )
 
 
-def _receiver_pass(scenario, placement, seed, ticks, patterns, success) -> tuple:
+def _receiver_pass(scenario, placement, seed, ticks, patterns, success, holder) -> tuple:
     """One receiver's packet columns and warning event.
 
     ticks holds the pass's seq, tx_time_s and train_d_t_m columns
     (TrainRun.ticks). success holds the per-tick decode probability of an
     empirical channel and is None for a synthetic one. Each draw is one
-    block over all ticks from the receiver's stream for its purpose.
+    block over all ticks from the receiver's stream for its purpose. The
+    geometry, combined antenna gain, shadowing normals, decode uniforms and
+    arrival times come from holder, keyed by every input they depend on.
     """
     scene, radio, channel = scenario.scene, scenario.radio, scenario.channel
     latency = scenario.latency
     seq, times, positions = ticks
-    geo = link_geometry(positions, placement, scene)
+    count = len(seq)
+    inputs = ("geometry", scenario.train, radio.tx_period_s, scene, placement)
+    geo = holder.get(inputs, lambda: link_geometry(positions, placement, scene))
     if success is None:
         tx_pattern, rx_pattern = patterns
-        gain = pattern_gain(
-            tx_pattern, geo.tx_azimuth_deg, geo.tx_elevation_deg
-        ) + pattern_gain(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg)
+        gain = holder.get(
+            ("gain", tx_pattern, rx_pattern, inputs),
+            lambda: pattern_gain(tx_pattern, geo.tx_azimuth_deg, geo.tx_elevation_deg)
+            + pattern_gain(rx_pattern, geo.rx_azimuth_deg, geo.rx_elevation_deg),
+        )
         snr_db = mean_snr_db(positions, geo.range_m, gain, radio, channel, scene.obstructions)
         sigma = channel.shadowing_sigma_db
         if sigma > 0:
-            shadow = receiver_stream(seed, placement.id, "shadowing").normal(0.0, sigma, len(seq))
+            shadow = holder.get(
+                ("shadowing", seed, placement.id, sigma, count),
+                lambda: receiver_stream(seed, placement.id, "shadowing").normal(0.0, sigma, count),
+            )
             snr_db = snr_db - shadow
         success = snr_success_probability(snr_db, radio, channel)
-    decoded = receiver_stream(seed, placement.id, "decode").random(len(seq)) < success
-    jitter = receiver_stream(seed, placement.id, "jitter")
-    arrival = times + latency_sample(geo.range_m, latency, jitter)
+    uniforms = holder.get(
+        ("decode", seed, placement.id, count),
+        lambda: receiver_stream(seed, placement.id, "decode").random(count),
+    )
+    decoded = uniforms < success
+    arrival = holder.get(
+        ("arrival", seed, placement.id, latency, inputs),
+        lambda: times
+        + latency_sample(geo.range_m, latency, receiver_stream(seed, placement.id, "jitter")),
+    )
     rx_time_s = np.where(decoded, arrival, np.nan)
     packets = PacketColumns(seq, times, positions, rx_time_s)
     event = first_warning(
@@ -309,19 +371,20 @@ def _train_run(job) -> tuple:
 def _run_points(jobs: list) -> list:
     """Each grid point's pass, written to its log path and analysed in the
     process that ran it: one (log name, point, packets, decoded, events,
-    warning range in m) row per job, in the jobs' order. The logs are
-    written through one logio.TextHolder, each train run's points by seed:
+    warning range in m) row per job, in the jobs' order. Each train run's
+    points run by seed through one LinkHolder and one logio.TextHolder:
     points of one train run format its ticks once, and points of one train
-    run and seed, whose packets arrive alike whatever the link budget,
-    format each decoded row's head once."""
+    run and seed, whose geometry, draws and arrival times are alike whatever
+    the link budget, compute those once and format each decoded row's head
+    once."""
     runs = groupby(range(len(jobs)), lambda i: _train_run(jobs[i]))
     order = [i for _, run in runs for i in sorted(run, key=lambda i: jobs[i][0].seed)]
-    holder = logio.TextHolder()
+    links, text = LinkHolder(), logio.TextHolder()
     rows = [None] * len(jobs)
     for i in order:
         point, scenario, path = jobs[i]
-        log = run_pass(scenario)
-        logio.write_log(log, path, holder)
+        log = run_pass(scenario, None, links)
+        logio.write_log(log, path, text)
         warning_range_m = analysis.coverage_report(log).warning_range_m
         counts = (log.packet_count(), log.decoded_count(), len(log.events))
         rows[i] = (path.name, point, *counts, warning_range_m)
@@ -329,15 +392,20 @@ def _run_points(jobs: list) -> list:
 
 
 def _pieces(jobs: list, workers: int) -> list:
-    """The jobs cut into contiguous pieces, in order: each run of jobs with one
-    train run and transmit period splits into min(workers, its length) pieces."""
+    """The job indices cut into pieces, largest first by packets: each run of
+    consecutive jobs with one train run and transmit period splits into
+    ceil(workers * its packets / all packets) contiguous pieces, at least 1
+    and at most one per job."""
+    packets = [job[1].packet_count for job in jobs]
+    total = sum(packets)
     pieces = []
-    for _, group in groupby(jobs, _train_run):
-        group = list(group)
-        count = min(workers, len(group))
-        bounds = [len(group) * i // count for i in range(count + 1)]
-        pieces += [group[start:end] for start, end in zip(bounds, bounds[1:])]
-    return pieces
+    for _, run in groupby(range(len(jobs)), lambda i: _train_run(jobs[i])):
+        run = list(run)
+        share = (workers * sum(packets[i] for i in run) + total - 1) // total
+        count = min(share, len(run))
+        bounds = [len(run) * i // count for i in range(count + 1)]
+        pieces += [run[start:end] for start, end in zip(bounds, bounds[1:])]
+    return sorted(pieces, key=lambda piece: sum(packets[i] for i in piece), reverse=True)
 
 
 def run_sweep(
@@ -364,14 +432,17 @@ def run_sweep(
     runs each pass writes its log there as point<index>_v<speed>_p<power>
     _<modulation>_<antenna>_s<seed>.log.jsonl and computes its coverage; no
     log comes back. Consecutive points with one train run and transmit
-    period write the same tick columns, so they are cut into at most
-    max_workers contiguous pieces, each run by one process through one
-    tick-text holder (_run_points): a piece formats its run's tick text
-    once, and a process holds one pass's tick text at most. Which points
-    share a piece changes no byte. The result is one row per point, in
-    grid order: (log name, SweepPoint, packets, decoded, events,
-    warning_range_m), and summary.csv, written last through logio.commit,
-    lists them. A failed sweep deletes the files at its log names and
+    period share their geometry and tick columns, so each such run is cut
+    into contiguous pieces by its share of the grid's packets (_pieces),
+    each piece run by one process through one link holder and one
+    tick-text holder (_run_points): a piece computes its run's link arrays
+    once per seed and formats its tick text once, and a process holds the
+    link arrays of one train run and seed and the tick text of one pass at
+    most. The pool gets the pieces largest first, and no more workers than
+    there are pieces. Which points share a piece, or which process runs it,
+    changes no byte. The result is one row per point, in grid order: (log
+    name, SweepPoint, packets, decoded, events, warning_range_m), and
+    summary.csv, written last through logio.commit, lists them. A failed sweep deletes the files at its log names and
     writes no summary.csv.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
@@ -396,8 +467,10 @@ def run_sweep(
     paths = [out_dir / _log_name(i, point) for i, point in enumerate(points)]
     jobs = list(zip(points, scenarios, paths))
     # A fork-started pool starts all its workers at the first submit, so
-    # it gets no more of them than there are points or processors.
+    # it gets no more of them than there are points, processors or pieces.
     workers = min(max_workers or 1, len(jobs), os.cpu_count() or 1)
+    pieces = _pieces(jobs, workers)
+    workers = min(workers, len(pieces))
     try:
         if workers > 1:
             # Imported here: loading multiprocessing costs every other command.
@@ -405,9 +478,12 @@ def run_sweep(
 
             # Leaving the pool waits for every running pass, so no worker
             # writes a log after a failure is handled below.
+            results = [None] * len(jobs)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                pieces = pool.map(_run_points, _pieces(jobs, workers))
-                results = [row for piece in pieces for row in piece]
+                piece_jobs = [[jobs[i] for i in piece] for piece in pieces]
+                for piece, rows in zip(pieces, pool.map(_run_points, piece_jobs)):
+                    for i, row in zip(piece, rows):
+                        results[i] = row
         else:
             results = _run_points(jobs)
         keys = [field.name for field in dataclasses.fields(SweepPoint)]

@@ -662,7 +662,7 @@ class TestSweepFlags:
 
 
 class TestSweepPool:
-    """The pool gets no more workers than there are points or processors."""
+    """The pool gets no more workers than there are points, processors or pieces."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -702,6 +702,25 @@ class TestSweepPool:
         assert pools == started
         assert [row[1].seed for row in rows] == seeds
         assert all((tmp_path / row[0]).is_file() for row in rows)
+
+    def test_workers_bounded_by_pieces(self, tmp_path, monkeypatch, pools):
+        # The 1 m/s train run holds 98% of the packets and cuts into 2 pieces,
+        # the 50 m/s run into 1: a fourth worker would have no piece. The pool
+        # gets the pieces largest first; the rows come back in grid order.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        scenario = load_scenario(SUBURBAN)
+        rows = run_sweep(
+            scenario, speeds_mps=[1.0, 50.0], seeds=[1, 2], max_workers=4, out_dir=tmp_path
+        )
+        assert pools == [3]
+        assert [(row[1].speed_mps, row[1].seed) for row in rows] == [
+            (1.0, 1),
+            (1.0, 2),
+            (50.0, 1),
+            (50.0, 2),
+        ]
+        assert [row[0][:8] for row in rows] == [f"point{i:03d}" for i in range(4)]
+        assert [row[2] for row in rows] == [28002, 28002, 562, 562]
 
 
 class TestNegativeSeeds:

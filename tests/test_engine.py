@@ -5,16 +5,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scalar_reference import packet_rows
 
 import railwarn
 from railwarn import engine
+from railwarn.antenna import AntennaPattern
+from railwarn.config import load_scenario
 from railwarn.engine import (
     Scenario,
     TrainRun,
@@ -315,19 +320,29 @@ class TestRunSweep:
         for point, data in swept_logs(tmp_path_factory.mktemp("sweep"), base, **axes):
             assert data == log_bytes(run_pass(engine._scenario_for_point(base, point)))
 
-    @pytest.mark.parametrize(
-        "workers, sizes",
-        [(1, [6, 3, 3]), (2, [3, 3, 1, 2, 1, 2]), (3, [2, 2, 2, 1, 1, 1, 1, 1, 1])],
+    @settings(max_examples=60, deadline=None)
+    @given(
+        speeds=st.lists(st.sampled_from([8.0, 9.0, 30.0]), min_size=1, max_size=12),
+        workers=st.integers(1, 4),
     )
-    def test_pieces_cut_each_train_run(self, workers, sizes):
-        # Train runs of 6, 3 and 3 points; the last repeats the first.
+    def test_pieces_cut_each_train_run_by_its_packets(self, speeds, workers):
         base = make_scenario()
-        speeds = [8.0] * 6 + [9.0] * 3 + [8.0] * 3
         runs = [dataclasses.replace(base.train, speed_mps=speed) for speed in speeds]
         jobs = [(i, dataclasses.replace(base, train=run), None) for i, run in enumerate(runs)]
+        packets = [scenario.packet_count for _, scenario, _ in jobs]
         pieces = engine._pieces(jobs, workers)
-        assert [len(piece) for piece in pieces] == sizes
-        assert [job for piece in pieces for job in piece] == jobs
+        # Every job is in exactly one piece, and the pieces come largest first.
+        assert sorted(i for piece in pieces for i in piece) == list(range(len(jobs)))
+        sizes = [sum(packets[i] for i in piece) for piece in pieces]
+        assert sizes == sorted(sizes, reverse=True)
+        # Each run of equal neighbouring speeds is cut into contiguous pieces
+        # of its own, ceil(workers * its share of the packets), at most one per job.
+        for _, run in groupby(range(len(jobs)), lambda i: speeds[i]):
+            run = list(run)
+            own = sorted(piece for piece in pieces if piece[0] in run)
+            assert [i for piece in own for i in piece] == run
+            share = Fraction(workers * sum(packets[i] for i in run), sum(packets))
+            assert len(own) == min(math.ceil(share), len(run))
 
     def test_seed_grid(self, tmp_path):
         scenario = make_scenario(
@@ -348,6 +363,100 @@ class TestRunSweep:
     def test_import_does_not_load_multiprocessing(self):
         # The process pool is imported only for a sweep with more than one worker.
         assert loaded_modules("railwarn.cli", "multiprocessing") == "[]"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# A custom pattern: a 15 dBi lobe along the track, 5 dBi across it.
+WEDGE = AntennaPattern(
+    name="wedge",
+    azimuth_cut=((0.0, 15.0), (90.0, 5.0), (180.0, 15.0), (270.0, 5.0)),
+    elevation_cut=((-90.0, 0.0), (0.0, 15.0), (90.0, 0.0)),
+    peak_gain_dbi=15.0,
+)
+
+
+def holder_scenario(config, speed_mps, power, modulation, antenna, sigma, seed) -> Scenario:
+    """A shipped config's scenario with these sweep axes and shadowing sigma."""
+    base = load_scenario(CONFIGS / f"{config}.json")
+    channel = base.channel
+    if isinstance(channel, SyntheticChannel):
+        channel = dataclasses.replace(channel, shadowing_sigma_db=sigma)
+    return dataclasses.replace(
+        base,
+        train=dataclasses.replace(base.train, speed_mps=speed_mps),
+        radio=dataclasses.replace(
+            base.radio, tx_power_dbm=power, modulation=modulation, tx_antenna=antenna
+        ),
+        channel=channel,
+        seed=seed,
+        custom_patterns=(WEDGE,),
+    )
+
+
+# (config, speed in m/s, power, modulation, antenna, shadowing sigma, seed)
+HOLDER_STEP = st.tuples(
+    st.sampled_from(["suburban_rsu_10mph", "open_track_20mph"]),
+    st.sampled_from([30.0, 35.0]),
+    st.sampled_from([11.0, 23.0]),
+    st.sampled_from(["QPSK", "16QAM"]),
+    st.sampled_from(["omni12", "bidir23", "wedge"]),
+    st.sampled_from([2.0, 4.0]),
+    st.sampled_from([1, 2]),
+)
+SUBURBAN_STEP = ("suburban_rsu_10mph", 30.0, 23.0, "QPSK", "omni12", 2.0, 1)
+
+
+class TestLinkHolder:
+    """Link arrays held from one pass to the next change no byte."""
+
+    # Each example moves one input on from the suburban pass: the seed, the
+    # train run, the shadowing sigma, the antenna (built-in and custom), the
+    # power and modulation, and the channel (an empirical one after it).
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(HOLDER_STEP, min_size=2, max_size=6))
+    @example(steps=[SUBURBAN_STEP, SUBURBAN_STEP[:6] + (2,), SUBURBAN_STEP])
+    @example(steps=[SUBURBAN_STEP, (SUBURBAN_STEP[0], 35.0) + SUBURBAN_STEP[2:], SUBURBAN_STEP])
+    @example(steps=[SUBURBAN_STEP, SUBURBAN_STEP[:5] + (4.0, 1)])
+    @example(
+        steps=[
+            SUBURBAN_STEP,
+            SUBURBAN_STEP[:4] + ("bidir23",) + SUBURBAN_STEP[5:],
+            SUBURBAN_STEP[:4] + ("wedge",) + SUBURBAN_STEP[5:],
+        ]
+    )
+    @example(steps=[SUBURBAN_STEP, SUBURBAN_STEP[:2] + (11.0, "16QAM") + SUBURBAN_STEP[4:]])
+    @example(steps=[("open_track_20mph",) + SUBURBAN_STEP[1:], SUBURBAN_STEP])
+    def test_passes_through_one_holder_equal_each_pass_alone(self, steps):
+        holder = engine.LinkHolder()
+        for step in steps:
+            scenario = holder_scenario(*step)
+            assert log_bytes(run_pass(scenario, None, holder)) == log_bytes(run_pass(scenario))
+
+    def test_suburban_step_warns_through_the_relay(self):
+        # So the oracle's suburban passes cover the RSU relay's draw.
+        log = run_pass(holder_scenario(*SUBURBAN_STEP), None, engine.LinkHolder())
+        assert any(event.relay_delivery_time_s is not None for event in log.events)
+
+    def test_holder_keeps_at_most_80_bytes_per_tick_per_receiver(self):
+        # The memory law in README: 72 bytes per tick per receiver of a
+        # synthetic channel with shadowing (five geometry arrays, the gain,
+        # the shadowing normals, the decode uniforms and the arrival times),
+        # linear in the pass; 6,264 and 25,054 packet rows here.
+        per_tick = []
+        for mph in (10, 2.5):
+            speed = mph_to_mps(mph)
+            scenario = holder_scenario("suburban_rsu_10mph", speed, 23.0, "QPSK", "omni12", 3.0, 7)
+            run_pass(scenario)  # builds what a process keeps anyway, such as the cut arrays
+            holder = engine.LinkHolder()
+            tracemalloc.start()
+            try:
+                run_pass(scenario, None, holder)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            per_tick.append(kept / scenario.packet_count)
+        assert all(64 < kept < 80 for kept in per_tick), per_tick
+        assert abs(per_tick[0] - per_tick[1]) < 0.02 * per_tick[1], per_tick
 
 
 def loaded_modules(module: str, prefix: str) -> str:
