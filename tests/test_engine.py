@@ -320,6 +320,22 @@ class TestRunSweep:
         for point, data in swept_logs(tmp_path_factory.mktemp("sweep"), base, **axes):
             assert data == log_bytes(run_pass(engine._scenario_for_point(base, point)))
 
+    @pytest.mark.parametrize(
+        "workers, sizes",
+        [(1, [6, 3, 3]), (2, [3, 3, 3, 3]), (3, [3, 3, 3, 3])],
+    )
+    def test_pieces_cut_each_train_run(self, workers, sizes):
+        # Train runs of 6, 3 and 3 points; the last repeats the first. The
+        # 9 m/s run has fewer packets, so its piece comes last.
+        base = make_scenario()
+        speeds = [8.0] * 6 + [9.0] * 3 + [8.0] * 3
+        runs = [dataclasses.replace(base.train, speed_mps=speed) for speed in speeds]
+        jobs = [(i, dataclasses.replace(base, train=run), None) for i, run in enumerate(runs)]
+        pieces = engine._pieces(jobs, workers)
+        assert [len(piece) for piece in pieces] == sizes
+        assert pieces[-1] == [6, 7, 8]
+        assert [i for piece in sorted(pieces) for i in piece] == list(range(len(jobs)))
+
     @settings(max_examples=60, deadline=None)
     @given(
         speeds=st.lists(st.sampled_from([8.0, 9.0, 30.0]), min_size=1, max_size=12),
