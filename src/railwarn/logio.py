@@ -20,11 +20,13 @@ A packet line has one layout, PACKET_LINE, keys sorted as json.dumps(...,
 sort_keys=True) writes them: the writer splits it into each receiver's head
 and each tick's text, which receivers whose tick columns are bitwise equal
 share, within a log and, through a TextHolder the caller keeps, across
-logs, where a receiver's decoded heads are shared too (log_text); the
-reader fills it into one pattern. Packets move in
-chunks. The reader checks line 1 as the header, then matches packet lines
-with the pattern, converting their numbers with float() and int() as json
-does; any other line goes through json with the full checks.
+logs, where a receiver's decoded heads are shared too (log_text); a long
+pass's log is formatted in two processes, the forked one's half through a
+temporary file (_second_process); the reader fills it into one pattern.
+Packets move in chunks. The reader checks line 1 as the header, then
+matches packet lines with the pattern, converting their numbers with
+float() and int() as json does; any other line goes through json with the
+full checks.
 """
 
 import contextlib
@@ -37,6 +39,9 @@ import json
 import math
 import os
 import re
+import signal
+import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,7 +172,8 @@ class SimLog:
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 # Packet rows formatted per batch on write; about this many bytes of lines
-# parsed per batch on read.
+# parsed per batch on read, and at most this many copied per read of a
+# second writer process's temporary file.
 WRITE_BATCH_ROWS = 4096
 READ_BATCH_BYTES = 1 << 18
 
@@ -211,6 +217,8 @@ def _not_finite(tx, position, decoded, rx, latency) -> np.ndarray:
 # A packet line is its receiver's head, then its tick's text from "seq" on.
 _SPLIT = PACKET_LINE.index('"seq"')
 _HEAD, _TICK_LINE = PACKET_LINE[:_SPLIT], PACKET_LINE[_SPLIT:] % ("%d", "%r", "%r") + "\n"
+# A packet line's columns in the order of its keys.
+_LINE_COLUMNS = sorted(PacketColumns.__slots__)
 
 
 def _same_ticks(a: PacketColumns, b: PacketColumns) -> bool:
@@ -228,6 +236,13 @@ def _tick_text(packets: PacketColumns, rows: slice) -> list:
 def _heads(template: str, latency_s: np.ndarray, rx_time_s: np.ndarray) -> list:
     """The heads of decoded rows with these times, formatted from a receiver's template."""
     return [template % pair for pair in zip(latency_s.tolist(), rx_time_s.tolist())]
+
+
+def _head_templates(receiver_id) -> tuple:
+    """A receiver's lost-row head, and its decoded-row head with %r for latency_s and rx_time_s."""
+    receiver = _encode(receiver_id)
+    lost = _HEAD % ("false", "null", receiver, "null")
+    return lost, _HEAD % ("true", "%r", receiver.replace("%", "%%"), "%r")
 
 
 class TextHolder:
@@ -261,58 +276,188 @@ def _held_heads(holder: TextHolder, receiver_id, packets: PacketColumns, templat
     return held
 
 
+def _packet_lines(receivers: list, index: int, rows: range, held: TextHolder, heads=None):
+    """The packet lines of rows, a range of receiver index's rows, in
+    batches of WRITE_BATCH_ROWS lines at most.
+
+    held.ticks holds tick text for the rows of this range: it is reused
+    while the receiver's tick columns are bitwise equal to those it was
+    formatted from, and otherwise formatted afresh and held if heads is
+    given or a later receiver's tick columns are equal; a receiver whose
+    tick text is not held formats each line in one %. heads, the holder's
+    head of every row of the receiver, stands in for formatting them.
+    """
+    receiver_id, packets = receivers[index]
+    if not (held.ticks and _same_ticks(held.ticks[0], packets)):
+        keep = heads is not None or any(
+            _same_ticks(packets, other) for _, other in receivers[index + 1 :]
+        )
+        held.ticks = (packets, _tick_text(packets, slice(rows.start, rows.stop))) if keep else ()
+    lost, decoded_head = _head_templates(receiver_id)
+    lost_line, decoded_line = lost.replace("%", "%%") + _TICK_LINE, decoded_head + _TICK_LINE
+    for start in range(rows.start, rows.stop, WRITE_BATCH_ROWS):
+        batch = slice(start, min(start + WRITE_BATCH_ROWS, rows.stop))
+        if not held.ticks:
+            columns = (getattr(packets, name)[batch].tolist() for name in _LINE_COLUMNS)
+            yield "".join(
+                [
+                    decoded_line % (latency, rx, seq, position, tx) if decoded
+                    else lost_line % (seq, position, tx)
+                    for decoded, latency, rx, seq, position, tx in zip(*columns)
+                ]
+            )
+            continue
+        decoded = packets.decoded[batch]
+        text = held.ticks[1][start - rows.start : batch.stop - rows.start]
+        if heads is None:
+            times = (c[batch][decoded] for c in (packets.latency_s, packets.rx_time_s))
+            batch_heads = np.array([lost, *_heads(decoded_head, *times)], dtype=object)
+            # A decoded row takes its own head, numbered from 1; a lost row head 0.
+            batch_heads = batch_heads[np.cumsum(decoded) * decoded]
+        else:
+            batch_heads = heads[batch]
+        yield "".join(itertools.chain.from_iterable(zip(batch_heads.tolist(), text)))
+
+
+# The fewest packet rows of a pass whose log log_text formats in two
+# processes: its measured break-even, below which the fork, the copy and a
+# second CPU shared with other work can cost more than they save. On a
+# 2 vCPU Xeon (Python 3.11), paired writes of two-receiver passes in two
+# processes won 0-15 of 15 pairs at 14,002 to 24,002 rows, depending on the
+# run, and 12-15 of 15 at 28,002 rows and 14-15 of 15 at 56,002, in every run.
+FORK_ROWS = 28_000
+
+
+def _second_part(packets: PacketColumns) -> range:
+    """The rows of a receiver that the second process formats: its last half, rounded down."""
+    return range(len(packets) - len(packets) // 2, len(packets))
+
+
+def _two_processes(receivers: list) -> bool:
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and sum(len(packets) for _, packets in receivers) >= FORK_ROWS
+        and threading.active_count() == 1
+        and len(os.sched_getaffinity(0)) > 1
+    )
+
+
+def _spill_second_parts(receivers: list, spill, pipe: tuple) -> None:
+    """In the forked child: each receiver's second part into spill, then
+    its end offset through the pipe's write end; exits the process, 0 when
+    all are written and 1 on any failure, and never returns or waits."""
+    code, offset = 1, 0
+    try:
+        read_end, write_end = pipe
+        os.close(read_end)
+        held = TextHolder()
+        for index, (_, packets) in enumerate(receivers):
+            for text in _packet_lines(receivers, index, _second_part(packets), held):
+                offset += spill.write(text.encode())
+            spill.flush()
+            os.write(write_end, offset.to_bytes(8, "little"))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _second_process(receivers: list):
+    """Fork a child that formats each receiver's second part into an
+    unlinked temporary file, and yield copied(index), receiver index's part
+    as text, in reads of READ_BATCH_BYTES at most, once the child has
+    written it. The child sends each part's end offset through a pipe and
+    never waits for this process. On exit the child is reaped, killed first
+    if this process stops early; a child that failed or ended early raises
+    OSError."""
+    with tempfile.TemporaryFile() as spill:
+        read_end, write_end = os.pipe()
+        pid = None
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _spill_second_parts(receivers, spill, (read_end, write_end))
+            os.close(write_end)
+            write_end, copied_to = None, 0
+
+            def copied(index):
+                nonlocal copied_to
+                end = os.read(read_end, 8)
+                if len(end) != 8:
+                    raise OSError(errno.EIO, "the log's second writer process ended early")
+                end = int.from_bytes(end, "little")
+                while copied_to < end:
+                    size = min(READ_BATCH_BYTES, end - copied_to)
+                    data = os.pread(spill.fileno(), size, copied_to)
+                    # Whole lines, when a read holds one.
+                    data = data[: data.rfind(b"\n") + 1 or len(data)]
+                    copied_to += len(data)
+                    yield data.decode()
+
+            yield copied
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            if status:
+                raise OSError(errno.EIO, "the log's second writer process failed")
+        finally:
+            os.close(read_end)
+            if write_end is not None:
+                os.close(write_end)
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def log_text(log: SimLog, holder: TextHolder | None = None):
     """The serialised log in pieces of whole lines, WRITE_BATCH_ROWS packet
     lines at most. %r of a float is float.__repr__, which json writes.
 
     A tick's text is formatted once, and the pass's is held while a later
-    receiver's tick columns are bitwise equal to it; each receiver formats
-    only its head. holder, a TextHolder the caller keeps, carries held text
+    receiver's tick columns are bitwise equal to it, so that receiver
+    formats only its heads; a receiver sharing no tick columns formats each
+    line in one %. holder, a TextHolder the caller keeps, carries held text
     from one log to the next: given it, every receiver's tick text is held
     there, one pass's at most, and reused by a receiver of a later log
     whose tick columns are bitwise equal; and so is each receiver's decoded
     heads, a head reused by a later log's row of that receiver whose
     rx_time_s and latency_s are bitwise equal. So what is held changes no
     byte. A row the log cannot hold raises json's ValueError, naming the
-    row's first value that is not finite.
+    row's first value that is not finite, before any line is formatted.
+
+    Without holder, a pass of FORK_ROWS packet rows or more, in a process
+    with one thread and more than one CPU to run on, is formatted in two
+    processes: each receiver's second part (_second_part) by a forked child
+    into a temporary file (_second_process), the rest here, each with
+    _packet_lines, so the bytes are the same; each process holds the tick
+    text of its own part only.
     """
-    yield _encode(_header_dict(log)) + "\n"
     receivers = [(receiver_id, log.records[receiver_id]) for receiver_id in log.receiver_ids()]
-    held = TextHolder() if holder is None else holder
-    heads_held = {}  # this log's receivers' heads, which the holder keeps after it
-    for index, (receiver_id, packets) in enumerate(receivers):
+    for _, packets in receivers:
         columns = packets.columns()[1:]
         bad = np.flatnonzero(_not_finite(*columns))
         if bad.size:
             value = next(v for v in (float(c[bad[0]]) for c in columns) if not math.isfinite(v))
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        if not (held.ticks and _same_ticks(held.ticks[0], packets)):
-            keep = holder is not None or any(
-                _same_ticks(packets, other) for _, other in receivers[index + 1 :]
-            )
-            held.ticks = (packets, _tick_text(packets, slice(None))) if keep else ()
-        receiver = _encode(receiver_id)
-        lost = _HEAD % ("false", "null", receiver, "null")
-        decoded_head = _HEAD % ("true", "%r", receiver.replace("%", "%%"), "%r")
+    forked = holder is None and _two_processes(receivers)
+    with _second_process(receivers) if forked else contextlib.nullcontext() as copied:
+        yield _encode(_header_dict(log)) + "\n"
+        held = TextHolder() if holder is None else holder
+        heads_held = {}  # this log's receivers' heads, which the holder keeps after it
+        for index, (receiver_id, packets) in enumerate(receivers):
+            heads = None
+            if holder is not None:
+                lost, decoded_head = _head_templates(receiver_id)
+                heads_held[receiver_id] = _held_heads(holder, receiver_id, packets, decoded_head)
+                heads = np.where(packets.decoded, heads_held[receiver_id][2], lost)
+            rows = range(_second_part(packets).start if forked else len(packets))
+            yield from _packet_lines(receivers, index, rows, held, heads)
+            if forked:
+                yield from copied(index)
         if holder is not None:
-            heads_held[receiver_id] = _held_heads(holder, receiver_id, packets, decoded_head)
-            heads = np.where(packets.decoded, heads_held[receiver_id][2], lost)
-        for start in range(0, len(packets), WRITE_BATCH_ROWS):
-            rows = slice(start, start + WRITE_BATCH_ROWS)
-            text = held.ticks[1][rows] if held.ticks else _tick_text(packets, rows)
-            if holder is None:
-                decoded = packets.decoded[rows]
-                times = (c[rows][decoded] for c in (packets.latency_s, packets.rx_time_s))
-                batch = np.array([lost, *_heads(decoded_head, *times)], dtype=object)
-                # A decoded row takes its own head, numbered from 1; a lost row head 0.
-                batch = batch[np.cumsum(decoded) * decoded]
-            else:
-                batch = heads[rows]
-            yield "".join(itertools.chain.from_iterable(zip(batch.tolist(), text)))
-    if holder is not None:
-        holder.heads = heads_held
-    for event in log.events:
-        yield _encode({"type": "event", **dataclasses.asdict(event)}) + "\n"
+            holder.heads = heads_held
+        for event in log.events:
+            yield _encode({"type": "event", **dataclasses.asdict(event)}) + "\n"
 
 
 def log_bytes(log: SimLog) -> bytes:
@@ -327,9 +472,11 @@ def commit(outputs, directory=None) -> None:
     Each output streams its text chunks to a temp file beside its path, and
     only when every one is complete are they renamed over their paths. A
     path that is a directory fails before anything is written there. Any
-    failure deletes every temp file and every directory made here, and an
-    OSError names the output's path. The one gap: a rename racing with
-    another process's leaves the outputs renamed before it.
+    failure closes every output's chunks that can be closed (a log_text
+    generator then stops its second writer process), deletes every temp
+    file and every directory made here, and an OSError names the output's
+    path. The one gap: a rename racing with another process's leaves the
+    outputs renamed before it.
     """
     outputs = list(outputs)
     files = [os.path.realpath(path) for path, _ in outputs]
@@ -350,6 +497,8 @@ def commit(outputs, directory=None) -> None:
         for tmp, path in pending:
             os.replace(tmp, path)
     except BaseException as exc:
+        for _, chunks in outputs:
+            getattr(chunks, "close", lambda: None)()
         for tmp, _ in pending:
             Path(tmp).unlink(missing_ok=True)
         for made_dir in made:

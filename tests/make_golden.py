@@ -27,6 +27,17 @@ from railwarn.logio import FIELD_COLUMNS
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NAMES = ("open_track_20mph", "suburban_rsu_10mph")
 SWEEP = ["--speeds", "10mph,20mph,40mph", "--powers", "11,23"]
+# The suburban pass at this speed, 56,002 packet rows: a long pass, which
+# logio.log_text formats in two processes where it can.
+LONG_SPEED_MPS = 0.5
+
+
+def long_config() -> str:
+    """The suburban config slowed to LONG_SPEED_MPS, as JSON."""
+    config = json.loads((CONFIGS / "suburban_rsu_10mph.json").read_text())
+    config["train"]["speed_mps"] = LONG_SPEED_MPS
+    del config["train"]["speed_mph"]
+    return json.dumps(config, indent=1, sort_keys=True) + "\n"
 
 
 def capture_lines(log, receiver_id: str = "rsu0") -> list:
@@ -66,6 +77,9 @@ def runs(tmp: Path) -> list:
     result.append(("dwarn/safeness", [*dwarn, *_safeness_outputs(tmp / "dwarn")]))
     capture, field_out = str(tmp / "field" / "capture.csv"), str(tmp / "field" / "analyze")
     result.append(("field/analyze", ["analyze", capture, "--field-csv", "--out-dir", field_out]))
+    long = tmp / "long"
+    simulate = ["simulate", str(long / "config.json"), "-o", str(long / "pass.log.jsonl")]
+    result.append(("long/simulate", simulate))
     suburban = str(CONFIGS / "suburban_rsu_10mph.json")
     for workers in (1, 2):
         out_dir = str(tmp / f"sweep-w{workers}")
@@ -77,8 +91,9 @@ def runs(tmp: Path) -> list:
 def corpus(tmp: Path) -> dict:
     """{path: sha256} of every run's stdout and of every file under tmp."""
     tmp = Path(tmp)
-    for directory in (*NAMES, "dwarn", "field"):
+    for directory in (*NAMES, "dwarn", "field", "long"):
         (tmp / directory).mkdir()
+    (tmp / "long" / "config.json").write_text(long_config())
     log = run_pass(load_scenario(CONFIGS / "suburban_rsu_10mph.json"))
     (tmp / "field" / "capture.csv").write_text("\n".join(capture_lines(log)) + "\n")
     hashes = {}
