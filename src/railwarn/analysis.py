@@ -231,7 +231,7 @@ def csv_output(path: str | Path, header: list, rows: list) -> tuple:
     writer = csv.writer(text)
     writer.writerow(header)
     writer.writerows(rows)
-    return path, [text.getvalue()]
+    return path, [text.getvalue().encode()]
 
 
 def write_per_csv(series_list, path: str | Path) -> tuple:

@@ -17,12 +17,13 @@ writes goes through commit, all or nothing; a file read that is not UTF-8
 names path:line (units.utf8_text).
 
 A packet line has one layout, PACKET_LINE, keys sorted as json.dumps(...,
-sort_keys=True) writes them: the writer splits it into each receiver's head
-and each tick's text, which receivers whose tick columns are bitwise equal
-share, within a log and, through a TextHolder the caller keeps, across
-logs, where a receiver's decoded heads are shared too (log_text); a long
-pass's log is formatted in two processes, the forked one's half through a
-temporary file (_second_process); the reader fills it into one pattern.
+sort_keys=True) writes them: the writer builds each as its receiver's
+decoded-row head (or the lost-row one) and then its tick's text, both held
+in a TextHolder, the caller's or a new one (log_text); receivers whose tick
+columns are bitwise equal share the tick text, within a log and across
+logs, and a receiver's heads carry across logs. A long pass's log is
+formatted in two processes, the forked one's part through a temporary file
+(_second_process); the reader fills the layout into one pattern.
 Packets move in chunks. The reader checks line 1 as the header, then
 matches packet lines with the pattern, converting their numbers with
 float() and int() as json does; any other line goes through json with the
@@ -171,7 +172,7 @@ class SimLog:
 # a NaN or infinity raises instead of writing a non-JSON literal.
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
-# Packet rows formatted per batch on write; about this many bytes of lines
+# Packet lines joined per chunk on write; about this many bytes of lines
 # parsed per batch on read, and at most this many copied per read of a
 # second writer process's temporary file.
 WRITE_BATCH_ROWS = 4096
@@ -217,8 +218,6 @@ def _not_finite(tx, position, decoded, rx, latency) -> np.ndarray:
 # A packet line is its receiver's head, then its tick's text from "seq" on.
 _SPLIT = PACKET_LINE.index('"seq"')
 _HEAD, _TICK_LINE = PACKET_LINE[:_SPLIT], PACKET_LINE[_SPLIT:] % ("%d", "%r", "%r") + "\n"
-# A packet line's columns in the order of its keys.
-_LINE_COLUMNS = sorted(PacketColumns.__slots__)
 
 
 def _same_ticks(a: PacketColumns, b: PacketColumns) -> bool:
@@ -227,9 +226,9 @@ def _same_ticks(a: PacketColumns, b: PacketColumns) -> bool:
     return all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in pairs)
 
 
-def _tick_text(packets: PacketColumns, rows: slice) -> list:
-    """Each tick's text from "seq" on, with its newline, for a slice of rows."""
-    columns = (c[rows].tolist() for c in (packets.seq, packets.train_d_t_m, packets.tx_time_s))
+def _tick_text(packets: PacketColumns) -> list:
+    """Each tick's text from "seq" on, with its newline."""
+    columns = (c.tolist() for c in (packets.seq, packets.train_d_t_m, packets.tx_time_s))
     return [_TICK_LINE % row for row in zip(*columns)]
 
 
@@ -276,47 +275,22 @@ def _held_heads(holder: TextHolder, receiver_id, packets: PacketColumns, templat
     return held
 
 
-def _packet_lines(receivers: list, index: int, rows: range, held: TextHolder, heads=None):
-    """The packet lines of rows, a range of receiver index's rows, in
-    batches of WRITE_BATCH_ROWS lines at most.
-
-    held.ticks holds tick text for the rows of this range: it is reused
-    while the receiver's tick columns are bitwise equal to those it was
-    formatted from, and otherwise formatted afresh and held if heads is
-    given or a later receiver's tick columns are equal; a receiver whose
-    tick text is not held formats each line in one %. heads, the holder's
-    head of every row of the receiver, stands in for formatting them.
-    """
-    receiver_id, packets = receivers[index]
-    if not (held.ticks and _same_ticks(held.ticks[0], packets)):
-        keep = heads is not None or any(
-            _same_ticks(packets, other) for _, other in receivers[index + 1 :]
-        )
-        held.ticks = (packets, _tick_text(packets, slice(rows.start, rows.stop))) if keep else ()
+def _packet_lines(receiver_id, packets: PacketColumns, holder: TextHolder):
+    """A receiver's packet lines, in chunks of WRITE_BATCH_ROWS lines at
+    most: each row's head, then its tick's text. The holder's tick text is
+    reused while the receiver's tick columns are bitwise equal to those it
+    was formatted from, and formatted and held otherwise; the heads are the
+    holder's, brought up to these packets (_held_heads), which it returns."""
+    if not (holder.ticks and _same_ticks(holder.ticks[0], packets)):
+        holder.ticks = (packets, _tick_text(packets))
+    text = holder.ticks[1]
     lost, decoded_head = _head_templates(receiver_id)
-    lost_line, decoded_line = lost.replace("%", "%%") + _TICK_LINE, decoded_head + _TICK_LINE
-    for start in range(rows.start, rows.stop, WRITE_BATCH_ROWS):
-        batch = slice(start, min(start + WRITE_BATCH_ROWS, rows.stop))
-        if not held.ticks:
-            columns = (getattr(packets, name)[batch].tolist() for name in _LINE_COLUMNS)
-            yield "".join(
-                [
-                    decoded_line % (latency, rx, seq, position, tx) if decoded
-                    else lost_line % (seq, position, tx)
-                    for decoded, latency, rx, seq, position, tx in zip(*columns)
-                ]
-            )
-            continue
-        decoded = packets.decoded[batch]
-        text = held.ticks[1][start - rows.start : batch.stop - rows.start]
-        if heads is None:
-            times = (c[batch][decoded] for c in (packets.latency_s, packets.rx_time_s))
-            batch_heads = np.array([lost, *_heads(decoded_head, *times)], dtype=object)
-            # A decoded row takes its own head, numbered from 1; a lost row head 0.
-            batch_heads = batch_heads[np.cumsum(decoded) * decoded]
-        else:
-            batch_heads = heads[batch]
-        yield "".join(itertools.chain.from_iterable(zip(batch_heads.tolist(), text)))
+    held = _held_heads(holder, receiver_id, packets, decoded_head)
+    heads = np.where(packets.decoded, held[2], lost)
+    for start in range(0, len(packets), WRITE_BATCH_ROWS):
+        rows = slice(start, start + WRITE_BATCH_ROWS)
+        yield "".join(itertools.chain.from_iterable(zip(heads[rows].tolist(), text[rows]))).encode()
+    return held
 
 
 # The fewest packet rows of a pass whose log log_text formats in two
@@ -328,9 +302,11 @@ def _packet_lines(receivers: list, index: int, rows: range, held: TextHolder, he
 FORK_ROWS = 28_000
 
 
-def _second_part(packets: PacketColumns) -> range:
-    """The rows of a receiver that the second process formats: its last half, rounded down."""
-    return range(len(packets) - len(packets) // 2, len(packets))
+def _part(packets: PacketColumns, second: bool) -> PacketColumns:
+    """A receiver's first or second part: the second is its last half of rows, rounded down."""
+    split = len(packets) - len(packets) // 2
+    rows = slice(split, None) if second else slice(split)
+    return PacketColumns(*(c[rows] for c in packets.columns()[:3]), packets.rx_time_s[rows])
 
 
 def _two_processes(receivers: list) -> bool:
@@ -351,10 +327,10 @@ def _spill_second_parts(receivers: list, spill, pipe: tuple) -> None:
     try:
         read_end, write_end = pipe
         os.close(read_end)
-        held = TextHolder()
-        for index, (_, packets) in enumerate(receivers):
-            for text in _packet_lines(receivers, index, _second_part(packets), held):
-                offset += spill.write(text.encode())
+        holder = TextHolder()
+        for receiver_id, packets in receivers:
+            for chunk in _packet_lines(receiver_id, _part(packets, True), holder):
+                offset += spill.write(chunk)
             spill.flush()
             os.write(write_end, offset.to_bytes(8, "little"))
         code = 0
@@ -365,8 +341,8 @@ def _spill_second_parts(receivers: list, spill, pipe: tuple) -> None:
 @contextlib.contextmanager
 def _second_process(receivers: list):
     """Fork a child that formats each receiver's second part into an
-    unlinked temporary file, and yield copied(index), receiver index's part
-    as text, in reads of READ_BATCH_BYTES at most, once the child has
+    unlinked temporary file, and yield copied(), the next receiver's part
+    as bytes, in reads of READ_BATCH_BYTES at most, once the child has
     written it. The child sends each part's end offset through a pipe and
     never waits for this process. On exit the child is reaped, killed first
     if this process stops early; a child that failed or ended early raises
@@ -381,7 +357,7 @@ def _second_process(receivers: list):
             os.close(write_end)
             write_end, copied_to = None, 0
 
-            def copied(index):
+            def copied():
                 nonlocal copied_to
                 end = os.read(read_end, 8)
                 if len(end) != 8:
@@ -393,7 +369,7 @@ def _second_process(receivers: list):
                     # Whole lines, when a read holds one.
                     data = data[: data.rfind(b"\n") + 1 or len(data)]
                     copied_to += len(data)
-                    yield data.decode()
+                    yield data
 
             yield copied
             _, status = os.waitpid(pid, 0)
@@ -410,27 +386,24 @@ def _second_process(receivers: list):
 
 
 def log_text(log: SimLog, holder: TextHolder | None = None):
-    """The serialised log in pieces of whole lines, WRITE_BATCH_ROWS packet
-    lines at most. %r of a float is float.__repr__, which json writes.
+    """The serialised log as UTF-8 bytes, in pieces of whole lines,
+    WRITE_BATCH_ROWS packet lines at most. %r of a float is float.__repr__,
+    which json writes.
 
-    A tick's text is formatted once, and the pass's is held while a later
-    receiver's tick columns are bitwise equal to it, so that receiver
-    formats only its heads; a receiver sharing no tick columns formats each
-    line in one %. holder, a TextHolder the caller keeps, carries held text
-    from one log to the next: given it, every receiver's tick text is held
-    there, one pass's at most, and reused by a receiver of a later log
-    whose tick columns are bitwise equal; and so is each receiver's decoded
-    heads, a head reused by a later log's row of that receiver whose
-    rx_time_s and latency_s are bitwise equal. So what is held changes no
-    byte. A row the log cannot hold raises json's ValueError, naming the
-    row's first value that is not finite, before any line is formatted.
+    Each receiver's lines are formatted by _packet_lines through holder, a
+    TextHolder the caller keeps, or a new one: a tick's text is formatted
+    once and reused by a later receiver, of this log or a later one, whose
+    tick columns are bitwise equal; and a decoded row's head is reused by a
+    later log's row of that receiver whose rx_time_s and latency_s are
+    bitwise equal. So what is held changes no byte. A row the log cannot
+    hold raises json's ValueError, naming the row's first value that is not
+    finite, before any line is formatted.
 
     Without holder, a pass of FORK_ROWS packet rows or more, in a process
     with one thread and more than one CPU to run on, is formatted in two
-    processes: each receiver's second part (_second_part) by a forked child
-    into a temporary file (_second_process), the rest here, each with
-    _packet_lines, so the bytes are the same; each process holds the tick
-    text of its own part only.
+    processes: each receiver's second part (_part) by a forked child into a
+    temporary file (_second_process), its first part here, each through its
+    own new holder, so the bytes are the same.
     """
     receivers = [(receiver_id, log.records[receiver_id]) for receiver_id in log.receiver_ids()]
     for _, packets in receivers:
@@ -440,28 +413,22 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
             value = next(v for v in (float(c[bad[0]]) for c in columns) if not math.isfinite(v))
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     forked = holder is None and _two_processes(receivers)
+    holder = TextHolder() if holder is None else holder
     with _second_process(receivers) if forked else contextlib.nullcontext() as copied:
-        yield _encode(_header_dict(log)) + "\n"
-        held = TextHolder() if holder is None else holder
-        heads_held = {}  # this log's receivers' heads, which the holder keeps after it
-        for index, (receiver_id, packets) in enumerate(receivers):
-            heads = None
-            if holder is not None:
-                lost, decoded_head = _head_templates(receiver_id)
-                heads_held[receiver_id] = _held_heads(holder, receiver_id, packets, decoded_head)
-                heads = np.where(packets.decoded, heads_held[receiver_id][2], lost)
-            rows = range(_second_part(packets).start if forked else len(packets))
-            yield from _packet_lines(receivers, index, rows, held, heads)
+        yield (_encode(_header_dict(log)) + "\n").encode()
+        heads = {}  # this log's receivers' heads, which the holder keeps after it
+        for receiver_id, packets in receivers:
+            part = _part(packets, False) if forked else packets
+            heads[receiver_id] = yield from _packet_lines(receiver_id, part, holder)
             if forked:
-                yield from copied(index)
-        if holder is not None:
-            holder.heads = heads_held
+                yield from copied()
+        holder.heads = heads
         for event in log.events:
-            yield _encode({"type": "event", **dataclasses.asdict(event)}) + "\n"
+            yield (_encode({"type": "event", **dataclasses.asdict(event)}) + "\n").encode()
 
 
 def log_bytes(log: SimLog) -> bytes:
-    return "".join(log_text(log)).encode()
+    return b"".join(log_text(log))
 
 
 def commit(outputs, directory=None) -> None:
@@ -469,8 +436,8 @@ def commit(outputs, directory=None) -> None:
     given, is made first. Two paths naming one file raise ValueError
     before anything is written.
 
-    Each output streams its text chunks to a temp file beside its path, and
-    only when every one is complete are they renamed over their paths. A
+    Each output streams its chunks of bytes to a temp file beside its path,
+    and only when every one is complete are they renamed over their paths. A
     path that is a directory fails before anything is written there. Any
     failure closes every output's chunks that can be closed (a log_text
     generator then stops its second writer process), deletes every temp
@@ -493,7 +460,7 @@ def commit(outputs, directory=None) -> None:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             pending.append((f"{path}.tmp{os.getpid()}", path))
             with open(pending[-1][0], "wb") as handle:
-                handle.writelines(text.encode() for text in chunks)
+                handle.writelines(chunks)
         for tmp, path in pending:
             os.replace(tmp, path)
     except BaseException as exc:

@@ -109,7 +109,7 @@ def test_analyze_removes_the_directories_it_made(tmp_path, open_track_log, monke
 
 class TestCommit:
     def test_writes_every_output(self, tmp_path):
-        logio.commit([(tmp_path / "a", ["x", "y"]), (tmp_path / "b", [])], tmp_path / "d")
+        logio.commit([(tmp_path / "a", [b"x", b"y"]), (tmp_path / "b", [])], tmp_path / "d")
         assert (tmp_path / "a").read_text() == "xy"
         assert (tmp_path / "b").read_bytes() == b""
         assert (tmp_path / "d").is_dir()
@@ -118,7 +118,7 @@ class TestCommit:
         (tmp_path / "old").write_text("kept")
         (tmp_path / "b").mkdir()
         with pytest.raises(IsADirectoryError, match=r"Is a directory: '.*/b'$"):
-            logio.commit([(tmp_path / "old", ["new"]), (tmp_path / "b", ["x"])])
+            logio.commit([(tmp_path / "old", [b"new"]), (tmp_path / "b", [b"x"])])
         assert (tmp_path / "old").read_text() == "kept"
         assert files(tmp_path) == {"old"}
 
@@ -132,10 +132,10 @@ class TestCommit:
 
     def test_a_failed_chunk_removes_temp_files_and_made_directories(self, tmp_path):
         def chunks():
-            yield "x"
+            yield b"x"
             raise ValueError("not JSON compliant")
 
         directory = tmp_path / "made" / "here"
         with pytest.raises(ValueError, match="not JSON compliant"):
-            logio.commit([(directory / "a", ["a"]), (directory / "b", chunks())], directory)
+            logio.commit([(directory / "a", [b"a"]), (directory / "b", chunks())], directory)
         assert list(tmp_path.iterdir()) == []

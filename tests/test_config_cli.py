@@ -1087,9 +1087,9 @@ class TestSweepWorkers:
         calls = []
         original = logio._tick_text
 
-        def counted(packets, rows):
+        def counted(packets):
             calls.append(len(packets))
-            return original(packets, rows)
+            return original(packets)
 
         monkeypatch.setattr(logio, "_tick_text", counted)
         rows = run_sweep(

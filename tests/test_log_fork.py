@@ -25,6 +25,8 @@ from test_all_or_nothing import assert_failed_cleanly
 from test_logio import columns_log
 
 from railwarn import logio
+from railwarn.config import load_scenario
+from railwarn.engine import run_pass
 from railwarn.logio import WRITE_BATCH_ROWS, PacketColumns, log_bytes, log_text
 from railwarn.protocol import WarningEvent
 
@@ -135,6 +137,40 @@ def test_a_pass_below_the_threshold_stays_in_one_process(monkeypatch):
     assert len(children) == 1
 
 
+def test_a_write_without_a_holder_formats_each_tick_and_head_once(monkeypatch):
+    # A two-receiver pass whose receivers share their tick columns.
+    log = run_pass(load_scenario(SUBURBAN))
+    ticks, heads = [], []
+    tick_text, format_heads = logio._tick_text, logio._heads
+
+    def counted_ticks(packets):
+        ticks.append(len(packets))
+        return tick_text(packets)
+
+    def counted_heads(*args):
+        formatted = format_heads(*args)
+        heads.append(len(formatted))
+        return formatted
+
+    monkeypatch.setattr(logio, "_tick_text", counted_ticks)
+    monkeypatch.setattr(logio, "_heads", counted_heads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = log_bytes(log)
+    assert len(ticks) == 1
+    assert sum(heads) == log.decoded_count()
+    # In two processes, the parent formats its first parts only.
+    ticks.clear()
+    heads.clear()
+    children = two_processes(monkeypatch)
+    assert log_bytes(log) == one
+    assert len(children) == 1
+    first = [len(packets) - len(packets) // 2 for packets in log.records.values()]
+    assert ticks == first[:1]
+    assert sum(heads) == sum(
+        int(packets.decoded[:rows].sum()) for packets, rows in zip(log.records.values(), first)
+    )
+
+
 def in_the_child(monkeypatch, act) -> None:
     """Make the forked child call act() before it formats anything."""
     parent, packet_lines = os.getpid(), logio._packet_lines
@@ -156,7 +192,7 @@ def test_a_text_stopped_after_its_first_chunk_leaves_no_child(monkeypatch, stop)
     children = two_processes(monkeypatch)
     stuck_child(monkeypatch)
     text = log_text(big_log())
-    assert next(text).startswith('{"analysis_window_m"')
+    assert next(text).startswith(b'{"analysis_window_m"')
     assert len(children) == 1
     start = time.monotonic()
     if stop == "close":

@@ -311,17 +311,22 @@ def test_logs_written_through_one_holder_keep_their_own_bytes(
             assert all(isinstance(head, str) for head in heads[decoded])
 
 
-SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SUBURBAN = CONFIGS / "suburban_rsu_10mph.json"
 
 
 def test_holder_keeps_at_most_320_bytes_per_packet_row(tmp_path):
     # The memory law in README: about 250 bytes per packet row of the pass
-    # last written, linear in its size; 6,264 and 25,054 rows here.
+    # last written, linear in its size; 6,264 and 25,054 rows here. Then
+    # the one-receiver open-track config as shipped (2,685 rows).
     base = load_scenario(SUBURBAN)
+    scenarios = [
+        dataclasses.replace(base, train=dataclasses.replace(base.train, speed_mps=mph_to_mps(mph)))
+        for mph in (10, 2.5)
+    ]
     per_row = []
-    for mph in (10, 2.5):
-        train = dataclasses.replace(base.train, speed_mps=mph_to_mps(mph))
-        log = run_pass(dataclasses.replace(base, train=train))
+    for scenario in [*scenarios, load_scenario(CONFIGS / "open_track_20mph.json")]:
+        log = run_pass(scenario)
         holder = TextHolder()
         tracemalloc.start()
         try:
