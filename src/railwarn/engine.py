@@ -31,7 +31,6 @@ pattern_gain and receiver_stream calls than it runs passes.
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from itertools import groupby, product
 from pathlib import Path
@@ -53,7 +52,7 @@ from .link import (
 )
 from .logio import AnalysisDefaults, PacketColumns, SimLog, pass_packets
 from .protocol import TriggerPolicy, first_warning, rsu_relay
-from .units import require_finite_fields
+from .units import fork_cpus, require_finite_fields
 
 # The version field of a scenario config; scenario_to_dict writes it.
 CONFIG_VERSION = 1
@@ -438,12 +437,13 @@ def run_sweep(
     tick-text holder (_run_points): a piece computes its run's link arrays
     once per seed and formats its tick text once, and a process holds the
     link arrays of one train run and seed and the tick text of one pass at
-    most. The pool gets the pieces largest first, and no more workers than
-    there are pieces. Which points share a piece, or which process runs it,
-    changes no byte. The result is one row per point, in grid order: (log
-    name, SweepPoint, packets, decoded, events, warning_range_m), and
-    summary.csv, written last through logio.commit, lists them. A failed sweep deletes the files at its log names and
-    writes no summary.csv.
+    most. The pool is forked; it gets the pieces largest first, and no more
+    workers than there are pieces or units.fork_cpus(). Which points share
+    a piece, or which process runs it, changes no byte. The result is one
+    row per point, in grid order: (log name, SweepPoint, packets, decoded,
+    events, warning_range_m), and summary.csv, written last through
+    logio.commit, lists them. A failed sweep deletes the files at its log
+    names and writes no summary.csv.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
     powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
@@ -467,19 +467,20 @@ def run_sweep(
     paths = [out_dir / _log_name(i, point) for i, point in enumerate(points)]
     jobs = list(zip(points, scenarios, paths))
     # A fork-started pool starts all its workers at the first submit, so
-    # it gets no more of them than there are points, processors or pieces.
-    workers = min(max_workers or 1, len(jobs), os.cpu_count() or 1)
+    # it gets no more of them than there are points, fork_cpus or pieces.
+    workers = min(max_workers or 1, len(jobs), fork_cpus())
     pieces = _pieces(jobs, workers)
     workers = min(workers, len(pieces))
     try:
         if workers > 1:
             # Imported here: loading multiprocessing costs every other command.
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             # Leaving the pool waits for every running pass, so no worker
             # writes a log after a failure is handled below.
             results = [None] * len(jobs)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
                 piece_jobs = [[jobs[i] for i in piece] for piece in pieces]
                 for piece, rows in zip(pieces, pool.map(_run_points, piece_jobs)):
                     for i, row in zip(piece, rows):

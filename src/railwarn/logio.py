@@ -42,7 +42,6 @@ import os
 import re
 import signal
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from .geometry import Placement, TrainRun, tick_count
 from .protocol import WARNING_MODES, WarningEvent
-from .units import check_field, require_finite_fields, utf8_text
+from .units import check_field, fork_cpus, require_finite_fields, utf8_text
 
 # Version 2 logs come from the keyed block streams (engine.receiver_stream);
 # version 1 logs came from one stream per receiver drawn tick by tick. Their
@@ -309,16 +308,6 @@ def _part(packets: PacketColumns, second: bool) -> PacketColumns:
     return PacketColumns(*(c[rows] for c in packets.columns()[:3]), packets.rx_time_s[rows])
 
 
-def _two_processes(receivers: list) -> bool:
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and sum(len(packets) for _, packets in receivers) >= FORK_ROWS
-        and threading.active_count() == 1
-        and len(os.sched_getaffinity(0)) > 1
-    )
-
-
 def _spill_second_parts(receivers: list, spill, pipe: tuple) -> None:
     """In the forked child: each receiver's second part into spill, then
     its end offset through the pipe's write end; exits the process, 0 when
@@ -399,11 +388,11 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
     hold raises json's ValueError, naming the row's first value that is not
     finite, before any line is formatted.
 
-    Without holder, a pass of FORK_ROWS packet rows or more, in a process
-    with one thread and more than one CPU to run on, is formatted in two
-    processes: each receiver's second part (_part) by a forked child into a
-    temporary file (_second_process), its first part here, each through its
-    own new holder, so the bytes are the same.
+    Without holder, a pass of FORK_ROWS packet rows or more, where
+    units.fork_cpus() is more than 1, is formatted in two processes: each
+    receiver's second part (_part) by a forked child into a temporary file
+    (_second_process), its first part here, each through its own new
+    holder, so the bytes are the same.
     """
     receivers = [(receiver_id, log.records[receiver_id]) for receiver_id in log.receiver_ids()]
     for _, packets in receivers:
@@ -412,7 +401,7 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
         if bad.size:
             value = next(v for v in (float(c[bad[0]]) for c in columns) if not math.isfinite(v))
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    forked = holder is None and _two_processes(receivers)
+    forked = holder is None and log.packet_count() >= FORK_ROWS and fork_cpus() > 1
     holder = TextHolder() if holder is None else holder
     with _second_process(receivers) if forked else contextlib.nullcontext() as copied:
         yield (_encode(_header_dict(log)) + "\n").encode()

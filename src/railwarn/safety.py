@@ -135,6 +135,10 @@ def time_to_avoid_collision(warning_range_m: float, train_speed_mps: float) -> f
     return budget
 
 
+def _level(time_to_crossing_s: float, stop_budget_s: float, margin_s: float) -> float:
+    return math.nan if margin_s == 0 else (time_to_crossing_s - stop_budget_s) / margin_s
+
+
 def safeness_level(
     time_to_crossing_s: float,
     time_to_avoid_collision_s: float,
@@ -153,7 +157,7 @@ def safeness_level(
         raise ValueError("times must be >= 0")
     stop_budget = _stop_budget_s(reaction_s, system_delay_s, braking_s)
     margin = time_to_avoid_collision_s - stop_budget
-    level = math.nan if margin == 0 else (time_to_crossing_s - stop_budget) / margin
+    level = _level(time_to_crossing_s, stop_budget, margin)
     if margin <= 0 or level < 0.0:
         category = SafenessCategory.NOT_SAFE
     elif level < 1.0:
@@ -209,7 +213,8 @@ def safeness_curve(
     reaction_s: float = DEFAULT_REACTION_S,
     system_delay_s: float = DEFAULT_SYSTEM_DELAY_S,
 ) -> SafenessCurve:
-    """safeness_level at CURVE_POINTS train distances.
+    """safeness_level's level at CURVE_POINTS train distances, through one
+    stop budget and margin.
 
     The time budget is fixed by the warning range; only the train's
     remaining travel time varies along the sweep, which runs from the
@@ -221,22 +226,21 @@ def safeness_curve(
     top = warning_range_m * 1.25 if warning_range_m > 0 else 1.0
     require_finite(top_distance_m=top)
     distances = tuple(top * i / (CURVE_POINTS - 1) for i in range(CURVE_POINTS))
-    results = [
-        safeness_level(d / train_speed_mps, total_budget, reaction_s, system_delay_s, braking_s)
-        for d in distances
-    ]
+    stop_budget = _stop_budget_s(reaction_s, system_delay_s, braking_s)
+    # Division is monotone, so the farthest distance's time bounds them all.
+    require_finite(time_to_crossing_s=max(distances) / train_speed_mps)
+    margin = total_budget - stop_budget
     return SafenessCurve(
         vehicle_speed_mph=vehicle_speed_mph,
         road=road,
         braking_s=braking_s,
         time_to_avoid_collision_s=total_budget,
         distances_m=distances,
-        levels=tuple(result.level for result in results),
+        levels=tuple(_level(d / train_speed_mps, stop_budget, margin) for d in distances),
         zero_cross_distance_m=minimum_required_range(
             train_speed_mps, reaction_s, braking_s, system_delay_s
         ),
         one_cross_distance_m=warning_range_m,
-        # The margin and the failure are the same at every distance.
-        protection_s=results[0].protection_s,
-        system_failed=results[0].system_failed,
+        protection_s=margin,
+        system_failed=margin <= 0,
     )

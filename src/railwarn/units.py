@@ -9,7 +9,9 @@ import contextlib
 import csv
 import dataclasses
 import math
+import os
 import sys
+import threading
 
 MPH_TO_MPS = 0.44704
 SPEED_OF_LIGHT_MPS = 299_792_458.0
@@ -55,6 +57,15 @@ def check_field(value, annotation, name: str):
     if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int too large
         raise ValueError(f"{name}: must be a finite number, got {value!r}")
     return float(value)
+
+
+def fork_cpus() -> int:
+    """How many processes railwarn may run at once: the CPUs this process
+    may run on, where os.fork and os.sched_getaffinity exist and no other
+    thread runs, else 1. railwarn starts a second process only by fork, so
+    where this is 1 it runs in one process."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if forks and threading.active_count() == 1 else 1
 
 
 @contextlib.contextmanager

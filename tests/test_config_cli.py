@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +31,13 @@ from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
 from railwarn.logio import MAX_PACKETS, log_bytes, read_field_log, read_log, write_log
 from railwarn.protocol import TriggerPolicy
 from railwarn.units import parse_speed
+
+
+def railwarn_env() -> dict:
+    """This environment, with this railwarn first on PYTHONPATH, for a subprocess."""
+    src = str(Path(railwarn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -662,7 +670,9 @@ class TestSweepFlags:
 
 
 class TestSweepPool:
-    """The pool gets no more workers than there are points, processors or pieces."""
+    """The pool is forked, and gets no more workers than there are points,
+    pieces or units.fork_cpus(): the CPUs this process may run on while it
+    runs one thread."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -671,7 +681,7 @@ class TestSweepPool:
         class RecordingPool:
             """Runs the points in this process and records the workers asked for."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -696,7 +706,7 @@ class TestSweepPool:
         ],
     )
     def test_workers_bounded(self, tmp_path, monkeypatch, pools, workers, seeds, cpus, started):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         scenario = load_scenario(SUBURBAN)
         rows = run_sweep(scenario, seeds=seeds, max_workers=workers, out_dir=tmp_path)
         assert pools == started
@@ -707,7 +717,7 @@ class TestSweepPool:
         # The 1 m/s train run holds 98% of the packets and cuts into 2 pieces,
         # the 50 m/s run into 1: a fourth worker would have no piece. The pool
         # gets the pieces largest first; the rows come back in grid order.
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         scenario = load_scenario(SUBURBAN)
         rows = run_sweep(
             scenario, speeds_mps=[1.0, 50.0], seeds=[1, 2], max_workers=4, out_dir=tmp_path
@@ -721,6 +731,63 @@ class TestSweepPool:
         ]
         assert [row[0][:8] for row in rows] == [f"point{i:03d}" for i in range(4)]
         assert [row[2] for row in rows] == [28002, 28002, 562, 562]
+
+    def test_the_pool_forks(self, tmp_path, monkeypatch):
+        methods, real = [], concurrent.futures.ProcessPoolExecutor
+
+        class ForkRecordingPool(real):
+            def __init__(self, max_workers=None, mp_context=None):
+                methods.append(mp_context and mp_context.get_start_method())
+                super().__init__(max_workers, mp_context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkRecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_sweep(load_scenario(SUBURBAN), seeds=[1, 2], max_workers=2, out_dir=tmp_path)
+        assert methods == ["fork"]
+
+    def test_one_cpu_starts_no_pool(self, tmp_path, monkeypatch, pools):
+        scenario = load_scenario(SUBURBAN)
+        run_sweep(scenario, seeds=[1, 2], max_workers=1, out_dir=tmp_path / "one")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run_sweep(scenario, seeds=[1, 2], max_workers=2, out_dir=tmp_path / "two")
+        assert pools == []
+        assert sweep_files(tmp_path / "two") == sweep_files(tmp_path / "one")
+
+    def test_a_second_thread_starts_no_pool(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            run_sweep(load_scenario(SUBURBAN), seeds=[1, 2], max_workers=2, out_dir=tmp_path)
+        finally:
+            done.set()
+            thread.join()
+        assert pools == []
+
+    def test_a_script_without_a_main_guard(self, tmp_path):
+        # The script runs as on two CPUs, so a pool starts. A pool that
+        # started its workers by spawn or forkserver (the default on Linux
+        # from Python 3.14) would run the script again in each worker, and
+        # break.
+        script = tmp_path / "script.py"
+        script.write_text(
+            "import os, sys\n"
+            "from railwarn.config import load_scenario\n"
+            "from railwarn.engine import run_sweep\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "scenario = load_scenario(sys.argv[1])\n"
+            "run_sweep(scenario, seeds=[1, 2], max_workers=2, out_dir=sys.argv[2])\n"
+        )
+        subprocess.run(
+            [sys.executable, str(script), str(SUBURBAN), str(tmp_path / "two")],
+            env=railwarn_env(),
+            capture_output=True,
+            check=True,
+        )
+        run_sweep(load_scenario(SUBURBAN), seeds=[1, 2], out_dir=tmp_path / "one")
+        summary = (tmp_path / "two" / "summary.csv").read_bytes()
+        assert summary == (tmp_path / "one" / "summary.csv").read_bytes()
 
 
 class TestNegativeSeeds:
@@ -1038,7 +1105,8 @@ def by_point(out_dir) -> dict:
 
 class TestSweepWorkers:
     """Each pass's process writes its log and returns one summary row; the
-    outputs do not depend on the worker count, the start method or grid order."""
+    outputs do not depend on the worker count, a start method the program
+    sets, or grid order."""
 
     def test_outputs_independent_of_workers_and_grid_order(self, tmp_path, capsys):
         assert main(sweep_argv(tmp_path / "one")) == 0
@@ -1050,15 +1118,14 @@ class TestSweepWorkers:
         assert by_point(tmp_path / "reversed") == by_point(tmp_path / "one")
 
     def test_spawned_workers_match_one_worker(self, tmp_path):
-        src = str(Path(railwarn.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # A program that sets spawn still gets the sweep's forked pool.
         program = (
             "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
             "from railwarn.cli import main; sys.exit(main(sys.argv[1:]))"
         )
         subprocess.run(
             [sys.executable, "-c", program, *sweep_argv(tmp_path / "spawn", workers=2)],
-            env=dict(os.environ, PYTHONPATH=path),
+            env=railwarn_env(),
             capture_output=True,
             check=True,
         )

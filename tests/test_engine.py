@@ -270,7 +270,7 @@ class TestRunSweep:
     def test_uneven_pieces_match_one_worker(self, tmp_path, monkeypatch):
         # Equal neighbouring speeds form one train run of 6 points, then two
         # runs of 3: 2 and 3 workers cut them into pieces of unequal sizes.
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         scenario = make_scenario(
             scene=CrossingScene(receivers=(RSU, OBU)),
             train=TrainRun(speed_mps=mph_to_mps(50), start_d_t_m=-200.0, end_d_t_m=200.0),
@@ -303,7 +303,7 @@ class TestRunSweep:
     def test_every_log_equals_its_pass_written_alone(
         self, tmp_path_factory, monkeypatch, speeds, powers, modulations, antennas, seeds, workers
     ):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         base = make_scenario(
             scene=CrossingScene(receivers=(RSU, OBU)),
             channel=SyntheticChannel(path_loss_exponent=2.8, shadowing_sigma_db=3.0),
