@@ -22,12 +22,12 @@ decoded-row head (or the lost-row one) and then its tick's text, both held
 in a TextHolder, the caller's or a new one (log_text); receivers whose tick
 columns are bitwise equal share the tick text, within a log and across
 logs, and a receiver's heads carry across logs. A long pass's log is
-formatted in two processes, the forked one's part through a temporary file
-(_second_process); the reader fills the layout into one pattern.
-Packets move in chunks. The reader checks line 1 as the header, then
-matches packet lines with the pattern, converting their numbers with
-float() and int() as json does; any other line goes through json with the
-full checks.
+written and read in two processes, the forked one's part through a
+temporary file (_second_process, _read_in_two; one fork, _child_process);
+the reader fills the layout into one pattern. Packets move in chunks.
+The reader checks line 1 as the header, then matches packet lines with
+the pattern, converting their numbers with float() and int() as json
+does; any other line goes through json with the full checks.
 """
 
 import contextlib
@@ -35,10 +35,13 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import io
 import itertools
 import json
 import math
+import operator
 import os
+import pickle
 import re
 import signal
 import tempfile
@@ -292,12 +295,13 @@ def _packet_lines(receiver_id, packets: PacketColumns, holder: TextHolder):
     return held
 
 
-# The fewest packet rows of a pass whose log log_text formats in two
-# processes: its measured break-even, below which the fork, the copy and a
-# second CPU shared with other work can cost more than they save. On a
-# 2 vCPU Xeon (Python 3.11), paired writes of two-receiver passes in two
-# processes won 0-15 of 15 pairs at 14,002 to 24,002 rows, depending on the
-# run, and 12-15 of 15 at 28,002 rows and 14-15 of 15 at 56,002, in every run.
+# The fewest packet rows of a pass whose log log_text writes and read_log
+# reads in two processes: the writer's measured break-even, below which the
+# fork, the copy and a second CPU shared with other work can cost more than
+# they save. On a 2 vCPU Xeon (Python 3.11), paired writes of two-receiver
+# passes in two processes won 0-15 of 15 pairs at 14,002 to 24,002 rows,
+# depending on the run, and 12-15 of 15 at 28,002 rows and 14-15 of 15 at
+# 56,002, in every run; paired reads won 9 of 15 at 14,002 and 15 of 15 at 28,002.
 FORK_ROWS = 28_000
 
 
@@ -308,70 +312,78 @@ def _part(packets: PacketColumns, second: bool) -> PacketColumns:
     return PacketColumns(*(c[rows] for c in packets.columns()[:3]), packets.rx_time_s[rows])
 
 
-def _spill_second_parts(receivers: list, spill, pipe: tuple) -> None:
-    """In the forked child: each receiver's second part into spill, then
-    its end offset through the pipe's write end; exits the process, 0 when
-    all are written and 1 on any failure, and never returns or waits."""
-    code, offset = 1, 0
+@contextlib.contextmanager
+def _child_process(work):
+    """Fork a child that runs work() and exits, 0 once it returns and 1 if
+    it raises, never waiting for this process. Yield reaped(), which waits
+    for it and says whether it exited 0. A child not reaped on exit (an
+    exception or KeyboardInterrupt here) is killed and reaped."""
+    pid, status = os.fork(), None
+    if pid == 0:
+        try:
+            work()
+            os._exit(0)
+        finally:
+            os._exit(1)
+
+    def reaped() -> bool:
+        nonlocal status
+        status = os.waitpid(pid, 0)[1]
+        return status == 0
+
     try:
-        read_end, write_end = pipe
-        os.close(read_end)
-        holder = TextHolder()
-        for receiver_id, packets in receivers:
-            for chunk in _packet_lines(receiver_id, _part(packets, True), holder):
-                offset += spill.write(chunk)
-            spill.flush()
-            os.write(write_end, offset.to_bytes(8, "little"))
-        code = 0
+        yield reaped
     finally:
-        os._exit(code)
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @contextlib.contextmanager
 def _second_process(receivers: list):
-    """Fork a child that formats each receiver's second part into an
-    unlinked temporary file, and yield copied(), the next receiver's part
-    as bytes, in reads of READ_BATCH_BYTES at most, once the child has
-    written it. The child sends each part's end offset through a pipe and
-    never waits for this process. On exit the child is reaped, killed first
-    if this process stops early; a child that failed or ended early raises
-    OSError."""
+    """Fork a child (_child_process) that formats each receiver's second
+    part into an unlinked temporary file, and yield copied(), the next
+    receiver's part as bytes, in reads of READ_BATCH_BYTES at most, once
+    the child has written it. The child sends each part's end offset
+    through a pipe. A child that failed or ended early raises OSError."""
     with tempfile.TemporaryFile() as spill:
         read_end, write_end = os.pipe()
-        pid = None
+
+        def spill_second_parts():
+            os.close(read_end)
+            offset, holder = 0, TextHolder()
+            for receiver_id, packets in receivers:
+                for chunk in _packet_lines(receiver_id, _part(packets, True), holder):
+                    offset += spill.write(chunk)
+                spill.flush()
+                os.write(write_end, offset.to_bytes(8, "little"))
+
         try:
-            pid = os.fork()
-            if pid == 0:
-                _spill_second_parts(receivers, spill, (read_end, write_end))
-            os.close(write_end)
-            write_end, copied_to = None, 0
+            with _child_process(spill_second_parts) as reaped:
+                os.close(write_end)
+                write_end, copied_to = None, 0
 
-            def copied():
-                nonlocal copied_to
-                end = os.read(read_end, 8)
-                if len(end) != 8:
-                    raise OSError(errno.EIO, "the log's second writer process ended early")
-                end = int.from_bytes(end, "little")
-                while copied_to < end:
-                    size = min(READ_BATCH_BYTES, end - copied_to)
-                    data = os.pread(spill.fileno(), size, copied_to)
-                    # Whole lines, when a read holds one.
-                    data = data[: data.rfind(b"\n") + 1 or len(data)]
-                    copied_to += len(data)
-                    yield data
+                def copied():
+                    nonlocal copied_to
+                    end = os.read(read_end, 8)
+                    if len(end) != 8:
+                        raise OSError(errno.EIO, "the log's second writer process ended early")
+                    end = int.from_bytes(end, "little")
+                    while copied_to < end:
+                        size = min(READ_BATCH_BYTES, end - copied_to)
+                        data = os.pread(spill.fileno(), size, copied_to)
+                        # Whole lines, when a read holds one.
+                        data = data[: data.rfind(b"\n") + 1 or len(data)]
+                        copied_to += len(data)
+                        yield data
 
-            yield copied
-            _, status = os.waitpid(pid, 0)
-            pid = None
-            if status:
-                raise OSError(errno.EIO, "the log's second writer process failed")
+                yield copied
+                if not reaped():
+                    raise OSError(errno.EIO, "the log's second writer process failed")
         finally:
             os.close(read_end)
             if write_end is not None:
                 os.close(write_end)
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def log_text(log: SimLog, holder: TextHolder | None = None):
@@ -698,13 +710,108 @@ def _line_object(line: str) -> tuple:
     return obj, obj.get("type") if isinstance(obj, dict) else None
 
 
+def _read_lines(path, batches, line_number: int, header: dict, limit: int) -> tuple:
+    """(parts, events, packets, last line number) of batches, each the text
+    of whole lines, the first numbered line_number: parts are the column
+    arrays of packet lines (_rows_to_columns), in file order. A line that
+    breaks the format, or a packet line past limit, raises ValueError
+    naming path:line."""
+    receivers = {_encode(p.id): i for i, p in enumerate(header["receivers"])}
+    pattern = _packet_pattern(receivers)
+    packets, parts, events, line_number = 0, [], [], line_number - 1  # lines read so far
+    for text in batches:
+        first_line = line_number + 1
+        line_number += text.count("\n") + (not text.endswith("\n"))
+        rows = pattern.findall(text)
+        if len(rows) == line_number - first_line + 1 and packets + len(rows) <= limit:
+            packets += len(rows)
+            parts.append(
+                _rows_to_columns(path, rows, receivers, np.arange(first_line, line_number + 1))
+            )
+            continue
+        rows, row_lines = [], []
+        for number, line in enumerate(io.StringIO(text), start=first_line):
+            try:
+                match = pattern.fullmatch(line.rstrip("\n"))
+                if not (match or line.strip()):
+                    continue
+                obj, kind = (None, "packet") if match else _line_object(line)
+                if kind == "packet":
+                    if packets == limit:
+                        raise ValueError(f"more packet lines than the pass holds ({limit})")
+                    packets += 1
+                    rows.append(match.groups() if match else _json_row(obj, receivers))
+                    row_lines.append(number)
+                elif kind == "event":
+                    events.append(_event(obj, header["receivers"]))
+                elif kind == "header":
+                    raise ValueError("second header line")
+                else:
+                    raise ValueError(f"unknown line type {kind!r}")
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+        if rows:
+            parts.append(_rows_to_columns(path, rows, receivers, row_lines))
+    return parts, events, packets, line_number
+
+
+def _byte_lines(fd: int, start: int, end: int):
+    """The text of the whole lines in bytes [start, end) of a file, about
+    READ_BATCH_BYTES at a time, by os.pread, which moves no offset a forked
+    process shares. A carriage return, a byte not UTF-8 or a short file
+    raise ValueError."""
+    rest = b""
+    while start < end:
+        chunk = os.pread(fd, min(READ_BATCH_BYTES, end - start), start)
+        start += len(chunk)
+        data = rest + chunk
+        whole = data.rfind(b"\n") + 1 if start < end else len(data)
+        data, rest = data[:whole], data[whole:]
+        if b"\r" in data or not chunk:
+            raise ValueError("a carriage return, or the file cut short")
+        if data:
+            yield data.decode()
+
+
+def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
+    """_read_lines' parts and events of the lines from byte start on, read
+    in two processes: a forked child (_child_process) reads those past the
+    first newline after the midpoint into an unlinked temporary file, this
+    process those before it. None when the child fails or the parts hold more
+    than limit packet lines; a fault in this process's part raises ValueError."""
+    end = os.fstat(fd).st_size
+    cut = (start + end) // 2
+    while b"\n" not in (data := os.pread(fd, 4096, cut)) and data:
+        cut += len(data)
+    cut += data.find(b"\n") + 1
+    # Line 1, as text, ends at byte start with "\n", not "\r".
+    if not (os.pread(fd, 1, start - 1) == b"\n" and start < cut < end):
+        return None
+    with tempfile.TemporaryFile() as spill:
+
+        def second():
+            pickle.dump(_read_lines(path, _byte_lines(fd, cut, end), 1, header, limit), spill)
+            spill.flush()
+
+        with _child_process(second) as reaped:
+            parts, events, packets, lines = _read_lines(
+                path, _byte_lines(fd, start, cut), 2, header, limit
+            )
+            if not reaped():
+                return None
+        spill.seek(0)
+        more_parts, more_events, more_packets, _ = pickle.load(spill)
+    if packets + more_packets > limit:
+        return None
+    return parts + [(*part[:-1], part[-1] + lines) for part in more_parts], events + more_events
+
+
 def read_log(path: str | Path) -> SimLog:
     """Read a JSON-lines log; a line that breaks the format raises ValueError
     naming path:line. The header is line 1 and bounds the read
-    (_packet_limit), and reading stops at the first packet line past its pass."""
-    packets = 0  # packet lines read so far
-    parts: list = []  # column arrays of packet lines, in file order
-    events: list = []
+    (_packet_limit), and reading stops at the first packet line past its pass.
+    A pass of FORK_ROWS packet rows or more, where units.fork_cpus() is more
+    than 1, is read in two processes (_read_in_two) unless that might differ."""
     with utf8_text(path) as handle:
         first = handle.readline()
         try:
@@ -715,43 +822,15 @@ def read_log(path: str | Path) -> SimLog:
             limit = _packet_limit(header, len(first.encode()), os.fstat(handle.fileno()).st_size)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}:1: {exc}") from None
-        receivers = {_encode(p.id): i for i, p in enumerate(header["receivers"])}
-        pattern = _packet_pattern(receivers)
-        line_number = 1
-        for lines in iter(lambda: handle.readlines(READ_BATCH_BYTES), []):
-            first_line = line_number + 1
-            line_number += len(lines)
-            rows = pattern.findall("".join(lines))
-            if len(rows) == len(lines) and packets + len(rows) <= limit:
-                packets += len(rows)
-                parts.append(
-                    _rows_to_columns(path, rows, receivers, np.arange(first_line, line_number + 1))
-                )
-                continue
-            rows, row_lines = [], []
-            for number, line in enumerate(lines, start=first_line):
-                try:
-                    match = pattern.fullmatch(line.rstrip("\n"))
-                    if not (match or line.strip()):
-                        continue
-                    obj, kind = (None, "packet") if match else _line_object(line)
-                    if kind == "packet":
-                        if packets == limit:
-                            raise ValueError(f"more packet lines than the pass holds ({limit})")
-                        packets += 1
-                        rows.append(match.groups() if match else _json_row(obj, receivers))
-                        row_lines.append(number)
-                    elif kind == "event":
-                        events.append(_event(obj, header["receivers"]))
-                    elif kind == "header":
-                        raise ValueError("second header line")
-                    else:
-                        raise ValueError(f"unknown line type {kind!r}")
-                except (ValueError, TypeError) as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from None
-            if rows:
-                parts.append(_rows_to_columns(path, rows, receivers, row_lines))
-    return _assemble(path, header, parts, events)
+        body = None
+        if limit >= FORK_ROWS and fork_cpus() > 1:
+            # A fault, a refused spill file or fork: read again in one process.
+            with contextlib.suppress(ValueError, OSError):
+                body = _read_in_two(path, handle.fileno(), len(first.encode()), header, limit)
+        if body is None:
+            batches = map("".join, iter(lambda: handle.readlines(READ_BATCH_BYTES), []))
+            body = _read_lines(path, batches, 2, header, limit)[:2]
+    return _assemble(path, header, *body)
 
 
 _TICK_COLUMNS = ("seq", "tx_time_s", "train_d_t_m")
@@ -823,14 +902,15 @@ def read_field_log(path: str | Path) -> SimLog:
         if fieldnames is None or not set(FIELD_COLUMNS).issubset(fieldnames):
             raise ValueError(f"field log CSV must have columns {sorted(FIELD_COLUMNS)}")
         where = [fieldnames.index(name) for name in FIELD_COLUMNS]
-        width = max(where) + 1
+        fields, width = operator.itemgetter(*where), max(where) + 1
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(seq) == MAX_PACKETS:
                 raise ValueError(f"{path}:{row_number}: more than {MAX_PACKETS} packet rows")
-            row += [""] * (width - len(row))
-            seq_text, tx_text, position_text, decoded_text, rx_text = (row[i] for i in where)
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            seq_text, tx_text, position_text, decoded_text, rx_text = fields(row)
             row_decoded = _DECODED_TEXTS.get(decoded_text.strip().lower())
             if row_decoded is None:
                 raise ValueError(

@@ -62,8 +62,9 @@ def check_field(value, annotation, name: str):
 def fork_cpus() -> int:
     """How many processes railwarn may run at once: the CPUs this process
     may run on, where os.fork and os.sched_getaffinity exist and no other
-    thread runs, else 1. railwarn starts a second process only by fork, so
-    where this is 1 it runs in one process."""
+    thread runs, else 1. railwarn starts a second process only by fork, in
+    three places: the sweep's pool, and the long-pass log writer and reader
+    (logio). Where this is 1 it runs in one process."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     return len(os.sched_getaffinity(0)) if forks and threading.active_count() == 1 else 1
 

@@ -28,7 +28,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NAMES = ("open_track_20mph", "suburban_rsu_10mph")
 SWEEP = ["--speeds", "10mph,20mph,40mph", "--powers", "11,23"]
 # The suburban pass at this speed, 56,002 packet rows: a long pass, which
-# logio.log_text formats in two processes where it can.
+# logio.log_text writes and logio.read_log reads in two processes where it can.
 LONG_SPEED_MPS = 0.5
 
 
@@ -60,26 +60,28 @@ def _safeness_outputs(out: Path) -> list:
     return ["--out", str(out / "safeness.csv"), "--curves-out", str(out / "curves.csv")]
 
 
+def pass_runs(name: str, config: Path, out: Path) -> list:
+    """(name, argv) of simulate, then analyze, coverage and safeness of its log, under out."""
+    log = str(out / "pass.log.jsonl")
+    safeness = ["safeness", "--coverage-from", log, "--train-speed", "10mph"]
+    return [
+        (f"{name}/simulate", ["simulate", str(config), "-o", log]),
+        (f"{name}/analyze", ["analyze", log, "--out-dir", str(out / "analyze")]),
+        (f"{name}/coverage", ["coverage", log, "--out", str(out / "coverage.csv")]),
+        (f"{name}/safeness", [*safeness, *_safeness_outputs(out)]),
+    ]
+
+
 def runs(tmp: Path) -> list:
     """(name, argv) of every run, in order; later runs read earlier outputs."""
     result = []
     for name in NAMES:
-        out = tmp / name
-        log = str(out / "pass.log.jsonl")
-        safeness = ["safeness", "--coverage-from", log, "--train-speed", "10mph"]
-        result += [
-            (f"{name}/simulate", ["simulate", str(CONFIGS / f"{name}.json"), "-o", log]),
-            (f"{name}/analyze", ["analyze", log, "--out-dir", str(out / "analyze")]),
-            (f"{name}/coverage", ["coverage", log, "--out", str(out / "coverage.csv")]),
-            (f"{name}/safeness", [*safeness, *_safeness_outputs(out)]),
-        ]
+        result += pass_runs(name, CONFIGS / f"{name}.json", tmp / name)
     dwarn = ["safeness", "--dwarn", "300", "--train-speed", "10mph"]
     result.append(("dwarn/safeness", [*dwarn, *_safeness_outputs(tmp / "dwarn")]))
     capture, field_out = str(tmp / "field" / "capture.csv"), str(tmp / "field" / "analyze")
     result.append(("field/analyze", ["analyze", capture, "--field-csv", "--out-dir", field_out]))
-    long = tmp / "long"
-    simulate = ["simulate", str(long / "config.json"), "-o", str(long / "pass.log.jsonl")]
-    result.append(("long/simulate", simulate))
+    result += pass_runs("long", tmp / "long" / "config.json", tmp / "long")
     suburban = str(CONFIGS / "suburban_rsu_10mph.json")
     for workers in (1, 2):
         out_dir = str(tmp / f"sweep-w{workers}")

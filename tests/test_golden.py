@@ -43,4 +43,5 @@ def test_one_float_moved_by_its_last_digit_fails_the_corpus(tmp_path, monkeypatc
         "open_track_20mph/analyze/latency.csv",
         "suburban_rsu_10mph/analyze/latency.csv",
         "field/analyze/latency.csv",
+        "long/analyze/latency.csv",
     }

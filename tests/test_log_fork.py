@@ -171,16 +171,17 @@ def test_a_write_without_a_holder_formats_each_tick_and_head_once(monkeypatch):
     )
 
 
-def in_the_child(monkeypatch, act) -> None:
-    """Make the forked child call act() before it formats anything."""
-    parent, packet_lines = os.getpid(), logio._packet_lines
+def in_the_child(monkeypatch, act, name: str = "_packet_lines") -> None:
+    """Make the forked child call act() before each call of logio's name,
+    by default before it formats anything."""
+    parent, function = os.getpid(), getattr(logio, name)
 
     def patched(*args):
         if os.getpid() != parent:
             act()
-        return packet_lines(*args)
+        return function(*args)
 
-    monkeypatch.setattr(logio, "_packet_lines", patched)
+    monkeypatch.setattr(logio, name, patched)
 
 
 def stuck_child(monkeypatch) -> None:
