@@ -24,10 +24,11 @@ The log's header carries the scenario's analysis settings (Scenario.analysis).
 A LinkHolder carries the link arrays that the transmit power and
 modulation leave alone (geometry, antenna gain, the shadowing and decode
 draws, arrival times) from one pass to the next of its train run and seed;
-a sweep keeps one per piece, so a traced sweep counts fewer link_geometry,
+a sweep keeps one per share, so a traced sweep counts fewer link_geometry,
 pattern_gain and receiver_stream calls than it runs passes.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -52,7 +53,7 @@ from .link import (
 )
 from .logio import AnalysisDefaults, PacketColumns, SimLog, pass_packets
 from .protocol import TriggerPolicy, first_warning, rsu_relay
-from .units import fork_cpus, require_finite_fields
+from .units import child_process, fork_cpus, require_finite_fields
 
 # The version field of a scenario config; scenario_to_dict writes it.
 CONFIG_VERSION = 1
@@ -407,6 +408,19 @@ def _pieces(jobs: list, workers: int) -> list:
     return sorted(pieces, key=lambda piece: sum(packets[i] for i in piece), reverse=True)
 
 
+def _shares(jobs: list, workers: int) -> list:
+    """The job indices dealt into one share per worker, or per piece where
+    there are fewer: the pieces (_pieces) go largest first, each to the
+    first share with the fewest packets. The lightest share comes first."""
+    pieces = _pieces(jobs, workers)
+    shares = [[0, []] for _ in pieces[:workers]]  # [packets, job indices]
+    for piece in pieces:
+        lightest = min(shares, key=lambda share: share[0])
+        lightest[0] += sum(jobs[i][1].packet_count for i in piece)
+        lightest[1] += piece
+    return [indices for _, indices in sorted(shares, key=lambda share: share[0])]
+
+
 def run_sweep(
     base: Scenario,
     speeds_mps=None,
@@ -429,21 +443,16 @@ def run_sweep(
 
     Then out_dir is made and its summary.csv removed, and the process that
     runs each pass writes its log there as point<index>_v<speed>_p<power>
-    _<modulation>_<antenna>_s<seed>.log.jsonl and computes its coverage; no
-    log comes back. Consecutive points with one train run and transmit
-    period share their geometry and tick columns, so each such run is cut
-    into contiguous pieces by its share of the grid's packets (_pieces),
-    each piece run by one process through one link holder and one
-    tick-text holder (_run_points): a piece computes its run's link arrays
-    once per seed and formats its tick text once, and a process holds the
-    link arrays of one train run and seed and the tick text of one pass at
-    most. The pool is forked; it gets the pieces largest first, and no more
-    workers than there are pieces or units.fork_cpus(). Which points share
-    a piece, or which process runs it, changes no byte. The result is one
-    row per point, in grid order: (log name, SweepPoint, packets, decoded,
-    events, warning_range_m), and summary.csv, written last through
-    logio.commit, lists them. A failed sweep deletes the files at its log
-    names and writes no summary.csv.
+    _<modulation>_<antenna>_s<seed>.log.jsonl and computes its coverage.
+    The points are dealt into shares (_shares), at most units.fork_cpus(),
+    each run through one link holder and one tick-text holder (_run_points):
+    the lightest here, each other one in a forked child, or here where the
+    child delivers no rows (units.child_process). Which process runs a
+    point changes no byte. The result is one row per point, in grid order:
+    (log name, SweepPoint, packets, decoded, events, warning_range_m), and
+    summary.csv, written last through logio.commit, lists them. A failed
+    sweep kills its children, deletes the files at its log names and
+    writes no summary.csv.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
     powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
@@ -466,27 +475,14 @@ def run_sweep(
     summary.unlink(missing_ok=True)
     paths = [out_dir / _log_name(i, point) for i, point in enumerate(points)]
     jobs = list(zip(points, scenarios, paths))
-    # A fork-started pool starts all its workers at the first submit, so
-    # it gets no more of them than there are points, fork_cpus or pieces.
-    workers = min(max_workers or 1, len(jobs), fork_cpus())
-    pieces = _pieces(jobs, workers)
-    workers = min(workers, len(pieces))
+    shares = _shares(jobs, min(max_workers or 1, len(jobs), fork_cpus()))
     try:
-        if workers > 1:
-            # Imported here: loading multiprocessing costs every other command.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Leaving the pool waits for every running pass, so no worker
-            # writes a log after a failure is handled below.
-            results = [None] * len(jobs)
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-                piece_jobs = [[jobs[i] for i in piece] for piece in pieces]
-                for piece, rows in zip(pieces, pool.map(_run_points, piece_jobs)):
-                    for i, row in zip(piece, rows):
-                        results[i] = row
-        else:
-            results = _run_points(jobs)
+        with contextlib.ExitStack() as children:
+            # The lightest share runs here, each other one in a child.
+            here, *rest = ([jobs[i] for i in share] for share in shares)
+            forked = [children.enter_context(child_process(_run_points, run)) for run in rest]
+            rows = [*_run_points(here), *(row for result in forked for row in result())]
+        results = [row for _, row in sorted(zip(sum(shares, []), rows))]
         keys = [field.name for field in dataclasses.fields(SweepPoint)]
         header = ["log", *keys, "packets", "decoded", "events", "warning_range_m"]
         rows = [[row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results]
@@ -497,4 +493,10 @@ def run_sweep(
             if not path.is_dir():
                 path.unlink(missing_ok=True)
         raise
+    finally:
+        # A child killed inside logio.commit leaves a temp file at its log's name.
+        names = {path.name for path in paths}
+        for tmp in out_dir.iterdir():
+            if tmp.name.rpartition(".tmp")[0] in names and not tmp.is_dir():
+                tmp.unlink(missing_ok=True)
     return results

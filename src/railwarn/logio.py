@@ -22,8 +22,8 @@ decoded-row head (or the lost-row one) and then its tick's text, both held
 in a TextHolder, the caller's or a new one (log_text); receivers whose tick
 columns are bitwise equal share the tick text, within a log and across
 logs, and a receiver's heads carry across logs. A long pass's log is
-written and read in two processes, the forked one's part through a
-temporary file (_second_process, _read_in_two; one fork, _child_process);
+written and read in two processes where it can be (_second_process,
+_read_in_two; units.child_process), with the bytes and errors of one;
 the reader fills the layout into one pattern. Packets move in chunks.
 The reader checks line 1 as the header, then matches packet lines with
 the pattern, converting their numbers with float() and int() as json
@@ -41,9 +41,7 @@ import json
 import math
 import operator
 import os
-import pickle
 import re
-import signal
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +50,7 @@ import numpy as np
 
 from .geometry import Placement, TrainRun, tick_count
 from .protocol import WARNING_MODES, WarningEvent
-from .units import check_field, fork_cpus, require_finite_fields, utf8_text
+from .units import check_field, child_process, fork_cpus, require_finite_fields, utf8_text
 
 # Version 2 logs come from the keyed block streams (engine.receiver_stream);
 # version 1 logs came from one stream per receiver drawn tick by tick. Their
@@ -313,77 +311,46 @@ def _part(packets: PacketColumns, second: bool) -> PacketColumns:
 
 
 @contextlib.contextmanager
-def _child_process(work):
-    """Fork a child that runs work() and exits, 0 once it returns and 1 if
-    it raises, never waiting for this process. Yield reaped(), which waits
-    for it and says whether it exited 0. A child not reaped on exit (an
-    exception or KeyboardInterrupt here) is killed and reaped."""
-    pid, status = os.fork(), None
-    if pid == 0:
-        try:
-            work()
-            os._exit(0)
-        finally:
-            os._exit(1)
-
-    def reaped() -> bool:
-        nonlocal status
-        status = os.waitpid(pid, 0)[1]
-        return status == 0
-
-    try:
-        yield reaped
-    finally:
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-@contextlib.contextmanager
 def _second_process(receivers: list):
-    """Fork a child (_child_process) that formats each receiver's second
-    part into an unlinked temporary file, and yield copied(), the next
-    receiver's part as bytes, in reads of READ_BATCH_BYTES at most, once
-    the child has written it. The child sends each part's end offset
-    through a pipe. A child that failed or ended early raises OSError."""
-    with tempfile.TemporaryFile() as spill:
-        read_end, write_end = os.pipe()
+    """Fork a child (units.child_process) that formats each receiver's
+    second part into an unlinked temporary file, sending each part's end
+    offset through a pipe. Yield second_part(receiver_id, packets): its
+    part's bytes, copied in reads of READ_BATCH_BYTES at most, or formatted
+    here where no offset comes (no child started, or it failed or was killed)."""
 
-        def spill_second_parts():
-            os.close(read_end)
-            offset, holder = 0, TextHolder()
-            for receiver_id, packets in receivers:
-                for chunk in _packet_lines(receiver_id, _part(packets, True), holder):
-                    offset += spill.write(chunk)
-                spill.flush()
-                os.write(write_end, offset.to_bytes(8, "little"))
+    def spill_second_parts():
+        holder = TextHolder()
+        for receiver_id, packets in receivers:
+            spill.writelines(_packet_lines(receiver_id, _part(packets, True), holder))
+            spill.flush()
+            write_end.write(spill.tell().to_bytes(8, "little"))
 
-        try:
-            with _child_process(spill_second_parts) as reaped:
-                os.close(write_end)
-                write_end, copied_to = None, 0
+    with contextlib.ExitStack() as stack:
+        offsets = io.BytesIO()  # none, where no child starts
+        with contextlib.suppress(OSError):
+            spill = stack.enter_context(tempfile.TemporaryFile())
+            read_end, write_end = map(os.fdopen, os.pipe(), ("rb", "wb"), (0, 0))  # unbuffered
+            offsets = stack.enter_context(read_end)
+            with write_end:
+                stack.enter_context(child_process(spill_second_parts))
+        copied_to = 0
 
-                def copied():
-                    nonlocal copied_to
-                    end = os.read(read_end, 8)
-                    if len(end) != 8:
-                        raise OSError(errno.EIO, "the log's second writer process ended early")
-                    end = int.from_bytes(end, "little")
-                    while copied_to < end:
-                        size = min(READ_BATCH_BYTES, end - copied_to)
-                        data = os.pread(spill.fileno(), size, copied_to)
-                        # Whole lines, when a read holds one.
-                        data = data[: data.rfind(b"\n") + 1 or len(data)]
-                        copied_to += len(data)
-                        yield data
+        def second_part(receiver_id, packets):
+            nonlocal copied_to
+            end = offsets.read(8)
+            if len(end) != 8:
+                yield from _packet_lines(receiver_id, _part(packets, True), TextHolder())
+                return
+            end = int.from_bytes(end, "little")
+            while copied_to < end:
+                size = min(READ_BATCH_BYTES, end - copied_to)
+                data = os.pread(spill.fileno(), size, copied_to)
+                # Whole lines, when a read holds one.
+                data = data[: data.rfind(b"\n") + 1 or len(data)]
+                copied_to += len(data)
+                yield data
 
-                yield copied
-                if not reaped():
-                    raise OSError(errno.EIO, "the log's second writer process failed")
-        finally:
-            os.close(read_end)
-            if write_end is not None:
-                os.close(write_end)
+        yield second_part
 
 
 def log_text(log: SimLog, holder: TextHolder | None = None):
@@ -402,9 +369,9 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
 
     Without holder, a pass of FORK_ROWS packet rows or more, where
     units.fork_cpus() is more than 1, is formatted in two processes: each
-    receiver's second part (_part) by a forked child into a temporary file
-    (_second_process), its first part here, each through its own new
-    holder, so the bytes are the same.
+    receiver's second part (_part) by a forked child (_second_process), or
+    here where the child does not deliver it, its first part here, each
+    through its own new holder, so the bytes are the same.
     """
     receivers = [(receiver_id, log.records[receiver_id]) for receiver_id in log.receiver_ids()]
     for _, packets in receivers:
@@ -415,14 +382,14 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     forked = holder is None and log.packet_count() >= FORK_ROWS and fork_cpus() > 1
     holder = TextHolder() if holder is None else holder
-    with _second_process(receivers) if forked else contextlib.nullcontext() as copied:
+    with _second_process(receivers) if forked else contextlib.nullcontext() as second_part:
         yield (_encode(_header_dict(log)) + "\n").encode()
         heads = {}  # this log's receivers' heads, which the holder keeps after it
         for receiver_id, packets in receivers:
             part = _part(packets, False) if forked else packets
             heads[receiver_id] = yield from _packet_lines(receiver_id, part, holder)
             if forked:
-                yield from copied()
+                yield from second_part(receiver_id, packets)
         holder.heads = heads
         for event in log.events:
             yield (_encode({"type": "event", **dataclasses.asdict(event)}) + "\n").encode()
@@ -775,10 +742,10 @@ def _byte_lines(fd: int, start: int, end: int):
 
 def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
     """_read_lines' parts and events of the lines from byte start on, read
-    in two processes: a forked child (_child_process) reads those past the
-    first newline after the midpoint into an unlinked temporary file, this
-    process those before it. None when the child fails or the parts hold more
-    than limit packet lines; a fault in this process's part raises ValueError."""
+    in two processes: a forked child (units.child_process) reads those past
+    the first newline after the midpoint, this process those before it.
+    None when the parts hold more than limit packet lines; a fault in
+    either part raises ValueError."""
     end = os.fstat(fd).st_size
     cut = (start + end) // 2
     while b"\n" not in (data := os.pread(fd, 4096, cut)) and data:
@@ -787,20 +754,11 @@ def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
     # Line 1, as text, ends at byte start with "\n", not "\r".
     if not (os.pread(fd, 1, start - 1) == b"\n" and start < cut < end):
         return None
-    with tempfile.TemporaryFile() as spill:
-
-        def second():
-            pickle.dump(_read_lines(path, _byte_lines(fd, cut, end), 1, header, limit), spill)
-            spill.flush()
-
-        with _child_process(second) as reaped:
-            parts, events, packets, lines = _read_lines(
-                path, _byte_lines(fd, start, cut), 2, header, limit
-            )
-            if not reaped():
-                return None
-        spill.seek(0)
-        more_parts, more_events, more_packets, _ = pickle.load(spill)
+    with child_process(_read_lines, path, _byte_lines(fd, cut, end), 1, header, limit) as result:
+        parts, events, packets, lines = _read_lines(
+            path, _byte_lines(fd, start, cut), 2, header, limit
+        )
+        more_parts, more_events, more_packets, _ = result()
     if packets + more_packets > limit:
         return None
     return parts + [(*part[:-1], part[-1] + lines) for part in more_parts], events + more_events
@@ -824,7 +782,7 @@ def read_log(path: str | Path) -> SimLog:
             raise ValueError(f"{path}:1: {exc}") from None
         body = None
         if limit >= FORK_ROWS and fork_cpus() > 1:
-            # A fault, a refused spill file or fork: read again in one process.
+            # A fault in either part: read again in one process, for its error.
             with contextlib.suppress(ValueError, OSError):
                 body = _read_in_two(path, handle.fileno(), len(first.encode()), header, limit)
         if body is None:

@@ -10,7 +10,10 @@ import csv
 import dataclasses
 import math
 import os
+import pickle
+import signal
 import sys
+import tempfile
 import threading
 
 MPH_TO_MPS = 0.44704
@@ -62,11 +65,48 @@ def check_field(value, annotation, name: str):
 def fork_cpus() -> int:
     """How many processes railwarn may run at once: the CPUs this process
     may run on, where os.fork and os.sched_getaffinity exist and no other
-    thread runs, else 1. railwarn starts a second process only by fork, in
-    three places: the sweep's pool, and the long-pass log writer and reader
-    (logio). Where this is 1 it runs in one process."""
+    thread runs, else 1. Only where it is more than 1 does railwarn start a
+    second process, always through child_process: for a sweep's shares
+    (engine.run_sweep) and a long pass's log write and read (logio)."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     return len(os.sched_getaffinity(0)) if forks and threading.active_count() == 1 else 1
+
+
+@contextlib.contextmanager
+def child_process(work, *args):
+    """Fork a child that runs work(*args), pickles its value into an unlinked
+    temporary file and exits, never waiting for this process. Yield
+    result(): the child's value, or work(*args) run here where the child could
+    not start (the file or the fork refused), failed or was killed, so its
+    outcome and errors are those of one process. A child not reaped on exit
+    (an exception or KeyboardInterrupt here) is killed and reaped."""
+    pid = status = None
+    with contextlib.ExitStack() as stack:
+        with contextlib.suppress(OSError):
+            spill = stack.enter_context(tempfile.TemporaryFile())
+            pid = os.fork()
+        if pid == 0:
+            try:
+                pickle.dump(work(*args), spill)
+                spill.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+
+        def result():
+            nonlocal status
+            status = pid and os.waitpid(pid, 0)[1]  # None without a child
+            if status != 0:
+                return work(*args)
+            spill.seek(0)
+            return pickle.load(spill)
+
+        try:
+            yield result
+        finally:
+            if pid and status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 @contextlib.contextmanager

@@ -1,8 +1,8 @@
-import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scalar_reference import packet_rows
+from test_log_fork import assert_reaped, counted_forks
 
 import railwarn
 from railwarn import analysis, engine, logio
@@ -670,59 +671,53 @@ class TestSweepFlags:
 
 
 class TestSweepPool:
-    """The pool is forked, and gets no more workers than there are points,
-    pieces or units.fork_cpus(): the CPUs this process may run on while it
-    runs one thread."""
+    """A sweep forks a child for each share of its points but the one it
+    runs itself, and has no more shares than there are points, pieces or
+    units.fork_cpus(): the CPUs this process may run on while it runs one
+    thread."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            """Runs the points in this process and records the workers asked for."""
-
-            def __init__(self, max_workers, mp_context):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return started
+    def forks(self, monkeypatch):
+        return counted_forks(monkeypatch)
 
     @pytest.mark.parametrize(
         "workers, seeds, cpus, started",
         [
             (16, [0], 8, []),
-            (16, [0, 1, 2], 8, [3]),
+            (16, [0, 1, 2], 8, [1, 1]),
             (16, [0, 1, 2], 2, [2]),
             (2, [0, 1, 2], 8, [2]),
         ],
     )
-    def test_workers_bounded(self, tmp_path, monkeypatch, pools, workers, seeds, cpus, started):
+    def test_workers_bounded(self, tmp_path, monkeypatch, forks, workers, seeds, cpus, started):
+        # started: the points of each share a child runs.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        dealt, deal = [], engine._shares
+
+        def recorded(*args):
+            dealt.append(deal(*args))
+            return dealt[-1]
+
+        monkeypatch.setattr(engine, "_shares", recorded)
         scenario = load_scenario(SUBURBAN)
         rows = run_sweep(scenario, seeds=seeds, max_workers=workers, out_dir=tmp_path)
-        assert pools == started
+        assert [len(share) for share in dealt[0][1:]] == started
+        assert len(forks) == len(started)
+        for pid in forks:
+            assert_reaped(pid)
         assert [row[1].seed for row in rows] == seeds
         assert all((tmp_path / row[0]).is_file() for row in rows)
 
-    def test_workers_bounded_by_pieces(self, tmp_path, monkeypatch, pools):
+    def test_workers_bounded_by_pieces(self, tmp_path, monkeypatch, forks):
         # The 1 m/s train run holds 98% of the packets and cuts into 2 pieces,
-        # the 50 m/s run into 1: a fourth worker would have no piece. The pool
-        # gets the pieces largest first; the rows come back in grid order.
+        # the 50 m/s run into 1: a fourth worker would have no piece, so 3
+        # shares, 2 of them in children. The rows come back in grid order.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         scenario = load_scenario(SUBURBAN)
         rows = run_sweep(
             scenario, speeds_mps=[1.0, 50.0], seeds=[1, 2], max_workers=4, out_dir=tmp_path
         )
-        assert pools == [3]
+        assert len(forks) == 2
         assert [(row[1].speed_mps, row[1].seed) for row in rows] == [
             (1.0, 1),
             (1.0, 2),
@@ -732,28 +727,26 @@ class TestSweepPool:
         assert [row[0][:8] for row in rows] == [f"point{i:03d}" for i in range(4)]
         assert [row[2] for row in rows] == [28002, 28002, 562, 562]
 
-    def test_the_pool_forks(self, tmp_path, monkeypatch):
-        methods, real = [], concurrent.futures.ProcessPoolExecutor
+    def test_a_sweep_starts_its_children_by_fork_only(self, tmp_path, monkeypatch, forks):
+        def refused(*args, **kwargs):
+            raise AssertionError("a process started otherwise than by os.fork")
 
-        class ForkRecordingPool(real):
-            def __init__(self, max_workers=None, mp_context=None):
-                methods.append(mp_context and mp_context.get_start_method())
-                super().__init__(max_workers, mp_context)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkRecordingPool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refused)
+        monkeypatch.setattr(subprocess, "Popen", refused)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         run_sweep(load_scenario(SUBURBAN), seeds=[1, 2], max_workers=2, out_dir=tmp_path)
-        assert methods == ["fork"]
+        assert len(forks) == 1
+        assert_reaped(forks[0])
 
-    def test_one_cpu_starts_no_pool(self, tmp_path, monkeypatch, pools):
+    def test_one_cpu_starts_no_pool(self, tmp_path, monkeypatch, forks):
         scenario = load_scenario(SUBURBAN)
         run_sweep(scenario, seeds=[1, 2], max_workers=1, out_dir=tmp_path / "one")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         run_sweep(scenario, seeds=[1, 2], max_workers=2, out_dir=tmp_path / "two")
-        assert pools == []
+        assert forks == []
         assert sweep_files(tmp_path / "two") == sweep_files(tmp_path / "one")
 
-    def test_a_second_thread_starts_no_pool(self, tmp_path, monkeypatch, pools):
+    def test_a_second_thread_starts_no_pool(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
@@ -763,13 +756,12 @@ class TestSweepPool:
         finally:
             done.set()
             thread.join()
-        assert pools == []
+        assert forks == []
 
     def test_a_script_without_a_main_guard(self, tmp_path):
-        # The script runs as on two CPUs, so a pool starts. A pool that
-        # started its workers by spawn or forkserver (the default on Linux
-        # from Python 3.14) would run the script again in each worker, and
-        # break.
+        # The script runs as on two CPUs, so a child starts. A child
+        # started by spawn or forkserver (multiprocessing's default on Linux
+        # from Python 3.14) would run the script again, and break.
         script = tmp_path / "script.py"
         script.write_text(
             "import os, sys\n"
@@ -1118,7 +1110,7 @@ class TestSweepWorkers:
         assert by_point(tmp_path / "reversed") == by_point(tmp_path / "one")
 
     def test_spawned_workers_match_one_worker(self, tmp_path):
-        # A program that sets spawn still gets the sweep's forked pool.
+        # A program that sets spawn still gets the sweep's forked children.
         program = (
             "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
             "from railwarn.cli import main; sys.exit(main(sys.argv[1:]))"

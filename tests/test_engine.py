@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -376,9 +376,26 @@ class TestRunSweep:
             run_sweep(make_scenario(), out_dir=tmp_path / "out", **{axis: []})
         assert not (tmp_path / "out").exists()
 
-    def test_import_does_not_load_multiprocessing(self):
-        # The process pool is imported only for a sweep with more than one worker.
-        assert loaded_modules("railwarn.cli", "multiprocessing") == "[]"
+    def test_import_does_not_load_multiprocessing(self, tmp_path):
+        # Nor does a sweep that forks: railwarn starts a child by os.fork alone.
+        sweep = ["sweep", str(CONFIGS / "suburban_rsu_10mph.json"), "--seeds", "1,2"]
+        sweep += ["--workers", "2", "--out-dir", str(tmp_path)]
+        run = f"os.sched_getaffinity = lambda pid: {{0, 1}}; railwarn.cli.main({sweep!r})"
+        loaded = loaded_modules("railwarn.cli", ("multiprocessing", "concurrent"), run)
+        assert loaded == "[]"
+        assert (tmp_path / "summary.csv").is_file()
+
+    def test_shares_on_the_benchmark_grid(self):
+        # The 10 mph run is cut in halves, the 20 and 40 mph runs are whole:
+        # pieces of 25,056, 25,056, 25,056 and 12,528 packets.
+        base = load_scenario(CONFIGS / "suburban_rsu_10mph.json")
+        speeds = [mph_to_mps(v) for v in (10, 20, 40)]
+        grid = product(speeds, [11.0, 23.0], ["QPSK", "16QAM"], ["omni12", "bidir23"], [7])
+        points = [engine.SweepPoint(*values) for values in grid]
+        jobs = [(point, engine._scenario_for_point(base, point), None) for point in points]
+        shares = engine._shares(jobs, 2)
+        assert [sum(jobs[i][1].packet_count for i in share) for share in shares] == [37584, 50112]
+        assert sorted(i for share in shares for i in share) == list(range(len(jobs)))
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -475,19 +492,20 @@ class TestLinkHolder:
         assert abs(per_tick[0] - per_tick[1]) < 0.02 * per_tick[1], per_tick
 
 
-def loaded_modules(module: str, prefix: str) -> str:
-    """The modules named prefix... that a fresh interpreter holds after importing module."""
+def loaded_modules(module: str, prefix, run: str = "") -> str:
+    """The modules named prefix... that a fresh interpreter holds after
+    importing module and running the statement run."""
     src = str(Path(railwarn.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
-        f"import sys, {module}; "
+        f"import os, sys, {module}; {run}\n"
         f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     )
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    return result.stdout.strip()
+    return result.stdout.strip().splitlines()[-1]
 
 
 def test_package_import_loads_no_submodule():
