@@ -371,53 +371,68 @@ def _train_run(job) -> tuple:
 def _run_points(jobs: list) -> list:
     """Each grid point's pass, written to its log path and analysed in the
     process that ran it: one (log name, point, packets, decoded, events,
-    warning range in m) row per job, in the jobs' order. Each train run's
-    points run by seed through one LinkHolder and one logio.TextHolder:
-    points of one train run format its ticks once, and points of one train
-    run and seed, whose geometry, draws and arrival times are alike whatever
-    the link budget, compute those once and format each decoded row's head
-    once."""
-    runs = groupby(range(len(jobs)), lambda i: _train_run(jobs[i]))
-    order = [i for _, run in runs for i in sorted(run, key=lambda i: jobs[i][0].seed)]
+    warning range in m) row per job, run in the jobs' order through one
+    LinkHolder and one logio.TextHolder. So consecutive points of one train
+    run (_shares puts them in seed order) format its ticks once, and those
+    of one train run and seed, whose geometry, draws and arrival times are
+    alike whatever the link budget, compute those once and format each
+    decoded row's head once."""
     links, text = LinkHolder(), logio.TextHolder()
-    rows = [None] * len(jobs)
-    for i in order:
-        point, scenario, path = jobs[i]
+    rows = []
+    for point, scenario, path in jobs:
         log = run_pass(scenario, None, links)
         logio.write_log(log, path, text)
         warning_range_m = analysis.coverage_report(log).warning_range_m
         counts = (log.packet_count(), log.decoded_count(), len(log.events))
-        rows[i] = (path.name, point, *counts, warning_range_m)
+        rows.append((path.name, point, *counts, warning_range_m))
     return rows
 
 
-def _pieces(jobs: list, workers: int) -> list:
-    """The job indices cut into pieces, largest first by packets: each run of
-    consecutive jobs with one train run and transmit period splits into
-    ceil(workers * its packets / all packets) contiguous pieces, at least 1
-    and at most one per job."""
-    packets = [job[1].packet_count for job in jobs]
-    total = sum(packets)
-    pieces = []
-    for _, run in groupby(range(len(jobs)), lambda i: _train_run(jobs[i])):
-        run = list(run)
-        share = (workers * sum(packets[i] for i in run) + total - 1) // total
-        count = min(share, len(run))
-        bounds = [len(run) * i // count for i in range(count + 1)]
-        pieces += [run[start:end] for start, end in zip(bounds, bounds[1:])]
-    return sorted(pieces, key=lambda piece: sum(packets[i] for i in piece), reverse=True)
+def _deal(pieces: list, packets: list, workers: int) -> list:
+    """pieces dealt into one share per worker, or per piece where there are
+    fewer, as [packets, job indices]: largest first, each to the first share
+    with the fewest packets."""
+    shares = [[0, []] for _ in pieces[:workers]]
+    weights = [sum(packets[i] for i in piece) for piece in pieces]
+    for weight, piece in sorted(zip(weights, pieces), key=lambda pair: pair[0], reverse=True):
+        lightest = min(shares, key=lambda share: share[0])
+        lightest[0] += weight
+        lightest[1] += piece
+    return shares
+
+
+def _heaviest(shares: list) -> int:
+    return max(share[0] for share in shares)
 
 
 def _shares(jobs: list, workers: int) -> list:
-    """The job indices dealt into one share per worker, or per piece where
-    there are fewer: the pieces (_pieces) go largest first, each to the
-    first share with the fewest packets. The lightest share comes first."""
-    pieces = _pieces(jobs, workers)
-    shares = [[0, []] for _ in pieces[:workers]]  # [packets, job indices]
-    for piece in pieces:
-        lightest = min(shares, key=lambda share: share[0])
-        lightest[0] += sum(jobs[i][1].packet_count for i in piece)
-        lightest[1] += piece
+    """The job indices dealt (_deal) into one share per worker, or per piece
+    where there are fewer. The lightest share comes first.
+
+    Each train run is one piece: its consecutive jobs with one train run and
+    transmit period, in seed order, which _run_points keeps. A process that runs
+    part of a train run formats its ticks' text again, and part of one seed
+    computes its link arrays and decoded rows' heads again, so the largest
+    piece of more than one job is halved only while that lowers the heaviest
+    share's packets; the cut falls between seeds where that deals a heaviest
+    share as light as a cut in the middle."""
+    packets = [job[1].packet_count for job in jobs]
+    runs = groupby(range(len(jobs)), lambda i: _train_run(jobs[i]))
+    pieces = [sorted(run, key=lambda i: jobs[i][0].seed) for _, run in runs]
+    shares = _deal(pieces, packets, workers)
+    while halvable := [piece for piece in pieces if len(piece) > 1]:
+        piece = max(halvable, key=lambda piece: sum(packets[i] for i in piece))
+        seeds = [jobs[i][0].seed for i in piece]
+        between = [cut for cut in range(1, len(piece)) if seeds[cut] != seeds[cut - 1]]
+        cuts = [min(between, key=lambda cut: abs(2 * cut - len(piece)))] if between else []
+        rest = [other for other in pieces if other is not piece]
+        # The cut between seeds first: min keeps it where the middle deals no lighter.
+        tries = [rest + [piece[:cut], piece[cut:]] for cut in [*cuts, len(piece) // 2]]
+        dealt = [(_deal(tried, packets, workers), tried) for tried in tries]
+        cut_shares, cut_pieces = min(dealt, key=lambda pair: _heaviest(pair[0]))
+        if _heaviest(cut_shares) >= _heaviest(shares):
+            break
+        pieces, shares = cut_pieces, cut_shares
     return [indices for _, indices in sorted(shares, key=lambda share: share[0])]
 
 
@@ -445,7 +460,8 @@ def run_sweep(
     runs each pass writes its log there as point<index>_v<speed>_p<power>
     _<modulation>_<antenna>_s<seed>.log.jsonl and computes its coverage.
     The points are dealt into shares (_shares), at most units.fork_cpus(),
-    each run through one link holder and one tick-text holder (_run_points):
+    of whole train runs unless cutting one lowers the heaviest share's
+    packets, each run through one link holder and one text holder (_run_points):
     the lightest here, each other one in a forked child, or here where the
     child delivers no rows (units.child_process). Which process runs a
     point changes no byte. The result is one row per point, in grid order:

@@ -215,9 +215,11 @@ def _not_finite(tx, position, decoded, rx, latency) -> np.ndarray:
     return ~finite | decoded & ~(np.isfinite(rx) & np.isfinite(latency))
 
 
-# A packet line is its receiver's head, then its tick's text from "seq" on.
+# A packet line is its receiver's head, then its tick's text from "seq" on,
+# both bytes templates; %a of a float is its repr, which json writes.
 _SPLIT = PACKET_LINE.index('"seq"')
-_HEAD, _TICK_LINE = PACKET_LINE[:_SPLIT], PACKET_LINE[_SPLIT:] % ("%d", "%r", "%r") + "\n"
+_HEAD = PACKET_LINE[:_SPLIT].encode()
+_TICK_LINE = (PACKET_LINE[_SPLIT:] % ("%d", "%a", "%a") + "\n").encode()
 
 
 def _same_ticks(a: PacketColumns, b: PacketColumns) -> bool:
@@ -227,29 +229,31 @@ def _same_ticks(a: PacketColumns, b: PacketColumns) -> bool:
 
 
 def _tick_text(packets: PacketColumns) -> list:
-    """Each tick's text from "seq" on, with its newline."""
+    """Each tick's text from "seq" on, with its newline, as bytes."""
     columns = (c.tolist() for c in (packets.seq, packets.train_d_t_m, packets.tx_time_s))
     return [_TICK_LINE % row for row in zip(*columns)]
 
 
-def _heads(template: str, latency_s: np.ndarray, rx_time_s: np.ndarray) -> list:
+def _heads(template: bytes, latency_s: np.ndarray, rx_time_s: np.ndarray) -> list:
     """The heads of decoded rows with these times, formatted from a receiver's template."""
     return [template % pair for pair in zip(latency_s.tolist(), rx_time_s.tolist())]
 
 
 def _head_templates(receiver_id) -> tuple:
-    """A receiver's lost-row head, and its decoded-row head with %r for latency_s and rx_time_s."""
-    receiver = _encode(receiver_id)
-    lost = _HEAD % ("false", "null", receiver, "null")
-    return lost, _HEAD % ("true", "%r", receiver.replace("%", "%%"), "%r")
+    """A receiver's lost-row head, and its decoded-row head with %a for
+    latency_s and rx_time_s, as bytes: json's encoding is ASCII."""
+    receiver = _encode(receiver_id).encode()
+    lost = _HEAD % (b"false", b"null", receiver, b"null")
+    return lost, _HEAD % (b"true", b"%a", receiver.replace(b"%", b"%%"), b"%a")
 
 
 class TextHolder:
-    """Text that log_text formats for one log and reuses for the next, which
-    a caller keeps across the logs it writes: one pass's tick text, as
-    (packets, text), and each receiver's decoded-row heads, as receiver id ->
-    (rx_time_s, latency_s, heads), row by row, where a row's head is held
-    only while its times are the ones it was formatted from (NaN elsewhere)."""
+    """Line text, as bytes, that log_text formats for one log and reuses for
+    the next, which a caller keeps across the logs it writes: one pass's
+    tick text, as (packets, text), and each receiver's decoded-row heads, as
+    receiver id -> (rx_time_s, latency_s, heads), row by row, where a row's
+    head is held only while its times are the ones it was formatted from
+    (NaN elsewhere)."""
 
     __slots__ = ("ticks", "heads")
 
@@ -257,7 +261,7 @@ class TextHolder:
         self.ticks, self.heads = (), {}
 
 
-def _held_heads(holder: TextHolder, receiver_id, packets: PacketColumns, template: str):
+def _held_heads(holder: TextHolder, receiver_id, packets: PacketColumns, template: bytes):
     """The receiver's held heads, brought up to this log: each decoded row's
     held head is reused where its rx_time_s and latency_s are bitwise
     equal to this row's, and formatted and held otherwise."""
@@ -289,7 +293,7 @@ def _packet_lines(receiver_id, packets: PacketColumns, holder: TextHolder):
     heads = np.where(packets.decoded, held[2], lost)
     for start in range(0, len(packets), WRITE_BATCH_ROWS):
         rows = slice(start, start + WRITE_BATCH_ROWS)
-        yield "".join(itertools.chain.from_iterable(zip(heads[rows].tolist(), text[rows]))).encode()
+        yield b"".join(itertools.chain.from_iterable(zip(heads[rows].tolist(), text[rows])))
     return held
 
 
@@ -355,8 +359,8 @@ def _second_process(receivers: list):
 
 def log_text(log: SimLog, holder: TextHolder | None = None):
     """The serialised log as UTF-8 bytes, in pieces of whole lines,
-    WRITE_BATCH_ROWS packet lines at most. %r of a float is float.__repr__,
-    which json writes.
+    WRITE_BATCH_ROWS packet lines at most. Packet lines are joined from
+    bytes, formatted from bytes templates, and never encoded.
 
     Each receiver's lines are formatted by _packet_lines through holder, a
     TextHolder the caller keeps, or a new one: a tick's text is formatted
@@ -435,7 +439,9 @@ def commit(outputs, directory=None) -> None:
         for _, chunks in outputs:
             getattr(chunks, "close", lambda: None)()
         for tmp, _ in pending:
-            Path(tmp).unlink(missing_ok=True)
+            # Under a regular file, unlink fails too; the first error stands.
+            with contextlib.suppress(OSError):
+                Path(tmp).unlink(missing_ok=True)
         for made_dir in made:
             with contextlib.suppress(OSError):
                 made_dir.rmdir()
@@ -740,12 +746,21 @@ def _byte_lines(fd: int, start: int, end: int):
             yield data.decode()
 
 
+def _fault_as_value(work, *args):
+    """work(*args), or the ValueError it raises."""
+    try:
+        return work(*args)
+    except ValueError as exc:
+        return exc
+
+
 def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
     """_read_lines' parts and events of the lines from byte start on, read
     in two processes: a forked child (units.child_process) reads those past
     the first newline after the midpoint, this process those before it.
     None when the parts hold more than limit packet lines; a fault in
-    either part raises ValueError."""
+    either part raises ValueError, the child's returned as a value
+    (_fault_as_value) and raised here, so its part is parsed only once."""
     end = os.fstat(fd).st_size
     cut = (start + end) // 2
     while b"\n" not in (data := os.pread(fd, 4096, cut)) and data:
@@ -754,11 +769,15 @@ def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
     # Line 1, as text, ends at byte start with "\n", not "\r".
     if not (os.pread(fd, 1, start - 1) == b"\n" and start < cut < end):
         return None
-    with child_process(_read_lines, path, _byte_lines(fd, cut, end), 1, header, limit) as result:
+    second = (_read_lines, path, _byte_lines(fd, cut, end), 1, header, limit)
+    with child_process(_fault_as_value, *second) as result:
         parts, events, packets, lines = _read_lines(
             path, _byte_lines(fd, start, cut), 2, header, limit
         )
-        more_parts, more_events, more_packets, _ = result()
+        more = result()
+    if isinstance(more, ValueError):
+        raise more
+    more_parts, more_events, more_packets, _ = more
     if packets + more_packets > limit:
         return None
     return parts + [(*part[:-1], part[-1] + lines) for part in more_parts], events + more_events

@@ -72,6 +72,20 @@ def test_simulate_with_a_missing_output_directory(tmp_path):
     assert_failed_cleanly(tmp_path, ["simulate", str(OPEN_TRACK), "-o", target], target)
 
 
+@pytest.mark.parametrize("command", ["simulate", "coverage"])
+def test_an_output_under_a_regular_file(tmp_path, open_track_log, command):
+    # The temp file beside it cannot be removed either; the error names the output.
+    (tmp_path / "file").write_text("kept")
+    if command == "simulate":
+        target = str(tmp_path / "file" / "x.log.jsonl")
+        argv = ["simulate", str(OPEN_TRACK), "-o", target]
+    else:
+        target = str(tmp_path / "file" / "x.csv")
+        argv = ["coverage", str(open_track_log), "--out", target]
+    assert_failed_cleanly(tmp_path, argv, target)
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 @pytest.mark.parametrize(
     "source, curves",
     [

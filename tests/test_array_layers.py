@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import scalar_reference as ref
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from railwarn.antenna import AntennaPattern, builtin_pattern, pattern_gain
@@ -179,6 +179,15 @@ def arrivals(draw):
     threshold=st.integers(1, 6),
     distance=st.floats(10.0, 250.0),
     window=st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 0.6)),
+)
+# The second decode arrives one window after the first, which is on its
+# horizon and still counts: two packets seen.
+@example(
+    decodes=(np.array([0.0, 0.25]), np.array([0, 1]), np.array([-10.0, -10.0])),
+    kind="RSU",
+    threshold=2,
+    distance=100.0,
+    window=0.25,
 )
 def test_first_warning_matches_receiver_ingest(decodes, kind, threshold, distance, window):
     rx_time_s, seq, position_m = decodes

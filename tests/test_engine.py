@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from itertools import groupby, product
 from pathlib import Path
 
@@ -227,6 +226,40 @@ def swept_logs(out_dir, scenario, **axes) -> list:
     return [(row[1], (out_dir / row[0]).read_bytes()) for row in rows]
 
 
+def sweep_jobs(speeds, seeds) -> list:
+    """Sweep jobs of make_scenario() at these speeds and seeds, as run_sweep makes them."""
+    base = make_scenario()
+    points = [engine.SweepPoint(v, 23.0, "QPSK", "omni12", seed) for v, seed in zip(speeds, seeds)]
+    return [(point, engine._scenario_for_point(base, point), None) for point in points]
+
+
+def heaviest_of_whole_runs(jobs, workers) -> int:
+    """The heaviest share's packets where each run of consecutive jobs with
+    one train run is dealt whole, largest first, each to the lightest share."""
+    runs = groupby(jobs, lambda job: job[1].train)
+    sizes = sorted((sum(job[1].packet_count for job in run) for _, run in runs), reverse=True)
+    loads = [0] * min(workers, len(sizes))
+    for size in sizes:
+        loads[loads.index(min(loads))] += size
+    return max(loads)
+
+
+def assert_shares_cut_runs_only_to_lower_the_heaviest(jobs, workers, shares) -> None:
+    loads = [sum(jobs[i][1].packet_count for i in share) for share in shares]
+    whole = heaviest_of_whole_runs(jobs, workers)
+    # Every job lands in exactly one of at most workers shares, lightest first.
+    assert sorted(i for share in shares for i in share) == list(range(len(jobs)))
+    assert 1 <= len(shares) <= workers
+    assert loads == sorted(loads)
+    # The heaviest share is never heavier than when whole runs are dealt,
+    # and a train run lies in two shares only where that made it lighter.
+    assert max(loads) <= whole
+    owners = {i: n for n, share in enumerate(shares) for i in share}
+    runs = [list(run) for _, run in groupby(range(len(jobs)), lambda i: jobs[i][1].train)]
+    if any(len({owners[i] for i in run}) > 1 for run in runs):
+        assert max(loads) < whole
+
+
 class TestRunSweep:
     def test_singleton_grid_matches_run_pass(self, tmp_path):
         scenario = make_scenario()
@@ -321,44 +354,40 @@ class TestRunSweep:
             assert data == log_bytes(run_pass(engine._scenario_for_point(base, point)))
 
     @pytest.mark.parametrize(
-        "workers, sizes",
-        [(1, [6, 3, 3]), (2, [3, 3, 3, 3]), (3, [3, 3, 3, 3])],
+        "workers, loads", [(1, [23343]), (2, [11337, 12006]), (3, [7335, 8004, 8004])]
     )
-    def test_pieces_cut_each_train_run(self, workers, sizes):
-        # Train runs of 6, 3 and 3 points; the last repeats the first. The
-        # 9 m/s run has fewer packets, so its piece comes last.
-        base = make_scenario()
+    def test_shares_of_the_uneven_grid(self, workers, loads):
+        # Train runs of 6, 3 and 3 points, 2,001, 1,778 and 2,001 packets
+        # each; the last repeats the first. 2 workers deal the runs whole,
+        # 3 cut them.
         speeds = [8.0] * 6 + [9.0] * 3 + [8.0] * 3
-        runs = [dataclasses.replace(base.train, speed_mps=speed) for speed in speeds]
-        jobs = [(i, dataclasses.replace(base, train=run), None) for i, run in enumerate(runs)]
-        pieces = engine._pieces(jobs, workers)
-        assert [len(piece) for piece in pieces] == sizes
-        assert pieces[-1] == [6, 7, 8]
-        assert [i for piece in sorted(pieces) for i in piece] == list(range(len(jobs)))
+        jobs = sweep_jobs(speeds, [i % 2 for i in range(len(speeds))])
+        shares = engine._shares(jobs, workers)
+        assert [sum(jobs[i][1].packet_count for i in share) for share in shares] == loads
+        assert_shares_cut_runs_only_to_lower_the_heaviest(jobs, workers, shares)
 
     @settings(max_examples=60, deadline=None)
     @given(
         speeds=st.lists(st.sampled_from([8.0, 9.0, 30.0]), min_size=1, max_size=12),
         workers=st.integers(1, 4),
     )
-    def test_pieces_cut_each_train_run_by_its_packets(self, speeds, workers):
-        base = make_scenario()
-        runs = [dataclasses.replace(base.train, speed_mps=speed) for speed in speeds]
-        jobs = [(i, dataclasses.replace(base, train=run), None) for i, run in enumerate(runs)]
-        packets = [scenario.packet_count for _, scenario, _ in jobs]
-        pieces = engine._pieces(jobs, workers)
-        # Every job is in exactly one piece, and the pieces come largest first.
-        assert sorted(i for piece in pieces for i in piece) == list(range(len(jobs)))
-        sizes = [sum(packets[i] for i in piece) for piece in pieces]
-        assert sizes == sorted(sizes, reverse=True)
-        # Each run of equal neighbouring speeds is cut into contiguous pieces
-        # of its own, ceil(workers * its share of the packets), at most one per job.
-        for _, run in groupby(range(len(jobs)), lambda i: speeds[i]):
-            run = list(run)
-            own = sorted(piece for piece in pieces if piece[0] in run)
-            assert [i for piece in own for i in piece] == run
-            share = Fraction(workers * sum(packets[i] for i in run), sum(packets))
-            assert len(own) == min(math.ceil(share), len(run))
+    def test_shares_cut_train_runs_only_to_lower_the_heaviest(self, speeds, workers):
+        jobs = sweep_jobs(speeds, [i % 3 for i in range(len(speeds))])
+        shares = engine._shares(jobs, workers)
+        assert_shares_cut_runs_only_to_lower_the_heaviest(jobs, workers, shares)
+
+    @pytest.mark.parametrize(
+        "speeds, seeds, shares",
+        [
+            # Seeds alternate in grid order; each share runs one seed.
+            ([8.0] * 4, [1, 2, 1, 2], [[0, 2], [1, 3]]),
+            # A cut in the middle (4,002 packets a side) deals a heaviest share
+            # of 8,004 packets, as the whole runs do; the cut after seed 1 deals 7,335.
+            ([8.0] * 4 + [9.0] * 3, [1, 2, 2, 2, 1, 1, 1], [[1, 2, 3], [4, 5, 6, 0]]),
+        ],
+    )
+    def test_a_train_run_is_cut_between_seeds(self, speeds, seeds, shares):
+        assert engine._shares(sweep_jobs(speeds, seeds), 2) == shares
 
     def test_seed_grid(self, tmp_path):
         scenario = make_scenario(
@@ -386,8 +415,9 @@ class TestRunSweep:
         assert (tmp_path / "summary.csv").is_file()
 
     def test_shares_on_the_benchmark_grid(self):
-        # The 10 mph run is cut in halves, the 20 and 40 mph runs are whole:
-        # pieces of 25,056, 25,056, 25,056 and 12,528 packets.
+        # Halving the 10 mph run (50,112 packets) would deal shares of 50,112
+        # and 37,584 packets, as the whole runs are dealt; so no run is cut:
+        # the 20 and 40 mph runs run here, the 10 mph run in a child.
         base = load_scenario(CONFIGS / "suburban_rsu_10mph.json")
         speeds = [mph_to_mps(v) for v in (10, 20, 40)]
         grid = product(speeds, [11.0, 23.0], ["QPSK", "16QAM"], ["omni12", "bidir23"], [7])
@@ -395,7 +425,7 @@ class TestRunSweep:
         jobs = [(point, engine._scenario_for_point(base, point), None) for point in points]
         shares = engine._shares(jobs, 2)
         assert [sum(jobs[i][1].packet_count for i in share) for share in shares] == [37584, 50112]
-        assert sorted(i for share in shares for i in share) == list(range(len(jobs)))
+        assert [sorted(share) for share in shares] == [list(range(8, 24)), list(range(8))]
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -308,7 +308,7 @@ def test_logs_written_through_one_holder_keep_their_own_bytes(
             decoded = packets.decoded
             assert rx[decoded].tobytes() == packets.rx_time_s[decoded].tobytes()
             assert latency_s[decoded].tobytes() == packets.latency_s[decoded].tobytes()
-            assert all(isinstance(head, str) for head in heads[decoded])
+            assert all(isinstance(head, bytes) for head in heads[decoded])
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

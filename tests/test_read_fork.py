@@ -191,6 +191,29 @@ def test_lines_past_the_cut_are_named_by_their_place_in_the_file(
     assert two == one == f"{path}:{line}: seq of receiver 'obu0' must increase"
 
 
+def test_a_fault_in_the_childs_part_parses_it_once(tmp_path, monkeypatch):
+    # The child returns its part's ValueError, and this process reads the
+    # log in one process for the error line, without parsing that part again.
+    path, parses = tmp_path / "pass.log.jsonl", tmp_path / "parses"
+    one_cpu(monkeypatch)
+    write_faulty(path, big_log(3000), [("unknown type", "second")])
+    one = outcome(path)
+    read_lines = logio._read_lines
+
+    def counted(*args):
+        if args[2] == 1:  # the child's part, numbered from 1
+            with open(parses, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+        return read_lines(*args)
+
+    monkeypatch.setattr(logio, "_read_lines", counted)
+    children = two_processes(monkeypatch)
+    assert outcome(path) == one
+    assert len(children) == 1
+    assert_reaped(children[0])
+    assert parses.read_text().split() == [str(children[0])]
+
+
 def write_big(path: Path, rows: int = 3000):
     log = big_log(rows)
     path.write_bytes(log_bytes(log))
