@@ -368,24 +368,21 @@ def _train_run(job) -> tuple:
     return job[1].train, job[1].radio.tx_period_s
 
 
-def _run_points(jobs: list) -> list:
+def _run_points(jobs: list):
     """Each grid point's pass, written to its log path and analysed in the
-    process that ran it: one (log name, point, packets, decoded, events,
-    warning range in m) row per job, run in the jobs' order through one
-    LinkHolder and one logio.TextHolder. So consecutive points of one train
+    process that ran it: yield one (log name, point, packets, decoded,
+    events, warning range in m) row per job, run in the jobs' order through
+    one LinkHolder and one logio.TextHolder. So consecutive points of one train
     run (_shares puts them in seed order) format its ticks once, and those
     of one train run and seed, whose geometry, draws and arrival times are
     alike whatever the link budget, compute those once and format each
     decoded row's head once."""
     links, text = LinkHolder(), logio.TextHolder()
-    rows = []
     for point, scenario, path in jobs:
         log = run_pass(scenario, None, links)
         logio.write_log(log, path, text)
-        warning_range_m = analysis.coverage_report(log).warning_range_m
         counts = (log.packet_count(), log.decoded_count(), len(log.events))
-        rows.append((path.name, point, *counts, warning_range_m))
-    return rows
+        yield (path.name, point, *counts, analysis.coverage_report(log).warning_range_m)
 
 
 def _deal(pieces: list, packets: list, workers: int) -> list:
@@ -461,14 +458,13 @@ def run_sweep(
     _<modulation>_<antenna>_s<seed>.log.jsonl and computes its coverage.
     The points are dealt into shares (_shares), at most units.fork_cpus(),
     of whole train runs unless cutting one lowers the heaviest share's
-    packets, each run through one link holder and one text holder (_run_points):
-    the lightest here, each other one in a forked child, or here where the
-    child delivers no rows (units.child_process). Which process runs a
-    point changes no byte. The result is one row per point, in grid order:
-    (log name, SweepPoint, packets, decoded, events, warning_range_m), and
-    summary.csv, written last through logio.commit, lists them. A failed
-    sweep kills its children, deletes the files at its log names and
-    writes no summary.csv.
+    packets. Each share is a stream of rows (_run_points): the lightest runs
+    here, each other one in a child (units.child_process), so which process
+    runs a point changes no byte. The result is one row per point, in grid
+    order: (log name, SweepPoint, packets, decoded, events, warning_range_m),
+    and summary.csv, written last through logio.commit, lists them. A failed
+    sweep kills its children, deletes the files at its log names and writes
+    no summary.csv.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
     powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
@@ -494,10 +490,9 @@ def run_sweep(
     shares = _shares(jobs, min(max_workers or 1, len(jobs), fork_cpus()))
     try:
         with contextlib.ExitStack() as children:
-            # The lightest share runs here, each other one in a child.
             here, *rest = ([jobs[i] for i in share] for share in shares)
             forked = [children.enter_context(child_process(_run_points, run)) for run in rest]
-            rows = [*_run_points(here), *(row for result in forked for row in result())]
+            rows = [*_run_points(here), *(row for values in forked for row in values)]
         results = [row for _, row in sorted(zip(sum(shares, []), rows))]
         keys = [field.name for field in dataclasses.fields(SweepPoint)]
         header = ["log", *keys, "packets", "decoded", "events", "warning_range_m"]

@@ -22,7 +22,7 @@ decoded-row head (or the lost-row one) and then its tick's text, both held
 in a TextHolder, the caller's or a new one (log_text); receivers whose tick
 columns are bitwise equal share the tick text, within a log and across
 logs, and a receiver's heads carry across logs. A long pass's log is
-written and read in two processes where it can be (_second_process,
+written and read in two processes where it can be (_second_parts,
 _read_in_two; units.child_process), with the bytes and errors of one;
 the reader fills the layout into one pattern. Packets move in chunks.
 The reader checks line 1 as the header, then matches packet lines with
@@ -42,7 +42,6 @@ import math
 import operator
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,8 +172,7 @@ class SimLog:
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 # Packet lines joined per chunk on write; about this many bytes of lines
-# parsed per batch on read, and at most this many copied per read of a
-# second writer process's temporary file.
+# parsed per batch on read.
 WRITE_BATCH_ROWS = 4096
 READ_BATCH_BYTES = 1 << 18
 
@@ -314,47 +312,11 @@ def _part(packets: PacketColumns, second: bool) -> PacketColumns:
     return PacketColumns(*(c[rows] for c in packets.columns()[:3]), packets.rx_time_s[rows])
 
 
-@contextlib.contextmanager
-def _second_process(receivers: list):
-    """Fork a child (units.child_process) that formats each receiver's
-    second part into an unlinked temporary file, sending each part's end
-    offset through a pipe. Yield second_part(receiver_id, packets): its
-    part's bytes, copied in reads of READ_BATCH_BYTES at most, or formatted
-    here where no offset comes (no child started, or it failed or was killed)."""
-
-    def spill_second_parts():
-        holder = TextHolder()
-        for receiver_id, packets in receivers:
-            spill.writelines(_packet_lines(receiver_id, _part(packets, True), holder))
-            spill.flush()
-            write_end.write(spill.tell().to_bytes(8, "little"))
-
-    with contextlib.ExitStack() as stack:
-        offsets = io.BytesIO()  # none, where no child starts
-        with contextlib.suppress(OSError):
-            spill = stack.enter_context(tempfile.TemporaryFile())
-            read_end, write_end = map(os.fdopen, os.pipe(), ("rb", "wb"), (0, 0))  # unbuffered
-            offsets = stack.enter_context(read_end)
-            with write_end:
-                stack.enter_context(child_process(spill_second_parts))
-        copied_to = 0
-
-        def second_part(receiver_id, packets):
-            nonlocal copied_to
-            end = offsets.read(8)
-            if len(end) != 8:
-                yield from _packet_lines(receiver_id, _part(packets, True), TextHolder())
-                return
-            end = int.from_bytes(end, "little")
-            while copied_to < end:
-                size = min(READ_BATCH_BYTES, end - copied_to)
-                data = os.pread(spill.fileno(), size, copied_to)
-                # Whole lines, when a read holds one.
-                data = data[: data.rfind(b"\n") + 1 or len(data)]
-                copied_to += len(data)
-                yield data
-
-        yield second_part
+def _second_parts(receivers: list):
+    """Each receiver's second part's chunks (_packet_lines), through one new holder."""
+    holder = TextHolder()
+    for receiver_id, packets in receivers:
+        yield from _packet_lines(receiver_id, _part(packets, True), holder)
 
 
 def log_text(log: SimLog, holder: TextHolder | None = None):
@@ -373,9 +335,9 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
 
     Without holder, a pass of FORK_ROWS packet rows or more, where
     units.fork_cpus() is more than 1, is formatted in two processes: each
-    receiver's second part (_part) by a forked child (_second_process), or
-    here where the child does not deliver it, its first part here, each
-    through its own new holder, so the bytes are the same.
+    receiver's first part (_part) here and its second part's chunks in a
+    child (_second_parts, units.child_process), each through a new holder,
+    so the bytes are the same.
     """
     receivers = [(receiver_id, log.records[receiver_id]) for receiver_id in log.receiver_ids()]
     for _, packets in receivers:
@@ -386,14 +348,14 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     forked = holder is None and log.packet_count() >= FORK_ROWS and fork_cpus() > 1
     holder = TextHolder() if holder is None else holder
-    with _second_process(receivers) if forked else contextlib.nullcontext() as second_part:
+    with child_process(_second_parts, receivers) if forked else contextlib.nullcontext() as second:
         yield (_encode(_header_dict(log)) + "\n").encode()
         heads = {}  # this log's receivers' heads, which the holder keeps after it
         for receiver_id, packets in receivers:
             part = _part(packets, False) if forked else packets
             heads[receiver_id] = yield from _packet_lines(receiver_id, part, holder)
-            if forked:
-                yield from second_part(receiver_id, packets)
+            if forked:  # the chunks of its second part, of len(packets) // 2 rows
+                yield from itertools.islice(second, math.ceil(len(packets) // 2 / WRITE_BATCH_ROWS))
         holder.heads = heads
         for event in log.events:
             yield (_encode({"type": "event", **dataclasses.asdict(event)}) + "\n").encode()
@@ -747,11 +709,11 @@ def _byte_lines(fd: int, start: int, end: int):
 
 
 def _fault_as_value(work, *args):
-    """work(*args), or the ValueError it raises."""
+    """work(*args) as a one-value stream, or the ValueError it raises as that value."""
     try:
-        return work(*args)
+        yield work(*args)
     except ValueError as exc:
-        return exc
+        yield exc
 
 
 def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
@@ -759,7 +721,7 @@ def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
     in two processes: a forked child (units.child_process) reads those past
     the first newline after the midpoint, this process those before it.
     None when the parts hold more than limit packet lines; a fault in
-    either part raises ValueError, the child's returned as a value
+    either part raises ValueError, the child's sent as its value
     (_fault_as_value) and raised here, so its part is parsed only once."""
     end = os.fstat(fd).st_size
     cut = (start + end) // 2
@@ -770,11 +732,11 @@ def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
     if not (os.pread(fd, 1, start - 1) == b"\n" and start < cut < end):
         return None
     second = (_read_lines, path, _byte_lines(fd, cut, end), 1, header, limit)
-    with child_process(_fault_as_value, *second) as result:
+    with child_process(_fault_as_value, *second) as values:
         parts, events, packets, lines = _read_lines(
             path, _byte_lines(fd, start, cut), 2, header, limit
         )
-        more = result()
+        [more] = values
     if isinstance(more, ValueError):
         raise more
     more_parts, more_events, more_packets, _ = more
@@ -877,7 +839,7 @@ def read_field_log(path: str | Path) -> SimLog:
         reader = csv.reader(handle)
         fieldnames = next(reader, None)
         if fieldnames is None or not set(FIELD_COLUMNS).issubset(fieldnames):
-            raise ValueError(f"field log CSV must have columns {sorted(FIELD_COLUMNS)}")
+            raise ValueError(f"{path}: field log CSV must have columns {sorted(FIELD_COLUMNS)}")
         where = [fieldnames.index(name) for name in FIELD_COLUMNS]
         fields, width = operator.itemgetter(*where), max(where) + 1
         for row_number, row in enumerate(reader, start=2):

@@ -1,5 +1,8 @@
 """One rule wherever railwarn starts a second process (units.child_process).
 
+A child streams the values of its work as it makes them, and this process
+computes those it does not send.
+
 A sweep's shares, a long pass's log write and its read each fork a child
 only as a shortcut: whatever the child does not deliver (the fork or a
 temporary file refused, a child that fails or is killed) is done in this
@@ -16,9 +19,10 @@ from pathlib import Path
 
 import pytest
 from test_all_or_nothing import run
-from test_log_fork import assert_reaped, in_the_child, two_processes
+from test_log_fork import assert_reaped, counted_forks, in_the_child, two_processes
 
 from railwarn import logio
+from railwarn.units import child_process
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUBURBAN = str(CONFIGS / "suburban_rsu_10mph.json")
@@ -116,3 +120,52 @@ def test_a_failed_sweep_leaves_no_temp_file_of_a_child_stalled_in_commit(tmp_pat
     assert len(children) == 1
     assert_reaped(children[0])
     assert list(out.iterdir()) == []
+
+
+def waiting(release: Path):
+    """The pid of the process running it, then, once release exists, that pid again."""
+    yield os.getpid()
+    deadline = time.monotonic() + 10
+    while not release.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    yield os.getpid()
+
+
+def test_a_value_is_read_while_the_child_still_runs(tmp_path, monkeypatch):
+    children = counted_forks(monkeypatch)
+    release = tmp_path / "release"
+    with child_process(waiting, release) as values:
+        assert next(values) == children[0]
+        # The child waits to make its second value.
+        assert os.waitpid(children[0], os.WNOHANG) == (0, 0)
+        release.touch()
+        assert list(values) == children
+    assert_reaped(children[0])
+
+
+def fail():
+    raise RuntimeError("the child's work failed")
+
+
+def numbered(count: int, stop_at: int, act, parent: int):
+    """(i, the pid of the process that made it) for i in range(count); a
+    child calls act() once it has sent stop_at of them."""
+    for i in range(count + 1):
+        if i == stop_at and os.getpid() != parent:
+            act()
+        if i < count:
+            yield i, os.getpid()
+
+
+@pytest.mark.parametrize("act", [kill_self, fail])
+@pytest.mark.parametrize("stop_at", [0, 1, 3, 5])
+def test_a_child_stopped_after_k_values_gives_the_one_process_sequence(monkeypatch, stop_at, act):
+    children = counted_forks(monkeypatch)
+    parent = os.getpid()
+    with child_process(numbered, 5, stop_at, act, parent) as values:
+        got = list(values)
+    assert len(children) == 1
+    assert_reaped(children[0])
+    assert [i for i, _ in got] == list(range(5))
+    # The first stop_at from the child, the rest computed here.
+    assert [pid for _, pid in got] == children * stop_at + [parent] * (5 - stop_at)

@@ -29,7 +29,14 @@ from railwarn.engine import (
     scenario_to_dict,
 )
 from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
-from railwarn.logio import MAX_PACKETS, log_bytes, read_field_log, read_log, write_log
+from railwarn.logio import (
+    FIELD_COLUMNS,
+    MAX_PACKETS,
+    log_bytes,
+    read_field_log,
+    read_log,
+    write_log,
+)
 from railwarn.protocol import TriggerPolicy
 from railwarn.units import parse_speed
 
@@ -336,8 +343,8 @@ class TestCli:
                 str(config),
                 "--speeds",
                 "20mph,50mph",
-                "--powers",
-                "11,23",
+                "--seeds",
+                "1,2",
                 "--out-dir",
                 str(out_dir),
             ]
@@ -405,6 +412,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: runtime: {capture}:3: seq of receiver 'field' must increase\n"
+        )
+        assert captured.out == ""
+
+    def test_field_csv_without_its_columns_names_its_file(self, tmp_path, capsys):
+        log = tmp_path / "s.log.jsonl"
+        assert main(["simulate", str(SUBURBAN), "-o", str(log)]) == 0
+        capsys.readouterr()
+        assert main(["coverage", str(log), "--field-csv"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: runtime: {log}: field log CSV must have columns {sorted(FIELD_COLUMNS)}\n"
         )
         assert captured.out == ""
 
@@ -667,6 +685,19 @@ class TestSweepFlags:
         code = main(["sweep", str(SUBURBAN), flag, value, "--out-dir", str(out_dir)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: config: {message}")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--powers", "11,23"), ("--modulations", "QPSK"), ("--antennas", "omni12")]
+    )
+    def test_radio_axis_of_an_empirical_channel_rejected(self, tmp_path, capsys, flag, value):
+        # Its PER table alone sets each packet's success: every point would repeat one pass.
+        out_dir = tmp_path / "sweep"
+        open_track = SUBURBAN.parent / "open_track_20mph.json"
+        argv = ["sweep", str(open_track), "--speeds", "10mph,20mph", flag, value]
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: config: {flag}: "), err
         assert not out_dir.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scalar_reference import reference_run_pass
 
+from railwarn.analysis import coverage_report
 from railwarn.antenna import AntennaPattern
 from railwarn.config import load_scenario
 from railwarn.engine import Scenario, TrainRun, run_pass
@@ -260,6 +261,29 @@ def test_added_receiver_leaves_other_receivers_unchanged(scenario, seed, kind, o
     assert [e for e in extended.events if e.receiver_id != "extra"] == base.events
 
 
+def assert_no_weaker(strong, weak, empirical: bool) -> None:
+    """The pass at the stronger radio setting decodes a superset of each
+    receiver's packets, loses no event, triggers and relays no later, and
+    has a count-rule coverage range no shorter. The decode uniforms, the
+    shadowing and the arrival times do not depend on the radio, so each
+    holds for every scenario and seed; an empirical channel ignores the
+    radio, so there each holds as equality."""
+    if empirical:
+        assert strong.records == weak.records and strong.events == weak.events
+    for receiver_id, packets in weak.records.items():
+        assert (strong.records[receiver_id].decoded >= packets.decoded).all()
+    events = {event.receiver_id: event for event in strong.events}
+    for event in weak.events:
+        assert event.receiver_id in events
+        earlier = events[event.receiver_id]
+        assert earlier.trigger_time_s <= event.trigger_time_s
+        if event.relay_delivery_time_s is not None:
+            assert earlier.relay_delivery_time_s <= event.relay_delivery_time_s
+    ranges = [coverage_report(log).per_receiver for log in (strong, weak)]
+    for receiver_id, report in ranges[1].items():
+        assert ranges[0][receiver_id].warning_range_m >= report.warning_range_m
+
+
 @given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
 def test_tx_power_leaves_latency_of_common_decodes_unchanged(scenario, seed):
     first = run_or_reject(scenario, seed)
@@ -271,3 +295,14 @@ def test_tx_power_leaves_latency_of_common_decodes_unchanged(scenario, seed):
         both = packets.decoded & other.decoded
         assert np.array_equal(packets.latency_s[both], other.latency_s[both])
         assert np.array_equal(packets.rx_time_s[both], other.rx_time_s[both])
+    strong, weak = (second, first) if power == 23.0 else (first, second)
+    assert_no_weaker(strong, weak, isinstance(scenario.channel, PerProfile))
+
+
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_qpsk_decodes_no_less_than_16qam(scenario, seed):
+    passes = [
+        run_or_reject(dataclasses.replace(scenario, radio=radio), seed)
+        for radio in (dataclasses.replace(scenario.radio, modulation=m) for m in ("QPSK", "16QAM"))
+    ]
+    assert_no_weaker(*passes, isinstance(scenario.channel, PerProfile))
