@@ -122,8 +122,6 @@ def extract_dwarn(series: PerSeries, threshold: int) -> CoverageReport:
         raise ValueError("threshold must be >= 1")
     width = series.window_width_m
     approach = {b.index: b.received for b in series.bins if b.index < 0}
-    if not approach:
-        raise ValueError("series has no approach-side bins")
     qualifying = [i for i, r in approach.items() if r >= threshold]
     farthest = -min(qualifying) * width if qualifying else 0.0
     index = -1

@@ -262,8 +262,3 @@ def load_config(path: str | Path) -> LoadedConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: parse error: {exc.msg}") from None
     return parse_config(data, path.parent)
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    """Load and fully validate a scenario config file."""
-    return load_config(path).scenario

@@ -25,9 +25,9 @@ logs, and a receiver's heads carry across logs. A long pass's log is
 written and read in two processes where it can be (_second_parts,
 _read_in_two; units.child_process), with the bytes and errors of one;
 the reader fills the layout into one pattern. Packets move in chunks.
-The reader checks line 1 as the header, then matches packet lines with
-the pattern, converting their numbers with float() and int() as json
-does; any other line goes through json with the full checks.
+The reader checks line 1 as the header and reads the rest by _byte_lines:
+packet lines match the pattern, their numbers converted with float() and
+int() as json does; any other line goes through json with the full checks.
 """
 
 import contextlib
@@ -248,10 +248,10 @@ def _head_templates(receiver_id) -> tuple:
 class TextHolder:
     """Line text, as bytes, that log_text formats for one log and reuses for
     the next, which a caller keeps across the logs it writes: one pass's
-    tick text, as (packets, text), and each receiver's decoded-row heads, as
-    receiver id -> (rx_time_s, latency_s, heads), row by row, where a row's
-    head is held only while its times are the ones it was formatted from
-    (NaN elsewhere)."""
+    tick text, as (packets, text), and the decoded-row heads of the last
+    log's receivers, as receiver id -> (rx_time_s, latency_s, heads), row by
+    row, where a row's head is held only while its times are the ones it
+    was formatted from (NaN elsewhere)."""
 
     __slots__ = ("ticks", "heads")
 
@@ -266,7 +266,7 @@ def _held_heads(holder: TextHolder, receiver_id, packets: PacketColumns, templat
     held = holder.heads.get(receiver_id)
     if held is None or len(held[0]) != len(packets):
         held = (np.full(len(packets), math.nan), np.full(len(packets), math.nan))
-        held += (np.empty(len(packets), dtype=object),)
+        held = holder.heads[receiver_id] = (*held, np.empty(len(packets), dtype=object))
     rx, latency, heads = held
     changed = (rx.view(np.uint64) != packets.rx_time_s.view(np.uint64)) | (
         latency.view(np.uint64) != packets.latency_s.view(np.uint64)
@@ -282,7 +282,7 @@ def _packet_lines(receiver_id, packets: PacketColumns, holder: TextHolder):
     most: each row's head, then its tick's text. The holder's tick text is
     reused while the receiver's tick columns are bitwise equal to those it
     was formatted from, and formatted and held otherwise; the heads are the
-    holder's, brought up to these packets (_held_heads), which it returns."""
+    holder's, brought up to these packets (_held_heads)."""
     if not (holder.ticks and _same_ticks(holder.ticks[0], packets)):
         holder.ticks = (packets, _tick_text(packets))
     text = holder.ticks[1]
@@ -292,7 +292,6 @@ def _packet_lines(receiver_id, packets: PacketColumns, holder: TextHolder):
     for start in range(0, len(packets), WRITE_BATCH_ROWS):
         rows = slice(start, start + WRITE_BATCH_ROWS)
         yield b"".join(itertools.chain.from_iterable(zip(heads[rows].tolist(), text[rows])))
-    return held
 
 
 # The fewest packet rows of a pass whose log log_text writes and read_log
@@ -317,6 +316,7 @@ def _second_parts(receivers: list):
     holder = TextHolder()
     for receiver_id, packets in receivers:
         yield from _packet_lines(receiver_id, _part(packets, True), holder)
+        holder.heads = {}  # this holder writes no later log
 
 
 def log_text(log: SimLog, holder: TextHolder | None = None):
@@ -348,15 +348,14 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     forked = holder is None and log.packet_count() >= FORK_ROWS and fork_cpus() > 1
     holder = TextHolder() if holder is None else holder
+    holder.heads = {rid: held for rid, held in holder.heads.items() if rid in log.records}
     with child_process(_second_parts, receivers) if forked else contextlib.nullcontext() as second:
         yield (_encode(_header_dict(log)) + "\n").encode()
-        heads = {}  # this log's receivers' heads, which the holder keeps after it
         for receiver_id, packets in receivers:
             part = _part(packets, False) if forked else packets
-            heads[receiver_id] = yield from _packet_lines(receiver_id, part, holder)
+            yield from _packet_lines(receiver_id, part, holder)
             if forked:  # the chunks of its second part, of len(packets) // 2 rows
                 yield from itertools.islice(second, math.ceil(len(packets) // 2 / WRITE_BATCH_ROWS))
-        holder.heads = heads
         for event in log.events:
             yield (_encode({"type": "event", **dataclasses.asdict(event)}) + "\n").encode()
 
@@ -690,22 +689,28 @@ def _read_lines(path, batches, line_number: int, header: dict, limit: int) -> tu
     return parts, events, packets, line_number
 
 
-def _byte_lines(fd: int, start: int, end: int):
+def _byte_lines(path, fd: int, start: int, end: int):
     """The text of the whole lines in bytes [start, end) of a file, about
     READ_BATCH_BYTES at a time, by os.pread, which moves no offset a forked
-    process shares. A carriage return, a byte not UTF-8 or a short file
-    raise ValueError."""
-    rest = b""
+    process shares. A CRLF or a lone CR reads as LF, as in a text file:
+    0x0D is in no multi-byte UTF-8 sequence. A byte not UTF-8 raises
+    UnicodeDecodeError, and a file cut short ValueError naming path."""
+    pieces = []  # the bytes read past the last line end
     while start < end:
         chunk = os.pread(fd, min(READ_BATCH_BYTES, end - start), start)
+        if not chunk:
+            raise ValueError(f"{path}: the file was cut short while it was read")
         start += len(chunk)
-        data = rest + chunk
-        whole = data.rfind(b"\n") + 1 if start < end else len(data)
-        data, rest = data[:whole], data[whole:]
-        if b"\r" in data or not chunk:
-            raise ValueError("a carriage return, or the file cut short")
-        if data:
-            yield data.decode()
+        whole = len(chunk)
+        if start < end:  # a batch ends at the last line end whose next byte is read
+            whole = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, -1) + 1
+        if not whole:
+            pieces.append(chunk)
+            continue
+        data, pieces = b"".join([*pieces, chunk[:whole]]), [chunk[whole:]]
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield data.decode()
 
 
 def _fault_as_value(work, *args):
@@ -716,25 +721,23 @@ def _fault_as_value(work, *args):
         yield exc
 
 
-def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
-    """_read_lines' parts and events of the lines from byte start on, read
-    in two processes: a forked child (units.child_process) reads those past
-    the first newline after the midpoint, this process those before it.
-    None when the parts hold more than limit packet lines; a fault in
-    either part raises ValueError, the child's sent as its value
-    (_fault_as_value) and raised here, so its part is parsed only once."""
-    end = os.fstat(fd).st_size
+def _read_in_two(path, fd: int, start: int, end: int, header: dict, limit: int):
+    """_read_lines' parts and events of bytes [start, end), read in two
+    processes: a forked child (units.child_process) reads the lines past
+    the first LF after the midpoint, this process those before it. None
+    where no LF lies between, or the parts hold more than limit packet
+    lines; a fault in either part raises ValueError, the child's sent as
+    its value (_fault_as_value) and raised here, so its part is parsed once."""
     cut = (start + end) // 2
     while b"\n" not in (data := os.pread(fd, 4096, cut)) and data:
         cut += len(data)
     cut += data.find(b"\n") + 1
-    # Line 1, as text, ends at byte start with "\n", not "\r".
-    if not (os.pread(fd, 1, start - 1) == b"\n" and start < cut < end):
+    if not start < cut < end:
         return None
-    second = (_read_lines, path, _byte_lines(fd, cut, end), 1, header, limit)
+    second = (_read_lines, path, _byte_lines(path, fd, cut, end), 1, header, limit)
     with child_process(_fault_as_value, *second) as values:
         parts, events, packets, lines = _read_lines(
-            path, _byte_lines(fd, start, cut), 2, header, limit
+            path, _byte_lines(path, fd, start, cut), 2, header, limit
         )
         [more] = values
     if isinstance(more, ValueError):
@@ -747,28 +750,31 @@ def _read_in_two(path, fd: int, start: int, header: dict, limit: int):
 
 def read_log(path: str | Path) -> SimLog:
     """Read a JSON-lines log; a line that breaks the format raises ValueError
-    naming path:line. The header is line 1 and bounds the read
-    (_packet_limit), and reading stops at the first packet line past its pass.
-    A pass of FORK_ROWS packet rows or more, where units.fork_cpus() is more
-    than 1, is read in two processes (_read_in_two) unless that might differ."""
+    naming path:line. The header is line 1, read as text, and bounds the
+    read (_packet_limit); reading stops at the first packet line past its
+    pass. The rest is read as bytes by _byte_lines: in two processes
+    (_read_in_two) for a pass of FORK_ROWS packet rows or more, where
+    units.fork_cpus() is more than 1, and in one otherwise or where that
+    fails, which names the first fault."""
     with utf8_text(path) as handle:
-        first = handle.readline()
+        first, fd = handle.readline(), handle.fileno()
+        header_bytes, size = len(first.encode()), os.fstat(fd).st_size
         try:
             obj, kind = _line_object(first) if first.strip() else (None, "blank")
             if kind != "header":
                 raise ValueError(f"line 1 must be the header, got a {kind!r} line")
             header = _header_values(obj)
-            limit = _packet_limit(header, len(first.encode()), os.fstat(handle.fileno()).st_size)
+            limit = _packet_limit(header, header_bytes, size)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}:1: {exc}") from None
+        # The body starts past line 1's bytes, whose CRLF text mode reads as LF.
+        start = header_bytes + (os.pread(fd, 2, header_bytes - 1) == b"\r\n")
         body = None
         if limit >= FORK_ROWS and fork_cpus() > 1:
-            # A fault in either part: read again in one process, for its error.
             with contextlib.suppress(ValueError, OSError):
-                body = _read_in_two(path, handle.fileno(), len(first.encode()), header, limit)
+                body = _read_in_two(path, fd, start, size, header, limit)
         if body is None:
-            batches = map("".join, iter(lambda: handle.readlines(READ_BATCH_BYTES), []))
-            body = _read_lines(path, batches, 2, header, limit)[:2]
+            body = _read_lines(path, _byte_lines(path, fd, start, size), 2, header, limit)[:2]
     return _assemble(path, header, *body)
 
 

@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from railwarn.cli import main
-from railwarn.config import load_scenario
+from railwarn.config import load_config
 from railwarn.engine import run_pass
 from railwarn.logio import FIELD_COLUMNS
 
@@ -96,7 +96,7 @@ def corpus(tmp: Path) -> dict:
     for directory in (*NAMES, "dwarn", "field", "long"):
         (tmp / directory).mkdir()
     (tmp / "long" / "config.json").write_text(long_config())
-    log = run_pass(load_scenario(CONFIGS / "suburban_rsu_10mph.json"))
+    log = run_pass(load_config(CONFIGS / "suburban_rsu_10mph.json").scenario)
     (tmp / "field" / "capture.csv").write_text("\n".join(capture_lines(log)) + "\n")
     hashes = {}
     for name, argv in runs(tmp):

@@ -14,7 +14,7 @@ import pytest
 
 from railwarn import logio
 from railwarn.cli import main
-from railwarn.config import load_scenario
+from railwarn.config import load_config
 from railwarn.engine import run_pass
 
 OPEN_TRACK = Path(__file__).resolve().parent.parent / "configs" / "open_track_20mph.json"
@@ -23,7 +23,7 @@ OPEN_TRACK = Path(__file__).resolve().parent.parent / "configs" / "open_track_20
 @pytest.fixture(scope="module")
 def open_track_log(tmp_path_factory):
     path = tmp_path_factory.mktemp("log") / "o.log.jsonl"
-    logio.write_log(run_pass(load_scenario(OPEN_TRACK)), path)
+    logio.write_log(run_pass(load_config(OPEN_TRACK).scenario), path)
     return path
 
 

@@ -53,7 +53,7 @@ from hypothesis import strategies as st
 from make_golden import capture_lines
 
 from railwarn.cli import main
-from railwarn.config import load_scenario
+from railwarn.config import load_config
 from railwarn.engine import run_pass
 from railwarn.logio import log_bytes
 
@@ -73,7 +73,7 @@ BLOCKED = ("per.csv", "counts.csv", "latency.csv", "coverage.csv", "safeness.csv
 @pytest.fixture(scope="module")
 def originals():
     """(log lines, field-capture lines) of one suburban pass."""
-    log = run_pass(load_scenario(SUBURBAN))
+    log = run_pass(load_config(SUBURBAN).scenario)
     return log_bytes(log).decode().splitlines(), capture_lines(log)
 
 

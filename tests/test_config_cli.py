@@ -18,7 +18,7 @@ from test_log_fork import assert_reaped, counted_forks
 import railwarn
 from railwarn import analysis, engine, logio
 from railwarn.cli import main
-from railwarn.config import ConfigError, load_scenario
+from railwarn.config import ConfigError, load_config
 from railwarn.engine import (
     MAX_SWEEP_PACKETS,
     MAX_TICKS,
@@ -59,7 +59,7 @@ MINIMAL = {"train": {"speed_mph": 10}}
 
 class TestConfigLoading:
     def test_minimal_config_gets_standard_defaults(self, tmp_path):
-        scenario = load_scenario(write_config(tmp_path, MINIMAL))
+        scenario = load_config(write_config(tmp_path, MINIMAL)).scenario
         assert scenario.radio.center_frequency_hz == 5.87e9
         assert scenario.radio.tx_period_ms == 50.0
         assert scenario.radio.tx_power_dbm == 23.0
@@ -70,36 +70,36 @@ class TestConfigLoading:
     def test_power_outside_option_set(self, tmp_path):
         path = write_config(tmp_path, {**MINIMAL, "radio": {"tx_power_dbm": 30}})
         with pytest.raises(ConfigError, match="tx_power_dbm"):
-            load_scenario(path)
+            load_config(path).scenario
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_config(tmp_path, {**MINIMAL, "radio": {"tx_powerr_dbm": 23}})
         with pytest.raises(ConfigError, match="tx_powerr_dbm"):
-            load_scenario(path)
+            load_config(path).scenario
         path = write_config(tmp_path, {**MINIMAL, "extra_section": {}})
         with pytest.raises(ConfigError, match="extra_section"):
-            load_scenario(path)
+            load_config(path).scenario
 
     def test_empirical_requires_table(self, tmp_path):
         path = write_config(tmp_path, {**MINIMAL, "channel": {"mode": "empirical"}})
         with pytest.raises(ConfigError, match="per_table or inline bins"):
-            load_scenario(path)
+            load_config(path).scenario
 
     def test_missing_speed_rejected(self, tmp_path):
         path = write_config(tmp_path, {"train": {"start_d_t_m": -100}})
         with pytest.raises(ConfigError, match="speed"):
-            load_scenario(path)
+            load_config(path).scenario
 
     def test_both_speeds_rejected(self, tmp_path):
         path = write_config(tmp_path, {"train": {"speed_mph": 10, "speed_mps": 4.47}})
         with pytest.raises(ConfigError, match="not both"):
-            load_scenario(path)
+            load_config(path).scenario
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"train": {"speed_mph": 10},}')
         with pytest.raises(ConfigError, match="parse error"):
-            load_scenario(path)
+            load_config(path).scenario
 
     def test_per_table_relative_to_config(self, tmp_path):
         (tmp_path / "per.csv").write_text("d_start_m,d_end_m,per\n-500,500,0.0\n")
@@ -107,7 +107,7 @@ class TestConfigLoading:
             tmp_path,
             {**MINIMAL, "channel": {"mode": "empirical", "per_table": "per.csv"}},
         )
-        scenario = load_scenario(path)
+        scenario = load_config(path).scenario
         assert isinstance(scenario.channel, PerProfile)
         assert scenario.channel.bins == ((-500.0, 500.0, 0.0),)
 
@@ -117,7 +117,7 @@ class TestConfigLoading:
             {**MINIMAL, "channel": {"mode": "empirical", "per_table": "nope.csv"}},
         )
         with pytest.raises(ConfigError, match="per_table"):
-            load_scenario(path)
+            load_config(path).scenario
 
     def test_inline_antenna_tables(self, tmp_path):
         config = {
@@ -130,7 +130,7 @@ class TestConfigLoading:
                 }
             },
         }
-        scenario = load_scenario(write_config(tmp_path, config))
+        scenario = load_config(write_config(tmp_path, config)).scenario
         assert scenario.resolve_pattern("custom").peak_gain_dbi == 9.0
 
     def test_antenna_csv_files(self, tmp_path):
@@ -141,13 +141,13 @@ class TestConfigLoading:
             "radio": {"rx_antenna": "aimed"},
             "antennas": {"aimed": {"azimuth_csv": "az.csv", "elevation_csv": "el.csv"}},
         }
-        scenario = load_scenario(write_config(tmp_path, config))
+        scenario = load_config(write_config(tmp_path, config)).scenario
         assert scenario.resolve_pattern("aimed").peak_gain_dbi == 9.0
 
     def test_unresolvable_antenna_name(self, tmp_path):
         path = write_config(tmp_path, {**MINIMAL, "radio": {"tx_antenna": "ghost"}})
         with pytest.raises(ConfigError, match="ghost"):
-            load_scenario(path)
+            load_config(path).scenario
 
 
 class TestRoundTrips:
@@ -176,21 +176,21 @@ class TestRoundTrips:
                 "out_of_range": "zero",
             },
         }
-        scenario = load_scenario(write_config(tmp_path, source))
+        scenario = load_config(write_config(tmp_path, source)).scenario
         out = write_config(tmp_path, scenario_to_dict(scenario), "rewritten.json")
-        assert load_scenario(out) == scenario
+        assert load_config(out).scenario == scenario
 
     def test_synthetic_round_trip(self, tmp_path):
         source = {
             **MINIMAL,
             "channel": {"mode": "synthetic", "path_loss_exponent": 2.9, "shadowing_sigma_db": 3},
         }
-        scenario = load_scenario(write_config(tmp_path, source))
+        scenario = load_config(write_config(tmp_path, source)).scenario
         out = write_config(tmp_path, scenario_to_dict(scenario), "rewritten.json")
-        assert load_scenario(out) == scenario
+        assert load_config(out).scenario == scenario
 
     def test_log_round_trip_bit_exact(self, tmp_path):
-        scenario = load_scenario(write_config(tmp_path, MINIMAL))
+        scenario = load_config(write_config(tmp_path, MINIMAL)).scenario
         log = run_pass(scenario)
         path = tmp_path / "pass.log.jsonl"
         write_log(log, path)
@@ -379,6 +379,26 @@ class TestCli:
         assert main(["coverage", str(capture), "--field-csv", "--threshold", "5"]) == 0
         assert "warning range 200 m" in capsys.readouterr().out
 
+    def test_a_log_with_no_approach_side_packet_is_a_0_m_warning_failure(self, tmp_path, capsys):
+        capture = tmp_path / "cap.csv"
+        rows = ["seq,tx_time_s,train_d_t_m,decoded,rx_time_s"]
+        rows += [f"{seq},{seq * 0.05},{seq * 2.0},1,{seq * 0.05 + 0.004}" for seq in range(100)]
+        capture.write_text("\n".join(rows) + "\n")
+        assert main(["coverage", str(capture), "--field-csv"]) == 0
+        assert capsys.readouterr().out == (
+            "field: warning range 0 m, farthest qualifying 0 m, contiguous false\n"
+            "aggregate: warning range 0 m (threshold 5 per 50 m bin)\n"
+            "warning-failure: no bin met the threshold\n"
+        )
+        # Its safeness report fails every grid point, as a coverage range of 0 m does.
+        log = tmp_path / "cap.log.jsonl"
+        write_log(read_field_log(capture), log)
+        assert main(["safeness", "--coverage-from", str(log), "--train-speed", "10mph"]) == 0
+        report = capsys.readouterr().out
+        assert main(["safeness", "--dwarn", "0", "--train-speed", "10mph"]) == 0
+        assert report == capsys.readouterr().out
+        assert report.endswith("system failure at every grid point\n")
+
     def test_report_tables_pinned(self, tmp_path):
         safeness, curves = tmp_path / "safeness.csv", tmp_path / "curves.csv"
         argv = ["safeness", "--dwarn", "200", "--train-speed", "10mph"]
@@ -512,7 +532,7 @@ class TestTickBudget:
         assert 64_001 * 10 <= MAX_TICKS
         period_s = RadioConfig().tx_period_s
         train = TrainRun(speed_mps=1.0, start_d_t_m=-500.0, end_d_t_m=500.0)
-        scenario = load_scenario(SUBURBAN)
+        scenario = load_config(SUBURBAN).scenario
         slow = dataclasses.replace(train, speed_mps=1000.0 / (MAX_TICKS * period_s))
         with pytest.raises(ValueError, match="transmit ticks"):
             dataclasses.replace(scenario, train=slow)
@@ -556,7 +576,7 @@ class TestPacketBudget:
     def test_pass_limit_sits_between_tested_passes_and_runaways(self):
         # The largest pass the tests and the benchmark run has 300,303 packets.
         assert 300_303 * 10 <= MAX_PACKETS
-        scenario = load_scenario(SUBURBAN)
+        scenario = load_config(SUBURBAN).scenario
         obu = scenario.scene.receivers[1]
         speed_mps = 1000.0 / (900_000 * scenario.radio.tx_period_s)
         train = TrainRun(speed_mps=speed_mps, start_d_t_m=-500.0, end_d_t_m=500.0)
@@ -589,7 +609,7 @@ class TestPacketBudget:
         )
         assert peak < 5_000_000
         assert not out_dir.exists()
-        scenario = load_scenario(SUBURBAN)
+        scenario = load_config(SUBURBAN).scenario
         with pytest.raises(SweepPointError, match="sweep of 14 points"):
             run_sweep(scenario, speeds_mps=[0.0187], seeds=range(14), out_dir=out_dir)
         assert not out_dir.exists()
@@ -730,7 +750,7 @@ class TestSweepPool:
             return dealt[-1]
 
         monkeypatch.setattr(engine, "_shares", recorded)
-        scenario = load_scenario(SUBURBAN)
+        scenario = load_config(SUBURBAN).scenario
         rows = run_sweep(scenario, seeds=seeds, max_workers=workers, out_dir=tmp_path)
         assert [len(share) for share in dealt[0][1:]] == started
         assert len(forks) == len(started)
@@ -744,7 +764,7 @@ class TestSweepPool:
         # the 50 m/s run into 1: a fourth worker would have no piece, so 3
         # shares, 2 of them in children. The rows come back in grid order.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        scenario = load_scenario(SUBURBAN)
+        scenario = load_config(SUBURBAN).scenario
         rows = run_sweep(
             scenario, speeds_mps=[1.0, 50.0], seeds=[1, 2], max_workers=4, out_dir=tmp_path
         )
@@ -765,12 +785,12 @@ class TestSweepPool:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refused)
         monkeypatch.setattr(subprocess, "Popen", refused)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        run_sweep(load_scenario(SUBURBAN), seeds=[1, 2], max_workers=2, out_dir=tmp_path)
+        run_sweep(load_config(SUBURBAN).scenario, seeds=[1, 2], max_workers=2, out_dir=tmp_path)
         assert len(forks) == 1
         assert_reaped(forks[0])
 
     def test_one_cpu_starts_no_pool(self, tmp_path, monkeypatch, forks):
-        scenario = load_scenario(SUBURBAN)
+        scenario = load_config(SUBURBAN).scenario
         run_sweep(scenario, seeds=[1, 2], max_workers=1, out_dir=tmp_path / "one")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         run_sweep(scenario, seeds=[1, 2], max_workers=2, out_dir=tmp_path / "two")
@@ -783,7 +803,7 @@ class TestSweepPool:
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            run_sweep(load_scenario(SUBURBAN), seeds=[1, 2], max_workers=2, out_dir=tmp_path)
+            run_sweep(load_config(SUBURBAN).scenario, seeds=[1, 2], max_workers=2, out_dir=tmp_path)
         finally:
             done.set()
             thread.join()
@@ -796,10 +816,10 @@ class TestSweepPool:
         script = tmp_path / "script.py"
         script.write_text(
             "import os, sys\n"
-            "from railwarn.config import load_scenario\n"
+            "from railwarn.config import load_config\n"
             "from railwarn.engine import run_sweep\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "scenario = load_scenario(sys.argv[1])\n"
+            "scenario = load_config(sys.argv[1]).scenario\n"
             "run_sweep(scenario, seeds=[1, 2], max_workers=2, out_dir=sys.argv[2])\n"
         )
         subprocess.run(
@@ -808,7 +828,7 @@ class TestSweepPool:
             capture_output=True,
             check=True,
         )
-        run_sweep(load_scenario(SUBURBAN), seeds=[1, 2], out_dir=tmp_path / "one")
+        run_sweep(load_config(SUBURBAN).scenario, seeds=[1, 2], out_dir=tmp_path / "one")
         summary = (tmp_path / "two" / "summary.csv").read_bytes()
         assert summary == (tmp_path / "one" / "summary.csv").read_bytes()
 
@@ -835,7 +855,7 @@ class TestNegativeSeeds:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
     def test_scenario_and_run_pass_reject(self, seed):
-        scenario = load_scenario(SUBURBAN)
+        scenario = load_config(SUBURBAN).scenario
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             dataclasses.replace(scenario, seed=seed)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -1097,11 +1117,11 @@ class TestLibraryMatchesCli:
         log_path = tmp_path / "cli.log.jsonl"
         argv = ["simulate", str(config), "-o", str(log_path)]
         assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
-        assert log_path.read_bytes() == log_bytes(run_pass(load_scenario(config), seed))
+        assert log_path.read_bytes() == log_bytes(run_pass(load_config(config).scenario, seed))
 
     def test_coverage_of_a_library_log_reads_its_own_window(self, tmp_path, capsys):
         log_path = tmp_path / "library.log.jsonl"
-        write_log(run_pass(load_scenario(SUBURBAN)), log_path)
+        write_log(run_pass(load_config(SUBURBAN).scenario), log_path)
         assert main(["coverage", str(log_path)]) == 0
         assert "aggregate: warning range 360 m (threshold 5 per 20 m bin)" in capsys.readouterr().out
 
@@ -1183,7 +1203,7 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(logio, "_tick_text", counted)
         rows = run_sweep(
-            load_scenario(SUBURBAN),
+            load_config(SUBURBAN).scenario,
             speeds_mps=[parse_speed(s) for s in ("10mph", "20mph", "40mph")],
             powers_dbm=[11.0, 23.0],
             modulations=["QPSK", "16QAM"],
@@ -1210,7 +1230,7 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(logio, "_heads", counted)
         rows = run_sweep(
-            load_scenario(SUBURBAN),
+            load_config(SUBURBAN).scenario,
             speeds_mps=[parse_speed(s) for s in ("10mph", "20mph", "40mph")],
             powers_dbm=[11.0, 23.0],
             modulations=["QPSK", "16QAM"],
@@ -1260,3 +1280,127 @@ class TestSweepWorkers:
         assert main(sweep_argv(out_dir, grid=["--speeds", "30mph,0.001"])) == 2
         assert capsys.readouterr().err.startswith("error: config: sweep point speed_mps=0.001")
         assert sweep_files(out_dir) == before
+
+
+def simulate(**sections):
+    """The argv of a simulate of MINIMAL with these config sections added."""
+
+    def argv(tmp_path) -> list:
+        config = write_config(tmp_path, {**MINIMAL, **sections})
+        return ["simulate", str(config), "-o", str(tmp_path / "p.log.jsonl")]
+
+    return argv
+
+
+def coverage_of_a_string_tx_time(tmp_path) -> list:
+    """The argv of a coverage of MINIMAL's log, its first packet line's tx_time_s "0.2"."""
+    log = tmp_path / "p.log.jsonl"
+    assert main(["simulate", str(write_config(tmp_path, MINIMAL)), "-o", str(log)]) == 0
+    header, packet, *rest = log.read_text().splitlines(keepends=True)
+    packet = json.dumps({**json.loads(packet), "tx_time_s": "0.2"}) + "\n"
+    log.write_text("".join([header, packet, *rest]))
+    return ["coverage", str(log)]
+
+
+OBSTRUCTION = {"d_start_m": -100, "d_end_m": -50, "excess_loss_db": 10}
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        pytest.param(
+            simulate(scene={"obstructions": [{"d_start_m": -100, "d_end_m": -50}]}),
+            2,
+            "config: scene.obstructions[0]: missing required key(s) ['excess_loss_db']",
+            id="obstruction without a loss",
+        ),
+        pytest.param(
+            simulate(channel={"mode": "magic"}),
+            2,
+            "config: channel.mode: must be 'empirical' or 'synthetic', got 'magic'",
+            id="channel mode",
+        ),
+        pytest.param(
+            simulate(antennas={"half": {"azimuth_csv": "az.csv"}}),
+            2,
+            "config: antennas.half: both azimuth_csv and elevation_csv are required",
+            id="antenna with one cut path",
+        ),
+        pytest.param(
+            simulate(antennas={"bare": {"peak_gain_dbi": 3.0}}),
+            2,
+            "config: antennas.bare: need azimuth_csv/elevation_csv paths "
+            "or inline azimuth/elevation tables",
+            id="antenna without a cut",
+        ),
+        pytest.param(
+            lambda tmp_path: ["simulate", str(tmp_path / "none.json")],
+            2,
+            "config: cannot read config: [Errno 2] No such file or directory: '{tmp}/none.json'",
+            id="config path",
+        ),
+        pytest.param(
+            simulate(radio={"tx_period_ms": 0}),
+            2,
+            "config: radio: transmit period must be positive",
+            id="transmit period",
+        ),
+        pytest.param(
+            simulate(radio={"center_frequency_hz": -1}),
+            2,
+            "config: radio: center frequency must be positive",
+            id="center frequency",
+        ),
+        pytest.param(
+            simulate(channel={"mode": "empirical", "bins": []}),
+            2,
+            "config: channel: PER profile must have at least one bin",
+            id="empirical bins",
+        ),
+        pytest.param(
+            simulate(channel={"shadowing_sigma_db": -1}),
+            2,
+            "config: channel: shadowing sigma must be >= 0",
+            id="shadowing sigma",
+        ),
+        pytest.param(
+            simulate(channel={"transition_width_db": 0}),
+            2,
+            "config: channel: transition width must be positive",
+            id="transition width",
+        ),
+        pytest.param(
+            simulate(scene={"obstructions": [{**OBSTRUCTION, "gap_width_m": -1}]}),
+            2,
+            "config: scene.obstructions[0]: gap geometry must be >= 0",
+            id="gap width",
+        ),
+        pytest.param(
+            simulate(scene={"receivers": [{"kind": "XYZ"}]}),
+            2,
+            "config: scene.receivers[0]: placement kind must be RSU or OBU, got 'XYZ'",
+            id="receiver kind",
+        ),
+        pytest.param(
+            simulate(scene={"receivers": [{"height_m": 0}]}),
+            2,
+            "config: scene.receivers[0]: receiver height must be positive",
+            id="receiver height",
+        ),
+        pytest.param(
+            coverage_of_a_string_tx_time,
+            3,
+            "runtime: {tmp}/p.log.jsonl:2: tx_time_s must be a number, got '0.2'",
+            id="packet time as a string",
+        ),
+    ],
+)
+def test_each_error_exits_with_its_code_and_one_line(tmp_path, capsys, argv, code, line):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {line}\n".replace("{tmp}", str(tmp_path))
+    assert captured.out == ""
+    if code == 2:
+        assert not (tmp_path / "p.log.jsonl").exists()

@@ -18,7 +18,7 @@ from scalar_reference import packet_rows
 import railwarn
 from railwarn import engine
 from railwarn.antenna import AntennaPattern
-from railwarn.config import load_scenario
+from railwarn.config import load_config
 from railwarn.engine import (
     Scenario,
     TrainRun,
@@ -418,7 +418,7 @@ class TestRunSweep:
         # Halving the 10 mph run (50,112 packets) would deal shares of 50,112
         # and 37,584 packets, as the whole runs are dealt; so no run is cut:
         # the 20 and 40 mph runs run here, the 10 mph run in a child.
-        base = load_scenario(CONFIGS / "suburban_rsu_10mph.json")
+        base = load_config(CONFIGS / "suburban_rsu_10mph.json").scenario
         speeds = [mph_to_mps(v) for v in (10, 20, 40)]
         grid = product(speeds, [11.0, 23.0], ["QPSK", "16QAM"], ["omni12", "bidir23"], [7])
         points = [engine.SweepPoint(*values) for values in grid]
@@ -440,7 +440,7 @@ WEDGE = AntennaPattern(
 
 def holder_scenario(config, speed_mps, power, modulation, antenna, sigma, seed) -> Scenario:
     """A shipped config's scenario with these sweep axes and shadowing sigma."""
-    base = load_scenario(CONFIGS / f"{config}.json")
+    base = load_config(CONFIGS / f"{config}.json").scenario
     channel = base.channel
     if isinstance(channel, SyntheticChannel):
         channel = dataclasses.replace(channel, shadowing_sigma_db=sigma)

@@ -11,7 +11,7 @@ from scalar_reference import reference_run_pass
 
 from railwarn.analysis import coverage_report
 from railwarn.antenna import AntennaPattern
-from railwarn.config import load_scenario
+from railwarn.config import load_config
 from railwarn.engine import Scenario, TrainRun, run_pass
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import (
@@ -48,12 +48,12 @@ def outcome(simulate, scenario: Scenario, seed=None):
 @pytest.mark.parametrize("name", ["open_track_20mph.json", "suburban_rsu_10mph.json"])
 @pytest.mark.parametrize("seed", [None, 3])
 def test_shipped_configs_byte_identical(name, seed):
-    scenario = load_scenario(CONFIGS / name)
+    scenario = load_config(CONFIGS / name).scenario
     assert log_bytes(run_pass(scenario, seed)) == log_bytes(reference_run_pass(scenario, seed))
 
 
 def test_suburban_bidir23_byte_identical():
-    scenario = load_scenario(CONFIGS / "suburban_rsu_10mph.json")
+    scenario = load_config(CONFIGS / "suburban_rsu_10mph.json").scenario
     scenario = dataclasses.replace(
         scenario, radio=dataclasses.replace(scenario.radio, tx_antenna="bidir23")
     )
@@ -262,12 +262,12 @@ def test_added_receiver_leaves_other_receivers_unchanged(scenario, seed, kind, o
 
 
 def assert_no_weaker(strong, weak, empirical: bool) -> None:
-    """The pass at the stronger radio setting decodes a superset of each
-    receiver's packets, loses no event, triggers and relays no later, and
-    has a count-rule coverage range no shorter. The decode uniforms, the
-    shadowing and the arrival times do not depend on the radio, so each
-    holds for every scenario and seed; an empirical channel ignores the
-    radio, so there each holds as equality."""
+    """The pass at the stronger radio, obstruction or trigger setting
+    decodes a superset of each receiver's packets, loses no event, triggers
+    and relays no later, and has a count-rule coverage range no shorter. The
+    decode uniforms, the shadowing and the arrival times depend on none of
+    them, so each holds for every scenario and seed; an empirical channel
+    ignores the radio and the obstructions, so there each holds as equality."""
     if empirical:
         assert strong.records == weak.records and strong.events == weak.events
     for receiver_id, packets in weak.records.items():
@@ -306,3 +306,31 @@ def test_qpsk_decodes_no_less_than_16qam(scenario, seed):
         for radio in (dataclasses.replace(scenario.radio, modulation=m) for m in ("QPSK", "16QAM"))
     ]
     assert_no_weaker(*passes, isinstance(scenario.channel, PerProfile))
+
+
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_less_obstruction_loss_decodes_no_less(scenario, seed, data):
+    obstructions = list(scenario.scene.obstructions)
+    if not obstructions:
+        reject()
+    index = data.draw(st.integers(0, len(obstructions) - 1))
+    # None removes the obstruction; a number lowers its loss to it.
+    loss = data.draw(st.none() | st.floats(0.0, obstructions[index].excess_loss_db))
+    if loss is None:
+        del obstructions[index]
+    else:
+        obstructions[index] = dataclasses.replace(obstructions[index], excess_loss_db=loss)
+    weak = run_or_reject(scenario, seed)
+    scene = dataclasses.replace(scenario.scene, obstructions=tuple(obstructions))
+    strong = run_pass(dataclasses.replace(scenario, scene=scene), seed)
+    assert_no_weaker(strong, weak, isinstance(scenario.channel, PerProfile))
+
+
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_lower_reliability_threshold_warns_no_later(scenario, seed, data):
+    lower = data.draw(st.integers(1, scenario.policy.reliability_threshold))
+    weak = run_or_reject(scenario, seed)
+    policy = dataclasses.replace(scenario.policy, reliability_threshold=lower)
+    strong = run_pass(dataclasses.replace(scenario, policy=policy), seed)
+    assert strong.records == weak.records
+    assert_no_weaker(strong, weak, empirical=False)

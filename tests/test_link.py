@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scalar_reference import excess_at, packet_success_probability, path_loss_db, per_at
 
-from railwarn.config import load_scenario
+from railwarn.config import load_config
 from railwarn.link import (
     LatencyModel,
     ObstructionSegment,
@@ -88,7 +88,7 @@ class TestPerProfile:
         config = tmp_path / "scenario.json"
         channel = {"mode": "empirical", "per_table": "per.csv"}
         config.write_text(json.dumps({"train": {"speed_mph": 20}, "channel": channel}))
-        profile = load_scenario(config).channel
+        profile = load_config(config).scenario.channel
         assert profile.bins == ((-500.0, 0.0, 0.0), (0.0, 350.0, 0.1))
         assert per_at(profile, -1.0) == 0.0
         assert per_at(profile, 1.0) == 0.1

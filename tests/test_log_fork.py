@@ -25,7 +25,7 @@ from test_all_or_nothing import run
 from test_logio import columns_log
 
 from railwarn import logio
-from railwarn.config import load_scenario
+from railwarn.config import load_config
 from railwarn.engine import run_pass
 from railwarn.logio import WRITE_BATCH_ROWS, PacketColumns, log_bytes, log_text
 from railwarn.protocol import WarningEvent
@@ -139,7 +139,7 @@ def test_a_pass_below_the_threshold_stays_in_one_process(monkeypatch):
 
 def test_a_write_without_a_holder_formats_each_tick_and_head_once(monkeypatch):
     # A two-receiver pass whose receivers share their tick columns.
-    log = run_pass(load_scenario(SUBURBAN))
+    log = run_pass(load_config(SUBURBAN).scenario)
     ticks, heads = [], []
     tick_text, format_heads = logio._tick_text, logio._heads
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_reference import PacketRecord, columns_from_records, packet_rows
 
-from railwarn.config import load_scenario
+from railwarn.config import load_config
 from railwarn.engine import run_pass
 from railwarn.geometry import Placement
 from railwarn.logio import (
@@ -319,13 +319,13 @@ def test_holder_keeps_at_most_320_bytes_per_packet_row(tmp_path):
     # The memory law in README: about 250 bytes per packet row of the pass
     # last written, linear in its size; 6,264 and 25,054 rows here. Then
     # the one-receiver open-track config as shipped (2,685 rows).
-    base = load_scenario(SUBURBAN)
+    base = load_config(SUBURBAN).scenario
     scenarios = [
         dataclasses.replace(base, train=dataclasses.replace(base.train, speed_mps=mph_to_mps(mph)))
         for mph in (10, 2.5)
     ]
     per_row = []
-    for scenario in [*scenarios, load_scenario(CONFIGS / "open_track_20mph.json")]:
+    for scenario in [*scenarios, load_config(CONFIGS / "open_track_20mph.json").scenario]:
         log = run_pass(scenario)
         holder = TextHolder()
         tracemalloc.start()

@@ -12,9 +12,12 @@ must leave no child behind.
 
 import dataclasses
 import errno
+import functools
+import hashlib
 import json
 import os
 import signal
+import sys
 import tempfile
 import threading
 import time
@@ -105,9 +108,10 @@ HARMLESS = ("none", "blank line", "CRLF", "CR", "CRLF after the header")
 PLACES = {"first": (0.4,), "second": (0.8,), "both": (0.4, 0.8)}
 
 
-def write_faulty(path: Path, log, faults: list, final_newline: bool = True) -> None:
-    """log's bytes, with each (fault, place) of faults at the place's share of its body."""
-    header, *body = log_bytes(log).splitlines(keepends=True)
+def write_faulty(path: Path, log, faults: list, final_newline: bool = True, text=None) -> None:
+    """log's bytes (text, if given), with each (fault, place) of faults at
+    the place's share of its body."""
+    header, *body = (text or log_bytes(log)).splitlines(keepends=True)
     rows = [
         (min(int(share * len(body)), len(body) - 1), fault)
         for fault, place in faults
@@ -135,6 +139,60 @@ def read_both(monkeypatch, path: Path) -> tuple:
     return two, one, children
 
 
+# tests/read_outcomes.json pins read_log's outcome on a 6,000-row log with
+# each (fault, place) alone, with each pair of PAIRS, and on the files of
+# the first with every "\n" written as "\r\n": the sha256 of log_bytes of
+# the SimLog read, or the text of its ValueError with the directory as
+# "<tmp>". Print the outcomes of the source on the path (this never writes
+# the file itself):
+#
+#     PYTHONPATH=src:tests python tests/test_read_fork.py > read_outcomes.new.json
+PINNED = Path(__file__).resolve().parent / "read_outcomes.json"
+PAIRS = [
+    (("latency_s", "first"), ("not UTF-8", "second")),
+    (("CR", "first"), ("seq", "second")),
+    (("CRLF after the header", "first"), ("unknown type", "second")),
+    (("blank line", "both"), ("second header", "second")),
+    (("not UTF-8", "second"), ("unknown type", "first")),
+    (("event", "both"), ("seq", "second")),
+    (("past the limit", "first"), ("CRLF", "second")),
+    (("CRLF", "both"), ("latency_s", "second")),
+    (("CR", "second"), ("not UTF-8", "first")),
+    (("past the limit", "second"), ("event", "first")),
+]
+
+
+def pinned_cases() -> dict:
+    """Each pinned case's name -> (faults, whether every "\\n" is "\\r\\n")."""
+    singles = {f"{fault}/{place}": [(fault, place)] for fault in FAULTS for place in PLACES}
+    pairs = {" + ".join(f"{f}/{p}" for f, p in pair): list(pair) for pair in PAIRS}
+    return {
+        **{name: (faults, False) for name, faults in {**singles, **pairs}.items()},
+        **{f"CRLF file: {name}": (faults, True) for name, faults in singles.items()},
+    }
+
+
+@functools.cache
+def pinned_log() -> tuple:
+    """The log of the pinned cases and its bytes."""
+    log = with_pass(big_log(3000), 6000)
+    return log, log_bytes(log)
+
+
+def write_case(path: Path, faults: list, crlf: bool) -> None:
+    log, text = pinned_log()
+    write_faulty(path, log, faults, text=text)
+    if crlf:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def pinned_form(result, directory) -> str:
+    """An outcome as PINNED holds it."""
+    if isinstance(result, str):
+        return result.replace(str(directory), "<tmp>")
+    return hashlib.sha256(log_bytes(result)).hexdigest()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     log=long_logs(),
@@ -156,14 +214,14 @@ def test_two_processes_read_what_one_reads(log, faults, final_newline):
 @pytest.mark.parametrize("place", sorted(PLACES))
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_each_fault_reads_as_in_one_process(tmp_path, monkeypatch, fault, place):
-    log = with_pass(big_log(3000), 6000)
+    log = pinned_log()[0]
     path = tmp_path / "pass.log.jsonl"
     one_cpu(monkeypatch)
-    write_faulty(path, log, [(fault, place)])
+    write_case(path, [(fault, place)], False)
     two, one, children = read_both(monkeypatch, path)
-    # The child starts wherever line 1 ends in "\n".
-    assert len(children) == (fault != "CRLF after the header")
+    assert len(children) == 1
     assert two == one
+    assert pinned_form(one, tmp_path) == json.loads(PINNED.read_text())[f"{fault}/{place}"]
     if fault in HARMLESS:
         assert one == log
     elif fault == "event":
@@ -174,9 +232,40 @@ def test_each_fault_reads_as_in_one_process(tmp_path, monkeypatch, fault, place)
         assert isinstance(one, str)
 
 
+def test_crlf_files_and_fault_pairs_read_as_pinned(tmp_path, monkeypatch):
+    # Each fault alone, in an LF file: test_each_fault_reads_as_in_one_process.
+    pinned = json.loads(PINNED.read_text())
+    assert sorted(pinned) == sorted(pinned_cases())
+    path = tmp_path / "pass.log.jsonl"
+    for name, (faults, crlf) in pinned_cases().items():
+        if crlf or len(faults) > 1:
+            one_cpu(monkeypatch)
+            write_case(path, faults, crlf)
+            two, one, children = read_both(monkeypatch, path)
+            assert (name, len(children), two == one) == (name, 1, True)
+            assert (name, pinned_form(one, tmp_path)) == (name, pinned[name])
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_each_line_end_reads_as_lf_in_bounded_batches(tmp_path, monkeypatch, newline):
+    log, text = pinned_log()
+    path = tmp_path / "pass.log.jsonl"
+    path.write_bytes(text.replace(b"\n", newline))
+    with open(path, "rb") as handle:
+        batches = list(logio._byte_lines(path, handle.fileno(), 0, path.stat().st_size))
+    assert "".join(batches) == text.decode()
+    # A batch is the rest of one read and the whole lines of the next, even without a "\n".
+    assert max(map(len, batches)) <= 2 * logio.READ_BATCH_BYTES
+    one_cpu(monkeypatch)
+    two, one, children = read_both(monkeypatch, path)
+    assert two == one == log
+    # A CR-only log has no "\n" to cut at.
+    assert len(children) == (newline != b"\r")
+
+
 @pytest.mark.parametrize(
     "before, shift, forks",
-    [([], 0, 1), ([("CR", "second")], 1, 1), ([("CRLF after the header", "first")], 0, 0)],
+    [([], 0, 1), ([("CR", "second")], 1, 1), ([("CRLF after the header", "first")], 0, 1)],
 )
 def test_lines_past_the_cut_are_named_by_their_place_in_the_file(
     tmp_path, monkeypatch, before, shift, forks
@@ -319,3 +408,14 @@ def test_a_pass_below_the_threshold_is_read_in_one_process(tmp_path, monkeypatch
     assert read_log(path) == log
     assert len(children) == 1
     assert_reaped(children[0])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        one_cpu(monkeypatch)
+        path, outcomes = Path(tmp) / "pass.log.jsonl", {}
+        for name, (faults, crlf) in pinned_cases().items():
+            write_case(path, faults, crlf)
+            outcomes[name] = pinned_form(outcome(path), tmp)
+    json.dump(outcomes, sys.stdout, indent=1, sort_keys=True)
+    print()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from railwarn.antenna import AntennaPattern
 from railwarn.cli import main
-from railwarn.config import load_scenario, parse_config
+from railwarn.config import load_config, parse_config
 from railwarn.engine import Scenario, TrainRun, scenario_digest, scenario_to_dict
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import (
@@ -143,16 +143,16 @@ def test_knobs_the_engine_ignored_are_unknown(tmp_path, capsys, key):
 def test_shipped_config_digests():
     # sha256 of the canonical JSON, which holds every field of the scenario
     # but the analysis settings.
-    assert scenario_digest(load_scenario(CONFIGS / "open_track_20mph.json")) == (
+    assert scenario_digest(load_config(CONFIGS / "open_track_20mph.json").scenario) == (
         "813e840ed1c808555ef0615a71d6374fc92dc541e375733903a81a2cf17d3b97"
     )
-    assert scenario_digest(load_scenario(SUBURBAN)) == (
+    assert scenario_digest(load_config(SUBURBAN).scenario) == (
         "2ad7df8b085163e585f9d69ce2ca87f14de3ce6efc4f694f2f914d6a66c4bc12"
     )
 
 
 def test_digest_excludes_the_analysis_settings():
-    scenario = load_scenario(SUBURBAN)
+    scenario = load_config(SUBURBAN).scenario
     other = dataclasses.replace(scenario, analysis=AnalysisDefaults(7.5, 2))
     assert scenario_to_dict(other)["analysis"] != scenario_to_dict(scenario)["analysis"]
     assert scenario_digest(other) == scenario_digest(scenario)
