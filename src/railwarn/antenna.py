@@ -13,6 +13,7 @@ omnidirectional patterns at 6 and 12 dBi, and a 23 dBi two-panel pattern
 10 degrees half-power beamwidth in both planes.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -43,6 +44,12 @@ class AntennaPattern:
                 raise ValueError(f"{label} cut angles must be strictly increasing")
             if any(gain > self.peak_gain_dbi + 1e-9 for _, gain in cut):
                 raise ValueError(f"{label} cut exceeds the peak gain")
+        # pattern_gain's sum lies between these two, so it is finite where they are.
+        for extreme in (min, max):
+            az, el = (extreme(g for _, g in cut) for cut in (self.azimuth_cut, self.elevation_cut))
+            if not math.isfinite(az + el - self.peak_gain_dbi):
+                name = f"{extreme.__name__}imum azimuth plus elevation gain"
+                raise ValueError(f"the {name}, less the peak, overflows")
 
     @cached_property
     def cut_arrays(self) -> tuple:

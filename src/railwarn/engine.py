@@ -83,6 +83,8 @@ class Scenario:
             raise ValueError("scenario needs at least one receiver")
         self.resolve_pattern(self.radio.tx_antenna)
         self.resolve_pattern(self.radio.rx_antenna)
+        if not np.isfinite(sum(segment.excess_loss_db for segment in self.scene.obstructions)):
+            raise ValueError("scene.obstructions: the summed excess_loss_db overflows")
         # A pass is farthest from a receiver at an end (the squared distance to a
         # straight track is convex). Called through geometry, so a wrapper of this
         # module's link_geometry sees only the passes' calls.

@@ -277,12 +277,13 @@ def _held_heads(holder: TextHolder, receiver_id, packets: PacketColumns, templat
     return held
 
 
-def _packet_lines(receiver_id, packets: PacketColumns, holder: TextHolder):
+def _packet_lines(receiver_id, packets: PacketColumns, holder: TextHolder, keep_heads: bool):
     """A receiver's packet lines, in chunks of WRITE_BATCH_ROWS lines at
     most: each row's head, then its tick's text. The holder's tick text is
     reused while the receiver's tick columns are bitwise equal to those it
     was formatted from, and formatted and held otherwise; the heads are the
-    holder's, brought up to these packets (_held_heads)."""
+    holder's, brought up to these packets (_held_heads), and dropped once
+    the lines are out unless keep_heads."""
     if not (holder.ticks and _same_ticks(holder.ticks[0], packets)):
         holder.ticks = (packets, _tick_text(packets))
     text = holder.ticks[1]
@@ -292,6 +293,8 @@ def _packet_lines(receiver_id, packets: PacketColumns, holder: TextHolder):
     for start in range(0, len(packets), WRITE_BATCH_ROWS):
         rows = slice(start, start + WRITE_BATCH_ROWS)
         yield b"".join(itertools.chain.from_iterable(zip(heads[rows].tolist(), text[rows])))
+    if not keep_heads:
+        del holder.heads[receiver_id]
 
 
 # The fewest packet rows of a pass whose log log_text writes and read_log
@@ -315,8 +318,7 @@ def _second_parts(receivers: list):
     """Each receiver's second part's chunks (_packet_lines), through one new holder."""
     holder = TextHolder()
     for receiver_id, packets in receivers:
-        yield from _packet_lines(receiver_id, _part(packets, True), holder)
-        holder.heads = {}  # this holder writes no later log
+        yield from _packet_lines(receiver_id, _part(packets, True), holder, False)
 
 
 def log_text(log: SimLog, holder: TextHolder | None = None):
@@ -329,9 +331,10 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
     once and reused by a later receiver, of this log or a later one, whose
     tick columns are bitwise equal; and a decoded row's head is reused by a
     later log's row of that receiver whose rx_time_s and latency_s are
-    bitwise equal. So what is held changes no byte. A row the log cannot
-    hold raises json's ValueError, naming the row's first value that is not
-    finite, before any line is formatted.
+    bitwise equal. So what is held changes no byte. A new holder writes no
+    later log, so it drops each receiver's heads once its lines are out. A
+    row the log cannot hold raises json's ValueError, naming the row's first
+    value that is not finite, before any line is formatted.
 
     Without holder, a pass of FORK_ROWS packet rows or more, where
     units.fork_cpus() is more than 1, is formatted in two processes: each
@@ -346,14 +349,15 @@ def log_text(log: SimLog, holder: TextHolder | None = None):
         if bad.size:
             value = next(v for v in (float(c[bad[0]]) for c in columns) if not math.isfinite(v))
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    forked = holder is None and log.packet_count() >= FORK_ROWS and fork_cpus() > 1
-    holder = TextHolder() if holder is None else holder
+    keep_heads = holder is not None
+    forked = not keep_heads and log.packet_count() >= FORK_ROWS and fork_cpus() > 1
+    holder = holder if keep_heads else TextHolder()
     holder.heads = {rid: held for rid, held in holder.heads.items() if rid in log.records}
     with child_process(_second_parts, receivers) if forked else contextlib.nullcontext() as second:
         yield (_encode(_header_dict(log)) + "\n").encode()
         for receiver_id, packets in receivers:
             part = _part(packets, False) if forked else packets
-            yield from _packet_lines(receiver_id, part, holder)
+            yield from _packet_lines(receiver_id, part, holder, keep_heads)
             if forked:  # the chunks of its second part, of len(packets) // 2 rows
                 yield from itertools.islice(second, math.ceil(len(packets) // 2 / WRITE_BATCH_ROWS))
         for event in log.events:

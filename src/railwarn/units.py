@@ -145,9 +145,12 @@ def utf8_text(path, newline=None):
 
 
 def not_utf8(path) -> str:
-    """Where a file's first byte that is not UTF-8 lies, as path:line."""
-    with open(path, "rb") as handle:
-        for number, line in enumerate(handle, start=1):
+    """Where a file's first byte that is not UTF-8 lies, as path:line, its
+    lines ended as a text file's are: by CR LF, a lone CR or LF."""
+    # latin-1 reads each byte as one character, so each line is the file's bytes.
+    with open(path, encoding="latin-1", newline="") as handle:
+        for number, text in enumerate(handle, start=1):
+            line = text.encode("latin-1")
             try:
                 line.decode()
             except UnicodeDecodeError as exc:

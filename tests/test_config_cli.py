@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from make_golden import long_config
 from scalar_reference import packet_rows
 from test_log_fork import assert_reaped, counted_forks
 
@@ -160,15 +161,6 @@ class TestRoundTrips:
                     {"id": "rsu0", "kind": "RSU", "offset_from_crossing_m": 6, "height_m": 3},
                     {"id": "obu0", "kind": "OBU", "offset_from_crossing_m": 42, "height_m": 1.7},
                 ],
-                "obstructions": [
-                    {
-                        "d_start_m": -400,
-                        "d_end_m": -150,
-                        "excess_loss_db": 30,
-                        "gap_width_m": 2,
-                        "gap_period_m": 12,
-                    }
-                ],
             },
             "channel": {
                 "mode": "empirical",
@@ -181,8 +173,17 @@ class TestRoundTrips:
         assert load_config(out).scenario == scenario
 
     def test_synthetic_round_trip(self, tmp_path):
+        # An empirical channel reads no obstruction (config.EMPIRICAL_UNREAD).
+        obstruction = {
+            "d_start_m": -400,
+            "d_end_m": -150,
+            "excess_loss_db": 30,
+            "gap_width_m": 2,
+            "gap_period_m": 12,
+        }
         source = {
             **MINIMAL,
+            "scene": {"obstructions": [obstruction]},
             "channel": {"mode": "synthetic", "path_loss_exponent": 2.9, "shadowing_sigma_db": 3},
         }
         scenario = load_config(write_config(tmp_path, source)).scenario
@@ -510,6 +511,49 @@ class TestNonFiniteInput:
         config = suburban_with(tmp_path, "latency", "processing_jitter_ms", 5.0)
         assert main(["simulate", str(config)]) == 2
         assert "processing_jitter_ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            # Each cut's one gain is finite; the gain they give together is not.
+            (
+                {
+                    "radio": {"tx_antenna": "vast"},
+                    "antennas": {"vast": {"azimuth_csv": "cut.csv", "elevation_csv": "cut.csv"}},
+                },
+                "antennas.vast",
+            ),
+            # Each segment's loss is finite; where they overlap, the sum is not.
+            (
+                {
+                    "scene": {
+                        "obstructions": [
+                            {"d_start_m": -100, "d_end_m": 0, "excess_loss_db": 1e308},
+                            {"d_start_m": -50, "d_end_m": 50, "excess_loss_db": 1e308},
+                        ]
+                    }
+                },
+                "scene.obstructions",
+            ),
+        ],
+    )
+    def test_finite_values_whose_link_budget_overflows(self, tmp_path, edit, key):
+        (tmp_path / "cut.csv").write_text("angle_deg,gain_dbi\n0,1e308\n")
+        data = json.loads(SUBURBAN.read_text())
+        for section, values in edit.items():
+            data.setdefault(section, {}).update(values)
+        log_path = tmp_path / "x.jsonl"
+        argv = ["simulate", str(write_config(tmp_path, data)), "-o", str(log_path)]
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "railwarn.cli", *argv],
+            env=railwarn_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: config: {key}: ")
+        assert result.stderr.count("\n") == 1
+        assert not log_path.exists()
 
 
 class TestTickBudget:
@@ -1105,6 +1149,20 @@ class TestNotUtf8:
         capture.write_bytes(b"seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n0,0.0,-1\xff20,0,\n")
         err = self.run(capsys, ["coverage", str(capture), "--field-csv"], 3)
         assert err.startswith(f"error: runtime: {capture}:2: byte 0xff ")
+
+    def test_lines_end_as_the_log_reader_ends_them(self, tmp_path, capsys):
+        config = tmp_path / "long.json"
+        config.write_text(long_config())
+        path = tmp_path / "long.log.jsonl"
+        assert main(["simulate", str(config), "-o", str(path)]) == 0
+        lines = path.read_bytes().split(b"\n")
+        # A lone "\r" opening line 11 ends a line, so the 21st "\n"-line is line 22.
+        lines[10] = b"\r" + lines[10]
+        for line in (b"\xff" + lines[20], b'{"type": "bogus"}'):
+            path.write_bytes(b"\n".join([*lines[:20], line, *lines[21:]]))
+            capsys.readouterr()
+            err = self.run(capsys, ["coverage", str(path)], 3)
+            assert err.startswith(f"error: runtime: {path}:22: ")
 
 
 class TestLibraryMatchesCli:

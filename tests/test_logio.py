@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_reference import PacketRecord, columns_from_records, packet_rows
 
+from railwarn import logio
 from railwarn.config import load_config
 from railwarn.engine import run_pass
 from railwarn.geometry import Placement
@@ -337,6 +338,30 @@ def test_holder_keeps_at_most_320_bytes_per_packet_row(tmp_path):
         per_row.append(kept / log.packet_count())
     assert all(200 < kept < 320 for kept in per_row), per_row
     assert abs(per_row[0] - per_row[1]) < 0.02 * per_row[1], per_row
+
+
+def test_a_write_without_a_holder_drops_each_receivers_heads_once_its_lines_are_out(
+    monkeypatch,
+):
+    log = run_pass(load_config(SUBURBAN).scenario)
+    holders = []
+
+    def holder():
+        holders.append(TextHolder())
+        return holders[-1]
+
+    monkeypatch.setattr(logio, "fork_cpus", lambda: 1)
+    monkeypatch.setattr(logio, "TextHolder", holder)
+    held = [tuple(holders[0].heads) for _ in logio.log_text(log)]
+    assert len(holders) == 1
+    # While a receiver's lines are out, only its heads are held; none once the log is.
+    first, second = log.receiver_ids()
+    assert set(held) == {(), (first,), (second,)}
+    assert holders[0].heads == {}
+    # A caller's holder keeps them for its next log.
+    kept = TextHolder()
+    assert b"".join(logio.log_text(log, kept)) == b"".join(logio.log_text(log))
+    assert set(kept.heads) == {first, second}
 
 
 # The reader's number grammar as it was written with optional repeats.

@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from railwarn.antenna import AntennaPattern
 from railwarn.cli import main
-from railwarn.config import load_config, parse_config
+from railwarn.config import EMPIRICAL_UNREAD, ConfigError, load_config, parse_config
 from railwarn.engine import Scenario, TrainRun, scenario_digest, scenario_to_dict
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import (
@@ -311,9 +312,37 @@ def scenarios(draw):
     )
 
 
+# What scenario_to_dict writes for a key left unset.
+UNSET = scenario_to_dict(parse_config({"train": {"speed_mps": 1.0}}, Path(".")).scenario)
+
+
+def places(data: dict, key: str) -> list:
+    """(key, value) at each place an EMPIRICAL_UNREAD key names in a
+    canonical form, [i] standing for each receiver; None where it is absent."""
+    head, _, rest = key.partition("[i].")
+    if rest:
+        entries = places(data, head)[0][1]
+        return [(f"{head}[{i}].{rest}", entry[rest]) for i, entry in enumerate(entries)]
+    value = data
+    for part in key.split("."):
+        value = value.get(part) if value is not None else None
+    return [(key, value)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(scenario=scenarios())
 def test_canonical_form_loads_back(scenario):
     data = scenario_to_dict(scenario)
-    assert parse_config(data, Path(".")).scenario == scenario
     assert all("name" not in entry for entry in data.get("antennas", {}).values())
+    unread = [
+        place
+        for key in EMPIRICAL_UNREAD
+        for place, value in places(data, key)
+        if value != places(UNSET, key)[0][1]
+    ]
+    if isinstance(scenario.channel, PerProfile) and unread:
+        # An empirical channel reads none of them: the first one set is named.
+        with pytest.raises(ConfigError, match=f"^{re.escape(unread[0])}: "):
+            parse_config(data, Path("."))
+    else:
+        assert parse_config(data, Path(".")).scenario == scenario
