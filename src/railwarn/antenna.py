@@ -45,11 +45,19 @@ class AntennaPattern:
             if any(gain > self.peak_gain_dbi + 1e-9 for _, gain in cut):
                 raise ValueError(f"{label} cut exceeds the peak gain")
         # pattern_gain's sum lies between these two, so it is finite where they are.
-        for extreme in (min, max):
-            az, el = (extreme(g for _, g in cut) for cut in (self.azimuth_cut, self.elevation_cut))
-            if not math.isfinite(az + el - self.peak_gain_dbi):
+        for extreme, total in zip((min, max), self.cut_sums_dbi):
+            if not math.isfinite(total):
                 name = f"{extreme.__name__}imum azimuth plus elevation gain"
                 raise ValueError(f"the {name}, less the peak, overflows")
+
+    @property
+    def cut_sums_dbi(self) -> tuple:
+        """The least and the greatest azimuth plus elevation gain, less the peak."""
+        cuts = (self.azimuth_cut, self.elevation_cut)
+        return tuple(
+            sum(extreme(g for _, g in cut) for cut in cuts) - self.peak_gain_dbi
+            for extreme in (min, max)
+        )
 
     @cached_property
     def cut_arrays(self) -> tuple:

@@ -22,7 +22,6 @@ from . import analysis as an
 from . import logio, safety
 from .config import ConfigError, load_config
 from .engine import SweepPointError, check_seed, run_pass, run_sweep
-from .link import PerProfile
 from .units import parse_speed, require_finite
 
 EXIT_OK = 0
@@ -275,9 +274,6 @@ def _cmd_safeness(args) -> tuple:
 
 def _cmd_sweep(args) -> tuple:
     scenario = load_config(args.config).scenario
-    for flag in ("powers", "modulations", "antennas"):
-        if getattr(args, flag) is not None and isinstance(scenario.channel, PerProfile):
-            raise ConfigError(f"--{flag}: the base config's empirical channel ignores the radio")
     out_dir = Path(args.out_dir)
     try:
         rows = run_sweep(

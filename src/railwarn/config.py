@@ -11,10 +11,12 @@ takes the field default, and a value must match the field's annotation
 (units.check_field); null is allowed only for X | None, and a number must
 be finite, so NaN and Infinity literals fail naming the key. Keys that are
 not fields: train.speed_mph, channel.mode, per_table or bins, and the
-antenna tables or paths (one form each, never both). An empirical channel
-reads none of EMPIRICAL_UNREAD, so each must keep its default. Defaults
-that are not field defaults: a receiver's id, offset and kind-dependent
-height, and the free-space reference loss for the carrier. Only
+antenna tables or paths (one form each, never both). Defaults that are
+not field defaults: a receiver's id, offset and kind-dependent height, and
+the free-space reference loss for the carrier. The Scenario rejects a
+setting its pass does not read: each of engine.EMPIRICAL_UNREAD away from
+its default under an empirical channel, and a carrier away from its
+default where the reference loss is not the free-space one. Only
 train.speed_mps (or speed_mph) is required. Unknown keys are rejected so
 typos fail loudly.
 Relative file paths resolve against the config file's directory.
@@ -22,7 +24,6 @@ Relative file paths resolve against the config file's directory.
 
 import dataclasses
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,15 +45,6 @@ from .units import check_field, mph_to_mps, not_utf8, read_numeric_table
 _SECTIONS = ("scene", "radio", "channel", "latency", "train", "policy", "analysis")
 _TOP_KEYS = {"version", "seed", "antennas", *_SECTIONS}
 _ANTENNA_KEYS = {"azimuth_csv", "elevation_csv", "azimuth", "elevation", "peak_gain_dbi", "floor_dbi"}
-
-# The settings an empirical channel (PerProfile) never reads, since its table
-# alone gives each tick's decode probability, in the order they are loaded;
-# [i] stands for each receiver.
-EMPIRICAL_UNREAD = (
-    "radio.center_frequency_hz", "radio.tx_power_dbm", "radio.modulation", "radio.tx_antenna",
-    "radio.rx_antenna", "scene.receivers[i].boresight_deg", "scene.obstructions", "antennas"
-)
-_UNREAD = "an empirical channel does not read it; keep its default"
 
 
 class ConfigError(Exception):
@@ -103,13 +95,12 @@ def _table(section: dict, key: str, width: int, where: str) -> tuple:
     )
 
 
-def _build(cls, section, where: str, extra=(), unread=(), **given):
+def _build(cls, section, where: str, extra=(), **given):
     """A cls from a config section whose keys are cls's field names plus extra.
 
     Each field takes its given value if there is one (the caller reads its
     key), else the section's value checked against the field's annotation,
-    else the field's default. A field whose key is in unread, [i] standing
-    for an index, must keep its default.
+    else the field's default.
     """
     fields = dataclasses.fields(cls)
     _check_keys(_object(section, where), [field.name for field in fields] + [*extra], where)
@@ -124,17 +115,13 @@ def _build(cls, section, where: str, extra=(), unread=(), **given):
     ]
     if missing:
         raise ConfigError(f"{where}: missing required key(s) {missing}")
-    for field in fields:
-        key = re.sub(r"\[\d+\]", "[i]", f"{where}.{field.name}")
-        if key in unread and values.get(field.name, field.default) != field.default:
-            raise ConfigError(f"{where}.{field.name}: {_UNREAD}")
     try:
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _load_receivers(entries, where: str, unread) -> tuple:
+def _load_receivers(entries, where: str) -> tuple:
     receivers = []
     for index, entry in enumerate(_list(entries, where)):
         here = f"{where}[{index}]"
@@ -146,19 +133,18 @@ def _load_receivers(entries, where: str, unread) -> tuple:
             "offset_from_crossing_m": 50.0,
             "height_m": 1.7 if kind == "OBU" else 3.0,
         }
-        receivers.append(_build(Placement, {**defaults, **entry}, here, unread=unread))
+        receivers.append(_build(Placement, {**defaults, **entry}, here))
     return tuple(receivers)
 
 
-def _load_scene(section: dict, unread) -> CrossingScene:
+def _load_scene(section: dict) -> CrossingScene:
     obstructions = _list(section.get("obstructions", []), "scene.obstructions")
     return _build(
         CrossingScene,
         section,
         "scene",
-        unread=unread,
         # No receivers list means one default receiver.
-        receivers=_load_receivers(section.get("receivers", [{}]), "scene.receivers", unread),
+        receivers=_load_receivers(section.get("receivers", [{}]), "scene.receivers"),
         obstructions=tuple(
             _build(ObstructionSegment, entry, f"scene.obstructions[{index}]")
             for index, entry in enumerate(obstructions)
@@ -249,10 +235,9 @@ def parse_config(data: dict, base_dir: Path) -> LoadedConfig:
     if isinstance(version, bool) or version != CONFIG_VERSION:
         raise ConfigError(f"version: unsupported config version {version!r}")
     sections = {name: _object(data.get(name, {}), name) for name in _SECTIONS}
-    unread = EMPIRICAL_UNREAD if sections["channel"].get("mode") == "empirical" else ()
-    radio = _build(RadioConfig, sections["radio"], "radio", unread=unread)
+    radio = _build(RadioConfig, sections["radio"], "radio")
     parts = dict(
-        scene=_load_scene(sections["scene"], unread),
+        scene=_load_scene(sections["scene"]),
         radio=radio,
         channel=_load_channel(sections["channel"], base_dir, radio),
         latency=_build(LatencyModel, sections["latency"], "latency"),
@@ -261,8 +246,6 @@ def parse_config(data: dict, base_dir: Path) -> LoadedConfig:
         custom_patterns=_load_antennas(data.get("antennas", {}), base_dir),
         analysis=_build(AnalysisDefaults, sections["analysis"], "analysis"),
     )
-    if "antennas" in unread and parts["custom_patterns"]:
-        raise ConfigError(f"antennas: {_UNREAD}")
     try:
         scenario = Scenario(seed=data.get("seed", 0), **parts)
     except (ValueError, KeyError) as exc:

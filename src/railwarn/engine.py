@@ -32,6 +32,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from itertools import groupby, product
 from pathlib import Path
@@ -46,6 +47,7 @@ from .link import (
     PerProfile,
     RadioConfig,
     SyntheticChannel,
+    friis_reference_loss_db,
     latency_sample,
     mean_snr_db,
     profile_success_probability,
@@ -64,6 +66,30 @@ CONFIG_VERSION = 1
 MAX_TICKS = 1_000_000
 MAX_SWEEP_PACKETS = 20_000_000
 
+# The settings an empirical channel (PerProfile) never reads, since its table
+# alone gives each tick's decode probability: config key paths, in the order
+# a config gives them, [i] standing for each receiver. Scenario requires
+# each to keep its default under such a channel.
+EMPIRICAL_UNREAD = (
+    "radio.center_frequency_hz", "radio.tx_power_dbm", "radio.modulation", "radio.tx_antenna",
+    "radio.rx_antenna", "scene.receivers[i].boresight_deg", "scene.obstructions", "antennas"
+)
+
+
+def _changed(owner, key: str, where: str = "") -> list:
+    """The path of each setting that a config key path names in owner ([i]
+    for each entry; antennas are custom_patterns) and that is not its field
+    default."""
+    head, _, rest = key.partition(".")
+    name = head.removesuffix("[i]")
+    field = "custom_patterns" if name == "antennas" else name
+    value = getattr(owner, field)
+    if head != name:
+        return [p for i, e in enumerate(value) for p in _changed(e, rest, f"{where}{name}[{i}].")]
+    if rest:
+        return _changed(value, rest, f"{where}{name}.")
+    return [where + name] if value != getattr(type(owner), field) else []
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -78,11 +104,25 @@ class Scenario:
     analysis: AnalysisDefaults = AnalysisDefaults()
 
     def __post_init__(self) -> None:
+        # Each setting the channel does not read keeps its default.
+        radio, channel = self.radio, self.channel
+        keys = ()
+        if isinstance(channel, PerProfile):
+            keys, reason = EMPIRICAL_UNREAD, "an empirical channel does not read it"
+        elif channel.reference_loss_db != friis_reference_loss_db(radio.center_frequency_hz):
+            keys = ("radio.center_frequency_hz",)
+            reason = "channel.reference_loss_db, not the free-space loss at it, sets the path loss"
+        unread = [path for key in keys for path in _changed(self, key)]
+        if unread:
+            raise ValueError(f"{unread[0]}: {reason}; keep its default")
         check_seed(self.seed)
         if not self.scene.receivers:
             raise ValueError("scenario needs at least one receiver")
-        self.resolve_pattern(self.radio.tx_antenna)
-        self.resolve_pattern(self.radio.rx_antenna)
+        # The engine adds the two patterns' gains, each clamped below at its floor.
+        tx, rx = (self.resolve_pattern(name) for name in (radio.tx_antenna, radio.rx_antenna))
+        for tx_sum, rx_sum in zip(tx.cut_sums_dbi, rx.cut_sums_dbi):
+            if not math.isfinite(max(tx_sum, tx.floor_dbi) + max(rx_sum, rx.floor_dbi)):
+                raise ValueError("radio.rx_antenna: its gain plus radio.tx_antenna's overflows")
         if not np.isfinite(sum(segment.excess_loss_db for segment in self.scene.obstructions)):
             raise ValueError("scene.obstructions: the summed excess_loss_db overflows")
         # A pass is farthest from a receiver at an end (the squared distance to a

@@ -216,9 +216,10 @@ def snr_success_probability(
     snr_db: np.ndarray, radio: RadioConfig, channel: SyntheticChannel
 ) -> np.ndarray:
     """Decode probability at every SNR: a logistic curve centred on the
-    modulation's threshold, of the channel's transition width."""
-    margin = (snr_db - channel.threshold_db(radio.modulation)) / channel.transition_width_db
+    modulation's threshold, of the channel's transition width. Where the
+    margin in widths overflows, the curve takes its limit: 0 or 1."""
     with np.errstate(over="ignore"):
+        margin = (snr_db - channel.threshold_db(radio.modulation)) / channel.transition_width_db
         return 1.0 / (1.0 + np.exp(-margin))
 
 

@@ -835,9 +835,10 @@ def read_field_log(path: str | Path) -> SimLog:
 
     Expected columns: seq, tx_time_s, train_d_t_m, decoded, rx_time_s.
     decoded accepts 1/0, true/false or yes/no in any case; rx_time_s may be
-    blank for undecoded rows. Rows are put in seq order (a stable sort) and
-    then meet read_log's packet rules: finite values, rx_time_s >= tx_time_s
-    and each seq once; a fault names the lowest CSV row that breaks a rule.
+    blank for undecoded rows; a row has no more cells than the header. Rows
+    are put in seq order (a stable sort) and then meet read_log's packet
+    rules: finite values, rx_time_s >= tx_time_s and each seq once; a fault
+    names the lowest CSV row that breaks a rule.
     Reading stops at the row past MAX_PACKETS.
     The capture is one RSU named "field" transmitting every 50 ms; it runs
     through the same analysis pipeline as simulated logs, and pass metadata
@@ -857,6 +858,8 @@ def read_field_log(path: str | Path) -> SimLog:
                 continue
             if len(seq) == MAX_PACKETS:
                 raise ValueError(f"{path}:{row_number}: more than {MAX_PACKETS} packet rows")
+            if len(row) > len(fieldnames):
+                raise ValueError(f"{path}:{row_number}: row has more cells than the header")
             if len(row) < width:
                 row += [""] * (width - len(row))
             seq_text, tx_text, position_text, decoded_text, rx_text = fields(row)

@@ -164,7 +164,8 @@ def read_numeric_table(path, columns: tuple, what: str) -> list:
     order of columns; other columns are ignored.
 
     A value that is missing, blank, not a number or not finite raises
-    ValueError naming path:line and the column.
+    ValueError naming path:line and the column; a row longer than the
+    header raises it naming path:line.
     """
     rows = []
     with utf8_text(path, newline="") as handle:
@@ -172,6 +173,8 @@ def read_numeric_table(path, columns: tuple, what: str) -> list:
         if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
             raise ValueError(f"{what} CSV {path} must have columns {','.join(columns)}")
         for record in reader:
+            if None in record:  # DictReader's key for the cells past the header's
+                raise ValueError(f"{path}:{reader.line_num}: row has more cells than the header")
             row = []
             for column in columns:
                 text = record[column]  # None where the row is too short

@@ -4,21 +4,23 @@ Read side (test_one_mutation_exits_0_or_3): a simulated suburban log and
 its RSU's packets as a field capture each take one mutation: a key
 dropped, a value of the wrong type, a line cut short, a NaN or infinity
 put in, or a byte that is not UTF-8 inserted; or, in the log, a decoded
-line's latency_s moved one ulp off rx_time_s - tx_time_s. analyze,
-coverage and safeness --coverage-from then read the result in-process.
-Each either succeeds, printing no NaN or infinity, or exits 3 with
-exactly one `error: runtime:` line and no stdout. Half the examples find
-every output path taken by a directory; those, a moved latency_s and a
-byte that is not UTF-8 must exit 3 and write nothing, the last naming
-path:line.
+line's latency_s moved one ulp off rx_time_s - tx_time_s; or, in the
+capture, a cell appended to a row. analyze, coverage and safeness
+--coverage-from then read the result in-process. Each either succeeds,
+printing no NaN or infinity, or exits 3 with exactly one `error: runtime:`
+line and no stdout. Half the examples find every output path taken by a
+directory; those, a moved latency_s, a byte that is not UTF-8 and a cell
+appended past the header must exit 3 and write nothing, the last two
+naming path:line.
 
 Write side (test_simulate_exits_0_2_or_3): a shipped config takes one
 mutation of one key (dropped, a wrong type, a non-finite literal, or a
 vast or subnormal number), or the open-track PER table one mutation of one
-row (a cell replaced, the row cut short, dropped or duplicated); or
-either file takes a byte that is not UTF-8. simulate then either writes
-its log, or exits 2 or 3 with exactly one error line, no stdout and no
-log; a byte that is not UTF-8 exits 2 naming path:line.
+row (a cell replaced or appended, the row cut short, dropped or
+duplicated); or either file takes a byte that is not UTF-8. simulate then
+either writes its log, or exits 2 or 3 with exactly one error line, no
+stdout and no log; a byte that is not UTF-8, and a cell appended to a row
+past the header, exit 2 naming path:line.
 
 Sweep grid flags (test_sweep_grid_flags_exit_0_2_or_3): one of --speeds,
 --powers, --modulations, --antennas and --seeds of a one-point suburban
@@ -60,8 +62,9 @@ from railwarn.logio import log_bytes
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUBURBAN = CONFIGS / "suburban_rsu_10mph.json"
 
-# The last mutation applies to a decoded packet line; a capture has no latency_s.
-MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite", "not UTF-8", "latency_s one ulp")
+# A log and a capture each take these, and one of their own: a log a decoded
+# packet line's latency_s one ulp off, a capture a cell appended to a row.
+MUTATIONS = ("drop a key", "wrong type", "truncate", "non-finite", "not UTF-8")
 # A lone surrogate, which write_text(errors="surrogateescape") writes as the byte 0xff.
 NOT_UTF8 = "\udcff"
 WRONG_TYPES = ["x", "", None, True, [], [1.0], {}, {"a": 1}, 1.5, -1, 2**64]
@@ -115,6 +118,8 @@ def write_bytes(path: Path, text: str) -> None:
 def mutate_csv(line: str, mutation: str, data) -> str:
     if mutation == "truncate":
         return line[: data.draw(st.integers(0, len(line) - 1), label="cut at")]
+    if mutation == "append a cell":
+        return line + "," + data.draw(st.sampled_from(CELLS), label="value")
     cells = line.split(",")
     index = data.draw(st.integers(0, len(cells) - 1), label="column")
     if mutation == "drop a key":
@@ -177,7 +182,8 @@ def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
     checked = functools.partial(assert_clean, tmp_path=tmp_path, fails=blocked)
     field = data.draw(st.booleans(), label="field capture")
     lines = list(field_lines if field else log_lines)
-    mutation = data.draw(st.sampled_from(MUTATIONS[: -1 if field else None]), label="mutation")
+    own = "append a cell" if field else "latency_s one ulp"
+    mutation = data.draw(st.sampled_from((*MUTATIONS, own)), label="mutation")
     if mutation == "latency_s one ulp":
         decoded = [n for n, line in enumerate(lines) if '"decoded": true' in line]
         index = data.draw(st.sampled_from(decoded), label="line")
@@ -190,6 +196,8 @@ def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
         checked = functools.partial(checked, fails=True, names=f"{path}:{index + 1}: ")
     else:
         lines[index] = (mutate_csv if field else mutate_json)(lines[index], mutation, data)
+    if mutation == "append a cell" and index > 0:  # past the header
+        checked = functools.partial(checked, fails=True, names=f"{path}:{index + 1}: ")
     write_bytes(path, "\n".join(lines) + "\n")
     if field:
         checked(["analyze", str(path), "--field-csv", "--out-dir", str(out)])
@@ -206,7 +214,9 @@ def test_one_mutation_exits_0_or_3(tmp_path, originals, data):
 # Write side: the mutations of one config key, and of one PER table row.
 KEY_MUTATIONS = ("drop a key", "wrong type", "non-finite", "vast or tiny")
 VAST_OR_TINY = [1e200, -1e200, 1e308, -1e308, 1e-320]
-ROW_MUTATIONS = ("replace a cell", "truncate a row", "drop a row", "duplicate a row")
+ROW_MUTATIONS = (
+    "replace a cell", "append a cell", "truncate a row", "drop a row", "duplicate a row"
+)
 CELLS = ["", "x", "nan", "-inf", "Infinity", "-1", "2", "1e200", "-1e308", "1e-320", "0"]
 SHIPPED = ("open_track_20mph.json", "suburban_rsu_10mph.json")
 
@@ -233,7 +243,9 @@ def mutate_key(config: dict, data) -> None:
         node[key] = data.draw(st.sampled_from(values), label="value")
 
 
-def mutate_rows(rows: list, data) -> None:
+def mutate_rows(rows: list, data) -> int | None:
+    """One mutation of one row; the line it must be named by, where it
+    appended a cell past the header, else None."""
     index = data.draw(st.integers(0, len(rows) - 1), label="row")
     mutation = data.draw(st.sampled_from(ROW_MUTATIONS), label="mutation")
     if mutation == "replace a cell":
@@ -241,6 +253,9 @@ def mutate_rows(rows: list, data) -> None:
         column = data.draw(st.integers(0, len(cells) - 1), label="column")
         cells[column] = data.draw(st.sampled_from(CELLS), label="value")
         rows[index] = ",".join(cells)
+    elif mutation == "append a cell":
+        rows[index] += "," + data.draw(st.sampled_from(CELLS), label="value")
+        return index + 1 if index > 0 else None
     elif mutation == "truncate a row":
         rows[index] = rows[index][: data.draw(st.integers(0, len(rows[index]) - 1), label="cut")]
     elif mutation == "drop a row":
@@ -265,12 +280,13 @@ def test_simulate_exits_0_2_or_3(tmp_path, data):
     config_path, table_path = tmp_path / "scenario.json", tmp_path / "open_track_per.csv"
     per_table = name.startswith("open_track") and data.draw(st.booleans(), label="PER table")
     not_utf8 = data.draw(st.booleans(), label="insert a byte that is not UTF-8")
+    named = None  # the path:line a byte not UTF-8, or a cell past the header, is in
     if per_table and not not_utf8:
-        mutate_rows(rows, data)
+        line = mutate_rows(rows, data)
+        named = line and f"{table_path}:{line}: "
     elif not not_utf8:
         mutate_key(config, data)
     table, text = "\n".join(rows) + "\n", json.dumps(config)  # writes NaN and Infinity literals
-    named = None  # the path:line a byte not UTF-8 is in
     if not_utf8 and per_table:
         table = insert_not_utf8(table, data)
         named = line_of_not_utf8(table_path, table)

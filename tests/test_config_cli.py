@@ -49,6 +49,33 @@ def railwarn_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
+def antenna(azimuth, elevation, peak, floor) -> dict:
+    return dict(azimuth=azimuth, elevation=elevation, peak_gain_dbi=peak, floor_dbi=floor)
+
+
+def on_antennas(tx: dict, rx: dict | None = None) -> dict:
+    """A config edit that transmits on custom antenna tx and receives on rx, or on tx."""
+    radio = {"tx_antenna": "tx", "rx_antenna": "rx"}
+    return {"radio": radio, "antennas": {"tx": tx, "rx": rx or tx}}
+
+
+def simulate_warnings_as_errors(tmp_path, edit: dict) -> tuple:
+    """simulate of the suburban config with each section of edit updated, in
+    a subprocess where a RuntimeWarning is an error: its result and log path."""
+    data = json.loads(SUBURBAN.read_text())
+    for section, values in edit.items():
+        data.setdefault(section, {}).update(values)
+    log_path = tmp_path / "x.jsonl"
+    argv = ["simulate", str(write_config(tmp_path, data)), "-o", str(log_path)]
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "railwarn.cli", *argv],
+        env=railwarn_env(),
+        capture_output=True,
+        text=True,
+    )
+    return result, log_path
+
+
 def write_config(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -173,7 +200,7 @@ class TestRoundTrips:
         assert load_config(out).scenario == scenario
 
     def test_synthetic_round_trip(self, tmp_path):
-        # An empirical channel reads no obstruction (config.EMPIRICAL_UNREAD).
+        # An empirical channel reads no obstruction (engine.EMPIRICAL_UNREAD).
         obstruction = {
             "d_start_m": -400,
             "d_end_m": -150,
@@ -436,6 +463,17 @@ class TestCli:
         )
         assert captured.out == ""
 
+    def test_field_csv_row_longer_than_its_header_exits_3(self, tmp_path, capsys):
+        capture = tmp_path / "cap.csv"
+        rows = ["seq,tx_time_s,train_d_t_m,decoded,rx_time_s"]
+        rows += [f"{k},{k * 0.05},{-120.0 + k},1,{k * 0.05 + 0.004}" for k in range(50)]
+        rows[7] += ",junk"
+        capture.write_text("\n".join(rows) + "\n")
+        assert main(["coverage", str(capture), "--field-csv"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: runtime: {capture}:8: row has more cells than the header\n"
+        assert captured.out == ""
+
     def test_field_csv_without_its_columns_names_its_file(self, tmp_path, capsys):
         log = tmp_path / "s.log.jsonl"
         assert main(["simulate", str(SUBURBAN), "-o", str(log)]) == 0
@@ -457,6 +495,25 @@ def suburban_with(tmp_path, section, key, value):
     if section == "train" and key == "speed_mps":
         del data["train"]["speed_mph"]
     return write_config(tmp_path, data)
+
+
+class TestReferenceLoss:
+    """A given reference loss leaves the carrier unread unless it is the
+    free-space loss there, so the carrier must then keep its default."""
+
+    def test_a_carrier_beside_a_given_reference_loss_exits_2(self, tmp_path, capsys):
+        data = json.loads(SUBURBAN.read_text())
+        data["channel"]["reference_loss_db"] = 47.8
+        data["radio"] = {**data.get("radio", {}), "center_frequency_hz": 2.4e9}
+        log_path = tmp_path / "x.jsonl"
+        assert main(["simulate", str(write_config(tmp_path, data)), "-o", str(log_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: radio.center_frequency_hz: ") and err.count("\n") == 1
+        assert "channel.reference_loss_db" in err and not log_path.exists()
+
+    def test_a_given_reference_loss_alone_runs(self, tmp_path):
+        config = suburban_with(tmp_path, "channel", "reference_loss_db", 47.8)
+        assert main(["simulate", str(config), "-o", str(tmp_path / "x.jsonl")]) == 0
 
 
 NON_FINITE_KEYS = [
@@ -535,25 +592,38 @@ class TestNonFiniteInput:
                 },
                 "scene.obstructions",
             ),
+            # Each antenna's gains are finite; the transmit and receive gains
+            # the engine adds, at their floors, are not.
+            (on_antennas(antenna([[0, -8e307]], [[0, -8e307]], 0, -1e308)), "radio.rx_antenna"),
+            # Only the lowest gains, or only the highest, add to no finite value.
+            (
+                on_antennas(antenna([[0, 0], [180, -8e307]], [[-90, -8e307], [0, 0]], 0, -1e308)),
+                "radio.rx_antenna",
+            ),
+            (
+                on_antennas(
+                    antenna([[0, 0]], [[0, 0]], 0, 1.7e308),
+                    antenna([[0, 8e307], [180, -1e308]], [[0, 8e307]], 8e307, -10),
+                ),
+                "radio.rx_antenna",
+            ),
         ],
     )
     def test_finite_values_whose_link_budget_overflows(self, tmp_path, edit, key):
         (tmp_path / "cut.csv").write_text("angle_deg,gain_dbi\n0,1e308\n")
-        data = json.loads(SUBURBAN.read_text())
-        for section, values in edit.items():
-            data.setdefault(section, {}).update(values)
-        log_path = tmp_path / "x.jsonl"
-        argv = ["simulate", str(write_config(tmp_path, data)), "-o", str(log_path)]
-        result = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "railwarn.cli", *argv],
-            env=railwarn_env(),
-            capture_output=True,
-            text=True,
-        )
+        result, log_path = simulate_warnings_as_errors(tmp_path, edit)
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: config: {key}: ")
         assert result.stderr.count("\n") == 1
         assert not log_path.exists()
+
+    def test_a_vanishing_transition_width_is_a_step(self, tmp_path):
+        # The logistic's margin overflows to its limits, with no warning.
+        result, log_path = simulate_warnings_as_errors(
+            tmp_path, {"channel": {"transition_width_db": 1e-308}}
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert read_log(log_path).decoded_count() > 0
 
 
 class TestTickBudget:
@@ -752,17 +822,31 @@ class TestSweepFlags:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--powers", "11,23"), ("--modulations", "QPSK"), ("--antennas", "omni12")]
+        "flag, value, key",
+        [
+            ("--powers", "11,23", "radio.tx_power_dbm"),
+            ("--modulations", "QPSK,16QAM", "radio.modulation"),
+            ("--antennas", "omni12,bidir23", "radio.tx_antenna"),
+        ],
     )
-    def test_radio_axis_of_an_empirical_channel_rejected(self, tmp_path, capsys, flag, value):
-        # Its PER table alone sets each packet's success: every point would repeat one pass.
+    def test_radio_axis_of_an_empirical_channel_rejected(self, tmp_path, capsys, flag, value, key):
+        # Its PER table alone sets each packet's success: the first point
+        # with a value other than the default is named, before any pass runs.
         out_dir = tmp_path / "sweep"
         open_track = SUBURBAN.parent / "open_track_20mph.json"
         argv = ["sweep", str(open_track), "--speeds", "10mph,20mph", flag, value]
         assert main([*argv, "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"error: config: {flag}: "), err
+        assert err.count("\n") == 1 and err.startswith("error: config: sweep point "), err
+        assert f": {key}: an empirical channel does not read it; keep its default\n" in err
         assert not out_dir.exists()
+
+    def test_radio_axis_at_its_default_over_an_empirical_channel_runs(self, tmp_path):
+        # The rule compares values: QPSK is the default, as the config's own.
+        open_track = SUBURBAN.parent / "open_track_20mph.json"
+        argv = ["sweep", str(open_track), "--modulations", "QPSK", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(list(tmp_path.glob("*.log.jsonl"))) == 1
 
 
 class TestSweepPool:
@@ -1054,7 +1138,8 @@ class TestUnparseableFlags:
 
 class TestNumericTables:
     """A CSV table row with a missing, blank, non-numeric or non-finite value
-    names path:line and the column; through a config it exits 2."""
+    names path:line and the column, and one with more cells than the header
+    names path:line; through a config it exits 2."""
 
     @pytest.mark.parametrize(
         "row, message",
@@ -1063,6 +1148,7 @@ class TestNumericTables:
             ("-500,,0.0", "d_end_m must be a finite number, got ''"),
             ("-500,500,x", "per must be a finite number, got 'x'"),
             ("-500,500,nan", "per must be a finite number, got 'nan'"),
+            ("0,350,0.0,9", "row has more cells than the header"),
         ],
     )
     def test_per_table(self, tmp_path, capsys, row, message):
@@ -1082,6 +1168,7 @@ class TestNumericTables:
             ("90,", "gain_dbi must be a finite number, got ''"),
             ("ninety,3", "angle_deg must be a finite number, got 'ninety'"),
             ("90,inf", "gain_dbi must be a finite number, got 'inf'"),
+            ("0,0,5", "row has more cells than the header"),
         ],
     )
     def test_antenna_cut(self, tmp_path, capsys, row, message):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,9 +18,10 @@ from scalar_reference import packet_rows
 
 import railwarn
 from railwarn import engine
-from railwarn.antenna import AntennaPattern
+from railwarn.antenna import AntennaPattern, builtin_pattern
 from railwarn.config import load_config
 from railwarn.engine import (
+    EMPIRICAL_UNREAD,
     Scenario,
     TrainRun,
     receiver_stream,
@@ -28,7 +30,14 @@ from railwarn.engine import (
     scenario_digest,
 )
 from railwarn.geometry import CrossingScene, Placement
-from railwarn.link import LatencyModel, PerProfile, RadioConfig, SyntheticChannel
+from railwarn.link import (
+    LatencyModel,
+    ObstructionSegment,
+    PerProfile,
+    RadioConfig,
+    SyntheticChannel,
+    friis_reference_loss_db,
+)
 from railwarn.link import latency_sample as link_latency_sample
 from railwarn.logio import PACKET_KEYS, log_bytes
 from railwarn.protocol import TriggerPolicy
@@ -168,9 +177,13 @@ class TestRunPass:
         assert all(not r.decoded for r in packet_rows(log.records["rsu0"], "rsu0"))
 
     def test_empirical_mode_ignores_antenna_selection(self):
-        base = make_scenario()
-        other = make_scenario(radio=RadioConfig(tx_antenna="bidir23"))
-        assert run_pass(base).records == run_pass(other).records
+        # An empirical channel reads no antenna, so a scenario that sets one
+        # raises naming it, built directly or through dataclasses.replace.
+        named = r"^radio\.tx_antenna: an empirical channel does not read it; keep its default$"
+        with pytest.raises(ValueError, match=named):
+            make_scenario(radio=RadioConfig(tx_antenna="bidir23"))
+        with pytest.raises(ValueError, match=named):
+            dataclasses.replace(make_scenario(), radio=RadioConfig(tx_antenna="bidir23"))
 
     def test_invalid_scenarios_rejected(self):
         with pytest.raises(ValueError):
@@ -180,7 +193,65 @@ class TestRunPass:
         with pytest.raises(ValueError):
             make_scenario(scene=CrossingScene(receivers=()))
         with pytest.raises(KeyError):
-            make_scenario(radio=RadioConfig(tx_antenna="missing"))
+            make_scenario(channel=SyntheticChannel(), radio=RadioConfig(tx_antenna="missing"))
+
+
+# A value other than its default for each of EMPIRICAL_UNREAD, a receiver's at obu0.
+AIMED_OBU = dataclasses.replace(OBU, boresight_deg=10.0)
+UNREAD_CHANGES = {
+    "radio.center_frequency_hz": dict(radio=RadioConfig(center_frequency_hz=2.4e9)),
+    "radio.tx_power_dbm": dict(radio=RadioConfig(tx_power_dbm=11.0)),
+    "radio.modulation": dict(radio=RadioConfig(modulation="16QAM")),
+    "radio.tx_antenna": dict(radio=RadioConfig(tx_antenna="bidir23")),
+    "radio.rx_antenna": dict(radio=RadioConfig(rx_antenna="bidir23")),
+    "scene.receivers[i].boresight_deg": dict(scene=CrossingScene(receivers=(RSU, AIMED_OBU))),
+    "scene.obstructions": dict(
+        scene=CrossingScene(receivers=(RSU,), obstructions=(ObstructionSegment(-10.0, 10.0, 5.0),))
+    ),
+    "antennas": dict(custom_patterns=(builtin_pattern("bidir23"),)),
+}
+
+
+class TestSettingsTheChannelDoesNotRead:
+    """Scenario rejects a setting its channel does not read, however it is built."""
+
+    def test_every_unread_key_has_a_case(self):
+        assert tuple(UNREAD_CHANGES) == EMPIRICAL_UNREAD
+
+    @pytest.mark.parametrize("key", EMPIRICAL_UNREAD)
+    def test_an_empirical_scenario_keeps_each_at_its_default(self, key):
+        path = key.replace("[i]", "[1]")
+        named = f"^{re.escape(path)}: an empirical channel does not read it; keep its default$"
+        with pytest.raises(ValueError, match=named):
+            make_scenario(**UNREAD_CHANGES[key])
+        with pytest.raises(ValueError, match=named):
+            dataclasses.replace(make_scenario(), **UNREAD_CHANGES[key])
+
+    @pytest.mark.parametrize(
+        "axis, values, key",
+        [
+            ("powers_dbm", [23.0, 11.0], "radio.tx_power_dbm"),
+            ("modulations", ["QPSK", "16QAM"], "radio.modulation"),
+            ("antennas", ["omni12", "bidir23"], "radio.tx_antenna"),
+        ],
+    )
+    def test_a_sweep_names_the_point_and_the_key(self, tmp_path, axis, values, key):
+        out_dir = tmp_path / "sweep"
+        named = rf"^sweep point .*: {re.escape(key)}: an empirical channel does not read it"
+        with pytest.raises(engine.SweepPointError, match=named):
+            run_sweep(make_scenario(), **{axis: values}, out_dir=out_dir)
+        assert not out_dir.exists()
+
+    def test_a_carrier_is_unread_where_the_reference_loss_is_not_its_free_space_loss(self):
+        carrier = RadioConfig(center_frequency_hz=2.4e9)
+        given = SyntheticChannel(reference_loss_db=47.8)
+        named = r"^radio\.center_frequency_hz: channel\.reference_loss_db, not the free-space"
+        with pytest.raises(ValueError, match=named):
+            make_scenario(radio=carrier, channel=given)
+        # The free-space loss at the carrier, or the default carrier, reads both.
+        free_space = SyntheticChannel(reference_loss_db=friis_reference_loss_db(2.4e9))
+        make_scenario(radio=carrier, channel=free_space)
+        make_scenario(channel=given)
 
 
 class TestReceiverStream:
@@ -439,20 +510,24 @@ WEDGE = AntennaPattern(
 
 
 def holder_scenario(config, speed_mps, power, modulation, antenna, sigma, seed) -> Scenario:
-    """A shipped config's scenario with these sweep axes and shadowing sigma."""
+    """A shipped config's scenario with these sweep axes and shadowing sigma.
+    The open track's empirical channel reads neither the radio nor an
+    antenna, so its scenario keeps the config's radio and has no WEDGE."""
     base = load_config(CONFIGS / f"{config}.json").scenario
-    channel = base.channel
+    channel, radio, patterns = base.channel, base.radio, ()
     if isinstance(channel, SyntheticChannel):
         channel = dataclasses.replace(channel, shadowing_sigma_db=sigma)
+        radio = dataclasses.replace(
+            radio, tx_power_dbm=power, modulation=modulation, tx_antenna=antenna
+        )
+        patterns = (WEDGE,)
     return dataclasses.replace(
         base,
         train=dataclasses.replace(base.train, speed_mps=speed_mps),
-        radio=dataclasses.replace(
-            base.radio, tx_power_dbm=power, modulation=modulation, tx_antenna=antenna
-        ),
+        radio=radio,
         channel=channel,
         seed=seed,
-        custom_patterns=(WEDGE,),
+        custom_patterns=patterns,
     )
 
 

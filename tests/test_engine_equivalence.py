@@ -1,6 +1,7 @@
 """run_pass against the scalar reference loop: byte-identical logs, same errors."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,8 @@ def pick(draw, *options):
 
 
 @st.composite
-def receivers(draw):
+def receivers(draw, aimed=True):
+    """One to three receivers; only aimed ones may draw a boresight."""
     count = draw(st.integers(1, 3))
     return tuple(
         Placement(
@@ -77,7 +79,7 @@ def receivers(draw):
             ),
             # 4 m is the transmit height: at offset 0 the tick on d = 0 coincides.
             height_m=draw(st.sampled_from([1.7, 3.0, 4.0])),
-            boresight_deg=pick(draw, st.none(), st.floats(-180.0, 180.0)),
+            boresight_deg=pick(draw, st.none(), st.floats(-180.0, 180.0)) if aimed else None,
         )
         for index in range(count)
     )
@@ -123,35 +125,41 @@ synthetic_channels = st.builds(
     path_loss_exponent=st.floats(2.0, 3.5),
     shadowing_sigma_db=st.sampled_from([0.0, 0.5, 3.0, 6.0]),
 )
+antennas = st.sampled_from(["omni6", "omni12", "bidir23", "cut3"])
+radio_settings = st.fixed_dictionaries(
+    dict(
+        tx_power_dbm=st.sampled_from([11.0, 23.0]),
+        modulation=st.sampled_from(["QPSK", "16QAM"]),
+        tx_antenna=antennas,
+        rx_antenna=antennas,
+    )
+)
 
 
 @st.composite
 def scenarios(draw):
+    """A scenario of either channel; an empirical one reads none of
+    engine.EMPIRICAL_UNREAD, so its draw keeps each at its default."""
     period_ms = draw(st.sampled_from([20.0, 50.0, 100.0]))
     speed = draw(st.floats(4.0, 40.0))
     before = draw(st.integers(3, 120))
     # A tick lands exactly on d = 0: start + speed * (before * period) == 0.
     start = -(speed * (before * (period_ms / 1000.0)))
     end = draw(st.floats(1.0, 250.0))
+    channel = pick(draw, profiles(start, end), synthetic_channels)
+    read = isinstance(channel, SyntheticChannel)
     track = pick(draw, st.just(0.0), st.floats(-180.0, 180.0))
     road = track + pick(draw, st.just(90.0), st.floats(15.0, 165.0))
-    antennas = st.sampled_from(["omni6", "omni12", "bidir23", "cut3"])
     base_ms = draw(st.floats(0.0, 5.0))
     return Scenario(
         scene=CrossingScene(
             track_heading_deg=track,
             road_heading_deg=road,
-            receivers=draw(receivers()),
-            obstructions=draw(obstructions()),
+            receivers=draw(receivers(aimed=read)),
+            obstructions=draw(obstructions()) if read else (),
         ),
-        radio=RadioConfig(
-            tx_power_dbm=draw(st.sampled_from([11.0, 23.0])),
-            modulation=draw(st.sampled_from(["QPSK", "16QAM"])),
-            tx_period_ms=period_ms,
-            tx_antenna=draw(antennas),
-            rx_antenna=draw(antennas),
-        ),
-        channel=pick(draw, profiles(start, end), synthetic_channels),
+        radio=RadioConfig(tx_period_ms=period_ms, **(draw(radio_settings) if read else {})),
+        channel=channel,
         latency=LatencyModel(
             processing_base_ms=base_ms,
             processing_jitter_ms=pick(draw, st.floats(0.1, 1.0), st.just(0.0)) * base_ms,
@@ -162,7 +170,7 @@ def scenarios(draw):
             trigger_distance_m=draw(st.floats(10.0, 500.0)),
             window_s=pick(draw, st.none(), st.floats(0.05, 3.0)),
         ),
-        custom_patterns=(CUT3,),
+        custom_patterns=(CUT3,) if read else (),
     )
 
 
@@ -261,15 +269,12 @@ def test_added_receiver_leaves_other_receivers_unchanged(scenario, seed, kind, o
     assert [e for e in extended.events if e.receiver_id != "extra"] == base.events
 
 
-def assert_no_weaker(strong, weak, empirical: bool) -> None:
+def assert_no_weaker(strong, weak) -> None:
     """The pass at the stronger radio, obstruction or trigger setting
     decodes a superset of each receiver's packets, loses no event, triggers
     and relays no later, and has a count-rule coverage range no shorter. The
     decode uniforms, the shadowing and the arrival times depend on none of
-    them, so each holds for every scenario and seed; an empirical channel
-    ignores the radio and the obstructions, so there each holds as equality."""
-    if empirical:
-        assert strong.records == weak.records and strong.events == weak.events
+    them, so each holds for every scenario and seed."""
     for receiver_id, packets in weak.records.items():
         assert (strong.records[receiver_id].decoded >= packets.decoded).all()
     events = {event.receiver_id: event for event in strong.events}
@@ -284,33 +289,55 @@ def assert_no_weaker(strong, weak, empirical: bool) -> None:
         assert ranges[0][receiver_id].warning_range_m >= report.warning_range_m
 
 
+def replaced(scenario: Scenario, key: str, **changes):
+    """dataclasses.replace(scenario, **changes); or, for an empirical
+    channel, which reads no radio or obstruction setting, None once that
+    has raised naming key."""
+    if isinstance(scenario.channel, PerProfile):
+        unread = f"^{re.escape(key)}: an empirical channel does not read it; keep its default$"
+        with pytest.raises(ValueError, match=unread):
+            dataclasses.replace(scenario, **changes)
+        return None
+    return dataclasses.replace(scenario, **changes)
+
+
 @given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
 def test_tx_power_leaves_latency_of_common_decodes_unchanged(scenario, seed):
-    first = run_or_reject(scenario, seed)
     power = {11.0: 23.0, 23.0: 11.0}[scenario.radio.tx_power_dbm]
     radio = dataclasses.replace(scenario.radio, tx_power_dbm=power)
-    second = run_pass(dataclasses.replace(scenario, radio=radio), seed)
+    other = replaced(scenario, "radio.tx_power_dbm", radio=radio)
+    if other is None:
+        return
+    first = run_or_reject(scenario, seed)
+    second = run_pass(other, seed)
     for receiver_id, packets in first.records.items():
         other = second.records[receiver_id]
         both = packets.decoded & other.decoded
         assert np.array_equal(packets.latency_s[both], other.latency_s[both])
         assert np.array_equal(packets.rx_time_s[both], other.rx_time_s[both])
     strong, weak = (second, first) if power == 23.0 else (first, second)
-    assert_no_weaker(strong, weak, isinstance(scenario.channel, PerProfile))
+    assert_no_weaker(strong, weak)
 
 
 @given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
 def test_qpsk_decodes_no_less_than_16qam(scenario, seed):
-    passes = [
-        run_or_reject(dataclasses.replace(scenario, radio=radio), seed)
-        for radio in (dataclasses.replace(scenario.radio, modulation=m) for m in ("QPSK", "16QAM"))
-    ]
-    assert_no_weaker(*passes, isinstance(scenario.channel, PerProfile))
+    qpsk, qam16 = (dataclasses.replace(scenario.radio, modulation=m) for m in ("QPSK", "16QAM"))
+    # QPSK is the default, so only 16QAM is unread by an empirical channel.
+    weak = replaced(scenario, "radio.modulation", radio=qam16)
+    if weak is not None:
+        strong = dataclasses.replace(scenario, radio=qpsk)
+        assert_no_weaker(run_or_reject(strong, seed), run_or_reject(weak, seed))
 
 
 @given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_less_obstruction_loss_decodes_no_less(scenario, seed, data):
     obstructions = list(scenario.scene.obstructions)
+    if isinstance(scenario.channel, PerProfile):
+        # An empirical draw has no obstruction, and cannot be given one.
+        blocked = (ObstructionSegment(d_start_m=-10.0, d_end_m=10.0, excess_loss_db=5.0),)
+        scene = dataclasses.replace(scenario.scene, obstructions=blocked)
+        assert replaced(scenario, "scene.obstructions", scene=scene) is None
+        return
     if not obstructions:
         reject()
     index = data.draw(st.integers(0, len(obstructions) - 1))
@@ -323,7 +350,7 @@ def test_less_obstruction_loss_decodes_no_less(scenario, seed, data):
     weak = run_or_reject(scenario, seed)
     scene = dataclasses.replace(scenario.scene, obstructions=tuple(obstructions))
     strong = run_pass(dataclasses.replace(scenario, scene=scene), seed)
-    assert_no_weaker(strong, weak, isinstance(scenario.channel, PerProfile))
+    assert_no_weaker(strong, weak)
 
 
 @given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -333,4 +360,4 @@ def test_a_lower_reliability_threshold_warns_no_later(scenario, seed, data):
     policy = dataclasses.replace(scenario.policy, reliability_threshold=lower)
     strong = run_pass(dataclasses.replace(scenario, policy=policy), seed)
     assert strong.records == weak.records
-    assert_no_weaker(strong, weak, empirical=False)
+    assert_no_weaker(strong, weak)

@@ -8,7 +8,13 @@ directional antennas, an obstruction, and the empirical open track. Each
 change must move the log that simulate writes (its header's digest aside,
 which moves with any setting) or its exit code in at least one base.
 
-An empirical channel reads none of config.EMPIRICAL_UNREAD, so there each
+A pair census sets one key that a synthetic base leaves unset at the
+value it loads to, and changes another: the change must still move the
+log or the exit code in some base, so no key goes dead while another is
+set (a carrier is not read while a reference loss is given, so there the
+Scenario rejects the carrier).
+
+An empirical channel reads none of engine.EMPIRICAL_UNREAD, so there each
 of those keys, set to other than its unset value, exits 2 naming itself and
 writes no log, and every other key must move the log or the exit code in
 that base alone.
@@ -22,8 +28,8 @@ from pathlib import Path
 import pytest
 
 from railwarn.cli import main
-from railwarn.config import EMPIRICAL_UNREAD, parse_config
-from railwarn.engine import scenario_to_dict
+from railwarn.config import ConfigError, parse_config
+from railwarn.engine import EMPIRICAL_UNREAD, scenario_to_dict
 
 TRAIN = {"speed_mps": 30.0, "start_d_t_m": -120.0, "end_d_t_m": 120.0}
 RECEIVERS = [
@@ -184,6 +190,32 @@ def test_every_key_moves_the_log_or_the_exit_code(simulate, outcomes):
         )
     ]
     assert silent == []
+
+
+def loaded(config: dict):
+    """The scenario a config loads to, or its error."""
+    try:
+        return parse_config(config, Path(".")).scenario
+    except ConfigError as exc:
+        return str(exc)
+
+
+def test_no_key_is_dead_while_another_is_set(simulate, outcomes):
+    dead = []
+    for base, config in BASES.items():
+        form = dict(leaves(canonical(config))) if base != "empirical" else {}
+        alone = {path: with_value(config, path, changed(path, form[path])) for path in form}
+        loads = {path: loaded(change) for path, change in alone.items()}
+        for set_path, set_value in form.items():
+            given = with_value(config, set_path, set_value)
+            for path in (path for path in form if path != set_path):
+                pair = with_value(given, path, changed(path, form[path]))
+                # A pair that loads as the change alone does moves what that change moves.
+                if pair == alone[path] or loaded(pair) == loads[path]:
+                    continue
+                if simulate(pair) == outcomes[base] != simulate(alone[path]):
+                    dead.append(f"{name(path)} with {name(set_path)} set, in {base}")
+    assert dead == []
 
 
 def test_an_empirical_channel_rejects_each_key_it_does_not_read(simulate, outcomes):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from railwarn.link import (
     SyntheticChannel,
     friis_reference_loss_db,
     latency_sample,
+    snr_success_probability,
 )
 from railwarn.protocol import BSM_SIZE_BYTES
 from railwarn.units import SPEED_OF_LIGHT_MPS
@@ -119,6 +121,14 @@ class TestPacketSuccess:
             -100.0, 0.0, RADIO, channel, shadowing_db=shadow, range_m=100.0
         )
         assert p == pytest.approx(0.5, abs=1e-9)
+
+    def test_a_vanishing_transition_width_is_a_step(self):
+        # The margin in widths overflows; the curve takes its limits, warning nothing.
+        channel = SyntheticChannel(transition_width_db=1e-308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            success = snr_success_probability(np.array([-100.0, 8.0, 100.0]), RADIO, channel)
+        assert success.tolist() == [0.0, 0.5, 1.0]
 
     def test_monotone_in_loss(self):
         channel = SyntheticChannel()

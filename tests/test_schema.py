@@ -14,13 +14,19 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from railwarn.antenna import AntennaPattern
 from railwarn.cli import main
-from railwarn.config import EMPIRICAL_UNREAD, ConfigError, load_config, parse_config
-from railwarn.engine import Scenario, TrainRun, scenario_digest, scenario_to_dict
+from railwarn.config import ConfigError, load_config, parse_config
+from railwarn.engine import (
+    EMPIRICAL_UNREAD,
+    Scenario,
+    TrainRun,
+    scenario_digest,
+    scenario_to_dict,
+)
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import (
     LatencyModel,
@@ -28,6 +34,7 @@ from railwarn.link import (
     PerProfile,
     RadioConfig,
     SyntheticChannel,
+    friis_reference_loss_db,
 )
 from railwarn.logio import AnalysisDefaults
 from railwarn.protocol import TriggerPolicy
@@ -235,11 +242,13 @@ def obstructions(draw):
 
 
 @st.composite
-def synthetic_channels(draw):
+def synthetic_channels(draw, frequency_hz):
+    """A channel whose reference loss is drawn apart from the carrier, or is
+    the free-space loss at it."""
     qpsk = draw(floats(0, 12))
     return SyntheticChannel(
         path_loss_exponent=draw(floats(2, 4)),
-        reference_loss_db=draw(floats(20, 60)),
+        reference_loss_db=draw(floats(20, 60) | st.just(friis_reference_loss_db(frequency_hz))),
         shadowing_sigma_db=draw(floats(0, 6)),
         noise_floor_dbm=draw(floats(-110, -80)),
         snr_threshold_qpsk_db=qpsk,
@@ -269,12 +278,17 @@ def patterns(draw, name):
 
 @st.composite
 def scenarios(draw):
+    """A Scenario's keyword arguments. Radio, antenna and obstruction
+    settings are drawn whatever the channel, and a synthetic channel's
+    reference loss apart from the carrier, so some draws set a key their
+    channel does not read and build no Scenario."""
     # In name order, as the loader gives them.
     custom = tuple(draw(patterns(name)) for name in sorted(draw(st.sets(names, max_size=2))))
     antennas = st.sampled_from(["omni6", "omni12", "bidir23", *(p.name for p in custom)])
     track = draw(floats(-180, 180))
     base = draw(floats(1, 20))
-    return Scenario(
+    frequency = draw(st.just(RadioConfig.center_frequency_hz) | floats(1e9, 6e9))
+    return dict(
         scene=CrossingScene(
             track_heading_deg=track,
             road_heading_deg=track + draw(floats(10, 170)),
@@ -285,14 +299,14 @@ def scenarios(draw):
             obstructions=tuple(draw(st.lists(obstructions(), max_size=2))),
         ),
         radio=RadioConfig(
-            center_frequency_hz=draw(floats(1e9, 6e9)),
+            center_frequency_hz=frequency,
             tx_power_dbm=draw(st.sampled_from([11.0, 23.0])),
             modulation=draw(st.sampled_from(["QPSK", "16QAM"])),
             tx_period_ms=draw(floats(10, 200)),
             tx_antenna=draw(antennas),
             rx_antenna=draw(antennas),
         ),
-        channel=draw(synthetic_channels() | per_profiles()),
+        channel=draw(synthetic_channels(frequency) | per_profiles()),
         latency=LatencyModel(processing_base_ms=base, processing_jitter_ms=draw(floats(0, base))),
         train=TrainRun(
             speed_mps=draw(floats(1, 50)),
@@ -329,20 +343,43 @@ def places(data: dict, key: str) -> list:
     return [(key, value)]
 
 
+def canonical_form(parts: dict) -> dict:
+    """scenario_to_dict of a Scenario of these keyword arguments, its fields
+    set unchecked, so a form that breaks the Scenario's read rule is written
+    as a config could give it."""
+    scenario = object.__new__(Scenario)
+    for name, value in parts.items():
+        object.__setattr__(scenario, name, value)
+    return scenario_to_dict(scenario)
+
+
 @settings(max_examples=150, deadline=None)
-@given(scenario=scenarios())
-def test_canonical_form_loads_back(scenario):
-    data = scenario_to_dict(scenario)
+@given(parts=scenarios())
+def test_canonical_form_loads_back(parts):
+    data = canonical_form(parts)
     assert all("name" not in entry for entry in data.get("antennas", {}).values())
-    unread = [
-        place
-        for key in EMPIRICAL_UNREAD
-        for place, value in places(data, key)
-        if value != places(UNSET, key)[0][1]
-    ]
-    if isinstance(scenario.channel, PerProfile) and unread:
-        # An empirical channel reads none of them: the first one set is named.
+    carrier = data["radio"]["center_frequency_hz"]
+    if isinstance(parts["channel"], PerProfile):
+        unread = [
+            place
+            for key in EMPIRICAL_UNREAD
+            for place, value in places(data, key)
+            if value != places(UNSET, key)[0][1]
+        ]
+    elif carrier != UNSET["radio"]["center_frequency_hz"] and (
+        data["channel"]["reference_loss_db"] != friis_reference_loss_db(carrier)
+    ):
+        # A reference loss other than the free-space one leaves the carrier unread.
+        unread = ["radio.center_frequency_hz"]
+    else:
+        unread = []
+    mode = data["channel"]["mode"]
+    event(f"{mode}: {'rejected, naming the first unread key' if unread else 'loaded back'}")
+    if unread:
+        # The first one set is named, by the loader and by the Scenario alike.
         with pytest.raises(ConfigError, match=f"^{re.escape(unread[0])}: "):
             parse_config(data, Path("."))
+        with pytest.raises(ValueError, match=f"^{re.escape(unread[0])}: "):
+            Scenario(**parts)
     else:
-        assert parse_config(data, Path(".")).scenario == scenario
+        assert parse_config(data, Path(".")).scenario == Scenario(**parts)
