@@ -50,7 +50,7 @@ class AntennaPattern:
                 name = f"{extreme.__name__}imum azimuth plus elevation gain"
                 raise ValueError(f"the {name}, less the peak, overflows")
 
-    @property
+    @cached_property
     def cut_sums_dbi(self) -> tuple:
         """The least and the greatest azimuth plus elevation gain, less the peak."""
         cuts = (self.azimuth_cut, self.elevation_cut)

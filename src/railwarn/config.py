@@ -184,7 +184,7 @@ def _load_channel(section: dict, base_dir: Path, radio: RadioConfig):
     elif "per_table" in section:
         path = base_dir / _checked(section["per_table"], str, "channel.per_table")
         try:
-            bins = tuple(read_numeric_table(path, ("d_start_m", "d_end_m", "per"), "PER profile"))
+            bins = tuple(read_numeric_table(path, ("d_start_m", "d_end_m", "per")))
             PerProfile(bins)  # so that a bad bin names the table it came from
         except (OSError, ValueError) as exc:
             raise ConfigError(f"channel.per_table: {exc}") from None
@@ -211,8 +211,7 @@ def _load_antennas(section, base_dir: Path) -> tuple:
                     for key in ("azimuth_csv", "elevation_csv")
                 ]
                 azimuth, elevation = (
-                    tuple(read_numeric_table(path, ("angle_deg", "gain_dbi"), "antenna cut"))
-                    for path in paths
+                    tuple(read_numeric_table(path, ("angle_deg", "gain_dbi"))) for path in paths
                 )
             elif "azimuth" in entry and "elevation" in entry:
                 azimuth = _table(entry, "azimuth", 2, here)

@@ -62,7 +62,7 @@ CONFIG_VERSION = 1
 
 # Upper bounds, checked before anything is allocated: transmit ticks per pass
 # (the most in a shipped, tested or benchmarked input is 64,001) and packets
-# per sweep (87,696); logio.MAX_PACKETS bounds the packets of a pass.
+# per sweep (87,696); units.MAX_PACKETS bounds the packets of a pass.
 MAX_TICKS = 1_000_000
 MAX_SWEEP_PACKETS = 20_000_000
 
@@ -105,7 +105,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # Each setting the channel does not read keeps its default.
-        radio, channel = self.radio, self.channel
+        radio, channel, scene = self.radio, self.channel, self.scene
         keys = ()
         if isinstance(channel, PerProfile):
             keys, reason = EMPIRICAL_UNREAD, "an empirical channel does not read it"
@@ -116,34 +116,51 @@ class Scenario:
         if unread:
             raise ValueError(f"{unread[0]}: {reason}; keep its default")
         check_seed(self.seed)
-        if not self.scene.receivers:
+        if not scene.receivers:
             raise ValueError("scenario needs at least one receiver")
         # The engine adds the two patterns' gains, each clamped below at its floor.
         tx, rx = (self.resolve_pattern(name) for name in (radio.tx_antenna, radio.rx_antenna))
-        for tx_sum, rx_sum in zip(tx.cut_sums_dbi, rx.cut_sums_dbi):
-            if not math.isfinite(max(tx_sum, tx.floor_dbi) + max(rx_sum, rx.floor_dbi)):
-                raise ValueError("radio.rx_antenna: its gain plus radio.tx_antenna's overflows")
-        if not np.isfinite(sum(segment.excess_loss_db for segment in self.scene.obstructions)):
+        sums = zip(tx.cut_sums_dbi, rx.cut_sums_dbi)
+        gains = [max(tx_sum, tx.floor_dbi) + max(rx_sum, rx.floor_dbi) for tx_sum, rx_sum in sums]
+        if not np.isfinite(gains).all():
+            raise ValueError("radio.rx_antenna: its gain plus radio.tx_antenna's overflows")
+        excess = sum(segment.excess_loss_db for segment in scene.obstructions)
+        if not np.isfinite(excess):
             raise ValueError("scene.obstructions: the summed excess_loss_db overflows")
         # A pass is farthest from a receiver at an end (the squared distance to a
-        # straight track is convex). Called through geometry, so a wrapper of this
-        # module's link_geometry sees only the passes' calls.
+        # straight track is convex), and no nearer than where the track passes it.
+        # Called through geometry, so wrappers of link_geometry see only passes.
         ends = np.array([self.train.start_d_t_m, self.train.end_d_t_m])
-        for index, placement in enumerate(self.scene.receivers):
+        sine = math.sin(math.radians(scene.road_heading_deg - scene.track_heading_deg))
+        ranges = []
+        for index, placement in enumerate(scene.receivers):
             with np.errstate(over="ignore"):
-                ranges = geometry.link_geometry(ends, placement, self.scene).range_m
-            if not np.isfinite(ranges).all():
+                far = geometry.link_geometry(ends, placement, scene).range_m
+            if not np.isfinite(far).all():
                 raise ValueError(
                     f"scene.receivers[{index}]: receiver {placement.id!r} is too far from the "
                     "train for a finite slant range; reduce offset_from_crossing_m or height_m"
                 )
+            across = sine * placement.offset_from_crossing_m
+            ranges += [*far.tolist(), math.hypot(across, placement.height_m - scene.tx_height_m)]
+        # mean_snr_db is monotone in gain, range and obstruction loss, so finite at their
+        # extremes means finite over the pass (a tick's range is 0, degenerate, or >= 5e-324).
+        if isinstance(channel, SyntheticChannel):
+            terms = [10.0 * channel.path_loss_exponent * math.log10(max(r, 5e-324)) for r in ranges]
+            for gain, term, excess_db in product(gains, terms, {0.0, excess}):
+                loss = channel.reference_loss_db + term + excess_db
+                if not math.isfinite(radio.tx_power_dbm + gain - loss - channel.noise_floor_dbm):
+                    raise ValueError(
+                        "channel: the SNR before shadowing overflows over the pass; bound "
+                        "reference_loss_db, path_loss_exponent and noise_floor_dbm"
+                    )
         ticks = self.train.duration_s / self.radio.tx_period_s + 1
         if not ticks <= MAX_TICKS:
             raise ValueError(
                 f"pass needs {ticks:.0f} transmit ticks, more than the limit of {MAX_TICKS}; "
                 "shorten the pass, raise the train speed or lengthen the transmit period"
             )
-        self.packet_count  # raises for a pass over logio.MAX_PACKETS
+        self.packet_count  # raises for a pass over units.MAX_PACKETS
 
     @property
     def packet_count(self) -> int:

@@ -31,7 +31,6 @@ int() as json does; any other line goes through json with the full checks.
 """
 
 import contextlib
-import csv
 import dataclasses
 import errno
 import hashlib
@@ -39,7 +38,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import re
 from dataclasses import dataclass
@@ -49,18 +47,14 @@ import numpy as np
 
 from .geometry import Placement, TrainRun, tick_count
 from .protocol import WARNING_MODES, WarningEvent
-from .units import check_field, child_process, fork_cpus, require_finite_fields, utf8_text
+from .units import MAX_PACKETS, check_field, child_process, csv_rows, fork_cpus
+from .units import require_finite_fields, utf8_text
 
 # Version 2 logs come from the keyed block streams (engine.receiver_stream);
 # version 1 logs came from one stream per receiver drawn tick by tick. Their
 # lines have the same layout, so both read.
 LOG_VERSION = 2
 READABLE_LOG_VERSIONS = (1, 2)
-
-# The most packets one pass may hold, transmit ticks x receivers: the
-# engine refuses a scenario above it, and read_log a header. The largest
-# pass shipped, tested or benchmarked has 300,303.
-MAX_PACKETS = 4_000_000
 
 
 def pass_packets(duration_s: float, period_s: float, receivers: int) -> int:
@@ -835,55 +829,37 @@ def read_field_log(path: str | Path) -> SimLog:
 
     Expected columns: seq, tx_time_s, train_d_t_m, decoded, rx_time_s.
     decoded accepts 1/0, true/false or yes/no in any case; rx_time_s may be
-    blank for undecoded rows; a row has no more cells than the header. Rows
-    are put in seq order (a stable sort) and then meet read_log's packet
-    rules: finite values, rx_time_s >= tx_time_s and each seq once; a fault
-    names the lowest CSV row that breaks a rule.
-    Reading stops at the row past MAX_PACKETS.
+    blank for undecoded rows, and a cell past a row's end reads as blank.
+    Rows come from units.csv_rows, put in seq order (a stable sort), and
+    then meet read_log's packet rules: finite values, rx_time_s >= tx_time_s
+    and each seq once; a fault names the lowest CSV row that breaks a rule.
     The capture is one RSU named "field" transmitting every 50 ms; it runs
     through the same analysis pipeline as simulated logs, and pass metadata
     that a capture cannot know is left unset.
     """
     path = Path(path)
     seq, tx, position, decoded, rx, row_numbers = [], [], [], [], [], []
-    with utf8_text(path, newline="") as handle:
-        reader = csv.reader(handle)
-        fieldnames = next(reader, None)
-        if fieldnames is None or not set(FIELD_COLUMNS).issubset(fieldnames):
-            raise ValueError(f"{path}: field log CSV must have columns {sorted(FIELD_COLUMNS)}")
-        where = [fieldnames.index(name) for name in FIELD_COLUMNS]
-        fields, width = operator.itemgetter(*where), max(where) + 1
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(seq) == MAX_PACKETS:
-                raise ValueError(f"{path}:{row_number}: more than {MAX_PACKETS} packet rows")
-            if len(row) > len(fieldnames):
-                raise ValueError(f"{path}:{row_number}: row has more cells than the header")
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            seq_text, tx_text, position_text, decoded_text, rx_text = fields(row)
-            row_decoded = _DECODED_TEXTS.get(decoded_text.strip().lower())
-            if row_decoded is None:
-                raise ValueError(
-                    f"{path}:{row_number}: decoded must be 1/0, true/false or yes/no, "
-                    f"got {decoded_text!r}"
-                )
-            rx_text = rx_text.strip()
-            if row_decoded and not rx_text:
-                raise ValueError(f"{path}:{row_number}: decoded row missing rx_time_s")
-            try:
-                row_seq = int(seq_text)
-                seq.append(row_seq)
-                tx.append(float(tx_text))
-                position.append(float(position_text))
-                rx.append(float(rx_text) if row_decoded else math.nan)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row_number}: {exc}") from None
-            if not 0 <= row_seq < 2**64:
-                raise ValueError(f"{path}:{row_number}: seq must be in [0, 2**64), got {row_seq}")
-            decoded.append(row_decoded)
-            row_numbers.append(row_number)
+    for line, cells in csv_rows(path, FIELD_COLUMNS):
+        if None in cells:
+            cells = [cell or "" for cell in cells]
+        seq_text, tx_text, position_text, decoded_text, rx_text = cells
+        row_decoded = _DECODED_TEXTS.get(decoded_text.strip().lower())
+        if row_decoded is None:
+            got = f"got {decoded_text!r}"
+            raise ValueError(f"{path}:{line}: decoded must be 1/0, true/false or yes/no, {got}")
+        if row_decoded and not rx_text.strip():
+            raise ValueError(f"{path}:{line}: decoded row missing rx_time_s")
+        try:
+            seq.append(row_seq := int(seq_text))
+            tx.append(float(tx_text))
+            position.append(float(position_text))
+            rx.append(float(rx_text) if row_decoded else math.nan)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
+        if not 0 <= row_seq < 2**64:
+            raise ValueError(f"{path}:{line}: seq must be in [0, 2**64), got {row_seq}")
+        decoded.append(row_decoded)
+        row_numbers.append(line)
     if not seq:
         raise ValueError(f"{path}: empty log")
     seq = np.array(seq, dtype=np.uint64)

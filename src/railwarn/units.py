@@ -11,6 +11,7 @@ import dataclasses
 import io
 import itertools
 import math
+import operator
 import os
 import pickle
 import signal
@@ -20,6 +21,10 @@ import threading
 
 MPH_TO_MPS = 0.44704
 SPEED_OF_LIGHT_MPS = 299_792_458.0
+
+# The most packets one pass may hold, transmit ticks x receivers (the largest
+# shipped, tested or benchmarked has 300,303), and rows a CSV input may hold.
+MAX_PACKETS = 4_000_000
 
 
 def require_finite(**values) -> None:
@@ -159,37 +164,39 @@ def not_utf8(path) -> str:
     return f"{path}: not UTF-8"
 
 
-def read_numeric_table(path, columns: tuple, what: str) -> list:
-    """The rows of a CSV file with a header line, as tuples of floats in the
-    order of columns; other columns are ignored.
-
-    A value that is missing, blank, not a number or not finite raises
-    ValueError naming path:line and the column; a row longer than the
-    header raises it naming path:line.
-    """
-    rows = []
+def csv_rows(path, columns: tuple):
+    """(line, cells) for each row of a CSV file past its header line: cells
+    holds its cells under columns (two or more) in their order, None past its
+    end; line is the line it ends on. Blank rows are skipped. ValueError names
+    path for a header not naming each of columns once, and path:line for a row
+    with more cells than the header or past MAX_PACKETS rows, which is not held."""
     with utf8_text(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
-            raise ValueError(f"{what} CSV {path} must have columns {','.join(columns)}")
-        for record in reader:
-            if None in record:  # DictReader's key for the cells past the header's
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if any(header.count(column) != 1 for column in columns):
+            raise ValueError(f"{path}: the header must name each of {', '.join(columns)} once")
+        width, pick = len(header), operator.itemgetter(*map(header.index, columns))
+        for count, row in enumerate(filter(None, reader)):
+            if count == MAX_PACKETS:
+                raise ValueError(f"{path}:{reader.line_num}: more than {MAX_PACKETS} rows")
+            if len(row) > width:
                 raise ValueError(f"{path}:{reader.line_num}: row has more cells than the header")
-            row = []
-            for column in columns:
-                text = record[column]  # None where the row is too short
-                try:
-                    value = float(text)
-                except (TypeError, ValueError):
-                    value = math.nan
-                if not math.isfinite(value):
-                    got = "no value" if text is None else repr(text)
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: {column} must be a finite number, got {got}"
-                    )
-                row.append(value)
-            rows.append(tuple(row))
-    return rows
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            yield reader.line_num, pick(row)
+
+
+def read_numeric_table(path, columns: tuple):
+    """Each row of csv_rows(path, columns) as a tuple of floats; a cell that is
+    missing, blank, not a number or not finite raises ValueError naming it."""
+    for line, cells in csv_rows(path, columns):
+        for column, text in zip(columns, cells):
+            with contextlib.suppress(TypeError, ValueError):  # None past the row's end
+                if math.isfinite(float(text)):
+                    continue
+            got = "no value" if text is None else repr(text)
+            raise ValueError(f"{path}:{line}: {column} must be a finite number, got {got}")
+        yield tuple(map(float, cells))
 
 
 def mph_to_mps(speed_mph: float) -> float:

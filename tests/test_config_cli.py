@@ -17,7 +17,7 @@ from scalar_reference import packet_rows
 from test_log_fork import assert_reaped, counted_forks
 
 import railwarn
-from railwarn import analysis, engine, logio
+from railwarn import analysis, engine, logio, units
 from railwarn.cli import main
 from railwarn.config import ConfigError, load_config
 from railwarn.engine import (
@@ -481,7 +481,7 @@ class TestCli:
         assert main(["coverage", str(log), "--field-csv"]) == 3
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: runtime: {log}: field log CSV must have columns {sorted(FIELD_COLUMNS)}\n"
+            f"error: runtime: {log}: the header must name each of {', '.join(FIELD_COLUMNS)} once\n"
         )
         assert captured.out == ""
 
@@ -607,6 +607,46 @@ class TestNonFiniteInput:
                 ),
                 "radio.rx_antenna",
             ),
+            # The loss and the noise floor are each finite; the SNR they give is not.
+            ({"channel": {"reference_loss_db": -1e308, "noise_floor_dbm": -1e308}}, "channel"),
+            # So does a path loss of 10 x 1e307 dB per decade of range.
+            ({"channel": {"path_loss_exponent": 1e307}}, "channel"),
+            # The reference loss and an obstruction's loss each are finite;
+            # where the train is behind the obstruction, their sum is not.
+            (
+                {
+                    "channel": {"reference_loss_db": 1e308},
+                    "scene": {
+                        "obstructions": [{"d_start_m": -100, "d_end_m": 0, "excess_loss_db": 1e308}]
+                    },
+                },
+                "channel",
+            ),
+            # Only near rsu0, about 6 m from the track, does the SNR overflow;
+            # at the pass's ends it is finite.
+            (
+                {
+                    "channel": {
+                        "reference_loss_db": -1.79e308,
+                        "path_loss_exponent": 1e306,
+                        "noise_floor_dbm": -1e307,
+                    }
+                },
+                "channel",
+            ),
+            # A receiver at the crossing at the transmit height: the ticks beside it
+            # come as near as the float grid lets them.
+            (
+                {
+                    "scene": {
+                        "receivers": [
+                            {"id": "rsu0", "kind": "RSU", "offset_from_crossing_m": 0, "height_m": 4}
+                        ]
+                    },
+                    "channel": {"reference_loss_db": -1.75e308, "path_loss_exponent": 1e306},
+                },
+                "channel",
+            ),
         ],
     )
     def test_finite_values_whose_link_budget_overflows(self, tmp_path, edit, key):
@@ -616,6 +656,12 @@ class TestNonFiniteInput:
         assert result.stderr.startswith(f"error: config: {key}: ")
         assert result.stderr.count("\n") == 1
         assert not log_path.exists()
+
+    @pytest.mark.parametrize("key", ["reference_loss_db", "noise_floor_dbm"])
+    def test_a_vast_loss_or_noise_floor_alone_runs(self, tmp_path, key):
+        result, log_path = simulate_warnings_as_errors(tmp_path, {"channel": {key: -1e308}})
+        assert (result.returncode, result.stderr) == (0, "")
+        assert log_path.exists()
 
     def test_a_vanishing_transition_width_is_a_step(self, tmp_path):
         # The logistic's margin overflows to its limits, with no warning.
@@ -1185,6 +1231,98 @@ class TestNumericTables:
         assert err.startswith("error: config: antennas.aimed: ")
         assert f"az.csv:3: {message}" in err
         assert not output.exists()
+
+
+# A CSV input: its header and six rows, where it is named in a config (None
+# for a field capture), and the exit code and error prefix of a fault in it.
+CSV_INPUTS = {
+    "field capture": (
+        "seq,tx_time_s,train_d_t_m,decoded,rx_time_s",
+        [f"{k},{k * 0.05},{-120.0 + k},1,{k * 0.05 + 0.004}" for k in range(6)],
+        None,
+        (3, "error: runtime: "),
+    ),
+    "PER table": (
+        "d_start_m,d_end_m,per",
+        [f"{d},{d + 100},0.0" for d in range(-600, 0, 100)],
+        {"channel": {"mode": "empirical", "per_table": "input.csv"}},
+        (2, "error: config: channel.per_table: "),
+    ),
+    "antenna cut": (
+        "angle_deg,gain_dbi",
+        [f"{angle},9" for angle in range(0, 360, 60)],
+        {
+            "radio": {"rx_antenna": "aimed"},
+            "antennas": {"aimed": {"azimuth_csv": "input.csv", "elevation_csv": "el.csv"}},
+        },
+        (2, "error: config: antennas.aimed: "),
+    ),
+}
+
+
+def csv_fault(lines: list, fault: str) -> tuple:
+    """lines (header first, as bytes) with one fault; the line number the
+    error names, None for the header, and the message it starts with."""
+    header = lines[0].decode()
+    if fault == "header without a required column":
+        lines[0] = lines[0].split(b",", 1)[1]
+    elif fault == "header naming a column twice":
+        lines[0] += b"," + lines[0].split(b",")[0]
+    elif fault == "row with an extra cell":
+        lines[2] += b",0"
+        return 3, "row has more cells than the header"
+    elif fault == "short row":
+        lines[2] = lines[2].split(b",")[0]
+        return 3, ""
+    elif fault == "byte not UTF-8":
+        lines[2] = b"\xff" + lines[2]
+        return 3, "byte 0xff at column 1 is not UTF-8"
+    else:  # one row past the bound, patched to one fewer than the rows
+        return len(lines), f"more than {len(lines) - 2} rows"
+    return None, f"the header must name each of {header.replace(',', ', ')} once"
+
+
+class TestCsvInputs:
+    """Field captures, PER tables and antenna cuts are read by one CSV reader
+    (units.csv_rows) with one rule set: each fault exits with one error line
+    naming path:line, or the path alone for the header, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "header without a required column",
+            "header naming a column twice",
+            "row with an extra cell",
+            "short row",
+            "byte not UTF-8",
+            "one row past the bound",
+        ],
+    )
+    @pytest.mark.parametrize("name", list(CSV_INPUTS))
+    def test_a_fault_names_its_line_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, name, fault
+    ):
+        header, rows, config, (code, prefix) = CSV_INPUTS[name]
+        path, out = tmp_path / "input.csv", tmp_path / "out"
+        lines = [line.encode() for line in (header, *rows)]
+        line, message = csv_fault(lines, fault)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        if fault == "one row past the bound":
+            monkeypatch.setattr(units, "MAX_PACKETS", len(rows))
+            assert len(list(units.csv_rows(path, tuple(header.split(","))))) == len(rows)
+            monkeypatch.setattr(units, "MAX_PACKETS", len(rows) - 1)
+        (tmp_path / "el.csv").write_text("angle_deg,gain_dbi\n0,9\n")
+        if config is None:
+            argv = ["analyze", str(path), "--field-csv", "--out-dir", str(out)]
+        else:
+            argv = ["simulate", str(write_config(tmp_path, {**MINIMAL, **config})), "-o", str(out)]
+        written = sorted(tmp_path.iterdir())
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        where = f"{path}:{line}: " if line else f"{path}: "
+        assert captured.err.startswith(prefix + where + message)
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == written
 
 
 class TestNotUtf8:

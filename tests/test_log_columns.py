@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scalar_reference import PacketRecord, columns_from_records, packet_rows
 
-from railwarn import logio
+from railwarn import units
 from railwarn.analysis import PerBin, PerSeries, bin_per, extract_dwarn
 from railwarn.cli import main
 from railwarn.geometry import Placement
@@ -422,6 +422,16 @@ class TestFieldCsv:
         with pytest.raises(
             ValueError, match=r"capture\.csv:4: seq of receiver 'field' must increase"
         ):
+            read_field_log(path)
+
+    def test_a_row_is_named_by_the_line_it_ends_on(self, tmp_path):
+        # The quoted decoded cell holds a newline, so the next row ends on line 4.
+        path = tmp_path / "capture.csv"
+        path.write_text(
+            "seq,tx_time_s,train_d_t_m,decoded,rx_time_s\n"
+            '0,0.0,-120.0,"0\n",\n1,0.05,-119.5,1,0.01\n'
+        )
+        with pytest.raises(ValueError, match=r"capture\.csv:4: rx_time_s must be >= tx_time_s"):
             read_field_log(path)
 
     def test_fault_names_the_lowest_row(self, tmp_path):
@@ -862,12 +872,12 @@ class TestReadBounds:
                 )
 
     def test_field_capture_stops_at_the_row_past_max_packets(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(logio, "MAX_PACKETS", 3)
+        monkeypatch.setattr(units, "MAX_PACKETS", 3)
         path = tmp_path / "capture.csv"
         lines = ["seq,tx_time_s,train_d_t_m,decoded,rx_time_s"]
         lines += [f"{k},{k * 0.05},-120.0,0," for k in range(4)]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"capture\.csv:5: more than 3 packet rows"):
+        with pytest.raises(ValueError, match=r"capture\.csv:5: more than 3 rows"):
             read_field_log(path)
         path.write_text("\n".join(lines[:4]) + "\n")
         assert read_field_log(path).packet_count() == 3
