@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .logio import SimLog
+from .passlog import SimLog
 from .safety import (
     DEFAULT_REACTION_S,
     DEFAULT_SYSTEM_DELAY_S,

@@ -38,7 +38,7 @@ from .link import (
     SyntheticChannel,
     friis_reference_loss_db,
 )
-from .logio import AnalysisDefaults
+from .passlog import AnalysisDefaults
 from .protocol import TriggerPolicy
 from .units import check_field, mph_to_mps, not_utf8, read_numeric_table
 

@@ -17,7 +17,7 @@ shadowing normals when sigma > 0, decode uniforms, and processing jitter
 uniforms when the jitter is > 0 (link.latency_sample), drawn for every
 tick whether or not it decodes. An RSU's relay delay is one draw from a
 fourth stream. This layout is the log format's random layout
-(logio.LOG_VERSION 2): any engine that keeps it writes byte-identical logs.
+(passlog.LOG_VERSION 2): any engine that keeps it writes byte-identical logs.
 The warning comes from the decodes as arrays (protocol.first_warning).
 The log's header carries the scenario's analysis settings (Scenario.analysis).
 
@@ -53,7 +53,7 @@ from .link import (
     profile_success_probability,
     snr_success_probability,
 )
-from .logio import AnalysisDefaults, PacketColumns, SimLog, pass_packets
+from .passlog import AnalysisDefaults, PacketColumns, SimLog, pass_packets
 from .protocol import TriggerPolicy, first_warning, rsu_relay
 from .units import child_process, fork_cpus, require_finite_fields
 
@@ -522,8 +522,8 @@ def run_sweep(
     runs a point changes no byte. The result is one row per point, in grid
     order: (log name, SweepPoint, packets, decoded, events, warning_range_m),
     and summary.csv, written last through logio.commit, lists them. A failed
-    sweep kills its children, deletes the files at its log names and writes
-    no summary.csv.
+    sweep kills its children, deletes the files at its log names, writes no
+    summary.csv and removes the directories it made.
     """
     speeds = [base.train.speed_mps] if speeds_mps is None else list(speeds_mps)
     powers = [base.radio.tx_power_dbm] if powers_dbm is None else list(powers_dbm)
@@ -541,6 +541,7 @@ def run_sweep(
             f"{MAX_SWEEP_PACKETS}; use fewer or shorter points"
         )
     out_dir = Path(out_dir)
+    made = [directory for directory in (out_dir, *out_dir.parents) if not directory.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = out_dir / "summary.csv"
     summary.unlink(missing_ok=True)
@@ -548,25 +549,29 @@ def run_sweep(
     jobs = list(zip(points, scenarios, paths))
     shares = _shares(jobs, min(max_workers or 1, len(jobs), fork_cpus()))
     try:
-        with contextlib.ExitStack() as children:
-            here, *rest = ([jobs[i] for i in share] for share in shares)
-            forked = [children.enter_context(child_process(_run_points, run)) for run in rest]
-            rows = [*_run_points(here), *(row for values in forked for row in values)]
-        results = [row for _, row in sorted(zip(sum(shares, []), rows))]
-        keys = [field.name for field in dataclasses.fields(SweepPoint)]
-        header = ["log", *keys, "packets", "decoded", "events", "warning_range_m"]
-        rows = [[row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results]
-        logio.commit([analysis.csv_output(summary, header, rows)])
+        try:
+            with contextlib.ExitStack() as children:
+                here, *rest = ([jobs[i] for i in share] for share in shares)
+                forked = [children.enter_context(child_process(_run_points, run)) for run in rest]
+                rows = [*_run_points(here), *(row for values in forked for row in values)]
+            results = [row for _, row in sorted(zip(sum(shares, []), rows))]
+            keys = [field.name for field in dataclasses.fields(SweepPoint)]
+            header = ["log", *keys, "packets", "decoded", "events", "warning_range_m"]
+            rows = [[row[0], *dataclasses.astuple(row[1]), *row[2:]] for row in results]
+            logio.commit([analysis.csv_output(summary, header, rows)])
+        finally:
+            # A child killed inside logio.commit leaves a temp file at its log's name.
+            names = {path.name for path in paths}
+            for tmp in out_dir.iterdir():
+                if tmp.name.rpartition(".tmp")[0] in names and not tmp.is_dir():
+                    tmp.unlink(missing_ok=True)
     except BaseException:
         # A directory at a log's name was never the sweep's, so it stays.
         for path in paths:
             if not path.is_dir():
                 path.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
-    finally:
-        # A child killed inside logio.commit leaves a temp file at its log's name.
-        names = {path.name for path in paths}
-        for tmp in out_dir.iterdir():
-            if tmp.name.rpartition(".tmp")[0] in names and not tmp.is_dir():
-                tmp.unlink(missing_ok=True)
     return results

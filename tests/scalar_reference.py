@@ -49,7 +49,7 @@ from railwarn.link import (
     SyntheticChannel,
     latency_sample,
 )
-from railwarn.logio import PacketColumns, SimLog
+from railwarn.passlog import PacketColumns, SimLog
 from railwarn.protocol import TriggerPolicy, WarningEvent, rsu_relay
 
 

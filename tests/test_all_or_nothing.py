@@ -7,7 +7,9 @@ is read or written.
 """
 
 import contextlib
+import errno
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,30 @@ def test_an_output_under_a_regular_file(tmp_path, open_track_log, command):
         argv = ["coverage", str(open_track_log), "--out", target]
     assert_failed_cleanly(tmp_path, argv, target)
     assert (tmp_path / "file").read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "coverage", "safeness", "sweep"])
+def test_an_unwritable_output(tmp_path, open_track_log, monkeypatch, command):
+    # Run as root, a chmod refuses no write, so the commit's temp-file open refuses it.
+    def refuse(path, mode):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(logio, "open", refuse, raising=False)
+    log, new = str(open_track_log), tmp_path / "new" / "out"
+    x, c, s = (tmp_path / name for name in ("x.log.jsonl", "c.csv", "s.csv"))
+    argv, target = {
+        "simulate": (["simulate", str(OPEN_TRACK), "-o", str(x)], x),
+        "analyze": (["analyze", log, "--out-dir", str(new)], new / "per.csv"),
+        "coverage": (["coverage", log, "--out", str(c)], c),
+        "safeness": (["safeness", "--dwarn", "300", "--train-speed", "10mph", "--out", str(s)], s),
+        "sweep": (
+            ["sweep", str(OPEN_TRACK), "--speeds", "10mph", "--out-dir", str(new)],
+            new / "point000_v4.4704_p23_QPSK_omni12_s42.log.jsonl",
+        ),
+    }[command]
+    assert_failed_cleanly(tmp_path, argv, str(target))
+    # No temp file and no directory the command made is left.
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

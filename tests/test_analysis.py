@@ -14,7 +14,7 @@ from railwarn.analysis import (
     safeness_report,
 )
 from railwarn.engine import Scenario, TrainRun, run_pass
-from railwarn.logio import SimLog
+from railwarn.passlog import SimLog
 from railwarn.geometry import CrossingScene, Placement
 from railwarn.link import LatencyModel, PerProfile, RadioConfig
 from railwarn.protocol import TriggerPolicy

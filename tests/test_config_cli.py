@@ -32,14 +32,13 @@ from railwarn.engine import (
 from railwarn.link import PerProfile, RadioConfig, SyntheticChannel
 from railwarn.logio import (
     FIELD_COLUMNS,
-    MAX_PACKETS,
     log_bytes,
     read_field_log,
     read_log,
     write_log,
 )
 from railwarn.protocol import TriggerPolicy
-from railwarn.units import parse_speed
+from railwarn.units import MAX_PACKETS, parse_speed
 
 
 def railwarn_env() -> dict:

@@ -39,7 +39,8 @@ from railwarn.link import (
     friis_reference_loss_db,
 )
 from railwarn.link import latency_sample as link_latency_sample
-from railwarn.logio import PACKET_KEYS, log_bytes
+from railwarn.logio import log_bytes
+from railwarn.passlog import PACKET_KEYS
 from railwarn.protocol import TriggerPolicy
 from railwarn.units import mph_to_mps
 

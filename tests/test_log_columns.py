@@ -21,17 +21,10 @@ from railwarn import units
 from railwarn.analysis import PerBin, PerSeries, bin_per, extract_dwarn
 from railwarn.cli import main
 from railwarn.geometry import Placement
-from railwarn.logio import (
-    LOG_VERSION,
-    MAX_PACKETS,
-    PacketColumns,
-    SimLog,
-    log_bytes,
-    read_field_log,
-    read_log,
-    write_log,
-)
+from railwarn.logio import log_bytes, read_field_log, read_log, write_log
+from railwarn.passlog import LOG_VERSION, PacketColumns, SimLog
 from railwarn.protocol import WarningEvent
+from railwarn.units import MAX_PACKETS
 
 RSU = Placement(id="rsu0", kind="RSU", offset_from_crossing_m=6.0, height_m=3.0)
 OPEN_TRACK = Path(__file__).resolve().parent.parent / "configs" / "open_track_20mph.json"

@@ -27,7 +27,8 @@ from test_logio import columns_log
 from railwarn import logio
 from railwarn.config import load_config
 from railwarn.engine import run_pass
-from railwarn.logio import WRITE_BATCH_ROWS, PacketColumns, log_bytes, log_text
+from railwarn.logio import WRITE_BATCH_ROWS, log_bytes, log_text
+from railwarn.passlog import PacketColumns
 from railwarn.protocol import WarningEvent
 
 SUBURBAN = Path(__file__).resolve().parent.parent / "configs" / "suburban_rsu_10mph.json"

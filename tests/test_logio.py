@@ -15,16 +15,8 @@ from railwarn import logio
 from railwarn.config import load_config
 from railwarn.engine import run_pass
 from railwarn.geometry import Placement
-from railwarn.logio import (
-    _NUMBER,
-    AnalysisDefaults,
-    PacketColumns,
-    SimLog,
-    TextHolder,
-    log_bytes,
-    read_log,
-    write_log,
-)
+from railwarn.logio import _NUMBER, TextHolder, log_bytes, read_log, write_log
+from railwarn.passlog import AnalysisDefaults, PacketColumns, SimLog
 from railwarn.protocol import WarningEvent
 from railwarn.units import mph_to_mps
 

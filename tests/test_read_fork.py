@@ -38,7 +38,8 @@ from test_log_fork import (
 from test_logio import columns_log
 
 from railwarn import logio
-from railwarn.logio import PacketColumns, log_bytes, read_log
+from railwarn.logio import log_bytes, read_log
+from railwarn.passlog import PacketColumns
 from railwarn.protocol import WarningEvent
 
 

@@ -11,11 +11,14 @@ import dataclasses
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from test_config_cli import railwarn_env
 
 from railwarn.antenna import AntennaPattern
 from railwarn.cli import main
@@ -36,7 +39,7 @@ from railwarn.link import (
     SyntheticChannel,
     friis_reference_loss_db,
 )
-from railwarn.logio import AnalysisDefaults
+from railwarn.passlog import AnalysisDefaults
 from railwarn.protocol import TriggerPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -207,6 +210,23 @@ def imported_names(tree):
 def test_log_and_analysis_do_not_import_the_engine(module):
     tree = ast.parse((ROOT / "src" / "railwarn" / module).read_text())
     assert [name for name in imported_names(tree) if "engine" in name.split(".")] == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        # The analysis reads the log model alone: no codec loads with it.
+        "import sys, railwarn.analysis; assert 'railwarn.logio' not in sys.modules",
+        # The model and its codec import in either order: no cycle.
+        "import railwarn.passlog, railwarn.logio",
+        "import railwarn.logio, railwarn.passlog",
+    ],
+)
+def test_the_log_model_loads_apart_from_its_files(code):
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=railwarn_env(), capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def floats(low, high):
